@@ -12,12 +12,12 @@ including a 3x3-SVD rigid alignment head with an analytic backward rule.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csc_matrix
 
 from . import geometry as geo
 from .errors import (
@@ -419,28 +419,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _record("concat", tensors, out, bw)
 
 
-_SCATTER_CACHE: dict[tuple[bytes, int, str], "object"] = {}
-_SCATTER_CACHE_MAX = 4096
-
-
-def _scatter_matrix(idx: np.ndarray, n_rows: int, dtype):
-    """Sparse (n_rows, idx.size) accumulator: S @ grads_per_pick sums picks per row."""
-    from scipy.sparse import csr_matrix
-
-    key = (hashlib.blake2b(idx.tobytes(), digest_size=16).digest(), n_rows, np.dtype(dtype).str)
-    mat = _SCATTER_CACHE.get(key)
-    if mat is None:
-        flat = idx.reshape(-1)
-        mat = csr_matrix(
-            (np.ones(flat.size, dtype=dtype), (flat, np.arange(flat.size))),
-            shape=(n_rows, flat.size),
-        )
-        if len(_SCATTER_CACHE) >= _SCATTER_CACHE_MAX:
-            _SCATTER_CACHE.clear()
-        _SCATTER_CACHE[key] = mat
-    return mat
-
-
 def gather(x: Tensor, index) -> Tensor:
     """Index-select rows: output shape ``index.shape + x.shape[1:]``.
 
@@ -456,7 +434,12 @@ def gather(x: Tensor, index) -> Tensor:
     def bw(g):
         tail = int(np.prod(x.shape[1:], dtype=np.int64)) if x.ndim > 1 else 1
         g2 = np.ascontiguousarray(g, dtype=x.dtype).reshape(idx.size, tail)
-        summed = _scatter_matrix(idx, x.shape[0], x.dtype) @ g2
+        # Column j of the (rows, picks) accumulator holds a single 1 at row idx[j].
+        scatter = csc_matrix(
+            (np.ones(idx.size, dtype=x.dtype), idx.ravel(), np.arange(idx.size + 1)),
+            shape=(x.shape[0], idx.size),
+        )
+        summed = scatter @ g2
         return (np.asarray(summed).reshape(x.shape),)
 
     return _record("gather", (x,), out, bw)

@@ -9,15 +9,16 @@ attention stage; DCP-v2 includes it.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from . import geometry as geo
+from . import icp
 from .errors import DegenerateOutputError, InvalidInputError, ShapeError
 
 DGCNN_DEFAULT_WIDTHS = (64, 64, 128, 256)
@@ -36,7 +37,6 @@ class ModelConfig:
     head: str = "svd"  # "svd" | "mlp"
     mlp_head_widths: tuple[int, ...] = (256, 128, 64)
     knn_k: int = 20
-    dynamic_graph: bool = False
     scale_pointer_logits: bool = False
     dtype: str = "float32"
 
@@ -75,38 +75,14 @@ class KnnGraph(NamedTuple):
     indices: np.ndarray  # (N, k) neighbor rows, ties broken by lowest index
 
 
-_KNN_CACHE: dict[bytes, KnnGraph] = {}
-_KNN_CACHE_MAX = 4096
-
-
 def knn_graph(points, k: int) -> KnnGraph:
-    """Exact k nearest neighbors by Euclidean distance, self excluded.
-
-    Results are memoized by content digest: training revisits the same
-    clouds every epoch and the graph depends only on the points and k.
-    """
+    """Exact k nearest neighbors by Euclidean distance, self excluded."""
     pts = np.asarray(getattr(points, "points", points), dtype=np.float64)
     n = pts.shape[0]
     if k < 1 or k >= n:
         raise InvalidInputError(f"k must satisfy 1 <= k < n_points, got k={k}, n={n}")
-    key = hashlib.blake2b(pts.tobytes() + k.to_bytes(4, "little"), digest_size=16).digest()
-    cached = _KNN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    indices = np.empty((n, k), dtype=np.int64)
-    chunk = max(1, min(n, 8_388_608 // max(n, 1)))  # cap the (chunk, n, d) buffer
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        d2[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        indices[start:stop] = order[:, :k]
-    graph = KnnGraph(k=k, indices=indices)
-    if len(_KNN_CACHE) >= _KNN_CACHE_MAX:
-        _KNN_CACHE.clear()
-    _KNN_CACHE[key] = graph
-    return graph
+    indices, _ = icp._exact_knn(cKDTree(pts), pts, k, skip_self=True)
+    return KnnGraph(k=k, indices=indices)
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +101,9 @@ class ModelParams:
     def initialize(config: ModelConfig, seed: int) -> "ModelParams":
         return _Builder(config, np.random.default_rng(seed)).build()
 
-    def trainable(self) -> dict[str, ad.Tensor]:
-        return self.params
-
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.zero_grad()
-
-    def clone_config(self, **changes) -> ModelConfig:
-        return replace(self.config, **changes)
 
 
 class _Builder:
@@ -289,21 +259,16 @@ def edgeconv_layer(
 
 def dgcnn_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor:
     """Stacked edge convolutions; intermediate outputs concatenated into the
-    final layer. The neighbor graph is built once from input coordinates
-    unless ``dynamic_graph`` rebuilds it in feature space per layer."""
+    final layer. The neighbor graph is built once from input coordinates."""
     cfg = model.config
     pts = _pts(points)
     graph = knn_graph(pts, cfg.knn_k)
     f = ad.tensor(pts.astype(cfg.np_dtype))
     layer_outputs = []
     for i in range(len(cfg.resolved_widths)):
-        if cfg.dynamic_graph and i > 0:
-            graph = knn_graph(f.data.astype(np.float64), cfg.knn_k)
         f = edgeconv_layer(f, graph, model, f"embed.l{i}", training)
         layer_outputs.append(f)
     cat = ad.concat(layer_outputs, axis=1)
-    if cfg.dynamic_graph:
-        graph = knn_graph(cat.data.astype(np.float64), cfg.knn_k)
     return edgeconv_layer(cat, graph, model, f"embed.l{len(cfg.resolved_widths)}", training)
 
 
@@ -546,6 +511,6 @@ def dcp_loss(
         if model is None:
             raise InvalidInputError("weight_lambda > 0 requires model parameters")
         lam = ad.constant(weight_lambda, dtype=dtype)
-        for t in model.trainable().values():
+        for t in model.params.values():
             loss = ad.add(loss, ad.mul(lam, ad.sum_reduce(ad.mul(t, t))))
     return loss

@@ -21,10 +21,6 @@ from .errors import (
 
 ORTHOGONALITY_TOL = 1e-9
 
-# Relative singular-value floor below which a column direction is treated as
-# numerically undetermined and rebuilt by orthogonal completion.
-_RANK_TOL = 1e-12
-
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(getattr(points, "points", points), dtype=np.float64)
@@ -133,27 +129,12 @@ def matrix_to_euler_zyx(rotation: np.ndarray) -> EulerAngles:
     return EulerAngles(wrap_angle(yaw), pitch, wrap_angle(roll))
 
 
-def _complete_orthonormal(u: np.ndarray, have: int) -> np.ndarray:
-    """Fill columns ``have..2`` of ``u`` so its columns are orthonormal."""
-    u = u.copy()
-    if have == 0:
-        return np.eye(3)
-    if have == 1:
-        seed = np.zeros(3)
-        seed[int(np.argmin(np.abs(u[:, 0])))] = 1.0
-        v = seed - (seed @ u[:, 0]) * u[:, 0]
-        u[:, 1] = v / np.linalg.norm(v)
-    u[:, 2] = np.cross(u[:, 0], u[:, 1])
-    return u
-
-
 def svd3(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signed SVD of a 3x3 matrix: ``m = u @ diag(s) @ v.T``.
 
-    One-sided Jacobi on the columns of ``m``. Convention: ``u`` and ``v``
-    are proper rotations (det = +1); any reflection sign is absorbed into
-    the last entry of ``s``, so ``s`` is descending with ``s[2]`` possibly
-    negative.
+    LAPACK SVD with one sign convention on top: ``u`` and ``v`` are proper
+    rotations (det = +1); any reflection sign is absorbed into the last
+    entry of ``s``, so ``s`` is descending with ``s[2]`` possibly negative.
     """
     a = np.array(m, dtype=np.float64)
     if a.shape != (3, 3):
@@ -161,45 +142,8 @@ def svd3(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix entries must be finite")
 
-    v = np.eye(3)
-    for _ in range(60):
-        rotated = False
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            app = a[:, p] @ a[:, p]
-            aqq = a[:, q] @ a[:, q]
-            apq = a[:, p] @ a[:, q]
-            if abs(apq) <= 1e-16 * math.sqrt(app * aqq) or apq == 0.0:
-                continue
-            rotated = True
-            tau = (aqq - app) / (2.0 * apq)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            for mat in (a, v):
-                col_p = mat[:, p].copy()
-                mat[:, p] = c * col_p - s * mat[:, q]
-                mat[:, q] = s * col_p + c * mat[:, q]
-        if not rotated:
-            break
-
-    norms = np.linalg.norm(a, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    a = a[:, order]
-    v = v[:, order]
-    sigma = norms[order]
-
-    u = np.zeros((3, 3))
-    have = 0
-    smax = sigma[0]
-    for i in range(3):
-        if smax > 0.0 and sigma[i] > _RANK_TOL * smax:
-            u[:, i] = a[:, i] / sigma[i]
-            have = i + 1
-        else:
-            break
-    if have < 3:
-        u = _complete_orthonormal(u, have)
-
+    u, sigma, vt = np.linalg.svd(a)
+    v = vt.T
     if np.linalg.det(u) < 0.0:
         u[:, 2] = -u[:, 2]
         sigma[2] = -sigma[2]

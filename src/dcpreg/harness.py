@@ -134,7 +134,6 @@ def model_config_from_values(values: dict[str, str]) -> dcpnet.ModelConfig:
     ):
         if key in values:
             kwargs[name] = conv(values[key])
-    kwargs["dynamic_graph"] = _get_bool(values, "model.dynamic_graph", False)
     kwargs["scale_pointer_logits"] = _get_bool(values, "model.scale_pointer_logits", False)
     return dcpnet.ModelConfig(**kwargs)
 
@@ -266,12 +265,13 @@ def method_model_config(base: dcpnet.ModelConfig, method: Method) -> dcpnet.Mode
 # Dataset assembly
 # ---------------------------------------------------------------------------
 
-def load_clouds(cfg: ExperimentConfig) -> list[dataio.PointCloud]:
-    entries = dataio.scan_corpus(cfg.corpus)
-    seeds = np.random.SeedSequence([cfg.seed, 0xC0]).generate_state(len(entries))
+def load_clouds(corpus, n_points: int, seed: int) -> list[dataio.PointCloud]:
+    """Every corpus cloud, sampled at ``n_points`` with one child seed each."""
+    entries = dataio.scan_corpus(corpus)
+    seeds = np.random.SeedSequence([seed, 0xC0]).generate_state(len(entries))
     return [
-        dataio.load_corpus_cloud(label, path, cfg.n_points, int(seed))
-        for (label, path), seed in zip(entries, seeds)
+        dataio.load_corpus_cloud(label, path, n_points, int(s))
+        for (label, path), s in zip(entries, seeds)
     ]
 
 
@@ -359,7 +359,6 @@ def write_report(rows: list[tuple[str, train_mod.Metrics]], out_dir: Path, prove
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    entries = dataio.scan_corpus(args.corpus)
     pairgen = dataio.PairGenConfig(
         max_rot_deg=args.max_rot_deg,
         trans_bound=args.trans_bound,
@@ -369,11 +368,7 @@ def cmd_gen_data(args) -> int:
         noise_clip=args.clip,
         seed=args.seed,
     )
-    seeds = np.random.SeedSequence([args.seed, 0xC0]).generate_state(len(entries))
-    clouds = [
-        dataio.load_corpus_cloud(label, path, args.n_points, int(s))
-        for (label, path), s in zip(entries, seeds)
-    ]
+    clouds = load_clouds(args.corpus, args.n_points, args.seed)
     pairs, pair_seeds = build_pairs(clouds, args.pairs_per_cloud, pairgen, [args.seed, 0xDA], args.noise)
     dataio.write_pair_archive(pairs, args.out, seeds=pair_seeds)
     print(f"wrote {len(pairs)} pairs to {args.out}")
@@ -462,7 +457,7 @@ def cmd_eval(args) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> list[tuple[str, train_mod.Metrics]]:
-    clouds = load_clouds(cfg)
+    clouds = load_clouds(cfg.corpus, cfg.n_points, cfg.seed)
     train_clouds, test_clouds = dataio.dataset_split(
         clouds, cfg.split_mode, cfg.split_fraction, seed=cfg.seed
     )

@@ -22,20 +22,58 @@ DEFAULT_TOL = 1e-8
 TRANSFORM_TOL = 1e-10
 
 
+def _exact_knn(tree: cKDTree, queries: np.ndarray, k: int, skip_self: bool = False):
+    """The k nearest tree points of each query row, ranked by (squared
+    distance, index), so distance ties go to the lowest index.
+
+    Returns ``(indices, squared_distances)``, both ``(len(queries), k)``.
+    With ``skip_self`` the queries are the tree's own points and row i
+    never lists point i. The tree supplies ``m`` candidates per row; a row
+    is final once its k-th distance is strictly below its last candidate's,
+    and the others are queried again with ``m`` doubled.
+    """
+    points = tree.data
+    n = points.shape[0]
+    indices = np.empty((queries.shape[0], k), dtype=np.int64)
+    dist2 = np.empty((queries.shape[0], k))
+    todo = np.arange(queries.shape[0])
+    m = k + 1 + int(skip_self)
+    while todo.size:
+        m = min(m, n)
+        q = queries[todo]
+        _, cand = tree.query(q, k=m)
+        cand = cand.reshape(todo.size, m)
+        diff = q[:, None, :] - points[cand]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        last = np.full(todo.size, m - 1)
+        if skip_self:
+            is_self = cand == todo[:, None]
+            d2[is_self] = np.inf  # sorts behind every real candidate
+            last -= is_self.any(axis=1)
+        rows = np.arange(todo.size)[:, None]
+        order = np.lexsort((cand, d2), axis=1)
+        cand, d2 = cand[rows, order], d2[rows, order]
+        done = (d2[:, k - 1] < d2[rows[:, 0], last]) | (m == n)
+        indices[todo[done]] = cand[done, :k]
+        dist2[todo[done]] = d2[done, :k]
+        todo = todo[~done]
+        m *= 2
+    return indices, dist2
+
+
 class SpatialIndex:
     """Exact nearest-neighbor index over target points.
 
-    Backed by a balanced k-d tree; distance ties are broken toward the
-    lowest point index so queries match an exhaustive scan exactly.
+    Backed by a k-d tree; distance ties are broken toward the lowest point
+    index so queries match an exhaustive scan exactly.
     """
 
-    def __init__(self, points, leaf_size: int = 16):
+    def __init__(self, points):
         pts = np.asarray(getattr(points, "points", points), dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
             raise InsufficientDataError(f"index needs a non-empty (M, 3) array, got {pts.shape}")
         self.points = pts
-        self.leaf_size = leaf_size
-        self._tree = cKDTree(pts, leafsize=leaf_size)
+        self._tree = cKDTree(pts)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -46,20 +84,8 @@ class SpatialIndex:
 
     def query_many(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """Nearest target index and distance for each query row."""
-        q = np.asarray(queries, dtype=np.float64)
-        k = min(4, len(self))
-        dist, idx = self._tree.query(q, k=k)
-        if k == 1:
-            return idx.astype(np.int64).reshape(-1), dist.reshape(-1)
-        # Among equal-distance candidates, keep the lowest index.
-        best = dist[:, :1]
-        tied = dist <= best  # exact equality; query returns sorted distances
-        masked = np.where(tied, idx, np.iinfo(np.int64).max)
-        return masked.min(axis=1).astype(np.int64), best.reshape(-1)
-
-
-def nearest_neighbor(index: SpatialIndex, query) -> tuple[int, float]:
-    return index.query(query)
+        idx, dist2 = _exact_knn(self._tree, np.asarray(queries, dtype=np.float64), 1)
+        return idx[:, 0], np.sqrt(dist2[:, 0])
 
 
 @dataclass(frozen=True)

@@ -319,7 +319,16 @@ def save_checkpoint(model: dcpnet.ModelParams, path) -> None:
     Path(path).write_bytes(blob + b"".join(records))
 
 
-def _config_from_dict(raw: dict) -> dcpnet.ModelConfig:
+def _config_from_json(blob: bytes, path) -> dcpnet.ModelConfig:
+    try:
+        raw = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: undecodable model configuration ({exc})") from None
+    if not isinstance(raw, dict):
+        raise CheckpointError(f"{path}: model configuration is not a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(dcpnet.ModelConfig)})
+    if unknown:
+        raise CheckpointError(f"{path}: unknown model configuration key(s) {', '.join(unknown)}")
     tupled = dict(raw)
     for key in ("widths", "mlp_head_widths"):
         if tupled.get(key) is not None:
@@ -344,7 +353,7 @@ def load_checkpoint(path, expected_dtype: str | None = None) -> dcpnet.ModelPara
     records = dict(_decode_record(reader) for _ in range(count))
     if "__config__" not in records:
         raise CheckpointError(f"{path}: missing model configuration record")
-    config = _config_from_dict(json.loads(records.pop("__config__").tobytes().decode("utf-8")))
+    config = _config_from_json(records.pop("__config__").tobytes(), path)
     if expected_dtype is not None and config.dtype != expected_dtype:
         raise CheckpointError(
             f"{path}: checkpoint dtype {config.dtype} does not match requested {expected_dtype}"

@@ -1,5 +1,10 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+
+from dcpreg import train
 
 
 @pytest.fixture
@@ -19,3 +24,16 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def save_with_config_bytes(model, path, cfg_bytes):
+    """Save ``model``, then swap its config record for ``cfg_bytes``."""
+
+    def record(cfg_json: bytes) -> bytes:
+        return train._encode_record("__config__", np.frombuffer(cfg_json, dtype=np.uint8))
+
+    train.save_checkpoint(model, path)
+    old = record(json.dumps(asdict(model.config), sort_keys=True).encode("utf-8"))
+    blob = path.read_bytes()
+    assert old in blob
+    path.write_bytes(blob.replace(old, record(cfg_bytes), 1))

@@ -53,6 +53,33 @@ def test_knn_matches_bruteforce(rng):
         assert np.array_equal(g.indices[i], want)
 
 
+def dense_knn_reference(pts, k):
+    """The dense form knn_graph replaced: full squared-distance matrix, self
+    masked, stable argsort (so ties go to the lowest index)."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def knn_reference_cloud(rng, kind):
+    if kind == "normal":
+        return rng.normal(size=(40, 3))
+    if kind == "lattice":  # many exact distance ties
+        axis = np.arange(3.0)
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        return grid[rng.permutation(len(grid))]
+    base = rng.normal(size=(8, 3))  # duplicate points: zero-distance ties
+    return base[rng.integers(0, len(base), size=30)]
+
+
+@pytest.mark.parametrize("kind", ["normal", "lattice", "duplicates"])
+def test_knn_matches_dense_reference(rng, kind):
+    pts = knn_reference_cloud(rng, kind)
+    for k in range(1, len(pts)):
+        assert np.array_equal(dcpnet.knn_graph(pts, k).indices, dense_knn_reference(pts, k)), k
+
+
 def test_knn_invalid_k(rng):
     pts = rng.normal(size=(5, 3))
     with pytest.raises(InvalidInputError):

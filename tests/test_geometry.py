@@ -22,8 +22,8 @@ from conftest import random_rotation
 def jacobi_eigh_oracle(sym: np.ndarray, sweeps: int = 100):
     """Classical two-sided Jacobi eigensolver for a symmetric 3x3 matrix.
 
-    Independent of the one-sided column method under test: rotates the
-    matrix itself until off-diagonals vanish. Returns eigenvalues descending
+    Independent of the LAPACK SVD under test: rotates the matrix itself
+    until off-diagonals vanish. Returns eigenvalues descending
     and the eigenvector matrix.
     """
     a = np.array(sym, dtype=np.float64)
@@ -128,9 +128,13 @@ def test_svd3_nonfinite_rejected():
         geo.svd3(bad)
 
 
+def rank2_matrix(rng):
+    return rng.normal(size=(3, 2)) @ rng.normal(size=(2, 3))
+
+
 def test_svd3_random_against_jacobi_oracle(rng):
-    for _ in range(200):
-        m = random_spd_free_matrix(rng)
+    special = [2.0 * random_rotation(rng), np.diag([2.0, 2.0, 1.0]), rank2_matrix(rng)]
+    for m in [random_spd_free_matrix(rng) for _ in range(200)] + special:
         u, s, v = geo.svd3(m)
         check_signed_svd(m, u, s, v)
         # Eigenvalues of m^T m are the squared singular values.
@@ -155,6 +159,10 @@ def test_svd3_rank_deficient(rng):
     u, s, v = geo.svd3(m)
     check_signed_svd(m, u, s, v, tol=1e-9)
     assert abs(s[1]) < 1e-9 * abs(s[0])
+    m = rank2_matrix(rng)
+    u, s, v = geo.svd3(m)
+    check_signed_svd(m, u, s, v, tol=1e-9)
+    assert abs(s[2]) < 1e-9 * abs(s[0]) < abs(s[1])
     u, s, v = geo.svd3(np.zeros((3, 3)))
     assert np.allclose(s, 0)
     assert np.allclose(u.T @ u, np.eye(3), atol=1e-12)

@@ -1,4 +1,6 @@
 import hashlib
+import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,8 @@ import pytest
 
 from dcpreg import dataio, dcpnet, geometry as geo, harness, icp, train as train_mod
 from dcpreg.errors import DataError
+
+from conftest import save_with_config_bytes
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +184,19 @@ def test_register_dcp_requires_checkpoint(tmp_path, capsys, rng):
     src = write_cloud(tmp_path, rng.normal(size=(16, 3)), "s.xyz")
     rc = harness.main(["register", "--method", "dcp-v1", "--source", str(src), "--target", str(src)])
     assert rc == 2
+
+
+def test_register_stale_checkpoint_exits_3(tmp_path, capsys, tiny_checkpoint, rng):
+    model = train_mod.load_checkpoint(tiny_checkpoint)
+    ckpt = tmp_path / "stale.dcpk"
+    raw = dict(asdict(model.config), dynamic_graph=False)
+    save_with_config_bytes(model, ckpt, json.dumps(raw, sort_keys=True).encode("utf-8"))
+    src = write_cloud(tmp_path, rng.normal(size=(16, 3)), "s.xyz")
+    rc = harness.main(
+        ["register", "--method", "dcp-v2", "--source", str(src), "--target", str(src), "--checkpoint", str(ckpt)]
+    )
+    assert rc == 3
+    assert "dynamic_graph" in capsys.readouterr().err
 
 
 def test_register_malformed_xyz_exits_3(tmp_path, capsys):

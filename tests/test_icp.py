@@ -50,6 +50,19 @@ def test_query_matches_exhaustive_scan(rng):
         assert abs(gd - bd) < 1e-12
 
 
+def test_query_lattice_ties_match_exhaustive_scan(rng):
+    axis = np.arange(-3.0, 4.0)
+    targets = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    targets = targets[rng.permutation(len(targets))]
+    # Integer and half-integer coordinates: 1, 2, 4 or 8 equidistant targets.
+    queries = rng.integers(-6, 7, size=(2000, 3)) / 2.0
+    got_idx, got_dist = icp.SpatialIndex(targets).query_many(queries)
+    for q, gi, gd in zip(queries, got_idx, got_dist):
+        bi, bd = brute_force_nn(targets, q)
+        assert gi == bi
+        assert abs(gd - bd) < 1e-12
+
+
 def test_empty_index_rejected():
     with pytest.raises(InsufficientDataError):
         icp.SpatialIndex(np.zeros((0, 3)))

@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from dcpreg import autodiff as ad, dataio, dcpnet, geometry as geo, train
 from dcpreg.errors import CheckpointError, NumericalError
 
-from conftest import random_rotation
+from conftest import random_rotation, save_with_config_bytes
 
 TINY = dcpnet.ModelConfig(
     embedding="dgcnn", widths=(4, 4), emb_dims=8, attention=False,
@@ -233,6 +234,26 @@ def test_checkpoint_dtype_mismatch(tmp_path):
     assert "float64" in str(exc.value) and "float32" in str(exc.value)
     loaded = train.load_checkpoint(path, expected_dtype="float64")
     assert loaded.config.dtype == "float64"
+
+
+def test_checkpoint_unknown_config_key(tmp_path):
+    model = dcpnet.ModelParams.initialize(TINY, seed=25)
+    raw = dict(asdict(model.config), dynamic_graph=False)
+    path = tmp_path / "stale.dcpk"
+    save_with_config_bytes(model, path, json.dumps(raw, sort_keys=True).encode("utf-8"))
+    with pytest.raises(CheckpointError) as exc:
+        train.load_checkpoint(path)
+    assert "dynamic_graph" in str(exc.value)
+
+
+@pytest.mark.parametrize("cfg_bytes", [b"{not json", b"\xff\xfe", b"[1, 2]"])
+def test_checkpoint_undecodable_config(tmp_path, cfg_bytes):
+    model = dcpnet.ModelParams.initialize(TINY, seed=26)
+    path = tmp_path / "garbled.dcpk"
+    save_with_config_bytes(model, path, cfg_bytes)
+    with pytest.raises(CheckpointError) as exc:
+        train.load_checkpoint(path)
+    assert "configuration" in str(exc.value)
 
 
 def test_checkpoint_predictions_survive_roundtrip(tmp_path):
