@@ -9,9 +9,9 @@ error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import platform
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,8 +27,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-BASE_METHODS = ("oracle", "icp", "dcp-v1", "dcp-v2", "dcp+icp", "dcp-v1+icp", "dcp-v2+icp")
 
 
 class UsageError(DcpregError):
@@ -64,22 +62,30 @@ def config_hash(values: dict[str, str]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _get_bool(values, key, default):
-    raw = values.get(key)
-    if raw is None:
-        return default
+def _bool(raw: str) -> bool:
     if raw.lower() in ("1", "true", "yes", "on"):
         return True
     if raw.lower() in ("0", "false", "no", "off"):
         return False
-    raise DataError(f"config key {key}: expected a boolean, got {raw!r}")
+    raise ValueError(raw)
 
 
-def _get_int_tuple(values, key, default):
+def _int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+def _get(values, key, default, conv=str):
+    """``conv(values[key])``, or ``default`` when the key is unset.
+
+    A value ``conv`` cannot read raises ``DataError`` naming the key.
+    """
     raw = values.get(key)
     if raw is None:
         return default
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+    try:
+        return conv(raw)
+    except ValueError:
+        raise DataError(f"config key {key}: malformed value {raw!r}") from None
 
 
 KIND_DEFAULTS = {
@@ -96,7 +102,7 @@ class ExperimentConfig:
     kind: str
     corpus: str
     seed: int
-    methods: tuple[str, ...]
+    methods: tuple[Method, ...]
     n_points: int = 128
     split_mode: str = "random_instance"
     split_fraction: float = 0.5
@@ -118,12 +124,9 @@ class ExperimentConfig:
 
 def model_config_from_values(values: dict[str, str]) -> dcpnet.ModelConfig:
     kwargs = {}
-    if "model.embedding" in values:
-        kwargs["embedding"] = values["model.embedding"]
-    widths = _get_int_tuple(values, "model.widths", None)
-    if widths is not None:
-        kwargs["widths"] = widths
     for key, name, conv in (
+        ("model.embedding", "embedding", str),
+        ("model.widths", "widths", _int_tuple),
         ("model.emb_dims", "emb_dims", int),
         ("model.heads", "heads", int),
         ("model.attn_dims", "attn_dims", int),
@@ -131,23 +134,23 @@ def model_config_from_values(values: dict[str, str]) -> dcpnet.ModelConfig:
         ("model.knn_k", "knn_k", int),
         ("model.head", "head", str),
         ("model.dtype", "dtype", str),
+        ("model.scale_pointer_logits", "scale_pointer_logits", _bool),
     ):
         if key in values:
-            kwargs[name] = conv(values[key])
-    kwargs["scale_pointer_logits"] = _get_bool(values, "model.scale_pointer_logits", False)
+            kwargs[name] = _get(values, key, None, conv)
     return dcpnet.ModelConfig(**kwargs)
 
 
 def train_config_from_values(values: dict[str, str], seed: int) -> train_mod.TrainConfig:
     return train_mod.TrainConfig(
-        epochs=int(values.get("train.epochs", 50)),
-        batch_size=int(values.get("train.batch_size", 32)),
-        base_lr=float(values.get("train.base_lr", 1e-3)),
-        lr_milestones=_get_int_tuple(values, "train.milestones", (15, 30, 40)),
-        lr_factor=float(values.get("train.lr_factor", 0.1)),
-        weight_decay=float(values.get("train.weight_decay", 1e-4)),
-        val_fraction=float(values.get("train.val_fraction", 0.1)),
-        checkpoint_every=int(values.get("train.checkpoint_every", 0)),
+        epochs=_get(values, "train.epochs", 50, int),
+        batch_size=_get(values, "train.batch_size", 32, int),
+        base_lr=_get(values, "train.base_lr", 1e-3, float),
+        lr_milestones=_get(values, "train.milestones", (15, 30, 40), _int_tuple),
+        lr_factor=_get(values, "train.lr_factor", 0.1, float),
+        weight_decay=_get(values, "train.weight_decay", 1e-4, float),
+        val_fraction=_get(values, "train.val_fraction", 0.1, float),
+        checkpoint_every=_get(values, "train.checkpoint_every", 0, int),
         seed=seed,
     )
 
@@ -165,17 +168,20 @@ def experiment_config_from_values(values: dict[str, str]) -> ExperimentConfig:
     corpus = merged["data.corpus"]
     if not Path(corpus).is_dir():
         raise DataError(f"corpus directory {corpus} does not exist")
-    seed = int(merged["seed"])
-    methods = tuple(tok.strip() for tok in merged.get("methods", "icp,dcp-v1").split(",") if tok.strip())
+    seed = _get(merged, "seed", None, int)
+    n_points = _get(merged, "data.n_points", 128, int)
+    methods = parse_methods(merged.get("methods", "icp,dcp-v1"))
+    model = model_config_from_values(merged)
     for method in methods:
-        parse_method(method)  # validate early
+        if method.base == "dcp":
+            method_model_config(model, method)  # fail before any method runs
     pairgen = dataio.PairGenConfig(
-        max_rot_deg=float(merged.get("pairgen.max_rot_deg", 45.0)),
-        trans_bound=float(merged.get("pairgen.trans_bound", 0.5)),
-        n_points=int(merged.get("data.n_points", 128)),
-        shuffle_target=_get_bool(merged, "pairgen.shuffle_target", True),
-        noise_sigma=float(merged.get("noise.sigma", 0.01)),
-        noise_clip=float(merged.get("noise.clip", 0.05)),
+        max_rot_deg=_get(merged, "pairgen.max_rot_deg", 45.0, float),
+        trans_bound=_get(merged, "pairgen.trans_bound", 0.5, float),
+        n_points=n_points,
+        shuffle_target=_get(merged, "pairgen.shuffle_target", True, _bool),
+        noise_sigma=_get(merged, "noise.sigma", 0.01, float),
+        noise_clip=_get(merged, "noise.clip", 0.05, float),
         seed=seed,
     )
     return ExperimentConfig(
@@ -183,19 +189,19 @@ def experiment_config_from_values(values: dict[str, str]) -> ExperimentConfig:
         corpus=corpus,
         seed=seed,
         methods=methods,
-        n_points=int(merged.get("data.n_points", 128)),
+        n_points=n_points,
         split_mode=merged.get("split.mode", "random_instance"),
-        split_fraction=float(merged.get("split.fraction", 0.5)),
-        pairs_per_cloud_train=int(merged.get("pairs.per_cloud_train", 4)),
-        pairs_per_cloud_test=int(merged.get("pairs.per_cloud_test", 2)),
+        split_fraction=_get(merged, "split.fraction", 0.5, float),
+        pairs_per_cloud_train=_get(merged, "pairs.per_cloud_train", 4, int),
+        pairs_per_cloud_test=_get(merged, "pairs.per_cloud_test", 2, int),
         pairgen=pairgen,
-        noise_train=_get_bool(merged, "noise.train", False),
-        noise_eval=_get_bool(merged, "noise.eval", False),
-        model=model_config_from_values(merged),
+        noise_train=_get(merged, "noise.train", False, _bool),
+        noise_eval=_get(merged, "noise.eval", False, _bool),
+        model=model,
         train=train_config_from_values(merged, seed),
-        workers=int(merged.get("workers", 1)),
-        icp_max_iters=int(merged.get("icp.max_iters", icp.DEFAULT_MAX_ITERS)),
-        icp_tol=float(merged.get("icp.tol", icp.DEFAULT_TOL)),
+        workers=_get(merged, "workers", 1, int),
+        icp_max_iters=_get(merged, "icp.max_iters", icp.DEFAULT_MAX_ITERS, int),
+        icp_tol=_get(merged, "icp.tol", icp.DEFAULT_TOL, float),
         raw=tuple(sorted(values.items())),
     )
 
@@ -210,55 +216,94 @@ class Method:
     base: str  # oracle | icp | dcp
     attention: bool = False
     polish: bool = False
-    overrides: tuple[tuple[str, str], ...] = ()
+    overrides: tuple[tuple[str, object], ...] = ()  # (ModelConfig field, value)
+
+
+_CHOICE_MODIFIERS = {"embedding": ("dgcnn", "pointnet"), "head": ("svd", "mlp")}
+_INT_MODIFIERS = {"dims": "emb_dims", "emb_dims": "emb_dims", "k": "knn_k", "knn_k": "knn_k", "heads": "heads"}
 
 
 def parse_method(token: str) -> Method:
-    """Parse a method token like ``dcp-v2``, ``dcp+icp`` or ``dcp-v1:pointnet``."""
+    """Parse one method token; this is the grammar every subcommand reads.
+
+    ::
+
+        token    = "oracle" | "icp" | "dcp" ["-v1" | "-v2"] ["+icp"] [":" mod {"," mod}]
+        mod      = "pointnet" | "dgcnn" | "embedding=" ("pointnet" | "dgcnn")
+                 | "svd" | "mlp" | "head=" ("svd" | "mlp")
+                 | ("dims" | "emb_dims") "=" N      # ModelConfig.emb_dims
+                 | ("k" | "knn_k") "=" N            # ModelConfig.knn_k
+                 | "heads=" N                       # ModelConfig.heads
+
+    ``dcp`` is ``dcp-v2`` (with the attention stage), ``-v1`` drops that
+    stage, ``+icp`` polishes the DCP estimate with ICP, and N is a positive
+    integer. Choosing an embedding also resets ``widths`` to its default.
+    An unknown method or modifier, or a bad value, raises ``DataError``.
+    """
     name = token.strip()
+    if name in ("oracle", "icp"):
+        return Method(name, name)
     core, _, mods = name.partition(":")
-    polish = core.endswith("+icp") and core != "icp"
-    if polish:
-        core = core[: -len("+icp")] or "dcp"
-        if core == "dcp":
-            core = "dcp-v2"
-    if core == "oracle":
-        return Method(name, "oracle")
-    if core == "icp":
-        return Method(name, "icp")
-    if core in ("dcp-v1", "dcp-v2", "dcp"):
-        attention = core != "dcp-v1"
-        overrides = []
-        for mod in filter(None, (m.strip() for m in mods.split(","))):
-            if "=" in mod:
-                key, val = mod.split("=", 1)
-            elif mod in ("pointnet", "dgcnn"):
-                key, val = "embedding", mod
-            elif mod in ("svd", "mlp"):
-                key, val = "head", mod
-            else:
-                raise DataError(f"unknown method modifier {mod!r} in {token!r}")
-            overrides.append((key.strip(), val.strip()))
-        return Method(name, "dcp", attention=attention, polish=polish, overrides=tuple(overrides))
-    raise DataError(f"unknown method {token!r}; bases: {BASE_METHODS}")
+    polish = core.endswith("+icp")
+    variant = core[: -len("+icp")] if polish else core
+    if variant not in ("dcp", "dcp-v1", "dcp-v2"):
+        raise DataError(f"unknown method {token!r}; see dcpreg.harness.parse_method for the grammar")
+    overrides = []
+    for mod in filter(None, (m.strip() for m in mods.split(","))):
+        key, eq, val = (part.strip() for part in mod.partition("="))
+        if not eq:
+            key, val = next((k for k, options in _CHOICE_MODIFIERS.items() if mod in options), mod), mod
+        if key in _CHOICE_MODIFIERS and val in _CHOICE_MODIFIERS[key]:
+            overrides += [(key, val), ("widths", None)] if key == "embedding" else [(key, val)]
+        elif key in _INT_MODIFIERS and val.isdecimal() and int(val) > 0:
+            overrides.append((_INT_MODIFIERS[key], int(val)))
+        else:
+            raise DataError(f"unknown method modifier or bad value {mod!r} in {token!r}")
+    return Method(name, "dcp", attention=variant != "dcp-v1", polish=polish, overrides=tuple(overrides))
+
+
+def parse_methods(text: str) -> tuple[Method, ...]:
+    """Parse a comma-separated token list.
+
+    Only a comma followed by ``oracle``, ``icp`` or ``dcp`` starts a new
+    token, so ``icp, dcp-v2:dims=16,heads=2`` is two tokens.
+    """
+    tokens = (tok.strip(" \t,") for tok in re.split(r",(?=\s*(?:oracle|icp|dcp))", text))
+    return tuple(parse_method(tok) for tok in tokens if tok)
 
 
 def method_model_config(base: dcpnet.ModelConfig, method: Method) -> dcpnet.ModelConfig:
-    cfg = replace(base, attention=method.attention)
-    for key, val in method.overrides:
-        if key in ("emb_dims", "dims"):
-            cfg = replace(cfg, emb_dims=int(val))
-        elif key in ("k", "knn_k"):
-            cfg = replace(cfg, knn_k=int(val))
-        elif key == "embedding":
-            cfg = replace(cfg, embedding=val, widths=None)
-        elif key == "head":
-            cfg = replace(cfg, head=val)
-        elif key == "heads":
-            cfg = replace(cfg, heads=int(val))
-        else:
-            raise DataError(f"unknown model override {key!r} for method {method.name!r}")
-    return cfg
+    return replace(base, attention=method.attention, **dict(method.overrides))
+
+
+def load_method_model(method: Method, checkpoint) -> dcpnet.ModelParams:
+    """The model ``method`` asks for, with its weights from ``checkpoint``.
+
+    The checkpoint must hold every parameter and normalisation state that
+    model has, at the same shape; otherwise it cannot honour the token and
+    this raises ``UsageError``.
+    """
+    if not checkpoint:
+        raise UsageError(f"method {method.name} requires --checkpoint")
+    loaded = train_mod.load_checkpoint(checkpoint)
+    try:
+        cfg = method_model_config(loaded.config, method)
+    except InvalidInputError as exc:
+        raise UsageError(f"checkpoint {checkpoint} cannot run {method.name}: {exc}") from None
+    need = dcpnet.ModelParams.initialize(cfg, seed=0)
+    have = _shapes(loaded)
+    bad = sorted(name for name, shape in _shapes(need).items() if have.get(name) != shape)
+    if bad:
+        detail = f"{len(bad)} tensor(s) missing or mis-shaped, such as {', '.join(bad[:3])}"
+        raise UsageError(f"checkpoint {checkpoint} cannot run {method.name}: {detail}")
+    return dcpnet.ModelParams(cfg, loaded.params, loaded.bn_states)
+
+
+def _shapes(model: dcpnet.ModelParams) -> dict[str, tuple[int, ...]]:
+    shapes = {name: t.shape for name, t in model.params.items()}
+    for name, state in model.bn_states.items():
+        shapes[f"{name}/mean"], shapes[f"{name}/var"] = state.running_mean.shape, state.running_var.shape
+    return shapes
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +363,26 @@ def icp_errors(pairs, max_iters, tol, workers: int = 1):
         return list(pool.map(_icp_task, tasks))  # input order preserved
 
 
-def dcp_errors(pairs, model: dcpnet.ModelParams, polish: bool, max_iters, tol):
-    errors = []
-    for pair in pairs:
-        pred = dcpnet.dcp_predict(pair.source, pair.target, model)
-        if polish:
-            pred = icp.polish_with_icp(pair.source.points, pair.target.points, pred, max_iters, tol)
-        errors.append(geo.rotation_metrics(pred, pair.ground_truth))
-    return errors
+def run_method(method: Method, model, source, target, max_iters, tol) -> geo.RigidTransform:
+    """Align ``source`` to ``target`` with an ``icp`` or ``dcp`` method."""
+    if method.base == "icp":
+        return icp.icp_register(source.points, target.points, max_iters=max_iters, tol=tol)[0]
+    pred = dcpnet.dcp_predict(source, target, model)
+    if method.polish:
+        pred = icp.polish_with_icp(source.points, target.points, pred, max_iters, tol)
+    return pred
+
+
+def method_errors(method: Method, model, pairs, max_iters, tol, workers: int = 1):
+    """Rotation and translation errors of ``method`` on each labeled pair."""
+    if method.base == "oracle":
+        return [geo.rotation_metrics(p.ground_truth, p.ground_truth) for p in pairs]
+    if method.base == "icp":
+        return icp_errors(pairs, max_iters, tol, workers=workers)
+    return [
+        geo.rotation_metrics(run_method(method, model, p.source, p.target, max_iters, tol), p.ground_truth)
+        for p in pairs
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -385,26 +442,14 @@ def _load_cli_cloud(path: str, n_points: int, seed: int) -> dataio.PointCloud:
 
 
 def cmd_register(args) -> int:
-    method = parse_method(args.method)
+    method = args.method
     if method.base == "oracle":
         raise UsageError("the oracle method needs ground truth and is experiment-only")
-    if method.base == "dcp" and not args.checkpoint:
-        raise UsageError(f"method {args.method} requires --checkpoint")
+    model = load_method_model(method, args.checkpoint) if method.base == "dcp" else None
     source = _load_cli_cloud(args.source, args.n_points, args.seed)
     target = _load_cli_cloud(args.target, args.n_points, args.seed + 1)
 
-    if method.base == "icp":
-        transform, _ = icp.icp_register(
-            source.points, target.points, max_iters=args.max_iters, tol=args.tol
-        )
-    else:
-        model = train_mod.load_checkpoint(args.checkpoint)
-        transform = dcpnet.dcp_predict(source, target, model)
-        if method.polish:
-            transform = icp.polish_with_icp(
-                source.points, target.points, transform, args.max_iters, args.tol
-            )
-
+    transform = run_method(method, model, source, target, args.max_iters, args.tol)
     vals = list(transform.rotation.reshape(-1)) + list(transform.translation)
     print(" ".join(f"{v:.12g}" for v in vals))
     if args.out:
@@ -419,7 +464,7 @@ def cmd_train(args) -> int:
         values["seed"] = str(args.seed)
     if "seed" not in values:
         raise UsageError("set --seed or a seed in the config file")
-    seed = int(values["seed"])
+    seed = _get(values, "seed", None, int)
     model_cfg = model_config_from_values(values)
     if args.v1:
         model_cfg = replace(model_cfg, attention=False)
@@ -437,22 +482,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    method = parse_method(args.method)
+    method = args.method
+    model = load_method_model(method, args.checkpoint) if method.base == "dcp" else None
     pairs = dataio.read_pair_archive(args.pairs)
-    if method.base == "oracle":
-        errors = [geo.rotation_metrics(p.ground_truth, p.ground_truth) for p in pairs]
-    elif method.base == "icp":
-        errors = icp_errors(pairs, args.max_iters, args.tol, workers=args.workers)
-    else:
-        if not args.checkpoint:
-            raise UsageError(f"method {args.method} requires --checkpoint")
-        model = train_mod.load_checkpoint(args.checkpoint)
-        errors = dcp_errors(pairs, model, method.polish, args.max_iters, args.tol)
+    errors = method_errors(method, model, pairs, args.max_iters, args.tol, args.workers)
     metrics = train_mod.pool_metrics(errors)
     print(f"{'metric':>8}  " + "  ".join(f"{c:>12}" for c in train_mod.Metrics.COLUMNS))
-    print(f"{args.method:>8}  " + "  ".join(f"{v:12.6f}" for v in metrics.row()))
+    print(f"{method.name:>8}  " + "  ".join(f"{v:12.6f}" for v in metrics.row()))
     if args.out:
-        write_report([(args.method, metrics)], Path(args.out), {"version": __version__})
+        write_report([(method.name, metrics)], Path(args.out), {"version": __version__})
     return EXIT_OK
 
 
@@ -472,13 +510,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> list[tuple[str, trai
 
     trained: dict[dcpnet.ModelConfig, dcpnet.ModelParams] = {}
     rows: list[tuple[str, train_mod.Metrics]] = []
-    for token in cfg.methods:
-        method = parse_method(token)
-        if method.base == "oracle":
-            errors = [geo.rotation_metrics(p.ground_truth, p.ground_truth) for p in test_pairs]
-        elif method.base == "icp":
-            errors = icp_errors(test_pairs, cfg.icp_max_iters, cfg.icp_tol, workers=cfg.workers)
-        else:
+    for method in cfg.methods:
+        model = None
+        if method.base == "dcp":
             model_cfg = method_model_config(cfg.model, method)
             model = trained.get(model_cfg)
             if model is None:
@@ -488,8 +522,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> list[tuple[str, trai
                 (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
                 train_mod.save_checkpoint(model, out_dir / "checkpoints" / f"{safe}.dcpk")
                 train_mod.write_training_log(log, out_dir / f"training_log_{safe}.csv")
-            errors = dcp_errors(test_pairs, model, method.polish, cfg.icp_max_iters, cfg.icp_tol)
-        rows.append((token, train_mod.pool_metrics(errors)))
+        errors = method_errors(method, model, test_pairs, cfg.icp_max_iters, cfg.icp_tol, cfg.workers)
+        rows.append((method.name, train_mod.pool_metrics(errors)))
     return rows
 
 
@@ -513,45 +547,31 @@ def bench_pair(n_points: int, seed: int):
 
 
 def cmd_bench(args) -> int:
-    methods = [parse_method(tok.strip()) for tok in args.methods.split(",") if tok.strip()]
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     values = load_config_file(args.config) if args.config else {}
     base_model_cfg = model_config_from_values(values)
 
-    models: dict[bool, dcpnet.ModelParams] = {}
-    for method in methods:
-        if method.base == "dcp" and method.attention not in models:
-            if args.checkpoint:
-                loaded = train_mod.load_checkpoint(args.checkpoint)
-                if method.attention and not loaded.config.attention:
-                    raise DataError(f"checkpoint has no attention weights; cannot run {method.name}")
-                models[method.attention] = dcpnet.ModelParams(
-                    replace(loaded.config, attention=method.attention), loaded.params, loaded.bn_states
-                )
-            else:
-                cfg = method_model_config(base_model_cfg, method)
-                models[method.attention] = dcpnet.ModelParams.initialize(cfg, seed=args.seed)
+    def build(method):
+        if method.base == "oracle":
+            raise UsageError("the oracle method needs ground truth and cannot be timed")
+        if method.base != "dcp":
+            return None
+        if args.checkpoint:
+            return load_method_model(method, args.checkpoint)
+        return dcpnet.ModelParams.initialize(method_model_config(base_model_cfg, method), seed=args.seed)
 
+    models = [build(method) for method in args.methods]
     lines = [f"# hardware={platform.processor() or platform.machine()} ({platform.system()})"]
     lines.append("method,n_points,trials,mean_seconds")
     print("method        n_points   trials   mean_seconds")
-    for method in methods:
+    for method, model in zip(args.methods, models):
         for size in sizes:
             pair = bench_pair(size, args.seed)
-            model = models.get(method.attention) if method.base == "dcp" else None
             if model is not None and model.config.knn_k >= size:
                 raise DataError(f"model knn_k={model.config.knn_k} too large for {size} points")
 
             def run_once():
-                if method.base == "icp":
-                    icp.icp_register(
-                        pair.source.points, pair.target.points,
-                        max_iters=args.max_iters, tol=icp.DEFAULT_TOL,
-                    )
-                else:
-                    pred = dcpnet.dcp_predict(pair.source, pair.target, model)
-                    if method.polish:
-                        icp.polish_with_icp(pair.source.points, pair.target.points, pred, args.max_iters)
+                run_method(method, model, pair.source, pair.target, args.max_iters, icp.DEFAULT_TOL)
 
             run_once()  # warm-up outside the timed region
             start = time.perf_counter()
@@ -569,6 +589,19 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing and entry point
 # ---------------------------------------------------------------------------
+
+METHOD_HELP = "method token(s) such as dcp-v1+icp; grammar in dcpreg.harness.parse_method"
+
+
+def _cli_tokens(parse):
+    """An argparse ``type`` that reports a bad method token as a usage error."""
+    def convert(text):
+        try:
+            return parse(text)
+        except DataError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -592,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("register", help="align one cloud to another, print 12-number transform")
-    p.add_argument("--method", required=True, choices=["icp", "dcp-v1", "dcp-v2", "dcp+icp"])
+    p.add_argument("--method", required=True, type=_cli_tokens(parse_method), help=METHOD_HELP)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--checkpoint")
@@ -615,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a method on a pair archive")
     p.add_argument("--pairs", required=True)
-    p.add_argument("--method", required=True)
+    p.add_argument("--method", required=True, type=_cli_tokens(parse_method), help=METHOD_HELP)
     p.add_argument("--checkpoint")
     p.add_argument("--out", help="directory for report files")
     p.add_argument("--max-iters", type=int, default=icp.DEFAULT_MAX_ITERS)
@@ -630,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time registration methods across point counts")
     p.add_argument("--out", required=True)
-    p.add_argument("--methods", default="icp,dcp-v1,dcp-v2")
+    p.add_argument("--methods", default="icp,dcp-v1,dcp-v2", type=_cli_tokens(parse_methods), help=METHOD_HELP)
     p.add_argument("--sizes", default="512,1024,2048,4096")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--config", help="model settings for untrained dcp timing")

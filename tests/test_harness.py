@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,35 @@ def tiny_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "tiny.dcpk"
     train_mod.save_checkpoint(model, path)
     return path
+
+
+def save_v2_checkpoint(path, **overrides):
+    """A DCP-v2 checkpoint whose attention residual is not a no-op."""
+    cfg = dcpnet.ModelConfig(
+        widths=(4, 4), emb_dims=8, heads=2, ffn_dims=16, knn_k=4, dtype="float32", **overrides
+    )
+    model = dcpnet.ModelParams.initialize(cfg, seed=1)
+    out_w = model.params["attn.out.w"]
+    out_w.data = np.random.default_rng(2).normal(scale=0.5, size=out_w.shape).astype(np.float32)
+    train_mod.save_checkpoint(model, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def v2_checkpoint(tmp_path_factory):
+    return save_v2_checkpoint(tmp_path_factory.mktemp("ckpt") / "v2.dcpk")
+
+
+@pytest.fixture(scope="module")
+def v2_mlp_checkpoint(tmp_path_factory):
+    return save_v2_checkpoint(tmp_path_factory.mktemp("ckpt") / "v2mlp.dcpk", head="mlp", attn_dims=4)
+
+
+@pytest.fixture(scope="module")
+def archive(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("arch") / "pairs"
+    assert harness.main(["gen-data", "--corpus", str(corpus), "--out", str(out), "--seed", "4", "--n-points", "32"]) == 0
+    return out
 
 
 def tree_digest(root: Path) -> str:
@@ -93,18 +122,45 @@ def test_parse_method_tokens():
     assert polish.base == "dcp" and polish.polish and polish.attention
     v1polish = harness.parse_method("dcp-v1+icp")
     assert v1polish.polish and not v1polish.attention
-    with pytest.raises(DataError):
-        harness.parse_method("goicp")
+    v2polish = harness.parse_method("dcp-v2+icp")
+    assert v2polish.polish and v2polish.attention
+    for bad in ("goicp", "oracle+icp", "icp+icp", "icp:pointnet", "dcp-v3"):
+        with pytest.raises(DataError):
+            harness.parse_method(bad)
 
 
 def test_method_model_overrides():
     base = dcpnet.ModelConfig(widths=(4, 4), emb_dims=8, knn_k=4)
     cfg = harness.method_model_config(base, harness.parse_method("dcp-v1:pointnet"))
-    assert cfg.embedding == "pointnet" and not cfg.attention
+    assert cfg.embedding == "pointnet" and cfg.widths is None and not cfg.attention
     cfg = harness.method_model_config(base, harness.parse_method("dcp-v1:mlp"))
-    assert cfg.head == "mlp"
+    assert cfg.head == "mlp" and cfg.widths == (4, 4)
     cfg = harness.method_model_config(base, harness.parse_method("dcp-v2:dims=16,heads=2"))
     assert cfg.emb_dims == 16 and cfg.heads == 2 and cfg.attention
+    cfg = harness.method_model_config(
+        base, harness.parse_method("dcp:emb_dims=12, k=5,knn_k=6,embedding=pointnet,head=mlp,svd")
+    )
+    assert (cfg.emb_dims, cfg.knn_k, cfg.embedding, cfg.head) == (12, 6, "pointnet", "svd")
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["dcp-v2:heads=two", "dcp-v1:bogus=1", "dcp-v1:embedding=foo", "dcp-v1:head=pointnet",
+     "dcp:heads=0", "dcp:k=-1", "dcp:dims=1.5", "dcp:fancy"],
+)
+def test_parse_method_rejects_bad_modifiers(token):
+    with pytest.raises(DataError):
+        harness.parse_method(token)
+
+
+def test_parse_methods_splits_only_before_tokens(corpus):
+    text = "icp, dcp-v2:dims=16,heads=2,oracle,dcp-v1:pointnet,mlp, dcp+icp,"
+    expected = ("icp", "dcp-v2:dims=16,heads=2", "oracle", "dcp-v1:pointnet,mlp", "dcp+icp")
+    assert tuple(m.name for m in harness.parse_methods(text)) == expected
+    cfg = harness.experiment_config_from_values(
+        {"seed": "1", "data.corpus": str(corpus), "model.emb_dims": "8", "methods": text}
+    )
+    assert tuple(m.name for m in cfg.methods) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +272,7 @@ def test_register_polish_objective_not_worse(tmp_path, capsys, tiny_checkpoint, 
     dst = write_cloud(tmp_path, pair.target.points, "dst.xyz")
 
     results = {}
-    for method in ("dcp-v1", "dcp+icp"):
+    for method in ("dcp-v1", "dcp-v1+icp"):
         rc = harness.main(
             ["register", "--method", method, "--source", str(src), "--target", str(dst),
              "--checkpoint", str(tiny_checkpoint)]
@@ -225,7 +281,63 @@ def test_register_polish_objective_not_worse(tmp_path, capsys, tiny_checkpoint, 
         vals = [float(t) for t in capsys.readouterr().out.split()]
         transform = geo.RigidTransform(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:]))
         results[method] = icp.registration_objective(pair.source.points, pair.target.points, transform)
-    assert results["dcp+icp"] <= results["dcp-v1"] + 1e-12
+    assert results["dcp-v1+icp"] <= results["dcp-v1"] + 1e-12
+
+
+def register_transform(capsys, method, src, dst, checkpoint):
+    rc = harness.main(
+        ["register", "--method", method, "--source", str(src), "--target", str(dst),
+         "--checkpoint", str(checkpoint)]
+    )
+    assert rc == 0
+    return capsys.readouterr().out.strip()
+
+
+def test_register_honours_variant(tmp_path, capsys, v2_checkpoint, rng):
+    cloud = dataio.normalize_unit_sphere(dataio.PointCloud(rng.normal(size=(40, 3))))
+    pair = dataio.generate_pair(cloud, dataio.PairGenConfig(max_rot_deg=20.0, trans_bound=0.1), rng)
+    src = write_cloud(tmp_path, pair.source.points, "src.xyz")
+    dst = write_cloud(tmp_path, pair.target.points, "dst.xyz")
+    v1 = register_transform(capsys, "dcp-v1", src, dst, v2_checkpoint)
+    v2 = register_transform(capsys, "dcp-v2", src, dst, v2_checkpoint)
+    assert v1 != v2
+
+    model = train_mod.load_checkpoint(v2_checkpoint)
+    v1_model = dcpnet.ModelParams(replace(model.config, attention=False), model.params, model.bn_states)
+    for printed, m in ((v1, v1_model), (v2, model)):
+        pred = dcpnet.dcp_predict(dataio.load_xyz(src), dataio.load_xyz(dst), m)
+        vals = list(pred.rotation.reshape(-1)) + list(pred.translation)
+        assert printed == " ".join(f"{v:.12g}" for v in vals)
+
+    for method in ("dcp-v1+icp", "dcp-v2+icp"):
+        register_transform(capsys, method, src, dst, v2_checkpoint)
+
+
+CANNOT_HONOUR = [
+    ("tiny_checkpoint", "dcp-v2"),
+    ("tiny_checkpoint", "dcp-v1:pointnet"),
+    ("tiny_checkpoint", "dcp-v1:bogus=1"),
+    ("v2_mlp_checkpoint", "dcp-v1"),
+    ("v2_checkpoint", "dcp-v2:dims=16"),
+    ("v2_checkpoint", "dcp-v2:heads=3"),
+]
+
+
+@pytest.mark.parametrize("command", ["register", "eval", "bench"])
+@pytest.mark.parametrize("fixture,method", CANNOT_HONOUR)
+def test_token_checkpoint_cannot_honour_exits_2(request, tmp_path, capsys, archive, rng, command, fixture, method):
+    checkpoint = str(request.getfixturevalue(fixture))
+    src = write_cloud(tmp_path, rng.normal(size=(32, 3)), "s.xyz")
+    argv = {
+        "register": ["register", "--method", method, "--source", str(src), "--target", str(src)],
+        "eval": ["eval", "--method", method, "--pairs", str(archive)],
+        "bench": ["bench", "--methods", f"icp,{method}", "--sizes", "32", "--trials", "1",
+                  "--out", str(tmp_path / "bench")],
+    }[command]
+    assert harness.main(argv + ["--checkpoint", checkpoint]) == 2
+    err = capsys.readouterr().err
+    assert method.split(":")[-1] in err and "Traceback" not in err
+    assert not (tmp_path / "bench").exists()
 
 
 def test_register_writes_aligned_cloud(tmp_path, capsys, rng):
@@ -290,6 +402,52 @@ def test_experiment_reruns_byte_identical(corpus, tmp_path, capsys):
     assert tree_digest(a) == tree_digest(b)
 
 
+def test_experiment_bad_token_fails_before_any_method(corpus, tmp_path, capsys, monkeypatch):
+    def no_method_may_run(*args, **kwargs):
+        raise AssertionError("a method ran before the bad token was rejected")
+
+    monkeypatch.setattr(harness, "icp_errors", no_method_may_run)
+    out = tmp_path / "exp"
+    conf = EXPERIMENT_CONF.format(corpus=corpus).replace("dcp-v1\n", "dcp-v1:bogus=1\n")
+    assert run_experiment(corpus, out, conf) == 3
+    assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_malformed_number_exits_3(corpus, tmp_path, capsys):
+    conf = EXPERIMENT_CONF.format(corpus=corpus).replace("train.epochs = 1", "train.epochs = ten")
+    assert run_experiment(corpus, tmp_path / "exp", conf) == 3
+    assert "train.epochs" in capsys.readouterr().err
+
+
+TINY_MODEL_CONF = "model.widths = 4,4\nmodel.emb_dims = 8\nmodel.heads = 2\nmodel.ffn_dims = 16\nmodel.knn_k = 4\n"
+
+
+def test_train_cli(archive, tmp_path, capsys):
+    conf = tmp_path / "model.conf"
+    conf.write_text(TINY_MODEL_CONF + "train.batch_size = 4\n", encoding="utf-8")
+    out = tmp_path / "run"
+    rc = harness.main(
+        ["train", "--pairs", str(archive), "--out", str(out), "--config", str(conf),
+         "--seed", "3", "--epochs", "1", "--v1"]
+    )
+    assert rc == 0
+    model = train_mod.load_checkpoint(out / "checkpoints" / "model_final.dcpk")
+    assert model.config.attention is False and model.config.widths == (4, 4)
+    log = (out / "training_log.csv").read_text(encoding="utf-8").splitlines()
+    assert log[0] == ",".join(train_mod.LOG_COLUMNS) and len(log) == 2
+
+
+def test_train_malformed_number_exits_3(archive, tmp_path, capsys):
+    conf = tmp_path / "model.conf"
+    conf.write_text(TINY_MODEL_CONF.replace("4,4", "4,x"), encoding="utf-8")
+    rc = harness.main(
+        ["train", "--pairs", str(archive), "--out", str(tmp_path / "run"), "--config", str(conf), "--seed", "3"]
+    )
+    assert rc == 3
+    assert "model.widths" in capsys.readouterr().err
+
+
 def test_eval_cli_oracle_and_icp(corpus, tmp_path, capsys):
     arch = tmp_path / "arch"
     assert harness.main(
@@ -308,10 +466,7 @@ def test_eval_cli_oracle_and_icp(corpus, tmp_path, capsys):
 
 def test_bench_smoke(corpus, tmp_path, capsys):
     conf = tmp_path / "model.conf"
-    conf.write_text(
-        "model.widths = 4,4\nmodel.emb_dims = 8\nmodel.heads = 2\nmodel.ffn_dims = 16\nmodel.knn_k = 4\n",
-        encoding="utf-8",
-    )
+    conf.write_text(TINY_MODEL_CONF, encoding="utf-8")
     rc = harness.main(
         ["bench", "--out", str(tmp_path / "bench"), "--methods", "icp,dcp-v1,dcp-v2",
          "--sizes", "48,64", "--trials", "1", "--config", str(conf)]
@@ -332,3 +487,22 @@ def test_exit_code_for_missing_corpus(tmp_path, capsys):
 
 def test_exit_code_for_bad_subcommand():
     assert harness.main(["frobnicate"]) == 2
+
+
+def test_bench_times_each_token_model(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "model.conf"
+    conf.write_text(TINY_MODEL_CONF, encoding="utf-8")
+    seen = []
+    predict = dcpnet.dcp_predict
+
+    def spy(source, target, model):
+        seen.append((model.config.embedding, model.config.attention, model.config.head))
+        return predict(source, target, model)
+
+    monkeypatch.setattr(dcpnet, "dcp_predict", spy)
+    rc = harness.main(
+        ["bench", "--out", str(tmp_path / "bench"), "--methods", "dcp-v1,dcp-v1:pointnet,dcp-v2:mlp",
+         "--sizes", "32", "--trials", "1", "--config", str(conf)]
+    )
+    assert rc == 0
+    assert sorted(set(seen)) == [("dgcnn", False, "svd"), ("dgcnn", True, "mlp"), ("pointnet", False, "svd")]
