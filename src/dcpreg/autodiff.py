@@ -77,30 +77,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, _coerce(other, self))
-
-    def __radd__(self, other):
-        return add(_coerce(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other, self))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other, self), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other, self))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0, dtype=self.dtype))
-
 
 def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=requires_grad, dtype=dtype)
@@ -108,12 +84,6 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
 
 def constant(data, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=False, dtype=dtype)
-
-
-def _coerce(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value, dtype=like.dtype)
 
 
 @dataclass

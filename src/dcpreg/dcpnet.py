@@ -37,7 +37,6 @@ class ModelConfig:
     head: str = "svd"  # "svd" | "mlp"
     mlp_head_widths: tuple[int, ...] = (256, 128, 64)
     knn_k: int = 20
-    scale_pointer_logits: bool = False
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -114,23 +113,23 @@ class _Builder:
         self.params: dict[str, ad.Tensor] = {}
         self.bn_states: dict[str, ad.BatchNormState] = {}
 
-    def affine(self, name: str, n_in: int, n_out: int, zero: bool = False) -> None:
+    def affine(self, name: str, n_in: int, n_out: int, zero: bool = False, bias: bool = True) -> None:
         if zero:
             w = np.zeros((n_in, n_out))
         else:
             bound = math.sqrt(6.0 / n_in)
             w = self.rng.uniform(-bound, bound, size=(n_in, n_out))
         self.params[f"{name}.w"] = ad.tensor(w.astype(self.dtype), requires_grad=True)
-        self.params[f"{name}.b"] = ad.tensor(np.zeros(n_out, dtype=self.dtype), requires_grad=True)
+        if bias:
+            self.params[f"{name}.b"] = ad.tensor(np.zeros(n_out, dtype=self.dtype), requires_grad=True)
 
-    def edge_affine(self, name: str, c_in: int, c_out: int) -> None:
+    def edge_map(self, name: str, c_in: int, c_out: int) -> None:
         # One logical (2*c_in, c_out) edge map stored as its vertex and
         # offset halves; fan-in scaling matches the concatenated form.
         bound = math.sqrt(6.0 / (2 * c_in))
         for part in ("wa", "wb"):
             w = self.rng.uniform(-bound, bound, size=(c_in, c_out))
             self.params[f"{name}.{part}"] = ad.tensor(w.astype(self.dtype), requires_grad=True)
-        self.params[f"{name}.b"] = ad.tensor(np.zeros(c_out, dtype=self.dtype), requires_grad=True)
 
     def batch_norm(self, name: str, channels: int) -> None:
         self.params[f"{name}.gamma"] = ad.tensor(np.ones(channels, dtype=self.dtype), requires_grad=True)
@@ -149,19 +148,21 @@ class _Builder:
         cfg = self.config
         widths = cfg.resolved_widths
 
+        # Embedding layers carry no bias: batch norm follows each one and
+        # subtracts any per-channel constant.
         if cfg.embedding == "dgcnn":
             c_in = 3
             for i, width in enumerate(widths):
-                self.edge_affine(f"embed.l{i}", c_in, width)
+                self.edge_map(f"embed.l{i}", c_in, width)
                 self.batch_norm(f"embed.l{i}.bn", width)
                 c_in = width
             cat = sum(widths)
-            self.edge_affine(f"embed.l{len(widths)}", cat, cfg.emb_dims)
+            self.edge_map(f"embed.l{len(widths)}", cat, cfg.emb_dims)
             self.batch_norm(f"embed.l{len(widths)}.bn", cfg.emb_dims)
         else:
             c_in = 3
             for i, width in enumerate(tuple(widths) + (cfg.emb_dims,)):
-                self.affine(f"embed.l{i}", c_in, width)
+                self.affine(f"embed.l{i}", c_in, width, bias=False)
                 self.batch_norm(f"embed.l{i}.bn", width)
                 c_in = width
 
@@ -212,7 +213,7 @@ def pointnet_embed(points, model: ModelParams, training: bool = False) -> ad.Ten
     widths = tuple(cfg.resolved_widths) + (cfg.emb_dims,)
     for i in range(len(widths)):
         name = f"embed.l{i}"
-        f = ad.affine(f, model.params[f"{name}.w"], model.params[f"{name}.b"])
+        f = ad.matmul(f, model.params[f"{name}.w"])
         f = ad.batch_norm(
             f,
             model.params[f"{name}.bn.gamma"],
@@ -234,7 +235,7 @@ def edgeconv_layer(
     """Edge convolution: per-edge MLP on (x_i, x_j - x_i), max over neighbors.
 
     The edge map is applied in split form, ``x_i @ Wa + (x_j - x_i) @ Wb``,
-    which equals the concatenated-input affine but runs the vertex half at
+    which equals the concatenated-input linear map but runs the vertex half at
     per-point rather than per-edge cost.
     """
     if graph.indices.shape[0] != f.shape[0]:
@@ -243,7 +244,7 @@ def edgeconv_layer(
     k = graph.k
     xj = ad.gather(f, graph.indices)  # (n, k, c)
     diff = ad.sub(xj, ad.reshape(f, (n, 1, c)))
-    center = ad.affine(f, model.params[f"{name}.wa"], model.params[f"{name}.b"])  # (n, c_out)
+    center = ad.matmul(f, model.params[f"{name}.wa"])  # (n, c_out)
     offsets = ad.matmul(diff, model.params[f"{name}.wb"])  # (n, k, c_out)
     h = ad.add(ad.reshape(center, (n, 1, center.shape[1])), offsets)
     h = ad.batch_norm(
@@ -352,17 +353,12 @@ def transformer_attention(
 # Pointer, soft correspondence, heads
 # ---------------------------------------------------------------------------
 
-def pointer_softmatch(phi_x: ad.Tensor, phi_y: ad.Tensor, scale_logits: bool = False) -> ad.Tensor:
-    """Row-stochastic soft assignment of each source point over targets.
-
-    Raw inner-product logits by default; optional 1/sqrt(P) scaling behind
-    the config flag."""
+def pointer_softmatch(phi_x: ad.Tensor, phi_y: ad.Tensor) -> ad.Tensor:
+    """Row-stochastic soft assignment of each source point over targets,
+    from raw inner-product logits."""
     if phi_x.shape[1] != phi_y.shape[1]:
         raise ShapeError(f"embedding dims differ: {phi_x.shape} vs {phi_y.shape}")
-    logits = ad.matmul(phi_x, ad.transpose(phi_y))
-    if scale_logits:
-        logits = ad.mul(logits, ad.constant(1.0 / math.sqrt(phi_x.shape[1]), dtype=logits.dtype))
-    return ad.softmax(logits, axis=1)
+    return ad.softmax(ad.matmul(phi_x, ad.transpose(phi_y)), axis=1)
 
 
 def soft_correspondence(match: ad.Tensor, y_points) -> ad.Tensor:
@@ -459,7 +455,7 @@ def dcp_forward(x_points, y_points, model: ModelParams, training: bool = False) 
         phi_x, phi_y = transformer_attention(f_x, f_y, model)
     else:
         phi_x, phi_y = f_x, f_y
-    match = pointer_softmatch(phi_x, phi_y, scale_logits=cfg.scale_pointer_logits)
+    match = pointer_softmatch(phi_x, phi_y)
     soft_target = soft_correspondence(match, y_points)
     if cfg.head == "svd":
         src = ad.constant(_pts(x_points).astype(cfg.np_dtype))

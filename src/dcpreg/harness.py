@@ -122,23 +122,17 @@ class ExperimentConfig:
         return config_hash(dict(self.raw))
 
 
+MODEL_KEYS = {"embedding": str, "widths": _int_tuple, "emb_dims": int, "heads": int, "attn_dims": int,
+              "ffn_dims": int, "knn_k": int, "head": str, "dtype": str}
+
+
 def model_config_from_values(values: dict[str, str]) -> dcpnet.ModelConfig:
-    kwargs = {}
-    for key, name, conv in (
-        ("model.embedding", "embedding", str),
-        ("model.widths", "widths", _int_tuple),
-        ("model.emb_dims", "emb_dims", int),
-        ("model.heads", "heads", int),
-        ("model.attn_dims", "attn_dims", int),
-        ("model.ffn_dims", "ffn_dims", int),
-        ("model.knn_k", "knn_k", int),
-        ("model.head", "head", str),
-        ("model.dtype", "dtype", str),
-        ("model.scale_pointer_logits", "scale_pointer_logits", _bool),
-    ):
-        if key in values:
-            kwargs[name] = _get(values, key, None, conv)
-    return dcpnet.ModelConfig(**kwargs)
+    """The ``ModelConfig`` set by the ``model.*`` keys of ``values``; one outside ``MODEL_KEYS`` is a ``DataError``."""
+    fields = [key[len("model.") :] for key in values if key.startswith("model.")]
+    unknown = sorted(f"model.{name}" for name in fields if name not in MODEL_KEYS)
+    if unknown:
+        raise DataError(f"unknown config key(s) {', '.join(unknown)}; model keys: {', '.join(MODEL_KEYS)}")
+    return dcpnet.ModelConfig(**{name: _get(values, f"model.{name}", None, MODEL_KEYS[name]) for name in fields})
 
 
 def train_config_from_values(values: dict[str, str], seed: int) -> train_mod.TrainConfig:
@@ -547,7 +541,6 @@ def bench_pair(n_points: int, seed: int):
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     values = load_config_file(args.config) if args.config else {}
     base_model_cfg = model_config_from_values(values)
 
@@ -565,7 +558,7 @@ def cmd_bench(args) -> int:
     lines.append("method,n_points,trials,mean_seconds")
     print("method        n_points   trials   mean_seconds")
     for method, model in zip(args.methods, models):
-        for size in sizes:
+        for size in args.sizes:
             pair = bench_pair(size, args.seed)
             if model is not None and model.config.knn_k >= size:
                 raise DataError(f"model knn_k={model.config.knn_k} too large for {size} points")
@@ -664,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time registration methods across point counts")
     p.add_argument("--out", required=True)
     p.add_argument("--methods", default="icp,dcp-v1,dcp-v2", type=_cli_tokens(parse_methods), help=METHOD_HELP)
-    p.add_argument("--sizes", default="512,1024,2048,4096")
+    p.add_argument("--sizes", default=(512, 1024, 2048, 4096), type=_int_tuple, help="comma-separated point counts")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--config", help="model settings for untrained dcp timing")
     p.add_argument("--checkpoint")

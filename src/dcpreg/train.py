@@ -8,8 +8,9 @@ identical runs produce bitwise-identical checkpoints.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
-import struct
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +21,8 @@ from . import dcpnet
 from . import geometry as geo
 from .errors import CheckpointError, NumericalError, ShapeError
 
-CHECKPOINT_MAGIC = b"DCPK"
-CHECKPOINT_VERSION = 1
-_DTYPE_CODES = {"<f4": 1, "<f8": 2, "<i8": 3, "|u1": 4}
-_CODE_DTYPES = {v: np.dtype(k) for k, v in _DTYPE_CODES.items()}
+CHECKPOINT_VERSION = 2
+_ZIP_MAGIC = b"PK\x03\x04"
 
 
 # ---------------------------------------------------------------------------
@@ -259,64 +258,21 @@ def train(
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _encode_record(name: str, arr: np.ndarray) -> bytes:
-    data = np.ascontiguousarray(arr)
-    key = data.dtype.newbyteorder("<").str if data.dtype.kind == "f" or data.dtype.kind == "i" else "|u1"
-    if data.dtype == np.float32:
-        data, key = data.astype("<f4"), "<f4"
-    elif data.dtype == np.float64:
-        data, key = data.astype("<f8"), "<f8"
-    elif data.dtype == np.int64:
-        data, key = data.astype("<i8"), "<i8"
-    elif data.dtype == np.uint8:
-        key = "|u1"
-    else:
-        raise CheckpointError(f"unsupported array dtype {data.dtype} for record {name!r}")
-    name_bytes = name.encode("utf-8")
-    head = struct.pack("<I", len(name_bytes)) + name_bytes
-    head += struct.pack("<BB", _DTYPE_CODES[key], data.ndim)
-    head += struct.pack(f"<{data.ndim}Q", *data.shape) if data.ndim else b""
-    return head + data.tobytes()
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointError("checkpoint truncated")
-        chunk = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-
-def _decode_record(reader: _Reader) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<I", reader.take(4))
-    name = reader.take(name_len).decode("utf-8")
-    code, rank = struct.unpack("<BB", reader.take(2))
-    if code not in _CODE_DTYPES:
-        raise CheckpointError(f"unknown dtype code {code} in record {name!r}")
-    shape = struct.unpack(f"<{rank}Q", reader.take(8 * rank)) if rank else ()
-    dtype = _CODE_DTYPES[code]
-    count = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(reader.take(count * dtype.itemsize), dtype=dtype).reshape(shape)
-    return name, arr.copy()
-
-
 def save_checkpoint(model: dcpnet.ModelParams, path) -> None:
-    """Write the binary container: magic, version, count-prefixed records."""
-    records = []
+    """Write an uncompressed zip of ``.npy`` members that ``np.load`` opens:
+    ``__version__``, ``__config__`` (sorted JSON bytes), ``param/<name>`` and
+    ``bnstate/<name>/{mean,var}``. ``ZipInfo`` stamps every member 1980-01-01,
+    so reruns write identical bytes."""
     cfg_json = json.dumps(dataclasses.asdict(model.config), sort_keys=True).encode("utf-8")
-    records.append(_encode_record("__config__", np.frombuffer(cfg_json, dtype=np.uint8)))
-    for name, tensorv in model.params.items():
-        records.append(_encode_record(f"param/{name}", tensorv.data))
+    members = {"__version__": np.array(CHECKPOINT_VERSION), "__config__": np.frombuffer(cfg_json, dtype=np.uint8)}
+    members.update((f"param/{name}", t.data) for name, t in model.params.items())
     for name, st in model.bn_states.items():
-        records.append(_encode_record(f"bnstate/{name}/mean", st.running_mean))
-        records.append(_encode_record(f"bnstate/{name}/var", st.running_var))
-    blob = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + struct.pack("<I", len(records))
-    Path(path).write_bytes(blob + b"".join(records))
+        members[f"bnstate/{name}/mean"] = st.running_mean
+        members[f"bnstate/{name}/var"] = st.running_var
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in members.items():
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 
 def _config_from_json(blob: bytes, path) -> dcpnet.ModelConfig:
@@ -329,35 +285,28 @@ def _config_from_json(blob: bytes, path) -> dcpnet.ModelConfig:
     unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(dcpnet.ModelConfig)})
     if unknown:
         raise CheckpointError(f"{path}: unknown model configuration key(s) {', '.join(unknown)}")
-    tupled = dict(raw)
-    for key in ("widths", "mlp_head_widths"):
-        if tupled.get(key) is not None:
-            tupled[key] = tuple(tupled[key])
-    return dcpnet.ModelConfig(**tupled)
+    return dcpnet.ModelConfig(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
 
 
-def load_checkpoint(path, expected_dtype: str | None = None) -> dcpnet.ModelParams:
-    """Read a checkpoint back into model parameters.
-
-    ``expected_dtype`` guards against silently loading weights saved at a
-    different precision than the caller's configuration.
-    """
-    blob = Path(path).read_bytes()
-    reader = _Reader(blob)
-    if reader.take(4) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
-    (version,) = struct.unpack("<I", reader.take(4))
+def load_checkpoint(path) -> dcpnet.ModelParams:
+    """Read a checkpoint back into model parameters."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != _ZIP_MAGIC:
+            raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
+    try:
+        with zipfile.ZipFile(path) as zf:
+            records = {
+                name.removesuffix(".npy"): np.lib.format.read_array(io.BytesIO(zf.read(name)), allow_pickle=False)
+                for name in zf.namelist()
+            }
+    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        raise CheckpointError(f"{path}: truncated or unreadable checkpoint ({exc})") from None
+    version = records.pop("__version__", np.array(None)).tolist()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (count,) = struct.unpack("<I", reader.take(4))
-    records = dict(_decode_record(reader) for _ in range(count))
     if "__config__" not in records:
         raise CheckpointError(f"{path}: missing model configuration record")
     config = _config_from_json(records.pop("__config__").tobytes(), path)
-    if expected_dtype is not None and config.dtype != expected_dtype:
-        raise CheckpointError(
-            f"{path}: checkpoint dtype {config.dtype} does not match requested {expected_dtype}"
-        )
     params: dict[str, ad.Tensor] = {}
     bn_arrays: dict[str, dict[str, np.ndarray]] = {}
     for name, arr in records.items():
@@ -366,7 +315,7 @@ def load_checkpoint(path, expected_dtype: str | None = None) -> dcpnet.ModelPara
                 raise CheckpointError(f"{path}: record {name!r} dtype {arr.dtype} != {config.dtype}")
             params[name[len("param/") :]] = ad.tensor(arr, requires_grad=True)
         elif name.startswith("bnstate/"):
-            _, bn_name, kind = name.split("/", 2)
+            bn_name, _, kind = name[len("bnstate/") :].rpartition("/")
             bn_arrays.setdefault(bn_name, {})[kind] = arr
         else:
             raise CheckpointError(f"{path}: unexpected record {name!r}")

@@ -1,5 +1,5 @@
-import json
-from dataclasses import asdict
+import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -26,14 +26,32 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     )
 
 
+def npy_bytes(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr)
+    return buf.getvalue()
+
+
+def rewrite_checkpoint(path, replace=None, drop=()):
+    """Rewrite the checkpoint zip at ``path`` member by member.
+
+    ``replace`` maps member file names to an array (stored as ``.npy``) or
+    raw bytes, overwriting or adding them; members named in ``drop`` go.
+    """
+    with zipfile.ZipFile(path) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    for name in drop:
+        del members[name]
+    for name, value in (replace or {}).items():
+        members[name] = npy_bytes(value) if isinstance(value, np.ndarray) else value
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+
+
 def save_with_config_bytes(model, path, cfg_bytes):
-    """Save ``model``, then swap its config record for ``cfg_bytes``."""
-
-    def record(cfg_json: bytes) -> bytes:
-        return train._encode_record("__config__", np.frombuffer(cfg_json, dtype=np.uint8))
-
+    """Save ``model``, then swap its ``__config__`` member for ``cfg_bytes``."""
     train.save_checkpoint(model, path)
-    old = record(json.dumps(asdict(model.config), sort_keys=True).encode("utf-8"))
-    blob = path.read_bytes()
-    assert old in blob
-    path.write_bytes(blob.replace(old, record(cfg_bytes), 1))
+    with zipfile.ZipFile(path) as zf:
+        assert "__config__.npy" in zf.namelist()
+    rewrite_checkpoint(path, {"__config__.npy": np.frombuffer(cfg_bytes, dtype=np.uint8)})

@@ -148,9 +148,8 @@ def test_edgeconv_k1_is_identity_aggregation(rng):
     xj = pts[graph.indices[:, 0]]
     wa = model.params["embed.l0.wa"].data
     wb = model.params["embed.l0.wb"].data
-    b = model.params["embed.l0.b"].data
     st = model.bn_states["embed.l0.bn"]
-    pre = xi @ wa + (xj - xi) @ wb + b
+    pre = xi @ wa + (xj - xi) @ wb
     xhat = (pre - st.running_mean) / np.sqrt(st.running_var + st.eps)
     want = np.maximum(model.params["embed.l0.bn.gamma"].data * xhat + model.params["embed.l0.bn.beta"].data, 0)
     assert np.allclose(out.data, want, atol=1e-12)
@@ -261,13 +260,6 @@ def test_pointer_analytic_two_target_case():
     assert np.allclose(match.data, [[0.25, 0.75]], atol=1e-12)
 
 
-def test_pointer_scaling_flag():
-    phi = ad.tensor(np.eye(4) * 3.0)
-    raw = dcpnet.pointer_softmatch(phi, phi, scale_logits=False)
-    scaled = dcpnet.pointer_softmatch(phi, phi, scale_logits=True)
-    assert not np.allclose(raw.data, scaled.data)
-
-
 def test_soft_correspondence_onehot_reindexes(rng):
     y = rng.normal(size=(6, 3))
     idx = np.array([3, 1, 4])
@@ -358,7 +350,7 @@ def test_forward_gradients_tiny_model(rng):
         loss = forward()
     ad.backward(tape, loss)
     checked = 0
-    for name in ("embed.l0.wa", "embed.l0.wb", "embed.l1.bn.gamma", "embed.l2.wb", "embed.l2.b"):
+    for name in ("embed.l0.wa", "embed.l0.wb", "embed.l1.bn.gamma", "embed.l2.wb", "embed.l2.bn.beta"):
         p = model.params[name]
         num = numeric_grad(lambda: forward().item(), p)
         gradcheck.assert_grads_close(p.grad, num, 1e-4, name)

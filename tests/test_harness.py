@@ -255,6 +255,22 @@ def test_register_stale_checkpoint_exits_3(tmp_path, capsys, tiny_checkpoint, rn
     assert "dynamic_graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cut", [None, 0.5], ids=["dcpk-format", "truncated"])
+def test_register_unreadable_checkpoint_exits_3(tmp_path, capsys, tiny_checkpoint, rng, cut):
+    ckpt = tmp_path / "bad.dcpk"
+    if cut is None:  # header of the retired DCPK container: magic, version 1, record count
+        ckpt.write_bytes(b"DCPK" + (1).to_bytes(4, "little") + (3).to_bytes(4, "little") + bytes(64))
+    else:
+        blob = tiny_checkpoint.read_bytes()
+        ckpt.write_bytes(blob[: int(len(blob) * cut)])
+    src = write_cloud(tmp_path, rng.normal(size=(16, 3)), "s.xyz")
+    rc = harness.main(
+        ["register", "--method", "dcp-v1", "--source", str(src), "--target", str(src), "--checkpoint", str(ckpt)]
+    )
+    assert rc == 3
+    assert "data error" in capsys.readouterr().err
+
+
 def test_register_malformed_xyz_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.xyz"
     bad.write_text("1 2\n3 4 banana\n", encoding="utf-8")
@@ -476,6 +492,27 @@ def test_bench_smoke(corpus, tmp_path, capsys):
     assert lines[0].startswith("# hardware=")
     assert lines[1] == "method,n_points,trials,mean_seconds"
     assert len(lines) == 2 + 3 * 2
+
+
+def test_bench_malformed_sizes_exits_2(tmp_path, capsys):
+    rc = harness.main(["bench", "--out", str(tmp_path / "bench"), "--methods", "icp", "--sizes", "32,x"])
+    assert rc == 2
+    assert "--sizes" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("key", ["model.scale_pointer_logits", "model.emb_dim"])
+def test_unknown_model_key_exits_3(tmp_path, capsys, key):
+    with pytest.raises(DataError, match=key):
+        harness.model_config_from_values({"model.emb_dims": "8", key: "1"})
+    conf = tmp_path / "model.conf"
+    conf.write_text(TINY_MODEL_CONF + f"{key} = 1\n", encoding="utf-8")
+    rc = harness.main(
+        ["bench", "--out", str(tmp_path / "bench"), "--methods", "dcp-v1", "--sizes", "32",
+         "--trials", "1", "--config", str(conf)]
+    )
+    assert rc == 3
+    assert key in capsys.readouterr().err
 
 
 def test_exit_code_for_missing_corpus(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dcpreg import autodiff as ad, dataio, dcpnet, geometry as geo, train
 from dcpreg.errors import CheckpointError, NumericalError
 
-from conftest import random_rotation, save_with_config_bytes
+from conftest import npy_bytes, random_rotation, rewrite_checkpoint, save_with_config_bytes
 
 TINY = dcpnet.ModelConfig(
     embedding="dgcnn", widths=(4, 4), emb_dims=8, attention=False,
@@ -180,8 +180,11 @@ def test_train_zero_lr_is_fixed_point():
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def test_checkpoint_roundtrip_bitwise(tmp_path):
-    model = dcpnet.ModelParams.initialize(replace(TINY, attention=True, heads=2, ffn_dims=16), seed=21)
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_roundtrip_bitwise(tmp_path, dtype):
+    model = dcpnet.ModelParams.initialize(
+        replace(TINY, attention=True, heads=2, ffn_dims=16, dtype=dtype), seed=21
+    )
     path = tmp_path / "model.dcpk"
     train.save_checkpoint(model, path)
     back = train.load_checkpoint(path)
@@ -215,25 +218,57 @@ def test_checkpoint_truncated(tmp_path):
 
 def test_checkpoint_version_mismatch(tmp_path):
     model = dcpnet.ModelParams.initialize(TINY, seed=23)
-    path = tmp_path / "model.dcpk"
+    path = tmp_path / "v99.dcpk"
     train.save_checkpoint(model, path)
-    blob = bytearray(path.read_bytes())
-    blob[4:8] = (99).to_bytes(4, "little")
-    (tmp_path / "v99.dcpk").write_bytes(bytes(blob))
+    rewrite_checkpoint(path, {"__version__.npy": np.array(99)})
     with pytest.raises(CheckpointError) as exc:
-        train.load_checkpoint(tmp_path / "v99.dcpk")
-    assert "version" in str(exc.value)
+        train.load_checkpoint(path)
+    assert "version 99" in str(exc.value)
 
 
 def test_checkpoint_dtype_mismatch(tmp_path):
+    # float64 weights under a config that says float32.
     model = dcpnet.ModelParams.initialize(replace(TINY, dtype="float64"), seed=24)
+    raw = dict(asdict(model.config), dtype="float32")
     path = tmp_path / "model64.dcpk"
-    train.save_checkpoint(model, path)
+    save_with_config_bytes(model, path, json.dumps(raw, sort_keys=True).encode("utf-8"))
     with pytest.raises(CheckpointError) as exc:
-        train.load_checkpoint(path, expected_dtype="float32")
+        train.load_checkpoint(path)
     assert "float64" in str(exc.value) and "float32" in str(exc.value)
-    loaded = train.load_checkpoint(path, expected_dtype="float64")
-    assert loaded.config.dtype == "float64"
+
+
+def test_checkpoint_is_a_numpy_archive(tmp_path):
+    model = dcpnet.ModelParams.initialize(TINY, seed=27)
+    path = tmp_path / "model.dcpk"
+    train.save_checkpoint(model, path)
+    with np.load(path, allow_pickle=False) as archive:
+        params = sorted(name[len("param/") :] for name in archive.files if name.startswith("param/"))
+        assert params == sorted(model.params)
+        assert np.array_equal(archive["param/embed.l0.wa"], model.params["embed.l0.wa"].data)
+        assert archive["__version__"] == train.CHECKPOINT_VERSION
+        assert json.loads(archive["__config__"].tobytes()) == json.loads(json.dumps(asdict(model.config)))
+
+
+@pytest.mark.parametrize(
+    "replace_members, drop, match",
+    [
+        ({}, ["__version__.npy"], "version None"),
+        ({}, ["__config__.npy"], "missing model configuration"),
+        ({"junk.npy": np.zeros(2)}, [], "unexpected record 'junk'"),
+        ({}, ["bnstate/embed.l0.bn/var.npy"], "incomplete normalization state"),
+        ({"bnstate/stray.npy": np.zeros(2)}, [], "incomplete normalization state"),
+        ({"param/embed.l0.wa.npy": b"not an npy member"}, [], "unreadable"),
+        ({"param/embed.l0.wa.npy": npy_bytes(np.zeros((3, 4), np.float32))[:-8]}, [], "unreadable"),
+    ],
+    ids=["no-version", "no-config", "stray-record", "half-bn-state", "bn-state-without-kind", "not-npy", "cut-npy"],
+)
+def test_checkpoint_malformed_archive(tmp_path, replace_members, drop, match):
+    model = dcpnet.ModelParams.initialize(TINY, seed=28)
+    path = tmp_path / "model.dcpk"
+    train.save_checkpoint(model, path)
+    rewrite_checkpoint(path, replace_members, drop)
+    with pytest.raises(CheckpointError, match=match):
+        train.load_checkpoint(path)
 
 
 def test_checkpoint_unknown_config_key(tmp_path):
