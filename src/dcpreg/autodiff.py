@@ -318,12 +318,16 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 
 def max_reduce(x: Tensor, axis: int) -> Tensor:
-    """Max along one axis; gradient flows to the first (lowest-index) argmax."""
+    """Max along one axis; gradient flows to the first (lowest-index) argmax.
+
+    The argmax is found in the backward pass, so a forward that is never
+    differentiated pays only for the max.
+    """
     axis = _check_axis(x, axis, "max_reduce")
     out = Tensor(x.data.max(axis=axis))
-    argmax = np.argmax(x.data, axis=axis)
 
     def bw(g):
+        argmax = np.argmax(x.data, axis=axis)
         gx = np.zeros_like(x.data)
         np.put_along_axis(gx, np.expand_dims(argmax, axis), np.expand_dims(g, axis), axis)
         return (gx,)

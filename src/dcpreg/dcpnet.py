@@ -234,28 +234,39 @@ def edgeconv_layer(
 ) -> ad.Tensor:
     """Edge convolution: per-edge MLP on (x_i, x_j - x_i), max over neighbors.
 
-    The edge map is applied in split form, ``x_i @ Wa + (x_j - x_i) @ Wb``,
-    which equals the concatenated-input linear map but runs the vertex half at
-    per-point rather than per-edge cost.
+    The edge map is linear, so it runs at per-point cost in both modes:
+    ``x_i @ Wa + (x_j - x_i) @ Wb == x_i @ (Wa - Wb) + x_j @ Wb``. Each point
+    gets ``center = f @ (Wa - Wb)`` and ``per_point = f @ Wb`` once, and an
+    edge's pre-activation is ``center_i + per_point_j`` (a gathered row).
+
+    Training mode then applies batch norm, ReLU and the neighbor max per
+    edge, because its batch statistics are taken over every edge.
+
+    Inference mode folds the max inside: running-statistics batch norm and
+    ReLU are monotone per channel (non-decreasing where gamma >= 0,
+    non-increasing where gamma < 0), and so is each IEEE-rounded step of
+    them. Hence ``max_k relu(bn(center_i + P_j))`` equals
+    ``relu(bn(center_i + max_k P_j))`` bit for bit, with ``min_k`` on
+    channels where gamma < 0, taken as ``-max_k(-P_j)`` (negation is exact).
+    Batch norm and ReLU then run on (n, c_out) instead of (n, k, c_out). The
+    fold is built from tape primitives, so it still differentiates.
     """
     if graph.indices.shape[0] != f.shape[0]:
         raise ShapeError(f"graph rows {graph.indices.shape[0]} != feature rows {f.shape[0]}")
-    n, c = f.shape
-    k = graph.k
-    xj = ad.gather(f, graph.indices)  # (n, k, c)
-    diff = ad.sub(xj, ad.reshape(f, (n, 1, c)))
-    center = ad.matmul(f, model.params[f"{name}.wa"])  # (n, c_out)
-    offsets = ad.matmul(diff, model.params[f"{name}.wb"])  # (n, k, c_out)
-    h = ad.add(ad.reshape(center, (n, 1, center.shape[1])), offsets)
-    h = ad.batch_norm(
-        h,
-        model.params[f"{name}.bn.gamma"],
-        model.params[f"{name}.bn.beta"],
-        model.bn_states[f"{name}.bn"],
-        training,
-    )
-    h = ad.relu(h)
-    return ad.max_reduce(h, axis=1)
+    p = model.params
+    wb = p[f"{name}.wb"]
+    gamma = p[f"{name}.bn.gamma"]
+    center = ad.matmul(f, ad.sub(p[f"{name}.wa"], wb))  # (n, c_out)
+    per_point = ad.matmul(f, wb)  # (n, c_out)
+    if training:
+        n, c_out = center.shape
+        h = ad.add(ad.reshape(center, (n, 1, c_out)), ad.gather(per_point, graph.indices))
+    else:
+        sign = ad.constant(np.where(gamma.data < 0, -1.0, 1.0), dtype=f.dtype)
+        pick = ad.mul(sign, ad.max_reduce(ad.gather(ad.mul(sign, per_point), graph.indices), axis=1))
+        h = ad.add(center, pick)
+    h = ad.relu(ad.batch_norm(h, gamma, p[f"{name}.bn.beta"], model.bn_states[f"{name}.bn"], training))
+    return ad.max_reduce(h, axis=1) if training else h
 
 
 def dgcnn_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor:

@@ -541,6 +541,8 @@ def bench_pair(n_points: int, seed: int):
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     values = load_config_file(args.config) if args.config else {}
     base_model_cfg = model_config_from_values(values)
 
@@ -555,8 +557,8 @@ def cmd_bench(args) -> int:
 
     models = [build(method) for method in args.methods]
     lines = [f"# hardware={platform.processor() or platform.machine()} ({platform.system()})"]
-    lines.append("method,n_points,trials,mean_seconds")
-    print("method        n_points   trials   mean_seconds")
+    lines.append("method,n_points,trials,p50_seconds,p90_seconds,min_seconds")
+    print("method        n_points   trials    p50_seconds    p90_seconds    min_seconds")
     for method, model in zip(args.methods, models):
         for size in args.sizes:
             pair = bench_pair(size, args.seed)
@@ -567,12 +569,15 @@ def cmd_bench(args) -> int:
                 run_method(method, model, pair.source, pair.target, args.max_iters, icp.DEFAULT_TOL)
 
             run_once()  # warm-up outside the timed region
-            start = time.perf_counter()
+            times = []
             for _ in range(args.trials):
+                start = time.perf_counter()
                 run_once()
-            mean = (time.perf_counter() - start) / args.trials
-            lines.append(f"{method.name},{size},{args.trials},{mean:.6f}")
-            print(f"{method.name:<12}  {size:8d}  {args.trials:6d}   {mean:12.6f}")
+                times.append(time.perf_counter() - start)
+            p50, p90 = np.percentile(times, [50, 90])
+            low = min(times)
+            lines.append(f"{method.name},{size},{args.trials},{p50:.6f},{p90:.6f},{low:.6f}")
+            print(f"{method.name:<12}  {size:8d}  {args.trials:6d}   {p50:12.6f}   {p90:12.6f}   {low:12.6f}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "timing.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -323,5 +323,20 @@ def load_checkpoint(path) -> dcpnet.ModelParams:
     for bn_name, parts in bn_arrays.items():
         if set(parts) != {"mean", "var"}:
             raise CheckpointError(f"{path}: incomplete normalization state for {bn_name!r}")
-        bn_states[bn_name] = ad.BatchNormState(running_mean=parts["mean"], running_var=parts["var"])
+        mean, var = parts["mean"], parts["var"]
+        # Inference divides by sqrt(var + eps), and the edge-convolution fold
+        # needs that scale positive.
+        if mean.dtype != config.np_dtype or var.dtype != config.np_dtype:
+            raise CheckpointError(
+                f"{path}: normalization state {bn_name!r} dtype {mean.dtype}/{var.dtype} != {config.dtype}"
+            )
+        if mean.shape != var.shape:
+            raise CheckpointError(
+                f"{path}: normalization state {bn_name!r} has mean shape {mean.shape} but variance shape {var.shape}"
+            )
+        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+            raise CheckpointError(f"{path}: normalization state {bn_name!r} is not finite")
+        if (var < 0).any():
+            raise CheckpointError(f"{path}: normalization state {bn_name!r} has a negative variance")
+        bn_states[bn_name] = ad.BatchNormState(running_mean=mean, running_var=var)
     return dcpnet.ModelParams(config, params, bn_states)

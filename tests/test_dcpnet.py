@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -165,6 +166,124 @@ def test_edgeconv_neighbor_order_invariance(rng):
     out1 = dcpnet.edgeconv_layer(ad.tensor(pts), graph, model, "embed.l0")
     out2 = dcpnet.edgeconv_layer(ad.tensor(pts), dcpnet.KnnGraph(4, shuffled), model, "embed.l0")
     assert np.array_equal(out1.data, out2.data)
+
+
+EDGE_CFG = replace(TINY_V1, widths=(6, 8))
+EDGE_LAYER = "embed.l1"  # 6 input channels, 8 output channels
+
+
+def split_form_edgeconv(f, graph, model, name, training):
+    """The form edgeconv_layer replaced: ``x_i @ Wa + (x_j - x_i) @ Wb`` per
+    edge, then batch norm, ReLU and the neighbor max, all per edge."""
+    n, c = f.shape
+    diff = ad.sub(ad.gather(f, graph.indices), ad.reshape(f, (n, 1, c)))
+    center = ad.matmul(f, model.params[f"{name}.wa"])
+    h = ad.add(ad.reshape(center, (n, 1, center.shape[1])), ad.matmul(diff, model.params[f"{name}.wb"]))
+    h = ad.batch_norm(
+        h, model.params[f"{name}.bn.gamma"], model.params[f"{name}.bn.beta"], model.bn_states[f"{name}.bn"], training
+    )
+    return ad.max_reduce(ad.relu(h), axis=1)
+
+
+def per_edge_eval_reference(f, graph, model, name):
+    """``max_k relu(gamma * ((center_i + P_j) - mu) / sqrt(var + eps) + beta)``
+    per edge, with the same per-point GEMMs as edgeconv_layer and in
+    batch_norm's operation order, so the inference fold must match it bit
+    for bit."""
+    p = model.params
+    wb = p[f"{name}.wb"].data
+    center = f @ (p[f"{name}.wa"].data - wb)
+    per_point = f @ wb
+    st = model.bn_states[f"{name}.bn"]
+    inv_std = 1.0 / np.sqrt(st.running_var.astype(f.dtype) + st.eps)
+    xhat = ((center[:, None, :] + per_point[graph.indices]) - st.running_mean.astype(f.dtype)) * inv_std
+    return np.maximum(p[f"{name}.bn.gamma"].data * xhat + p[f"{name}.bn.beta"].data, 0).max(axis=1)
+
+
+def edge_case_model(rng, dtype, gamma_zeros=True):
+    """EDGE_CFG weights with random beta and running statistics, and a gamma
+    with both signs (plus 0.0 and -0.0 entries when ``gamma_zeros``)."""
+    model = dcpnet.ModelParams.initialize(replace(EDGE_CFG, dtype=dtype), seed=20)
+    gamma = rng.uniform(0.5, 2.0, size=8) * np.array([1, -1, 1, -1, -1, 1, 1, -1])
+    if gamma_zeros:
+        gamma[[4, 5]] = [0.0, -0.0]
+    p, st = model.params, model.bn_states[f"{EDGE_LAYER}.bn"]
+    p[f"{EDGE_LAYER}.bn.gamma"].data = gamma.astype(dtype)
+    p[f"{EDGE_LAYER}.bn.beta"].data = rng.normal(size=8).astype(dtype)
+    st.running_mean = rng.normal(scale=2.0, size=8).astype(dtype)
+    st.running_var = rng.uniform(0.1, 4.0, size=8).astype(dtype)
+    return model
+
+
+def edge_case_input(rng, dtype, n=48, k=7):
+    pts = rng.normal(size=(n, 3))
+    return rng.normal(scale=3.0, size=(n, 6)).astype(dtype), dcpnet.knn_graph(pts, k)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_edgeconv_eval_fold_is_exact(rng, dtype):
+    model = edge_case_model(rng, dtype)
+    for _ in range(3):
+        f, graph = edge_case_input(rng, dtype)
+        out = dcpnet.edgeconv_layer(ad.tensor(f), graph, model, EDGE_LAYER)
+        assert out.dtype == np.dtype(dtype)
+        assert np.array_equal(out.data, per_edge_eval_reference(f, graph, model, EDGE_LAYER))
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-4), ("float64", 1e-10)])
+def test_edgeconv_matches_split_form(rng, dtype, tol, training):
+    model = edge_case_model(rng, dtype)
+    reference = copy.deepcopy(model)  # training mode moves the running statistics
+    f, graph = edge_case_input(rng, dtype)
+    weights = ad.constant(rng.normal(size=(f.shape[0], 8)), dtype=dtype)
+    results = []
+    for m, layer in ((model, dcpnet.edgeconv_layer), (reference, split_form_edgeconv)):
+        x = ad.tensor(f, requires_grad=True)
+        m.zero_grad()
+        with ad.Tape() as tape:
+            out = layer(x, graph, m, EDGE_LAYER, training)
+            loss = ad.sum_reduce(ad.mul(weights, out))
+        ad.backward(tape, loss)
+        results.append((out, x, m))
+    (out, x, m), (ref_out, ref_x, ref_m) = results
+    scale = 1.0 + np.abs(ref_out.data).max()
+    assert np.abs(out.data - ref_out.data).max() <= tol * scale
+    st, ref_st = m.bn_states[f"{EDGE_LAYER}.bn"], ref_m.bn_states[f"{EDGE_LAYER}.bn"]
+    assert np.allclose(st.running_mean, ref_st.running_mean, rtol=tol, atol=tol)
+    assert np.allclose(st.running_var, ref_st.running_var, rtol=tol, atol=tol)
+    if training:
+        grads = {"f": (x.grad, ref_x.grad)}
+        for part in ("wa", "wb", "bn.gamma", "bn.beta"):
+            name = f"{EDGE_LAYER}.{part}"
+            grads[name] = (m.params[name].grad, ref_m.params[name].grad)
+        for name, (got, want) in grads.items():
+            gradcheck.assert_grads_close(got, want, tol, name)
+
+
+def test_edgeconv_eval_gradients(rng):
+    """Eval-mode edge convolution differentiates through the folded max.
+
+    gamma has mixed signs and no zero entries: at gamma = 0 every edge of a
+    channel gives the same output, so which edge the max routes gradient to
+    is arbitrary there and the fold may pick another edge than the per-edge
+    form would.
+    """
+    model = edge_case_model(rng, "float64", gamma_zeros=False)
+    f, graph = edge_case_input(rng, "float64", n=16, k=4)
+    x = ad.tensor(f, requires_grad=True)
+    weights = ad.constant(rng.normal(size=(16, 8)))
+
+    def forward():
+        return ad.sum_reduce(ad.mul(weights, dcpnet.edgeconv_layer(x, graph, model, EDGE_LAYER)))
+
+    model.zero_grad()
+    with ad.Tape() as tape:
+        loss = forward()
+    ad.backward(tape, loss)
+    checked = [x] + [model.params[f"{EDGE_LAYER}.{part}"] for part in ("wa", "wb", "bn.gamma", "bn.beta")]
+    for k, param in enumerate(checked):
+        gradcheck.assert_grads_close(param.grad, numeric_grad(lambda: forward().item(), param), 1e-6, f"param{k}")
 
 
 def test_dgcnn_output_shape_default(rng):

@@ -9,7 +9,7 @@ import pytest
 from dcpreg import dataio, dcpnet, geometry as geo, harness, icp, train as train_mod
 from dcpreg.errors import DataError
 
-from conftest import save_with_config_bytes
+from conftest import rewrite_checkpoint, save_with_config_bytes
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +271,18 @@ def test_register_unreadable_checkpoint_exits_3(tmp_path, capsys, tiny_checkpoin
     assert "data error" in capsys.readouterr().err
 
 
+def test_register_negative_bn_variance_exits_3(tmp_path, capsys, tiny_checkpoint, rng):
+    ckpt = tmp_path / "bad_bn.dcpk"
+    ckpt.write_bytes(tiny_checkpoint.read_bytes())
+    rewrite_checkpoint(ckpt, {"bnstate/embed.l1.bn/var.npy": np.full(4, -1.0, np.float32)})
+    src = write_cloud(tmp_path, rng.normal(size=(16, 3)), "s.xyz")
+    rc = harness.main(
+        ["register", "--method", "dcp-v1", "--source", str(src), "--target", str(src), "--checkpoint", str(ckpt)]
+    )
+    assert rc == 3
+    assert "negative variance" in capsys.readouterr().err
+
+
 def test_register_malformed_xyz_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.xyz"
     bad.write_text("1 2\n3 4 banana\n", encoding="utf-8")
@@ -490,7 +502,7 @@ def test_bench_smoke(corpus, tmp_path, capsys):
     assert rc == 0
     lines = (tmp_path / "bench" / "timing.csv").read_text().splitlines()
     assert lines[0].startswith("# hardware=")
-    assert lines[1] == "method,n_points,trials,mean_seconds"
+    assert lines[1] == "method,n_points,trials,p50_seconds,p90_seconds,min_seconds"
     assert len(lines) == 2 + 3 * 2
 
 
@@ -498,6 +510,13 @@ def test_bench_malformed_sizes_exits_2(tmp_path, capsys):
     rc = harness.main(["bench", "--out", str(tmp_path / "bench"), "--methods", "icp", "--sizes", "32,x"])
     assert rc == 2
     assert "--sizes" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
+
+
+def test_bench_zero_trials_exits_2(tmp_path, capsys):
+    rc = harness.main(["bench", "--out", str(tmp_path / "bench"), "--methods", "icp", "--sizes", "32", "--trials", "0"])
+    assert rc == 2
+    assert "--trials" in capsys.readouterr().err
     assert not (tmp_path / "bench").exists()
 
 

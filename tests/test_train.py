@@ -271,6 +271,27 @@ def test_checkpoint_malformed_archive(tmp_path, replace_members, drop, match):
         train.load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "kind, value, match",
+    [
+        ("mean", np.array([0.0, np.nan, 0.0, 0.0], np.float32), "not finite"),
+        ("var", np.array([1.0, 1.0, np.inf, 1.0], np.float32), "not finite"),
+        ("var", np.array([1.0, -1.0, 1.0, 1.0], np.float32), "negative variance"),
+        ("var", np.ones(5, np.float32), r"mean shape \(4,\) but variance shape \(5,\)"),
+        ("mean", np.array(["a", "b", "c", "d"]), "dtype <U1/float32 != float32"),
+        ("var", np.ones(4, np.float64), "dtype float32/float64 != float32"),
+    ],
+    ids=["nan-mean", "inf-var", "negative-var", "shape-mismatch", "text-mean", "float64-var"],
+)
+def test_checkpoint_bad_bn_state(tmp_path, kind, value, match):
+    model = dcpnet.ModelParams.initialize(TINY, seed=29)
+    path = tmp_path / "model.dcpk"
+    train.save_checkpoint(model, path)
+    rewrite_checkpoint(path, {f"bnstate/embed.l1.bn/{kind}.npy": value})
+    with pytest.raises(CheckpointError, match=match):
+        train.load_checkpoint(path)
+
+
 def test_checkpoint_unknown_config_key(tmp_path):
     model = dcpnet.ModelParams.initialize(TINY, seed=25)
     raw = dict(asdict(model.config), dynamic_graph=False)
