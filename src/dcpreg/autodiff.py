@@ -303,18 +303,84 @@ def _check_axis(x: Tensor, axis: int, op: str) -> int:
     return axis
 
 
+def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of ``x`` along ``axis`` in one buffer (``out``, which may be
+    ``x``): shift by the maximum, exponentiate and divide, each in place."""
+    y = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    return y
+
+
 def softmax(x: Tensor, axis: int) -> Tensor:
     axis = _check_axis(x, axis, "softmax")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(x.data, axis)
     out = Tensor(y)
 
     def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - dot) * y,)
+        gx = g - (g * y).sum(axis=axis, keepdims=True)
+        gx *= y
+        return (gx,)
 
     return _record("softmax", (x,), out, bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention, concatenated over heads.
+
+    ``q`` is (n, d), ``k`` and ``v`` are (m, d); head ``h`` owns columns
+    ``h*dk:(h+1)*dk`` with ``dk = d // heads``. The output is (n, d), head
+    ``h`` holding ``softmax(q_h k_h^T / sqrt(dk)) v_h``.
+
+    The forward makes one (heads, n, m) buffer and runs every step in it:
+    ``a = q_h @ k_h^T``, then ``a *= 1/sqrt(dk)`` (cast to the tensor
+    dtype), then the softmax over each row (subtract the row max, exp,
+    divide by the row sum), then ``a @ v_h``. These are the operations of
+    the reshape/transpose/matmul/mul/softmax/matmul composition, on the
+    same head views and in the same order; writing each result in place
+    does not change its rounding, so the output is equal to that
+    composition bit for bit.
+
+    The backward is analytic and keeps only ``a``: with ``g_h`` the output
+    gradient of head ``h`` and ``c_h = a @ v_h``, ``dV = a^T g_h``,
+    ``dS = (g_h v_h^T - rowsum(g_h * c_h)) * a / sqrt(dk)`` (the row sum of
+    ``(g_h v_h^T) * a`` equals that of ``g_h * c_h``), ``dQ = dS k_h`` and
+    ``dK = dS^T q_h``.
+    """
+    _check_same_dtype(q, k, v)
+    if heads < 1:
+        raise InvalidInputError(f"attention: heads must be at least 1, got {heads}")
+    if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attention: need q (n, d) and k, v (m, d), got {q.shape}, {k.shape}, {v.shape}")
+    (n, d), m = q.shape, k.shape[0]
+    if m == 0 or d == 0 or d % heads:
+        raise ShapeError(f"attention: needs m >= 1 keys and d >= 1 divisible by {heads} heads, got {k.shape}")
+    dk = d // heads
+
+    def split(x: np.ndarray) -> np.ndarray:
+        return x.reshape(x.shape[0], heads, dk).transpose(1, 0, 2)  # (heads, rows, dk) view
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = np.asarray(1.0 / np.sqrt(dk), dtype=q.dtype)
+    a = qh @ kh.transpose(0, 2, 1)
+    a *= scale
+    _softmax(a, -1, out=a)
+    ctx = a @ vh
+    out = Tensor(merge(ctx))
+
+    def bw(g):
+        gh = split(g)
+        gv = np.swapaxes(a, 1, 2) @ gh
+        ds = gh @ vh.transpose(0, 2, 1)
+        ds -= (gh * ctx).sum(axis=-1, keepdims=True)
+        ds *= a
+        ds *= scale
+        return merge(ds @ kh), merge(np.swapaxes(ds, 1, 2) @ qh), merge(gv)
+
+    return _record("attention", (q, k, v), out, bw)
 
 
 def max_reduce(x: Tensor, axis: int) -> Tensor:
@@ -459,7 +525,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(x, w, b)
     if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"affine: incompatible shapes x={x.shape}, w={w.shape}, b={b.shape}")
-    out = Tensor(x.data @ w.data + b.data)
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y)
 
     def bw(g):
         gx = g @ w.data.T

@@ -46,6 +46,12 @@ class ModelConfig:
             raise InvalidInputError(f"unknown head {self.head!r}")
         if self.dtype not in ("float32", "float64"):
             raise InvalidInputError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        for name in ("widths", "emb_dims", "heads", "attn_dims", "ffn_dims", "mlp_head_widths", "knn_k"):
+            value = getattr(self, name)
+            if value is not None and any(v < 1 for v in (value if isinstance(value, tuple) else (value,))):
+                raise InvalidInputError(f"{name} must be at least 1, got {value}")
+        if self.embedding == "dgcnn" and not self.resolved_widths:
+            raise InvalidInputError("widths must not be empty for the dgcnn embedding")
         if self.attention and self.feature_dims % self.heads != 0:
             raise InvalidInputError(
                 f"attention dims {self.feature_dims} not divisible by {self.heads} heads"
@@ -295,21 +301,13 @@ def embed_cloud(points, model: ModelParams, training: bool = False) -> ad.Tensor
 # ---------------------------------------------------------------------------
 
 def _multi_head_attention(q_in: ad.Tensor, kv_in: ad.Tensor, model: ModelParams, name: str) -> ad.Tensor:
-    heads = model.config.heads
-    dims = q_in.shape[1]
-    dk = dims // heads
+    """Project to queries, keys and values, attend per head (``ad.attention``)
+    and project the concatenated heads back."""
     p = model.params
     q = ad.affine(q_in, p[f"{name}.wq.w"], p[f"{name}.wq.b"])
     k = ad.affine(kv_in, p[f"{name}.wk.w"], p[f"{name}.wk.b"])
     v = ad.affine(kv_in, p[f"{name}.wv.w"], p[f"{name}.wv.b"])
-    qh = ad.transpose(ad.reshape(q, (q.shape[0], heads, dk)), (1, 0, 2))
-    kh = ad.transpose(ad.reshape(k, (k.shape[0], heads, dk)), (1, 0, 2))
-    vh = ad.transpose(ad.reshape(v, (v.shape[0], heads, dk)), (1, 0, 2))
-    logits = ad.matmul(qh, ad.transpose(kh, (0, 2, 1)))
-    logits = ad.mul(logits, ad.constant(1.0 / math.sqrt(dk), dtype=logits.dtype))
-    attn = ad.softmax(logits, axis=2)
-    ctx = ad.matmul(attn, vh)  # (heads, n_q, dk)
-    ctx = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (q.shape[0], dims))
+    ctx = ad.attention(q, k, v, model.config.heads)
     return ad.affine(ctx, p[f"{name}.wo.w"], p[f"{name}.wo.b"])
 
 

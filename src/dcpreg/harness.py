@@ -67,7 +67,14 @@ def _bool(raw: str) -> bool:
         return True
     if raw.lower() in ("0", "false", "no", "off"):
         return False
-    raise ValueError(raw)
+    raise ValueError("not a boolean")
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
 
 
 def _int_tuple(raw: str) -> tuple[int, ...]:
@@ -84,8 +91,8 @@ def _get(values, key, default, conv=str):
         return default
     try:
         return conv(raw)
-    except ValueError:
-        raise DataError(f"config key {key}: malformed value {raw!r}") from None
+    except ValueError as exc:
+        raise DataError(f"config key {key}: bad value {raw!r} ({exc})") from None
 
 
 KIND_DEFAULTS = {
@@ -137,8 +144,8 @@ def model_config_from_values(values: dict[str, str]) -> dcpnet.ModelConfig:
 
 def train_config_from_values(values: dict[str, str], seed: int) -> train_mod.TrainConfig:
     return train_mod.TrainConfig(
-        epochs=_get(values, "train.epochs", 50, int),
-        batch_size=_get(values, "train.batch_size", 32, int),
+        epochs=_get(values, "train.epochs", 50, _positive_int),
+        batch_size=_get(values, "train.batch_size", 32, _positive_int),
         base_lr=_get(values, "train.base_lr", 1e-3, float),
         lr_milestones=_get(values, "train.milestones", (15, 30, 40), _int_tuple),
         lr_factor=_get(values, "train.lr_factor", 0.1, float),
@@ -186,8 +193,8 @@ def experiment_config_from_values(values: dict[str, str]) -> ExperimentConfig:
         n_points=n_points,
         split_mode=merged.get("split.mode", "random_instance"),
         split_fraction=_get(merged, "split.fraction", 0.5, float),
-        pairs_per_cloud_train=_get(merged, "pairs.per_cloud_train", 4, int),
-        pairs_per_cloud_test=_get(merged, "pairs.per_cloud_test", 2, int),
+        pairs_per_cloud_train=_get(merged, "pairs.per_cloud_train", 4, _positive_int),
+        pairs_per_cloud_test=_get(merged, "pairs.per_cloud_test", 2, _positive_int),
         pairgen=pairgen,
         noise_train=_get(merged, "noise.train", False, _bool),
         noise_eval=_get(merged, "noise.eval", False, _bool),
@@ -470,7 +477,7 @@ def cmd_train(args) -> int:
     val_pairs = dataio.read_pair_archive(args.val_pairs) if args.val_pairs else None
     model, log = train_mod.train(model_cfg, pairs, val_pairs, tcfg)
     final = Path(args.out) / "checkpoints" / "model_final.dcpk"
-    print(f"trained {tcfg.epochs} epochs; final loss {log[-1]['train_loss']:.6f}" if log else "no epochs run")
+    print(f"trained {tcfg.epochs} epochs; final loss {log[-1]['train_loss']:.6f}")
     print(f"checkpoint: {final}")
     return EXIT_OK
 
@@ -541,8 +548,6 @@ def bench_pair(n_points: int, seed: int):
 
 
 def cmd_bench(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     values = load_config_file(args.config) if args.config else {}
     base_model_cfg = model_config_from_values(values)
 
@@ -612,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pairs-per-cloud", type=int, default=1)
+    p.add_argument("--pairs-per-cloud", type=_positive_int, default=1)
     p.add_argument("--n-points", type=int, default=1024)
     p.add_argument("--max-rot-deg", type=float, default=45.0)
     p.add_argument("--trans-bound", type=float, default=0.5)
@@ -640,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="key=value file with model.* and train.* settings")
     p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=_positive_int)
     p.add_argument("--v1", action="store_true", help="disable the attention stage")
     p.set_defaults(func=cmd_train)
 
@@ -663,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--methods", default="icp,dcp-v1,dcp-v2", type=_cli_tokens(parse_methods), help=METHOD_HELP)
     p.add_argument("--sizes", default=(512, 1024, 2048, 4096), type=_int_tuple, help="comma-separated point counts")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--config", help="model settings for untrained dcp timing")
     p.add_argument("--checkpoint")
     p.add_argument("--seed", type=int, default=0)

@@ -187,6 +187,28 @@ def case_affine(rng):
     return lambda: ad.sum_reduce(ad.mul(w, ad.affine(x, w_p, b))), [x, w_p, b]
 
 
+def case_attention(rng):
+    # n != m, two heads of width 2.
+    q, k, v = _t(rng, (3, 4), -2.0, 2.0), _t(rng, (5, 4), -2.0, 2.0), _t(rng, (5, 4))
+    w = _weights(rng, (3, 4))
+    return lambda: ad.sum_reduce(ad.mul(w, ad.attention(q, k, v, 2))), [q, k, v]
+
+
+def reference_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, heads: int) -> ad.Tensor:
+    """Multi-head attention composed from tape primitives, as the model did
+    before ``ad.attention``: split heads, q_h k_h^T, scale, softmax, times
+    v_h, merge heads."""
+    n, d = q.shape
+    dk = d // heads
+    qh = ad.transpose(ad.reshape(q, (n, heads, dk)), (1, 0, 2))
+    kh = ad.transpose(ad.reshape(k, (k.shape[0], heads, dk)), (1, 0, 2))
+    vh = ad.transpose(ad.reshape(v, (v.shape[0], heads, dk)), (1, 0, 2))
+    logits = ad.matmul(qh, ad.transpose(kh, (0, 2, 1)))
+    logits = ad.mul(logits, ad.constant(1.0 / np.sqrt(dk), dtype=logits.dtype))
+    ctx = ad.matmul(ad.softmax(logits, axis=2), vh)
+    return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (n, d))
+
+
 def case_batch_norm_training(rng):
     x, gamma, beta = _t(rng, (6, 4)), _t(rng, (4,), 0.5, 1.5), _t(rng, (4,))
     w = _weights(rng, (6, 4))
@@ -272,6 +294,7 @@ PRIMITIVE_CASES = [
     case_reshape,
     case_broadcast_to,
     case_affine,
+    case_attention,
     case_batch_norm_training,
     case_batch_norm_eval,
     case_layer_norm,

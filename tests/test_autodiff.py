@@ -13,7 +13,7 @@ from dcpreg.errors import (
 )
 
 import gradcheck
-from gradcheck import PRIMITIVE_CASES, case_svd_rigid_head, check_case, numeric_grad
+from gradcheck import PRIMITIVE_CASES, case_svd_rigid_head, check_case, numeric_grad, reference_attention
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +84,112 @@ def test_primitive_gradients(case):
 
 def test_svd_rigid_head_gradients():
     check_case(case_svd_rigid_head, n_points=5, tol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Fused attention and the in-place softmax and affine, against the forms
+# they replaced
+# ---------------------------------------------------------------------------
+
+def backward_of(op, inputs, g):
+    """Run ``op(*inputs)`` on a tape and feed ``g`` to its backward rule."""
+    with ad.Tape() as tape:
+        out = op(*inputs)
+    assert tape.entries[-1].output is out
+    return out, tape.entries[-1].backward_fn(g)
+
+
+def assert_untouched(arrays, copies):
+    for a, c in zip(arrays, copies):
+        assert np.array_equal(a, c)
+
+
+def attention_inputs(rng, dtype, n=7, m=5, d=8):
+    # Spread logits wide enough that the row max and the scaling matter.
+    return [ad.tensor(rng.normal(scale=2.0, size=(rows, d)).astype(dtype), requires_grad=True)
+            for rows in (n, m, m)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_matches_composition(dtype, heads):
+    rng = np.random.default_rng(heads)
+    q, k, v = attention_inputs(rng, dtype)
+    out = ad.attention(q, k, v, heads)
+    ref = reference_attention(q, k, v, heads)
+    assert out.dtype == dtype and out.shape == (7, 8)
+    assert np.array_equal(out.data, ref.data)
+
+    w = ad.constant(rng.normal(size=(7, 8)), dtype=dtype)
+    grads = []
+    for fn in (ad.attention, reference_attention):
+        for t in (q, k, v):
+            t.zero_grad()
+        with ad.Tape() as tape:
+            loss = ad.sum_reduce(ad.mul(w, fn(q, k, v, heads)))
+        ad.backward(tape, loss)
+        grads.append([t.grad for t in (q, k, v)])
+    tol = 1e-5 if dtype == np.float32 else 1e-13
+    for fused, composed in zip(*grads):
+        assert fused.dtype == dtype
+        assert np.abs(fused - composed).max() <= tol * np.abs(composed).max()
+
+
+def test_attention_leaves_inputs_and_gradient_unchanged(rng):
+    q, k, v = attention_inputs(rng, np.float64)
+    g = rng.normal(size=(7, 8))
+    copies = [t.data.copy() for t in (q, k, v)] + [g.copy()]
+    _, (gq, gk, gv) = backward_of(lambda *t: ad.attention(*t, 2), (q, k, v), g)
+    assert_untouched([q.data, k.data, v.data, g], copies)
+    assert (gq.shape, gk.shape, gv.shape) == ((7, 8), (5, 8), (5, 8))
+
+
+def test_attention_shape_errors():
+    q, kv = ad.tensor(np.zeros((4, 6))), ad.tensor(np.zeros((3, 6)))
+    with pytest.raises(ShapeError):
+        ad.attention(q, kv, kv, 4)  # 6 % 4 != 0
+    with pytest.raises(ShapeError):
+        ad.attention(q, kv, ad.tensor(np.zeros((2, 6))), 2)  # k and v rows differ
+    with pytest.raises(ShapeError):
+        ad.attention(q, ad.tensor(np.zeros((3, 4))), ad.tensor(np.zeros((3, 4))), 2)  # widths differ
+    with pytest.raises(ShapeError):
+        ad.attention(q, ad.tensor(np.zeros((0, 6))), ad.tensor(np.zeros((0, 6))), 2)  # no keys
+    with pytest.raises(InvalidInputError):
+        ad.attention(q, kv, kv, 0)
+    with pytest.raises(InvalidInputError):
+        ad.attention(q, kv, ad.tensor(np.zeros((3, 6)), dtype=np.float32), 2)
+
+
+def three_temporary_softmax(x, axis):
+    """The softmax forward as it was: shifted, exponentiated and normalised
+    into three fresh arrays."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,axis", [((5, 9), 1), ((5, 9), 0), ((3, 4, 6), -1), ((3, 4, 6), 1)])
+def test_softmax_in_place_is_exact(rng, dtype, shape, axis):
+    x = ad.tensor(rng.normal(scale=3.0, size=shape).astype(dtype), requires_grad=True)
+    g = rng.normal(size=shape).astype(dtype)
+    copies = [x.data.copy(), g.copy()]
+    out, (gx,) = backward_of(lambda t: ad.softmax(t, axis), (x,), g)
+    assert_untouched([x.data, g], copies)
+    y = three_temporary_softmax(x.data, axis)
+    assert out.dtype == dtype and np.array_equal(out.data, y)
+    assert np.array_equal(gx, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape", [(6, 4), (2, 3, 4)])
+def test_affine_in_place_bias_is_exact(rng, dtype, x_shape):
+    x, w, b = (ad.tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in (x_shape, (4, 5), (5,)))
+    g = rng.normal(size=x_shape[:-1] + (5,)).astype(dtype)
+    copies = [x.data.copy(), w.data.copy(), b.data.copy(), g.copy()]
+    out, _ = backward_of(ad.affine, (x, w, b), g)
+    assert_untouched([x.data, w.data, b.data, g], copies)
+    assert out.dtype == dtype and np.array_equal(out.data, x.data @ w.data + b.data)
 
 
 # ---------------------------------------------------------------------------

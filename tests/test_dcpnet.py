@@ -354,6 +354,39 @@ def test_attention_shape_preserved(n, rng):
     assert phi_y.shape == (n, 8)
 
 
+def test_attention_training_gradients_match_composition(rng, monkeypatch):
+    """A tiny-v2 training step through ``ad.attention`` gives the gradients
+    of the tape composition it replaced, within 1e-13 of the largest
+    gradient (3.5e-16 measured). The tolerance is on that scale, not per
+    entry, because the exact gradient of every ``wk.b`` is zero: adding a
+    constant vector to every key adds the same number to a whole row of
+    logits, and the softmax ignores that. Both forms read rounding noise
+    there."""
+    model = dcpnet.ModelParams.initialize(TINY_V2, seed=20)
+    randomize_attention_output(model, rng)
+    x, y = unit_points(np.random.default_rng(6), 16), unit_points(np.random.default_rng(7), 12)
+    gt = geo.RigidTransform(random_rotation(np.random.default_rng(8)), np.zeros(3))
+
+    def attention_grads():
+        model.zero_grad()
+        with ad.Tape() as tape:
+            out = dcpnet.dcp_forward(x, y, model, training=True)
+            loss = dcpnet.dcp_loss(out.rotation, out.translation, gt)
+        ad.backward(tape, loss)
+        return {name: t.grad for name, t in model.params.items() if name.startswith("attn.")}
+
+    fused = attention_grads()
+    monkeypatch.setattr(ad, "attention", gradcheck.reference_attention)
+    composed = attention_grads()
+    assert fused.keys() == composed.keys() and len(fused) == 44
+    scale = max(np.abs(g).max() for g in composed.values())
+    assert scale > 0.1
+    for name, g in fused.items():
+        assert np.abs(g - composed[name]).max() <= 1e-13 * scale, name
+    for name in ("attn.enc.self.wk.b", "attn.dec.self.wk.b", "attn.dec.cross.wk.b"):
+        assert np.abs(fused[name]).max() <= 1e-13 * scale
+
+
 # ---------------------------------------------------------------------------
 # pointer + soft correspondence
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dcpreg import dataio, dcpnet, geometry as geo, harness, icp, train as train_mod
-from dcpreg.errors import DataError
+from dcpreg.errors import DataError, InvalidInputError
 
 from conftest import rewrite_checkpoint, save_with_config_bytes
 
@@ -196,6 +196,15 @@ def test_gen_data_deterministic(corpus, tmp_path):
         ) == 0
         outs.append(tree_digest(out))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_gen_data_pair_count_below_one_exits_2(corpus, tmp_path, capsys, count):
+    out = tmp_path / "arch"
+    rc = harness.main(["gen-data", "--corpus", str(corpus), "--out", str(out), "--seed", "3", "--pairs-per-cloud", count])
+    assert rc == 2
+    assert "--pairs-per-cloud" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_data_noise_bounded(corpus, tmp_path):
@@ -474,6 +483,60 @@ def test_train_malformed_number_exits_3(archive, tmp_path, capsys):
     )
     assert rc == 3
     assert "model.widths" in capsys.readouterr().err
+
+
+MODEL_SIZE_CASES = [
+    ("widths", (8, 0)), ("widths", ()), ("emb_dims", 0), ("heads", 0), ("attn_dims", 0),
+    ("ffn_dims", -1), ("mlp_head_widths", (8, 0)), ("knn_k", 0),
+]
+
+
+@pytest.mark.parametrize("field,value", MODEL_SIZE_CASES)
+def test_model_size_below_one_exits_3(archive, tmp_path, capsys, field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        dcpnet.ModelConfig(**{field: value})
+    if field not in harness.MODEL_KEYS:
+        return
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    conf = tmp_path / "model.conf"
+    conf.write_text(TINY_MODEL_CONF + f"model.{field} = {text}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    rc = harness.main(["train", "--pairs", str(archive), "--out", str(out), "--config", str(conf), "--seed", "3"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["train.epochs", "train.batch_size"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_train_count_below_one_exits_3(archive, tmp_path, capsys, key, value):
+    conf = tmp_path / "model.conf"
+    conf.write_text(TINY_MODEL_CONF + f"{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    rc = harness.main(["train", "--pairs", str(archive), "--out", str(out), "--config", str(conf), "--seed", "3"])
+    assert rc == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epochs", ["0", "-2"])
+def test_train_epochs_flag_below_one_exits_2(archive, tmp_path, capsys, epochs):
+    out = tmp_path / "run"
+    rc = harness.main(["train", "--pairs", str(archive), "--out", str(out), "--seed", "3", "--epochs", epochs])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "--epochs" in captured.err and "checkpoint:" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["pairs.per_cloud_train", "pairs.per_cloud_test"])
+def test_experiment_pair_count_below_one_exits_3(corpus, tmp_path, capsys, key):
+    conf = EXPERIMENT_CONF.format(corpus=corpus) + f"{key} = 0\n"
+    out = tmp_path / "exp"
+    assert run_experiment(corpus, out, conf) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_cli_oracle_and_icp(corpus, tmp_path, capsys):
