@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 from . import geometry as geo
 from .errors import (
@@ -507,19 +507,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record("reshape", (x,), out, bw)
 
 
-def broadcast_to(x: Tensor, shape) -> Tensor:
-    try:
-        data = np.broadcast_to(x.data, shape)
-    except ValueError:
-        raise ShapeError(f"cannot broadcast {x.shape} to {tuple(shape)}") from None
-    out = Tensor(np.ascontiguousarray(data))
-
-    def bw(g):
-        return (_unbroadcast(g, x.shape),)
-
-    return _record("broadcast_to", (x,), out, bw)
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused ``x @ w + b`` over the last axis of ``x``."""
     _check_same_dtype(x, w, b)
@@ -559,6 +546,12 @@ class BatchNormState:
             momentum=momentum,
         )
 
+    def update(self, mu: np.ndarray, var: np.ndarray) -> None:
+        """Move the running statistics toward one batch's ``mu`` and ``var``."""
+        m = self.momentum
+        self.running_mean = ((1.0 - m) * self.running_mean + m * mu).astype(self.running_mean.dtype)
+        self.running_var = ((1.0 - m) * self.running_var + m * var).astype(self.running_var.dtype)
+
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool) -> Tensor:
     """Normalize per channel (last axis) over all leading axes.
@@ -580,12 +573,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, tr
             raise InvalidInputError("batch_norm training mode needs >= 2 samples per channel")
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        state.running_mean = ((1.0 - state.momentum) * state.running_mean + state.momentum * mu).astype(
-            state.running_mean.dtype
-        )
-        state.running_var = ((1.0 - state.momentum) * state.running_var + state.momentum * var).astype(
-            state.running_var.dtype
-        )
+        state.update(mu, var)
     else:
         mu = state.running_mean.astype(x.dtype)
         var = state.running_var.astype(x.dtype)
@@ -609,6 +597,126 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, tr
             return g * gamma.data * inv_std, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _record("batch_norm", (x, gamma, beta), out, bw)
+
+
+def edgeconv_bn_max(
+    center: Tensor,
+    per_point: Tensor,
+    indices,
+    gamma: Tensor,
+    beta: Tensor,
+    state: BatchNormState,
+    training: bool,
+) -> Tensor:
+    """Edge-convolution batch norm, ReLU and neighbor max in one step.
+
+    Edge ``(i, t)`` joins row ``i`` of ``center`` (N, c) to row
+    ``j = indices[i, t]`` of ``per_point`` (M, c); its pre-activation is
+    ``h = center_i + per_point_j``. The output (N, c) is
+    ``max_t relu(bn(h))``, with batch norm over all N*k edges, and no
+    (N, k, c) pre-activation is ever built.
+
+    Statistics. Training mode takes mu and var over the edges from O(N*c)
+    moments, in float64 on centred values: with ``d`` the in-degrees of
+    ``per_point`` rows, ``a = center - mean(center)`` and ``b = per_point -
+    sum(d * per_point) / (N*k)``, every edge has ``h - mu = a_i + b_j``, so
+    ``N*k * var = k*sum(a^2) + 2*sum(a * (A b)) + sum(d * b^2)``, where
+    ``A b`` sums ``b`` over each row's neighbors. It then moves the running
+    statistics as :func:`batch_norm` does. Inference mode uses the running
+    statistics.
+
+    Forward. With mu and var fixed, batch norm and ReLU are monotone per
+    channel, non-decreasing where gamma > 0 and non-increasing where gamma
+    < 0, and so is each IEEE-rounded step of them. So the max over edges is
+    ``relu(bn(center_i + pick_i))`` with ``pick = s * max_t(s * per_point_j)``
+    and ``s = sign(gamma)`` (negation is exact), equal bit for bit to the
+    per-edge form at the same mu and var. Where gamma is 0 (either sign)
+    every edge gives the same output, and ``pick`` is neighbor 0's row, the
+    edge a per-edge ``max_reduce`` would pick.
+
+    Backward. The gradient reaches the argmax edge of each (i, channel),
+    found here as the first neighbor whose ``s * per_point_j`` equals the
+    max, and in training mode also the two batch-norm mean terms, which
+    summed per point are ``k*m1``, ``d*m1`` and ``m2`` times
+    ``k*a + A b``, ``A^T a + d*b``. One ``np.bincount`` scatters the argmax
+    terms onto ``per_point`` rows.
+    """
+    _check_same_dtype(center, per_point, gamma, beta)
+    idx = np.asarray(indices)
+    if center.ndim != 2 or per_point.ndim != 2 or center.shape[1] != per_point.shape[1]:
+        raise ShapeError(
+            f"edgeconv_bn_max: need center (N, c) and per_point (M, c), got {center.shape}, {per_point.shape}"
+        )
+    (n, c), m = center.shape, per_point.shape[0]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"edgeconv_bn_max: gamma/beta must be ({c},), got {gamma.shape}/{beta.shape}")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise InvalidInputError("edgeconv_bn_max indices must be integral")
+    if idx.ndim != 2 or idx.shape[0] != n or idx.shape[1] < 1:
+        raise ShapeError(f"edgeconv_bn_max: indices must be ({n}, k >= 1), got {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= m):
+        raise ShapeError(f"edgeconv_bn_max: indices out of range for {m} per_point rows")
+    k = idx.shape[1]
+    edges = n * k
+    if training and edges < 2:
+        raise InvalidInputError("edgeconv_bn_max training mode needs >= 2 edges per channel")
+
+    s = np.sign(gamma.data)
+    signed = per_point.data * s
+    first = per_point.data[idx[:, 0]]
+    spick = first * s
+    for t in range(1, k):
+        np.maximum(spick, signed[idx[:, t]], out=spick)
+    pick = np.where(s == 0, first, spick * s)
+
+    if training:
+        degree = np.bincount(idx.ravel(), minlength=m).astype(np.float64)
+        adjacency = csr_matrix((np.ones(edges), idx.ravel(), np.arange(0, edges + 1, k)), shape=(n, m))
+        c64 = center.data.astype(np.float64)
+        p64 = per_point.data.astype(np.float64)
+        mu_c = c64.mean(axis=0)
+        mu_p = degree @ p64 / edges
+        a = c64 - mu_c
+        b = p64 - mu_p
+        ab = adjacency @ b
+        # Clamped: rounding can take a near-zero variance just below 0.
+        var64 = np.maximum(k * (a * a).sum(axis=0) + 2.0 * (a * ab).sum(axis=0) + degree @ (b * b), 0.0)
+        var64 /= edges
+        mu64 = mu_c + mu_p
+        state.update(mu64, var64)
+        mu, var = mu64.astype(center.dtype), var64.astype(center.dtype)
+    else:
+        mu = state.running_mean.astype(center.dtype)
+        var = state.running_var.astype(center.dtype)
+
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    xhat = (center.data + pick - mu) * inv_std
+    y = gamma.data * xhat + beta.data
+    np.maximum(y, 0, out=y)
+    out = Tensor(y)
+
+    def bw(g):
+        dxhat = g * (y > 0)
+        g_gamma, g_beta = (dxhat * xhat).sum(axis=0), dxhat.sum(axis=0)
+        dxhat *= gamma.data
+        direct = dxhat * inv_std
+        # The lowest neighbor attaining the max takes the gradient, as in
+        # max_reduce: scanning down from the last one, it is written last.
+        argmax = np.repeat(idx[:, :1], c, axis=1)
+        for t in range(k - 1, -1, -1):
+            np.copyto(argmax, idx[:, t : t + 1], where=signed[idx[:, t]] == spick)
+        flat = (argmax * c + np.arange(c)).ravel()
+        g_p = np.bincount(flat, weights=direct.ravel(), minlength=m * c).reshape(m, c)
+        g_c = direct
+        if training:
+            m1 = dxhat.sum(axis=0, dtype=np.float64) / edges
+            m2 = (dxhat * xhat).sum(axis=0, dtype=np.float64) / edges
+            inv64 = inv_std.astype(np.float64)
+            g_c = direct - inv64 * (k * m1 + m2 * inv64 * (k * a + ab))
+            g_p -= inv64 * (degree[:, None] * m1 + m2 * inv64 * (adjacency.T @ a + degree[:, None] * b))
+        return g_c.astype(center.dtype), g_p.astype(per_point.dtype), g_gamma, g_beta
+
+    return _record("edgeconv_bn_max", (center, per_point, gamma, beta), out, bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:

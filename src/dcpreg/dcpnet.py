@@ -238,41 +238,46 @@ def edgeconv_layer(
     name: str,
     training: bool = False,
 ) -> ad.Tensor:
-    """Edge convolution: per-edge MLP on (x_i, x_j - x_i), max over neighbors.
+    """Edge convolution: per-edge MLP on (x_i, x_j - x_i), then batch norm,
+    ReLU and the max over neighbors, at per-point cost in both modes.
 
-    The edge map is linear, so it runs at per-point cost in both modes:
-    ``x_i @ Wa + (x_j - x_i) @ Wb == x_i @ (Wa - Wb) + x_j @ Wb``. Each point
-    gets ``center = f @ (Wa - Wb)`` and ``per_point = f @ Wb`` once, and an
-    edge's pre-activation is ``center_i + per_point_j`` (a gathered row).
+    The edge map is linear: ``x_i @ Wa + (x_j - x_i) @ Wb == x_i @ (Wa - Wb)
+    + x_j @ Wb``. So two GEMMs give each point ``center = f @ (Wa - Wb)``
+    and ``per_point = f @ Wb``, and edge (i, j) has the pre-activation
+    ``center_i + per_point_j``. :func:`autodiff.edgeconv_bn_max` does the
+    rest without building that (n, k, c_out) array:
 
-    Training mode then applies batch norm, ReLU and the neighbor max per
-    edge, because its batch statistics are taken over every edge.
-
-    Inference mode folds the max inside: running-statistics batch norm and
-    ReLU are monotone per channel (non-decreasing where gamma >= 0,
-    non-increasing where gamma < 0), and so is each IEEE-rounded step of
-    them. Hence ``max_k relu(bn(center_i + P_j))`` equals
-    ``relu(bn(center_i + max_k P_j))`` bit for bit, with ``min_k`` on
-    channels where gamma < 0, taken as ``-max_k(-P_j)`` (negation is exact).
-    Batch norm and ReLU then run on (n, c_out) instead of (n, k, c_out). The
-    fold is built from tape primitives, so it still differentiates.
+    - Statistics. In training, batch norm's mu and var cover every edge.
+      They come from O(n * c_out) moments, with ``d`` the in-degrees and
+      ``A`` the kNN adjacency: ``nk * mu = k * sum(center) + sum(d *
+      per_point)``, and on centred values ``a``, ``b`` (so that ``h - mu =
+      a_i + b_j``), ``nk * var = k * sum(a^2) + 2 * sum(a * (A b)) + sum(d *
+      b^2)``, in float64. In inference they are the running statistics.
+    - Fold. With mu and var fixed, batch norm and ReLU are monotone per
+      channel (non-decreasing where gamma > 0, non-increasing where gamma <
+      0), and so is each IEEE-rounded step of them. So ``max_k
+      relu(bn(center_i + P_j))`` equals ``relu(bn(center_i + pick_i))`` bit
+      for bit, with ``pick = s * max_k(s * P_j)`` and ``s = sign(gamma)``
+      (negation is exact). Batch norm and ReLU then run on (n, c_out).
+    - Gamma = 0. There every edge gives the same output, and the layer takes
+      neighbor 0, as a per-edge max would; that edge's normalised value is
+      what the gradient of gamma sees.
     """
     if graph.indices.shape[0] != f.shape[0]:
         raise ShapeError(f"graph rows {graph.indices.shape[0]} != feature rows {f.shape[0]}")
     p = model.params
     wb = p[f"{name}.wb"]
-    gamma = p[f"{name}.bn.gamma"]
     center = ad.matmul(f, ad.sub(p[f"{name}.wa"], wb))  # (n, c_out)
     per_point = ad.matmul(f, wb)  # (n, c_out)
-    if training:
-        n, c_out = center.shape
-        h = ad.add(ad.reshape(center, (n, 1, c_out)), ad.gather(per_point, graph.indices))
-    else:
-        sign = ad.constant(np.where(gamma.data < 0, -1.0, 1.0), dtype=f.dtype)
-        pick = ad.mul(sign, ad.max_reduce(ad.gather(ad.mul(sign, per_point), graph.indices), axis=1))
-        h = ad.add(center, pick)
-    h = ad.relu(ad.batch_norm(h, gamma, p[f"{name}.bn.beta"], model.bn_states[f"{name}.bn"], training))
-    return ad.max_reduce(h, axis=1) if training else h
+    return ad.edgeconv_bn_max(
+        center,
+        per_point,
+        graph.indices,
+        p[f"{name}.bn.gamma"],
+        p[f"{name}.bn.beta"],
+        model.bn_states[f"{name}.bn"],
+        training,
+    )
 
 
 def dgcnn_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor:

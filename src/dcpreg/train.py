@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import dcpnet
 from . import geometry as geo
-from .errors import CheckpointError, NumericalError, ShapeError
+from .errors import CheckpointError, InvalidInputError, NumericalError, ShapeError
 
 CHECKPOINT_VERSION = 2
 _ZIP_MAGIC = b"PK\x03\x04"
@@ -157,6 +158,10 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
     out_dir: str | None = None
 
+    def __post_init__(self):
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise InvalidInputError(f"train.val_fraction must lie in [0, 1), got {self.val_fraction}")
+
     @staticmethod
     def paper_schedule(**overrides) -> "TrainConfig":
         """Full-scale preset: 250 epochs with drops at 75/150/200."""
@@ -165,7 +170,7 @@ class TrainConfig:
         return TrainConfig(**base)
 
 
-LOG_COLUMNS = ("epoch", "lr", "train_loss") + Metrics.COLUMNS
+LOG_COLUMNS = ("epoch", "lr", "train_loss", "grad_norm") + Metrics.COLUMNS
 
 
 def _format_row(values) -> str:
@@ -187,9 +192,14 @@ def train(
 ) -> tuple[dcpnet.ModelParams, list[dict]]:
     """Train a registration model; returns final parameters and the log.
 
-    The log holds one row per epoch: learning rate, mean training loss, and
-    validation metrics. A non-finite loss aborts with the most recent
+    The log holds one row per epoch: learning rate, mean training loss, the
+    mean over batches of the global L2 norm of the gradient Adam receives,
+    and validation metrics. A non-finite loss aborts with the most recent
     checkpoint left on disk.
+
+    Without ``val_pairs``, the last ``val_fraction`` of ``train_pairs`` is
+    held out for validation: at least one pair when there are two or more,
+    and never every pair.
     """
     train_pairs = list(train_pairs)
     if not train_pairs:
@@ -199,9 +209,9 @@ def train(
     shuffle_rng = np.random.default_rng(seeds[1])
 
     if val_pairs is None:
-        n_val = max(1, int(round(cfg.val_fraction * len(train_pairs)))) if len(train_pairs) > 1 else 0
+        n_val = min(max(1, int(round(cfg.val_fraction * len(train_pairs)))), len(train_pairs) - 1)
         val_pairs = train_pairs[len(train_pairs) - n_val :]
-        train_pairs = train_pairs[: len(train_pairs) - n_val] or val_pairs
+        train_pairs = train_pairs[: len(train_pairs) - n_val]
 
     model = dcpnet.ModelParams.initialize(model_cfg, seed=init_seed)
     state = OptimizerState(lr=cfg.base_lr, weight_decay=cfg.weight_decay)
@@ -214,6 +224,7 @@ def train(
         state.lr = lr_schedule(epoch, cfg.base_lr, cfg.lr_milestones, cfg.lr_factor)
         order = shuffle_rng.permutation(len(train_pairs))
         epoch_loss = 0.0
+        grad_norms = []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             model.zero_grad()
@@ -235,9 +246,16 @@ def train(
                 name: (p.grad * scale).astype(p.dtype) if p.grad is not None else None
                 for name, p in model.params.items()
             }
+            squares = (np.square(g, dtype=np.float64).sum() for g in grads.values() if g is not None)
+            grad_norms.append(math.sqrt(sum(squares)))
             adam_step(model.params, grads, state)
 
-        row = {"epoch": epoch, "lr": state.lr, "train_loss": epoch_loss / len(train_pairs)}
+        row = {
+            "epoch": epoch,
+            "lr": state.lr,
+            "train_loss": epoch_loss / len(train_pairs),
+            "grad_norm": sum(grad_norms) / len(grad_norms),
+        }
         if val_pairs:
             metrics = evaluate(model, val_pairs)
             row.update({c: getattr(metrics, c) for c in Metrics.COLUMNS})

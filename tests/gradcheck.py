@@ -175,12 +175,6 @@ def case_reshape(rng):
     return lambda: ad.sum_reduce(ad.mul(w, ad.reshape(x, (3, 4)))), [x]
 
 
-def case_broadcast_to(rng):
-    x = _t(rng, (1, 4))
-    w = _weights(rng, (3, 4))
-    return lambda: ad.sum_reduce(ad.mul(w, ad.broadcast_to(x, (3, 4)))), [x]
-
-
 def case_affine(rng):
     x, w_p, b = _t(rng, (5, 4)), _t(rng, (4, 3)), _t(rng, (3,))
     w = _weights(rng, (5, 3))
@@ -230,6 +224,34 @@ def case_batch_norm_eval(rng):
         lambda: ad.sum_reduce(ad.mul(w, ad.batch_norm(x, gamma, beta, state, training=False))),
         [x, gamma, beta],
     )
+
+
+def _edgeconv_case(rng, training):
+    """Six rows with 3 neighbors each into 5 per-point rows, so in-degrees
+    differ; gamma has both signs and no zeros, where the max would tie."""
+    center, per_point = _t(rng, (6, 4), -2.0, 2.0), _t(rng, (5, 4), -2.0, 2.0)
+    gamma = _t(rng, (4,), 0.5, 1.5)
+    gamma.data *= np.array([1.0, -1.0, 1.0, -1.0])
+    beta = _t(rng, (4,), 0.0, 1.0)
+    idx = np.array([rng.choice(5, size=3, replace=False) for _ in range(6)])
+    w = _weights(rng, (6, 4))
+    state = ad.BatchNormState.create(4)
+    state.running_mean = rng.normal(size=4) * 0.1
+    state.running_var = rng.uniform(0.5, 1.5, size=4)
+
+    def forward():
+        st = ad.BatchNormState.create(4) if training else state  # training stats not under test
+        return ad.sum_reduce(ad.mul(w, ad.edgeconv_bn_max(center, per_point, idx, gamma, beta, st, training)))
+
+    return forward, [center, per_point, gamma, beta]
+
+
+def case_edgeconv_bn_max_training(rng):
+    return _edgeconv_case(rng, training=True)
+
+
+def case_edgeconv_bn_max_eval(rng):
+    return _edgeconv_case(rng, training=False)
 
 
 def case_layer_norm(rng):
@@ -292,11 +314,12 @@ PRIMITIVE_CASES = [
     case_gather,
     case_transpose,
     case_reshape,
-    case_broadcast_to,
     case_affine,
     case_attention,
     case_batch_norm_training,
     case_batch_norm_eval,
+    case_edgeconv_bn_max_training,
+    case_edgeconv_bn_max_eval,
     case_layer_norm,
     case_svd_rotation,
 ]

@@ -310,6 +310,68 @@ def test_batch_norm_running_stats_update():
     assert np.allclose(out_eval.data, manual)
 
 
+def edgeconv_inputs(rng, dtype, n=9, m=7, k=3, c=5, offset=0.0):
+    center, per_point = (
+        ad.tensor((offset + rng.normal(size=(rows, c))).astype(dtype), requires_grad=True) for rows in (n, m)
+    )
+    gamma = ad.tensor((rng.uniform(0.5, 1.5, size=c) * np.where(np.arange(c) % 2, -1, 1)).astype(dtype),
+                      requires_grad=True)
+    beta = ad.tensor(rng.normal(size=c).astype(dtype), requires_grad=True)
+    idx = np.array([rng.choice(m, size=k, replace=False) for _ in range(n)])
+    return center, per_point, idx, gamma, beta
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+def test_edgeconv_bn_max_leaves_inputs_and_gradient_unchanged(rng, training):
+    center, per_point, idx, gamma, beta = edgeconv_inputs(rng, np.float64)
+    state = ad.BatchNormState.create(5)
+    g = rng.normal(size=(9, 5))
+    tensors = (center, per_point, gamma, beta)
+    copies = [t.data.copy() for t in tensors] + [idx.copy(), g.copy()]
+    _, grads = backward_of(
+        lambda c, p, ga, be: ad.edgeconv_bn_max(c, p, idx, ga, be, state, training), tensors, g
+    )
+    assert_untouched([t.data for t in tensors] + [idx, g], copies)
+    assert [gr.shape for gr in grads] == [(9, 5), (7, 5), (5,), (5,)]
+
+
+def test_edgeconv_bn_max_moments_do_not_cancel(rng):
+    """float32 features sharing an offset of 1e3: E[h^2] - mu^2 would lose
+    every digit of the variance, the centred float64 moments keep them."""
+    center, per_point, idx, gamma, beta = edgeconv_inputs(rng, np.float32, n=64, m=64, k=8, offset=1e3)
+    state = ad.BatchNormState.create(5, dtype=np.float32, momentum=1.0)
+    ad.edgeconv_bn_max(center, per_point, idx, gamma, beta, state, training=True)
+    edges = center.data.astype(np.float64)[:, None, :] + per_point.data.astype(np.float64)[idx]
+    assert state.running_var.dtype == np.float32
+    assert np.allclose(state.running_var, edges.var(axis=(0, 1)), rtol=1e-5, atol=0)
+    assert np.allclose(state.running_mean, edges.mean(axis=(0, 1)), rtol=1e-6, atol=0)
+
+
+def test_edgeconv_bn_max_input_errors(rng):
+    center, per_point, idx, gamma, beta = edgeconv_inputs(rng, np.float64)
+    state = ad.BatchNormState.create(5)
+
+    def call(c=center, p=per_point, i=idx, ga=gamma, training=False):
+        return ad.edgeconv_bn_max(c, p, i, ga, beta, state, training)
+
+    with pytest.raises(ShapeError):
+        call(i=idx[:-1])  # one row per center row
+    with pytest.raises(ShapeError):
+        call(i=idx.ravel())
+    with pytest.raises(ShapeError):
+        call(i=idx + 7)  # rows past per_point
+    with pytest.raises(ShapeError):
+        call(p=ad.tensor(np.zeros((7, 4))))  # channels differ
+    with pytest.raises(ShapeError):
+        call(ga=ad.tensor(np.ones(4)))
+    with pytest.raises(InvalidInputError):
+        call(i=idx.astype(np.float64))
+    with pytest.raises(InvalidInputError):
+        call(p=ad.tensor(per_point.data, dtype=np.float32))
+    with pytest.raises(InvalidInputError):
+        call(c=ad.tensor(center.data[:1]), i=idx[:1, :1], training=True)  # a single edge
+
+
 # ---------------------------------------------------------------------------
 # svd_rigid_head
 # ---------------------------------------------------------------------------

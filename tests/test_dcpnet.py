@@ -286,6 +286,68 @@ def test_edgeconv_eval_gradients(rng):
         gradcheck.assert_grads_close(param.grad, numeric_grad(lambda: forward().item(), param), 1e-6, f"param{k}")
 
 
+EDGE_PARTS = ("wa", "wb", "bn.gamma", "bn.beta")
+
+
+def edge_layer_and_split_form(rng, model, f, graph, training):
+    """Run edgeconv_layer and split_form_edgeconv on copies of ``model``
+    under one random linear loss; returns ``(output, running mean, running
+    var, {name: gradient})`` for each, the gradients of f and all 4 layer
+    parameters."""
+    weights = ad.constant(rng.normal(size=(f.shape[0], 8)), dtype=f.dtype)
+    results = []
+    for layer in (dcpnet.edgeconv_layer, split_form_edgeconv):
+        m = copy.deepcopy(model)
+        x = ad.tensor(f, requires_grad=True)
+        with ad.Tape() as tape:
+            out = layer(x, graph, m, EDGE_LAYER, training)
+            loss = ad.sum_reduce(ad.mul(weights, out))
+        ad.backward(tape, loss)
+        grads = {"f": x.grad} | {part: m.params[f"{EDGE_LAYER}.{part}"].grad for part in EDGE_PARTS}
+        st = m.bn_states[f"{EDGE_LAYER}.bn"]
+        results.append((out.data, st.running_mean, st.running_var, grads))
+    return results
+
+
+def test_edgeconv_duplicate_points_match_split_form(rng):
+    """Duplicated points give tied neighbor rows and uneven in-degrees, and a
+    far outlier is nobody's neighbor (in-degree 0)."""
+    pts = rng.normal(size=(40, 3))
+    f = rng.normal(scale=3.0, size=(40, 6))
+    pts[20:32], f[20:32] = pts[:12], f[:12]
+    pts[39] = 50.0
+    graph = dcpnet.knn_graph(pts, 5)
+    degree = np.bincount(graph.indices.ravel(), minlength=40)
+    assert degree[39] == 0 and degree.max() > 5
+    model = edge_case_model(rng, "float64", gamma_zeros=False)
+    (out, mean, var, grads), (ref_out, ref_mean, ref_var, ref_grads) = edge_layer_and_split_form(
+        rng, model, f, graph, training=True
+    )
+    assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+    assert np.allclose(mean, ref_mean, rtol=1e-12, atol=1e-14)
+    assert np.allclose(var, ref_var, rtol=1e-12, atol=1e-14)
+    for name, got in grads.items():
+        gradcheck.assert_grads_close(got, ref_grads[name], 1e-10, name)
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+def test_edgeconv_zero_gamma_matches_split_form(rng, training):
+    """At gamma = +0 or -0 every neighbor ties; the layer takes neighbor 0,
+    as the per-edge max does, so the gradient of gamma sees its value."""
+    model = edge_case_model(rng, "float64")
+    p = model.params
+    p[f"{EDGE_LAYER}.bn.gamma"].data = np.array([0.0, -0.0] * 4)
+    p[f"{EDGE_LAYER}.bn.beta"].data = np.abs(p[f"{EDGE_LAYER}.bn.beta"].data) + 0.1  # every channel passes ReLU
+    f, graph = edge_case_input(rng, "float64")
+    (out, _, _, grads), (ref_out, _, _, ref_grads) = edge_layer_and_split_form(rng, model, f, graph, training)
+    assert np.array_equal(out, ref_out)
+    for name in ("f", "wa", "wb"):
+        assert not grads[name].any() and not ref_grads[name].any()
+    assert np.abs(ref_grads["bn.gamma"]).min() > 0
+    for name in ("bn.gamma", "bn.beta"):
+        gradcheck.assert_grads_close(grads[name], ref_grads[name], 1e-12, name)
+
+
 def test_dgcnn_output_shape_default(rng):
     cfg = dcpnet.ModelConfig(attention=False, dtype="float32")
     assert cfg.resolved_widths == (64, 64, 128, 256)

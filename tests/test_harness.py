@@ -485,6 +485,18 @@ def test_train_malformed_number_exits_3(archive, tmp_path, capsys):
     assert "model.widths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fraction", ["3", "-0.1", "1.0"])
+def test_train_val_fraction_outside_unit_interval_exits_3(archive, tmp_path, capsys, fraction):
+    conf = tmp_path / "model.conf"
+    conf.write_text(TINY_MODEL_CONF + f"train.val_fraction = {fraction}\n", encoding="utf-8")
+    rc = harness.main(
+        ["train", "--pairs", str(archive), "--out", str(tmp_path / "run"), "--config", str(conf), "--seed", "3"]
+    )
+    assert rc == 3
+    assert "train.val_fraction" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 MODEL_SIZE_CASES = [
     ("widths", (8, 0)), ("widths", ()), ("emb_dims", 0), ("heads", 0), ("attn_dims", 0),
     ("ffn_dims", -1), ("mlp_head_widths", (8, 0)), ("knn_k", 0),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpreg import autodiff as ad, dataio, dcpnet, geometry as geo, train
-from dcpreg.errors import CheckpointError, NumericalError
+from dcpreg.errors import CheckpointError, InvalidInputError, NumericalError
 
 from conftest import npy_bytes, random_rotation, rewrite_checkpoint, save_with_config_bytes
 
@@ -164,6 +164,54 @@ def test_train_deterministic_checkpoints(tmp_path):
     log_a = (tmp_path / "a" / "training_log.csv").read_text()
     log_b = (tmp_path / "b" / "training_log.csv").read_text()
     assert log_a == log_b
+
+
+@pytest.mark.parametrize("fraction", [3.0, -0.1, 1.0])
+def test_train_config_rejects_val_fraction_outside_unit_interval(fraction):
+    with pytest.raises(InvalidInputError, match="train.val_fraction"):
+        train.TrainConfig(val_fraction=fraction)
+
+
+def test_train_two_pairs_hold_out_one(monkeypatch):
+    """A fraction that rounds to every pair still leaves one to train on,
+    and validation never sees a training pair."""
+    pairs = make_pairs(2, seed=6)
+    trained, validated = [], []
+    forward, evaluate = dcpnet.dcp_forward, train.evaluate
+
+    def spy_forward(source, target, model, training=False):
+        if training:
+            trained.append(source)
+        return forward(source, target, model, training)
+
+    def spy_evaluate(model, val_pairs):
+        validated.extend(val_pairs)
+        return evaluate(model, val_pairs)
+
+    monkeypatch.setattr(dcpnet, "dcp_forward", spy_forward)
+    monkeypatch.setattr(train, "evaluate", spy_evaluate)
+    train.train(TINY, pairs, cfg=train.TrainConfig(epochs=1, batch_size=4, seed=1, val_fraction=0.9))
+    assert trained == [pairs[0].source]
+    assert validated == [pairs[1]]
+
+
+def test_train_logs_mean_gradient_norm():
+    """One batch of every pair: grad_norm is the L2 norm, over all
+    parameters, of the batch-mean gradient."""
+    pairs = make_pairs(3, seed=7)
+    cfg = train.TrainConfig(epochs=1, batch_size=3, seed=4)
+    _, log = train.train(TINY, pairs, val_pairs=[], cfg=cfg)
+    init_seed = int(np.random.SeedSequence(4).spawn(2)[0].generate_state(1)[0])
+    model = dcpnet.ModelParams.initialize(TINY, seed=init_seed)
+    for pair in pairs:
+        with ad.Tape() as tape:
+            out = dcpnet.dcp_forward(pair.source, pair.target, model, training=True)
+            loss = dcpnet.dcp_loss(out.rotation, out.translation, pair.ground_truth)
+        ad.backward(tape, loss)
+    grads = [p.grad.astype(np.float64) / 3 for p in model.params.values() if p.grad is not None]
+    want = math.sqrt(sum(float((g * g).sum()) for g in grads))
+    assert log[0]["grad_norm"] == pytest.approx(want, rel=1e-5)
+    assert want > 0
 
 
 def test_train_zero_lr_is_fixed_point():
