@@ -2,6 +2,9 @@
 # Desk-scale rendition of the evaluation protocols: instance split,
 # category split, noisy evaluation, ICP polishing, ablations, and timing.
 # Expects to run from the repository root. Results land in $OUT.
+# The config keys written below are those of the key tables in
+# src/dcpreg/harness.py, the one list of config keys; an unknown key makes
+# `experiment` and `bench --config` exit 3.
 set -euo pipefail
 
 OUT=${OUT:-runs/desk}

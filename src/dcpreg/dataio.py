@@ -78,7 +78,6 @@ class PairGenConfig:
     shuffle_target: bool = True
     noise_sigma: float = 0.01
     noise_clip: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_rot_deg < 0 or self.trans_bound < 0:

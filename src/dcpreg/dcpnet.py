@@ -32,7 +32,6 @@ class ModelConfig:
     emb_dims: int = 512
     attention: bool = True  # True -> DCP-v2, False -> DCP-v1
     heads: int = 4
-    attn_dims: int | None = None  # None -> emb_dims
     ffn_dims: int = 1024
     head: str = "svd"  # "svd" | "mlp"
     mlp_head_widths: tuple[int, ...] = (256, 128, 64)
@@ -46,29 +45,20 @@ class ModelConfig:
             raise InvalidInputError(f"unknown head {self.head!r}")
         if self.dtype not in ("float32", "float64"):
             raise InvalidInputError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        for name in ("widths", "emb_dims", "heads", "attn_dims", "ffn_dims", "mlp_head_widths", "knn_k"):
+        for name in ("widths", "emb_dims", "heads", "ffn_dims", "mlp_head_widths", "knn_k"):
             value = getattr(self, name)
             if value is not None and any(v < 1 for v in (value if isinstance(value, tuple) else (value,))):
                 raise InvalidInputError(f"{name} must be at least 1, got {value}")
         if self.embedding == "dgcnn" and not self.resolved_widths:
             raise InvalidInputError("widths must not be empty for the dgcnn embedding")
-        if self.attention and self.feature_dims % self.heads != 0:
-            raise InvalidInputError(
-                f"attention dims {self.feature_dims} not divisible by {self.heads} heads"
-            )
+        if self.attention and self.emb_dims % self.heads != 0:
+            raise InvalidInputError(f"emb_dims {self.emb_dims} not divisible by {self.heads} heads")
 
     @property
     def resolved_widths(self) -> tuple[int, ...]:
         if self.widths is not None:
             return tuple(self.widths)
         return DGCNN_DEFAULT_WIDTHS if self.embedding == "dgcnn" else POINTNET_DEFAULT_WIDTHS
-
-    @property
-    def feature_dims(self) -> int:
-        """Width of the features entering the pointer stage."""
-        if self.attention and self.attn_dims is not None:
-            return self.attn_dims
-        return self.emb_dims
 
     @property
     def np_dtype(self):
@@ -82,7 +72,7 @@ class KnnGraph(NamedTuple):
 
 def knn_graph(points, k: int) -> KnnGraph:
     """Exact k nearest neighbors by Euclidean distance, self excluded."""
-    pts = np.asarray(getattr(points, "points", points), dtype=np.float64)
+    pts = geo._as_points(points)
     n = pts.shape[0]
     if k < 1 or k >= n:
         raise InvalidInputError(f"k must satisfy 1 <= k < n_points, got k={k}, n={n}")
@@ -173,9 +163,7 @@ class _Builder:
                 c_in = width
 
         if cfg.attention:
-            dims = cfg.feature_dims
-            if dims != cfg.emb_dims:
-                self.affine("attn.in_proj", cfg.emb_dims, dims)
+            dims = cfg.emb_dims
             self.attention_block("attn.enc.self", dims)
             self.layer_norm("attn.enc.self_ln", dims)
             self.affine("attn.enc.ffn.l0", dims, cfg.ffn_dims)
@@ -193,7 +181,7 @@ class _Builder:
             self.affine("attn.out", dims, dims, zero=True)
 
         if cfg.head == "mlp":
-            n_in = 2 * cfg.feature_dims
+            n_in = 2 * cfg.emb_dims
             for i, width in enumerate(cfg.mlp_head_widths):
                 self.affine(f"head.fc{i}", n_in, width)
                 self.batch_norm(f"head.fc{i}.bn", width)
@@ -204,10 +192,6 @@ class _Builder:
         return ModelParams(cfg, self.params, self.bn_states)
 
 
-def _pts(points) -> np.ndarray:
-    return np.asarray(getattr(points, "points", points), dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # Embeddings
 # ---------------------------------------------------------------------------
@@ -215,7 +199,7 @@ def _pts(points) -> np.ndarray:
 def pointnet_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor:
     """Shared per-point MLP; no information flows between points."""
     cfg = model.config
-    f = ad.tensor(_pts(points).astype(cfg.np_dtype))
+    f = ad.tensor(geo._as_points(points).astype(cfg.np_dtype))
     widths = tuple(cfg.resolved_widths) + (cfg.emb_dims,)
     for i in range(len(widths)):
         name = f"embed.l{i}"
@@ -284,7 +268,7 @@ def dgcnn_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor
     """Stacked edge convolutions; intermediate outputs concatenated into the
     final layer. The neighbor graph is built once from input coordinates."""
     cfg = model.config
-    pts = _pts(points)
+    pts = geo._as_points(points)
     graph = knn_graph(pts, cfg.knn_k)
     f = ad.tensor(pts.astype(cfg.np_dtype))
     layer_outputs = []
@@ -354,10 +338,6 @@ def transformer_attention(
     point index carries no information."""
     if f_x.shape[1] != f_y.shape[1]:
         raise ShapeError(f"embedding dims differ: {f_x.shape} vs {f_y.shape}")
-    p = model.params
-    if "attn.in_proj.w" in p:
-        f_x = ad.affine(f_x, p["attn.in_proj.w"], p["attn.in_proj.b"])
-        f_y = ad.affine(f_y, p["attn.in_proj.w"], p["attn.in_proj.b"])
     phi_x = ad.add(f_x, _cross_residual(f_x, f_y, model))
     phi_y = ad.add(f_y, _cross_residual(f_y, f_x, model))
     return phi_x, phi_y
@@ -378,7 +358,7 @@ def pointer_softmatch(phi_x: ad.Tensor, phi_y: ad.Tensor) -> ad.Tensor:
 def soft_correspondence(match: ad.Tensor, y_points) -> ad.Tensor:
     """Blend target points by match weights: each row lands in the convex
     hull of the target cloud."""
-    y = np.asarray(getattr(y_points, "points", y_points), dtype=np.float64)
+    y = geo._as_points(y_points)
     if match.shape[1] != y.shape[0]:
         raise ShapeError(f"match columns {match.shape[1]} != target size {y.shape[0]}")
     return ad.matmul(match, ad.constant(y.astype(match.dtype)))
@@ -472,7 +452,7 @@ def dcp_forward(x_points, y_points, model: ModelParams, training: bool = False) 
     match = pointer_softmatch(phi_x, phi_y)
     soft_target = soft_correspondence(match, y_points)
     if cfg.head == "svd":
-        src = ad.constant(_pts(x_points).astype(cfg.np_dtype))
+        src = ad.constant(geo._as_points(x_points).astype(cfg.np_dtype))
         rotation, translation = ad.svd_rigid_head(src, soft_target)
     else:
         rotation, translation = mlp_head(phi_x, phi_y, model, training)
@@ -487,7 +467,7 @@ def dcp_predict(x_points, y_points, model: ModelParams) -> geo.RigidTransform:
     """
     out = dcp_forward(x_points, y_points, model, training=False)
     if model.config.head == "svd":
-        return geo.procrustes_solve(_pts(x_points), np.asarray(out.soft_target.data, dtype=np.float64))
+        return geo.procrustes_solve(geo._as_points(x_points), np.asarray(out.soft_target.data, dtype=np.float64))
     rotation = _nearest_rotation(out.rotation.data)
     return geo.RigidTransform(rotation, np.asarray(out.translation.data, dtype=np.float64))
 
@@ -498,29 +478,14 @@ def _nearest_rotation(rotation: np.ndarray) -> np.ndarray:
     return u @ v.T
 
 
-def dcp_loss(
-    rotation: ad.Tensor,
-    translation: ad.Tensor,
-    gt: geo.RigidTransform,
-    model: ModelParams | None = None,
-    weight_lambda: float = 0.0,
-) -> ad.Tensor:
-    """Squared alignment error against the generating motion.
-
-    ``|R^T Rg - I|_F^2 + |t - tg|^2`` plus optional Tikhonov term
-    ``lambda * |theta|^2``; by default the parameter penalty is realized as
-    optimizer weight decay instead and lambda stays 0."""
+def dcp_loss(rotation: ad.Tensor, translation: ad.Tensor, gt: geo.RigidTransform) -> ad.Tensor:
+    """Squared alignment error against the generating motion,
+    ``|R^T Rg - I|_F^2 + |t - tg|^2``. The paper's ``lambda * |theta|^2``
+    penalty is Adam's weight decay (``TrainConfig.weight_decay``)."""
     dtype = rotation.dtype
     rg = ad.constant(np.asarray(gt.rotation, dtype=dtype))
     tg = ad.constant(np.asarray(gt.translation, dtype=dtype))
     eye = ad.constant(np.eye(3), dtype=dtype)
     dr = ad.sub(ad.matmul(ad.transpose(rotation), rg), eye)
     dt = ad.sub(translation, tg)
-    loss = ad.add(ad.sum_reduce(ad.mul(dr, dr)), ad.sum_reduce(ad.mul(dt, dt)))
-    if weight_lambda > 0.0:
-        if model is None:
-            raise InvalidInputError("weight_lambda > 0 requires model parameters")
-        lam = ad.constant(weight_lambda, dtype=dtype)
-        for t in model.params.values():
-            loss = ad.add(loss, ad.mul(lam, ad.sum_reduce(ad.mul(t, t))))
-    return loss
+    return ad.add(ad.sum_reduce(ad.mul(dr, dr)), ad.sum_reduce(ad.mul(dt, dt)))

@@ -4,6 +4,13 @@ Subcommands: ``gen-data``, ``register``, ``train``, ``eval``,
 ``experiment``, ``bench``. All randomness is seeded; reports embed the
 config hash and rerun byte-identically. Exit codes: 0 success, 2 usage
 error, 3 data error, 4 numerical failure.
+
+Config files (``train``, ``experiment`` and ``bench --config``) hold
+``key = value`` lines. The key tables ``MODEL_KEYS``, ``TRAIN_KEYS``,
+``PAIRGEN_KEYS`` and ``EXPERIMENT_KEYS``, with ``OTHER_KEYS``, are the one
+list of config keys. Each table entry names the dataclass field its key
+sets, and a key left unset keeps the default that dataclass declares. An
+unknown key exits 3.
 """
 
 from __future__ import annotations
@@ -54,7 +61,9 @@ def load_config_file(path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"config file {path} does not exist")
-    return parse_config_text(path.read_text(encoding="utf-8"))
+    values = parse_config_text(path.read_text(encoding="utf-8"))
+    _check_keys(values)
+    return values
 
 
 def config_hash(values: dict[str, str]) -> str:
@@ -81,22 +90,8 @@ def _int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
-def _get(values, key, default, conv=str):
-    """``conv(values[key])``, or ``default`` when the key is unset.
-
-    A value ``conv`` cannot read raises ``DataError`` naming the key.
-    """
-    raw = values.get(key)
-    if raw is None:
-        return default
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise DataError(f"config key {key}: bad value {raw!r} ({exc})") from None
-
-
 KIND_DEFAULTS = {
-    "full": {"split.mode": "random_instance"},
+    "full": {},
     "category": {"split.mode": "by_category"},
     "noise": {"noise.eval": "true"},
     "polish": {},
@@ -129,39 +124,78 @@ class ExperimentConfig:
         return config_hash(dict(self.raw))
 
 
-MODEL_KEYS = {"embedding": str, "widths": _int_tuple, "emb_dims": int, "heads": int, "attn_dims": int,
-              "ffn_dims": int, "knn_k": int, "head": str, "dtype": str}
+# The key tables: config key -> (dataclass field, converter).
+MODEL_KEYS = {
+    f"model.{name}": (name, conv)
+    for name, conv in (("embedding", str), ("widths", _int_tuple), ("emb_dims", int), ("heads", int),
+                       ("ffn_dims", int), ("knn_k", int), ("head", str), ("dtype", str))
+}
+TRAIN_KEYS = {
+    "train.epochs": ("epochs", _positive_int),
+    "train.batch_size": ("batch_size", _positive_int),
+    "train.base_lr": ("base_lr", float),
+    "train.milestones": ("lr_milestones", _int_tuple),
+    "train.lr_factor": ("lr_factor", float),
+    "train.weight_decay": ("weight_decay", float),
+    "train.val_fraction": ("val_fraction", float),
+    "train.checkpoint_every": ("checkpoint_every", int),
+}
+PAIRGEN_KEYS = {
+    "pairgen.max_rot_deg": ("max_rot_deg", float),
+    "pairgen.trans_bound": ("trans_bound", float),
+    "pairgen.shuffle_target": ("shuffle_target", _bool),
+    "noise.sigma": ("noise_sigma", float),
+    "noise.clip": ("noise_clip", float),
+}
+EXPERIMENT_KEYS = {
+    "data.n_points": ("n_points", int),
+    "split.mode": ("split_mode", str),
+    "split.fraction": ("split_fraction", float),
+    "pairs.per_cloud_train": ("pairs_per_cloud_train", _positive_int),
+    "pairs.per_cloud_test": ("pairs_per_cloud_test", _positive_int),
+    "noise.train": ("noise_train", _bool),
+    "noise.eval": ("noise_eval", _bool),
+    "workers": ("workers", _positive_int),
+    "icp.max_iters": ("icp_max_iters", _positive_int),
+    "icp.tol": ("icp_tol", float),
+}
+# Keys that experiment_config_from_values and cmd_train read themselves.
+OTHER_KEYS = ("seed", "methods", "experiment.kind", "data.corpus")
+
+
+def _check_keys(values: dict[str, str]) -> None:
+    """Raise ``DataError`` naming each key of ``values`` that no key table lists."""
+    unknown = sorted(set(values) - {*MODEL_KEYS, *TRAIN_KEYS, *PAIRGEN_KEYS, *EXPERIMENT_KEYS, *OTHER_KEYS})
+    if unknown:
+        raise DataError(f"unknown config key(s) {', '.join(unknown)}; the known keys are the tables in dcpreg.harness")
+
+
+def _convert(values: dict[str, str], key: str, conv):
+    """``conv(values[key])``; a value ``conv`` cannot read raises ``DataError`` naming the key."""
+    try:
+        return conv(values[key])
+    except ValueError as exc:
+        raise DataError(f"config key {key}: bad value {values[key]!r} ({exc})") from None
+
+
+def _from_values(cls, table, values: dict[str, str], **fields):
+    """``cls(**fields)`` plus the fields that the ``table`` keys set in
+    ``values``; every other field keeps the default ``cls`` declares."""
+    fields.update((field, _convert(values, key, conv)) for key, (field, conv) in table.items() if key in values)
+    return cls(**fields)
 
 
 def model_config_from_values(values: dict[str, str]) -> dcpnet.ModelConfig:
-    """The ``ModelConfig`` set by the ``model.*`` keys of ``values``; one outside ``MODEL_KEYS`` is a ``DataError``."""
-    fields = [key[len("model.") :] for key in values if key.startswith("model.")]
-    unknown = sorted(f"model.{name}" for name in fields if name not in MODEL_KEYS)
-    if unknown:
-        raise DataError(f"unknown config key(s) {', '.join(unknown)}; model keys: {', '.join(MODEL_KEYS)}")
-    return dcpnet.ModelConfig(**{name: _get(values, f"model.{name}", None, MODEL_KEYS[name]) for name in fields})
-
-
-def train_config_from_values(values: dict[str, str], seed: int) -> train_mod.TrainConfig:
-    return train_mod.TrainConfig(
-        epochs=_get(values, "train.epochs", 50, _positive_int),
-        batch_size=_get(values, "train.batch_size", 32, _positive_int),
-        base_lr=_get(values, "train.base_lr", 1e-3, float),
-        lr_milestones=_get(values, "train.milestones", (15, 30, 40), _int_tuple),
-        lr_factor=_get(values, "train.lr_factor", 0.1, float),
-        weight_decay=_get(values, "train.weight_decay", 1e-4, float),
-        val_fraction=_get(values, "train.val_fraction", 0.1, float),
-        checkpoint_every=_get(values, "train.checkpoint_every", 0, int),
-        seed=seed,
-    )
+    """The ``ModelConfig`` set by the ``model.*`` keys of ``values``; a key no table lists is a ``DataError``."""
+    _check_keys(values)
+    return _from_values(dcpnet.ModelConfig, MODEL_KEYS, values)
 
 
 def experiment_config_from_values(values: dict[str, str]) -> ExperimentConfig:
     kind = values.get("experiment.kind", "full")
     if kind not in KIND_DEFAULTS:
         raise DataError(f"unknown experiment kind {kind!r}; options: {sorted(KIND_DEFAULTS)}")
-    merged = dict(KIND_DEFAULTS[kind])
-    merged.update(values)
+    merged = {**KIND_DEFAULTS[kind], **values}
     if "seed" not in merged:
         raise DataError("config must set a seed")
     if "data.corpus" not in merged:
@@ -169,42 +203,18 @@ def experiment_config_from_values(values: dict[str, str]) -> ExperimentConfig:
     corpus = merged["data.corpus"]
     if not Path(corpus).is_dir():
         raise DataError(f"corpus directory {corpus} does not exist")
-    seed = _get(merged, "seed", None, int)
-    n_points = _get(merged, "data.n_points", 128, int)
+    seed = _convert(merged, "seed", int)
     methods = parse_methods(merged.get("methods", "icp,dcp-v1"))
     model = model_config_from_values(merged)
     for method in methods:
         if method.base == "dcp":
             method_model_config(model, method)  # fail before any method runs
-    pairgen = dataio.PairGenConfig(
-        max_rot_deg=_get(merged, "pairgen.max_rot_deg", 45.0, float),
-        trans_bound=_get(merged, "pairgen.trans_bound", 0.5, float),
-        n_points=n_points,
-        shuffle_target=_get(merged, "pairgen.shuffle_target", True, _bool),
-        noise_sigma=_get(merged, "noise.sigma", 0.01, float),
-        noise_clip=_get(merged, "noise.clip", 0.05, float),
-        seed=seed,
-    )
-    return ExperimentConfig(
-        kind=kind,
-        corpus=corpus,
-        seed=seed,
-        methods=methods,
-        n_points=n_points,
-        split_mode=merged.get("split.mode", "random_instance"),
-        split_fraction=_get(merged, "split.fraction", 0.5, float),
-        pairs_per_cloud_train=_get(merged, "pairs.per_cloud_train", 4, _positive_int),
-        pairs_per_cloud_test=_get(merged, "pairs.per_cloud_test", 2, _positive_int),
-        pairgen=pairgen,
-        noise_train=_get(merged, "noise.train", False, _bool),
-        noise_eval=_get(merged, "noise.eval", False, _bool),
-        model=model,
-        train=train_config_from_values(merged, seed),
-        workers=_get(merged, "workers", 1, int),
-        icp_max_iters=_get(merged, "icp.max_iters", icp.DEFAULT_MAX_ITERS, int),
-        icp_tol=_get(merged, "icp.tol", icp.DEFAULT_TOL, float),
+    cfg = _from_values(
+        ExperimentConfig, EXPERIMENT_KEYS, merged, kind=kind, corpus=corpus, seed=seed, methods=methods,
+        model=model, train=_from_values(train_mod.TrainConfig, TRAIN_KEYS, merged, seed=seed),
         raw=tuple(sorted(values.items())),
     )
+    return replace(cfg, pairgen=_from_values(dataio.PairGenConfig, PAIRGEN_KEYS, merged, n_points=cfg.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +434,6 @@ def cmd_gen_data(args) -> int:
         shuffle_target=not args.no_shuffle,
         noise_sigma=args.sigma,
         noise_clip=args.clip,
-        seed=args.seed,
     )
     clouds = load_clouds(args.corpus, args.n_points, args.seed)
     pairs, pair_seeds = build_pairs(clouds, args.pairs_per_cloud, pairgen, [args.seed, 0xDA], args.noise)
@@ -463,16 +472,15 @@ def cmd_train(args) -> int:
     values = load_config_file(args.config) if args.config else {}
     if args.seed is not None:
         values["seed"] = str(args.seed)
+    if args.epochs is not None:
+        values["train.epochs"] = str(args.epochs)
     if "seed" not in values:
         raise UsageError("set --seed or a seed in the config file")
-    seed = _get(values, "seed", None, int)
+    seed = _convert(values, "seed", int)
     model_cfg = model_config_from_values(values)
     if args.v1:
         model_cfg = replace(model_cfg, attention=False)
-    tcfg = train_config_from_values(values, seed)
-    if args.epochs is not None:
-        tcfg = replace(tcfg, epochs=args.epochs)
-    tcfg = replace(tcfg, out_dir=args.out)
+    tcfg = _from_values(train_mod.TrainConfig, TRAIN_KEYS, values, seed=seed, out_dir=args.out)
     pairs = dataio.read_pair_archive(args.pairs)
     val_pairs = dataio.read_pair_archive(args.val_pairs) if args.val_pairs else None
     model, log = train_mod.train(model_cfg, pairs, val_pairs, tcfg)
@@ -543,7 +551,7 @@ def cmd_experiment(args) -> int:
 def bench_pair(n_points: int, seed: int):
     mesh = dataio.make_shape_mesh("ellipsoid", np.random.default_rng(seed))
     cloud = dataio.normalize_unit_sphere(dataio.sample_surface(mesh, n_points, seed))
-    pairgen = dataio.PairGenConfig(max_rot_deg=30.0, trans_bound=0.3, n_points=n_points, seed=seed)
+    pairgen = dataio.PairGenConfig(max_rot_deg=30.0, trans_bound=0.3, n_points=n_points)
     return dataio.generate_pair(cloud, pairgen, np.random.default_rng(seed + 1))
 
 
@@ -618,12 +626,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs-per-cloud", type=_positive_int, default=1)
-    p.add_argument("--n-points", type=int, default=1024)
-    p.add_argument("--max-rot-deg", type=float, default=45.0)
-    p.add_argument("--trans-bound", type=float, default=0.5)
+    p.add_argument("--n-points", type=int, default=dataio.PairGenConfig.n_points)
+    p.add_argument("--max-rot-deg", type=float, default=dataio.PairGenConfig.max_rot_deg)
+    p.add_argument("--trans-bound", type=float, default=dataio.PairGenConfig.trans_bound)
     p.add_argument("--noise", action="store_true", help="perturb source clouds with clipped Gaussian noise")
-    p.add_argument("--sigma", type=float, default=0.01)
-    p.add_argument("--clip", type=float, default=0.05)
+    p.add_argument("--sigma", type=float, default=dataio.PairGenConfig.noise_sigma)
+    p.add_argument("--clip", type=float, default=dataio.PairGenConfig.noise_clip)
     p.add_argument("--no-shuffle", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
@@ -633,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--out", help="write the aligned source cloud as xyz")
-    p.add_argument("--max-iters", type=int, default=icp.DEFAULT_MAX_ITERS)
+    p.add_argument("--max-iters", type=_positive_int, default=icp.DEFAULT_MAX_ITERS)
     p.add_argument("--tol", type=float, default=icp.DEFAULT_TOL)
     p.add_argument("--n-points", type=int, default=1024, help="surface samples when input is an OFF mesh")
     p.add_argument("--seed", type=int, default=0)
@@ -654,9 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, type=_cli_tokens(parse_method), help=METHOD_HELP)
     p.add_argument("--checkpoint")
     p.add_argument("--out", help="directory for report files")
-    p.add_argument("--max-iters", type=int, default=icp.DEFAULT_MAX_ITERS)
+    p.add_argument("--max-iters", type=_positive_int, default=icp.DEFAULT_MAX_ITERS)
     p.add_argument("--tol", type=float, default=icp.DEFAULT_TOL)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("experiment", help="run a full protocol from a config file")
@@ -672,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="model settings for untrained dcp timing")
     p.add_argument("--checkpoint")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=20)
+    p.add_argument("--max-iters", type=_positive_int, default=20)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -69,9 +69,9 @@ class SpatialIndex:
     """
 
     def __init__(self, points):
-        pts = np.asarray(getattr(points, "points", points), dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-            raise InsufficientDataError(f"index needs a non-empty (M, 3) array, got {pts.shape}")
+        pts = geo._as_points(points)
+        if pts.shape[0] == 0:
+            raise InsufficientDataError("index needs at least one point")
         self.points = pts
         self._tree = cKDTree(pts)
 
@@ -111,7 +111,7 @@ def alignment_step(x: np.ndarray, y: np.ndarray, correspondence: np.ndarray) -> 
 
 def registration_objective(x, y, transform: geo.RigidTransform, index: SpatialIndex | None = None) -> float:
     """Mean squared nearest-neighbor residual of ``transform`` aligning x to y."""
-    xp = np.asarray(getattr(x, "points", x), dtype=np.float64)
+    xp = geo._as_points(x)
     if index is None:
         index = SpatialIndex(y)
     _, objective = correspondence_step(xp, index, transform)
@@ -131,8 +131,7 @@ def icp_register(
     the objective decrease falls below ``tol``, the transform stalls, or
     ``max_iters`` is reached.
     """
-    xp = np.asarray(getattr(x, "points", x), dtype=np.float64)
-    yp = np.asarray(getattr(y, "points", y), dtype=np.float64)
+    xp, yp = geo._as_points(x), geo._as_points(y)
     if xp.shape[0] < 3 or yp.shape[0] < 3:
         raise InsufficientDataError("both clouds need at least 3 points")
     transform = init if init is not None else geo.RigidTransform.identity()

@@ -76,12 +76,7 @@ def adam_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray], state:
     return state
 
 
-def lr_schedule(
-    epoch: int,
-    base_lr: float = 1e-3,
-    milestones: tuple[int, ...] = (75, 150, 200),
-    factor: float = 0.1,
-) -> float:
+def lr_schedule(epoch: int, base_lr: float, milestones: tuple[int, ...], factor: float) -> float:
     """Piecewise-constant decay: divide by 1/factor at each milestone epoch."""
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
@@ -161,13 +156,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.val_fraction < 1.0:
             raise InvalidInputError(f"train.val_fraction must lie in [0, 1), got {self.val_fraction}")
-
-    @staticmethod
-    def paper_schedule(**overrides) -> "TrainConfig":
-        """Full-scale preset: 250 epochs with drops at 75/150/200."""
-        base = dict(epochs=250, lr_milestones=(75, 150, 200))
-        base.update(overrides)
-        return TrainConfig(**base)
+        if self.checkpoint_every < 0:
+            raise InvalidInputError(f"train.checkpoint_every must be at least 0, got {self.checkpoint_every}")
 
 
 LOG_COLUMNS = ("epoch", "lr", "train_loss", "grad_norm") + Metrics.COLUMNS

@@ -665,14 +665,3 @@ def test_loss_half_turn_about_z():
     pred_r = geo.euler_zyx_to_matrix(math.pi, 0.0, 0.0)
     loss = dcpnet.dcp_loss(ad.tensor(pred_r), ad.tensor(np.zeros(3)), gt)
     assert np.isclose(loss.item(), 8.0)
-
-
-def test_loss_lambda_term(rng):
-    model = dcpnet.ModelParams.initialize(TINY_V1, seed=19)
-    gt = geo.RigidTransform.identity()
-    base = dcpnet.dcp_loss(ad.tensor(np.eye(3)), ad.tensor(np.zeros(3)), gt)
-    reg = dcpnet.dcp_loss(
-        ad.tensor(np.eye(3)), ad.tensor(np.zeros(3)), gt, model=model, weight_lambda=1e-3
-    )
-    norm_sq = sum(float((t.data**2).sum()) for t in model.params.values())
-    assert np.isclose(reg.item() - base.item(), 1e-3 * norm_sq, rtol=1e-9)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -51,11 +52,6 @@ def v2_checkpoint(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def v2_mlp_checkpoint(tmp_path_factory):
-    return save_v2_checkpoint(tmp_path_factory.mktemp("ckpt") / "v2mlp.dcpk", head="mlp", attn_dims=4)
-
-
-@pytest.fixture(scope="module")
 def archive(corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("arch") / "pairs"
     assert harness.main(["gen-data", "--corpus", str(corpus), "--out", str(out), "--seed", "4", "--n-points", "32"]) == 0
@@ -104,7 +100,6 @@ def test_experiment_config_requires_seed_and_corpus(corpus):
         harness.experiment_config_from_values({"seed": "1"})
     cfg = harness.experiment_config_from_values({"seed": "1", "data.corpus": str(corpus)})
     assert cfg.kind == "full"
-    assert cfg.pairgen.seed == 1
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +349,6 @@ CANNOT_HONOUR = [
     ("tiny_checkpoint", "dcp-v2"),
     ("tiny_checkpoint", "dcp-v1:pointnet"),
     ("tiny_checkpoint", "dcp-v1:bogus=1"),
-    ("v2_mlp_checkpoint", "dcp-v1"),
     ("v2_checkpoint", "dcp-v2:dims=16"),
     ("v2_checkpoint", "dcp-v2:heads=3"),
 ]
@@ -498,8 +492,8 @@ def test_train_val_fraction_outside_unit_interval_exits_3(archive, tmp_path, cap
 
 
 MODEL_SIZE_CASES = [
-    ("widths", (8, 0)), ("widths", ()), ("emb_dims", 0), ("heads", 0), ("attn_dims", 0),
-    ("ffn_dims", -1), ("mlp_head_widths", (8, 0)), ("knn_k", 0),
+    ("widths", (8, 0)), ("widths", ()), ("emb_dims", 0), ("heads", 0), ("ffn_dims", -1), ("knn_k", 0),
+    ("mlp_head_widths", (8, 0)),
 ]
 
 
@@ -507,7 +501,7 @@ MODEL_SIZE_CASES = [
 def test_model_size_below_one_exits_3(archive, tmp_path, capsys, field, value):
     with pytest.raises(InvalidInputError, match=field):
         dcpnet.ModelConfig(**{field: value})
-    if field not in harness.MODEL_KEYS:
+    if f"model.{field}" not in harness.MODEL_KEYS:
         return
     text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
     conf = tmp_path / "model.conf"
@@ -549,6 +543,44 @@ def test_experiment_pair_count_below_one_exits_3(corpus, tmp_path, capsys, key):
     assert run_experiment(corpus, out, conf) == 3
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("icp.max_iters", "-1"), ("workers", "0"), ("train.checkpoint_every", "-1")])
+def test_experiment_count_out_of_range_exits_3(corpus, tmp_path, capsys, key, value):
+    conf = EXPERIMENT_CONF.format(corpus=corpus) + f"{key} = {value}\n"
+    out = tmp_path / "exp"
+    assert run_experiment(corpus, out, conf) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key", [("train", "train.epoch"), ("experiment", "pairgen.max_rot"), ("bench", "noise.sigmaa")])
+def test_unknown_config_key_exits_3(corpus, archive, tmp_path, capsys, command, key):
+    conf = tmp_path / "run.conf"
+    conf.write_text(EXPERIMENT_CONF.format(corpus=corpus) + f"{key} = 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--pairs", str(archive), "--out", str(out), "--config", str(conf)],
+        "experiment": ["experiment", "--config", str(conf), "--out", str(out)],
+        "bench": ["bench", "--out", str(out), "--methods", "icp", "--sizes", "32", "--trials", "1", "--config", str(conf)],
+    }[command]
+    assert harness.main(argv) == 3
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_desk_script_config_accepted(corpus):
+    """Every key scripts/run_desk_protocols.sh writes is read, with its value."""
+    script = (Path(__file__).resolve().parents[1] / "scripts" / "run_desk_protocols.sh").read_text(encoding="utf-8")
+    common = dict(re.findall(r"^([a-z_.]+) = (.*)$", script, flags=re.M))
+    confs = re.findall(r'echo "experiment\.kind = (\w+)";\s+echo "methods = ([^"]*)"', script)
+    assert len(common) == 15 and len(confs) == 4
+    # The shell variables the script fills in.
+    common.update({"data.corpus": str(corpus), "train.epochs": "1", "seed": "0"})
+    for kind, methods in confs:
+        cfg = harness.experiment_config_from_values({**common, "experiment.kind": kind, "methods": methods})
+        assert cfg.kind == kind and cfg.train.batch_size == 8 and cfg.model.knn_k == 10
 
 
 def test_eval_cli_oracle_and_icp(corpus, tmp_path, capsys):
@@ -607,6 +639,22 @@ def test_unknown_model_key_exits_3(tmp_path, capsys, key):
     )
     assert rc == 3
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("register", "--max-iters", "-5"), ("eval", "--max-iters", "0"), ("eval", "--workers", "0"), ("bench", "--max-iters", "0"),
+])
+def test_count_flag_below_one_exits_2(archive, tmp_path, capsys, rng, command, flag, value):
+    src = write_cloud(tmp_path, rng.normal(size=(32, 3)), "s.xyz")
+    argv = {
+        "register": ["register", "--method", "icp", "--source", str(src), "--target", str(src)],
+        "eval": ["eval", "--method", "icp", "--pairs", str(archive)],
+        "bench": ["bench", "--methods", "icp", "--sizes", "32", "--trials", "1", "--out", str(tmp_path / "bench")],
+    }[command]
+    assert harness.main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    assert not (tmp_path / "bench").exists()
 
 
 def test_exit_code_for_missing_corpus(tmp_path, capsys):

@@ -89,9 +89,6 @@ def test_lr_schedule_desk_preset():
     cfg = train.TrainConfig()
     assert cfg.lr_milestones == (15, 30, 40)
     assert train.lr_schedule(20, cfg.base_lr, cfg.lr_milestones, cfg.lr_factor) == pytest.approx(1e-4)
-    full = train.TrainConfig.paper_schedule()
-    assert full.epochs == 250
-    assert full.lr_milestones == (75, 150, 200)
 
 
 # ---------------------------------------------------------------------------
