@@ -328,11 +328,14 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention, concatenated over heads.
 
-    ``q`` is (n, d), ``k`` and ``v`` are (m, d); head ``h`` owns columns
-    ``h*dk:(h+1)*dk`` with ``dk = d // heads``. The output is (n, d), head
-    ``h`` holding ``softmax(q_h k_h^T / sqrt(dk)) v_h``.
+    ``q`` is (..., n, d), ``k`` and ``v`` are (..., m, d) with the same
+    leading axes (a batch of pairs, say), each index attending on its own;
+    head ``h`` owns columns ``h*dk:(h+1)*dk`` with ``dk = d // heads``. The
+    output is (..., n, d), head ``h`` holding ``softmax(q_h k_h^T / sqrt(dk))
+    v_h``. A leading axis of size 1 gives the 2-D result bit for bit: each
+    product is the same GEMM on the same data.
 
-    The forward makes one (heads, n, m) buffer and runs every step in it:
+    The forward makes one (..., heads, n, m) buffer and runs every step in it:
     ``a = q_h @ k_h^T``, then ``a *= 1/sqrt(dk)`` (cast to the tensor
     dtype), then the softmax over each row (subtract the row max, exp,
     divide by the row sum), then ``a @ v_h``. These are the operations of
@@ -350,22 +353,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     _check_same_dtype(q, k, v)
     if heads < 1:
         raise InvalidInputError(f"attention: heads must be at least 1, got {heads}")
-    if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
-        raise ShapeError(f"attention: need q (n, d) and k, v (m, d), got {q.shape}, {k.shape}, {v.shape}")
-    (n, d), m = q.shape, k.shape[0]
+    if (
+        q.ndim < 2
+        or k.shape != v.shape
+        or q.shape[:-2] != k.shape[:-2]
+        or q.shape[-1] != k.shape[-1]
+    ):
+        raise ShapeError(
+            f"attention: need q (..., n, d) and k, v (..., m, d), got {q.shape}, {k.shape}, {v.shape}"
+        )
+    d, m = q.shape[-1], k.shape[-2]
     if m == 0 or d == 0 or d % heads:
         raise ShapeError(f"attention: needs m >= 1 keys and d >= 1 divisible by {heads} heads, got {k.shape}")
     dk = d // heads
 
     def split(x: np.ndarray) -> np.ndarray:
-        return x.reshape(x.shape[0], heads, dk).transpose(1, 0, 2)  # (heads, rows, dk) view
+        # (..., heads, rows, dk) view
+        return x.reshape(x.shape[:-1] + (heads, dk)).swapaxes(-3, -2)
 
     def merge(x: np.ndarray) -> np.ndarray:
-        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+        return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], d))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = np.asarray(1.0 / np.sqrt(dk), dtype=q.dtype)
-    a = qh @ kh.transpose(0, 2, 1)
+    a = qh @ kh.swapaxes(-1, -2)
     a *= scale
     _softmax(a, -1, out=a)
     ctx = a @ vh
@@ -373,12 +384,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     def bw(g):
         gh = split(g)
-        gv = np.swapaxes(a, 1, 2) @ gh
-        ds = gh @ vh.transpose(0, 2, 1)
+        gv = a.swapaxes(-1, -2) @ gh
+        ds = gh @ vh.swapaxes(-1, -2)
         ds -= (gh * ctx).sum(axis=-1, keepdims=True)
         ds *= a
         ds *= scale
-        return merge(ds @ kh), merge(np.swapaxes(ds, 1, 2) @ qh), merge(gv)
+        return merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh), merge(gv)
 
     return _record("attention", (q, k, v), out, bw)
 
@@ -498,6 +509,11 @@ def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     return _record("transpose", (x,), out, bw)
 
 
+def swap_last(x: Tensor) -> Tensor:
+    """Transpose of each matrix in ``x``: its last two axes swapped."""
+    return transpose(x, tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2))
+
+
 def reshape(x: Tensor, shape) -> Tensor:
     out = Tensor(x.data.reshape(shape))
 
@@ -508,19 +524,19 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fused ``x @ w + b`` over the last axis of ``x``."""
+    """Fused ``x @ w + b`` over the last axis of ``x``, as one GEMM on the
+    rows of ``x`` flattened over its leading axes."""
     _check_same_dtype(x, w, b)
     if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"affine: incompatible shapes x={x.shape}, w={w.shape}, b={b.shape}")
-    y = x.data @ w.data
+    x2 = x.data.reshape(-1, x.shape[-1])
+    y = x2 @ w.data
     y += b.data
-    out = Tensor(y)
+    out = Tensor(y.reshape(x.shape[:-1] + (w.shape[1],)))
 
     def bw(g):
-        gx = g @ w.data.T
-        x2 = x.data.reshape(-1, x.shape[-1])
         g2 = g.reshape(-1, w.shape[1])
-        return gx, x2.T @ g2, g2.sum(axis=0)
+        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
 
     return _record("affine", (x, w, b), out, bw)
 
@@ -597,6 +613,21 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, tr
             return g * gamma.data * inv_std, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _record("batch_norm", (x, gamma, beta), out, bw)
+
+
+def _first_argmax(idx: np.ndarray, signed: np.ndarray, spick: np.ndarray) -> np.ndarray:
+    """The ``signed`` row that attains ``spick`` for each (row, channel): of
+    the neighbors ``idx[i, t]`` with ``signed[idx[i, t]] == spick[i]``, the
+    lowest ``t``, as in ``max_reduce``; ``idx[i, 0]`` where none does.
+
+    One pass per neighbor slot keeps ``max(k - t)`` over the matching slots
+    in a byte-wide (wider for k >= 256) code, so the lowest slot wins."""
+    k = idx.shape[1]
+    code = np.min_scalar_type(k).type
+    best = np.zeros(spick.shape, dtype=code)
+    for t in range(k):
+        np.maximum(best, (signed[idx[:, t]] == spick) * code(k - t), out=best)
+    return np.take_along_axis(idx, (k - best) % k, axis=1)
 
 
 def edgeconv_bn_max(
@@ -700,12 +731,7 @@ def edgeconv_bn_max(
         g_gamma, g_beta = (dxhat * xhat).sum(axis=0), dxhat.sum(axis=0)
         dxhat *= gamma.data
         direct = dxhat * inv_std
-        # The lowest neighbor attaining the max takes the gradient, as in
-        # max_reduce: scanning down from the last one, it is written last.
-        argmax = np.repeat(idx[:, :1], c, axis=1)
-        for t in range(k - 1, -1, -1):
-            np.copyto(argmax, idx[:, t : t + 1], where=signed[idx[:, t]] == spick)
-        flat = (argmax * c + np.arange(c)).ravel()
+        flat = (_first_argmax(idx, signed, spick) * c + np.arange(c)).ravel()
         g_p = np.bincount(flat, weights=direct.ravel(), minlength=m * c).reshape(m, c)
         g_c = direct
         if training:
@@ -747,39 +773,47 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
 # ---------------------------------------------------------------------------
 
 def _svd_gap_check(s: np.ndarray) -> None:
-    mags = np.sort(np.abs(s))
-    gaps = (mags[1] - mags[0], mags[2] - mags[1])
-    if min(gaps) < SVD_GAP_TOL:
+    """Raise if any pair's singular-value magnitudes (rows of ``s``, one
+    per pair of the batch) lie closer than ``SVD_GAP_TOL``, naming each
+    such pair and its singular values."""
+    mags = np.sort(np.abs(s), axis=-1)
+    collapsed = np.flatnonzero(np.diff(mags, axis=-1).min(axis=-1) < SVD_GAP_TOL)
+    if collapsed.size:
+        pairs = "; ".join(f"pair {i} of {len(s)}: singular values {s[i]}" for i in collapsed)
         raise GradientSingularityError(
-            f"singular values {s} too close for a stable SVD differential (gap < {SVD_GAP_TOL})"
+            f"singular values too close for a stable SVD differential (gap < {SVD_GAP_TOL}): {pairs}"
         )
 
 
 def svd_rotation(h: Tensor) -> Tensor:
-    """Best-fit proper rotation of a 3x3 cross-covariance, differentiable.
+    """Best-fit proper rotation of a 3x3 cross-covariance, or of each in a
+    (B, 3, 3) stack, differentiable.
 
     Forward matches the closed-form alignment rotation ``V @ U.T`` with the
     signed-singular-value convention. Backward uses the analytic SVD
-    differential and fails loudly when singular values nearly coincide.
+    differential per matrix and fails loudly, naming the pair, when one
+    matrix's singular values nearly coincide.
     """
-    if h.shape != (3, 3):
-        raise ShapeError(f"svd_rotation expects a 3x3 input, got {h.shape}")
-    u, s, v = geo.svd3(np.asarray(h.data, dtype=np.float64))
-    out = Tensor((v @ u.T).astype(h.dtype))
+    if h.ndim not in (2, 3) or h.shape[-2:] != (3, 3):
+        raise ShapeError(f"svd_rotation expects a 3x3 input or a (B, 3, 3) stack, got {h.shape}")
+    u, s, v = geo.svd3(h.data)
+    ut, vt = np.swapaxes(u, -1, -2), np.swapaxes(v, -1, -2)
+    out = Tensor((v @ ut).astype(h.dtype))
 
     def bw(g):
-        _svd_gap_check(s)
+        _svd_gap_check(s.reshape(-1, 3))
         gr = np.asarray(g, dtype=np.float64)
-        u_bar = gr.T @ v  # d(V U^T)/dU adjoint
+        u_bar = np.swapaxes(gr, -1, -2) @ v  # d(V U^T)/dU adjoint
         v_bar = gr @ u
-        a_sym = 0.5 * (u.T @ u_bar - u_bar.T @ u)
-        b_sym = 0.5 * (v.T @ v_bar - v_bar.T @ v)
+        a_sym = 0.5 * (ut @ u_bar - np.swapaxes(u_bar, -1, -2) @ u)
+        b_sym = 0.5 * (vt @ v_bar - np.swapaxes(v_bar, -1, -2) @ v)
         s2 = s * s
-        denom = s2[None, :] - s2[:, None]
+        denom = s2[..., None, :] - s2[..., :, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             e = np.where(np.eye(3, dtype=bool), 0.0, 1.0 / denom)
-        q = 2.0 * (a_sym * e) @ np.diag(s) + 2.0 * np.diag(s) @ (b_sym * e)
-        gh = u @ q @ v.T
+        # (A * E) @ diag(s) scales columns by s; diag(s) @ (B * E) scales rows.
+        q = 2.0 * (a_sym * e) * s[..., None, :] + 2.0 * s[..., :, None] * (b_sym * e)
+        gh = u @ q @ vt
         return (gh.astype(h.dtype),)
 
     return _record("svd_rotation", (h,), out, bw)
@@ -788,21 +822,23 @@ def svd_rotation(h: Tensor) -> Tensor:
 def svd_rigid_head(src: Tensor, dst: Tensor) -> tuple[Tensor, Tensor]:
     """Differentiable closed-form alignment of matched point tensors.
 
-    Returns ``(rotation, translation)`` such that ``rotation @ x + t``
-    best aligns ``src`` to ``dst`` in the least-squares sense; gradients
-    of any scalar loss flow into both point sets.
+    ``src`` and ``dst`` are (N, 3), or (B, N, 3) for a batch of pairs.
+    Returns ``(rotation, translation)``, (3, 3) and (3,) or (B, 3, 3) and
+    (B, 3), such that ``rotation @ x + t`` best aligns ``src`` to ``dst`` in
+    the least-squares sense, per pair; gradients of any scalar loss flow
+    into both point sets.
     """
     _check_same_dtype(src, dst)
-    if src.ndim != 2 or src.shape[1] != 3 or src.shape != dst.shape:
-        raise ShapeError(f"svd_rigid_head expects matching (N, 3) tensors, got {src.shape} and {dst.shape}")
-    if src.shape[0] < 3:
-        raise InsufficientDataError(f"alignment needs at least 3 point pairs, got {src.shape[0]}")
-    cx = reshape(mean_reduce(src, axis=0), (1, 3))
-    cy = reshape(mean_reduce(dst, axis=0), (1, 3))
-    xc = sub(src, cx)
-    yc = sub(dst, cy)
-    h = matmul(transpose(xc), yc)
+    if src.ndim not in (2, 3) or src.shape[-1] != 3 or src.shape != dst.shape:
+        raise ShapeError(
+            f"svd_rigid_head expects matching (N, 3) or (B, N, 3) tensors, got {src.shape} and {dst.shape}"
+        )
+    if src.shape[-2] < 3:
+        raise InsufficientDataError(f"alignment needs at least 3 point pairs, got {src.shape[-2]}")
+    lead = src.shape[:-2]
+    cx = reshape(mean_reduce(src, axis=-2), lead + (1, 3))
+    cy = reshape(mean_reduce(dst, axis=-2), lead + (1, 3))
+    h = matmul(swap_last(sub(src, cx)), sub(dst, cy))
     r = svd_rotation(h)
-    rotated_cx = transpose(matmul(r, transpose(cx)))
-    t = reshape(sub(cy, rotated_cx), (3,))
+    t = reshape(sub(cy, matmul(cx, swap_last(r))), lead + (3,))
     return r, t

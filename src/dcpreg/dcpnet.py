@@ -80,6 +80,34 @@ def knn_graph(points, k: int) -> KnnGraph:
     return KnnGraph(k=k, indices=indices)
 
 
+def cloud_stack(clouds) -> tuple[np.ndarray, bool]:
+    """A (B, n, 3) float64 stack of clouds and whether it was one cloud.
+
+    ``clouds`` is one cloud (a ``PointCloud``, an (n, 3) array or a list of
+    points, B = 1), a (B, n, 3) array, or a list or tuple of clouds, which
+    must all have the same number of points: a batch with mixed sizes
+    raises ``ShapeError``.
+    """
+    if isinstance(clouds, (list, tuple)) and clouds and np.ndim(getattr(clouds[0], "points", clouds[0])) == 2:
+        pts = [geo._as_points(c) for c in clouds]
+        sizes = sorted({len(c) for c in pts})
+        if len(sizes) > 1:
+            raise ShapeError(f"a batch stacks clouds of one size, got clouds of {sizes} points")
+        return np.stack(pts), False
+    pts = np.asarray(getattr(clouds, "points", clouds), dtype=np.float64)
+    if pts.ndim == 3 and pts.shape[2] == 3 and len(pts):
+        return pts, False
+    return geo._as_points(pts)[None], True
+
+
+def batch_knn_graph(clouds: np.ndarray, k: int) -> KnnGraph:
+    """The kNN graphs of a (B, n, 3) stack as one graph on its (B*n) rows:
+    each cloud's graph from :func:`knn_graph`, offset by its row start, so
+    no edge joins two clouds."""
+    n = clouds.shape[1]
+    return KnnGraph(k, np.concatenate([knn_graph(c, k).indices + b * n for b, c in enumerate(clouds)]))
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -197,9 +225,13 @@ class _Builder:
 # ---------------------------------------------------------------------------
 
 def pointnet_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor:
-    """Shared per-point MLP; no information flows between points."""
+    """Shared per-point MLP; no information flows between points.
+
+    ``points`` is one cloud or a batch (see :func:`cloud_stack`), embedded
+    as one (B*n, c) row block; in training, batch norm's statistics cover
+    every point of every cloud."""
     cfg = model.config
-    f = ad.tensor(geo._as_points(points).astype(cfg.np_dtype))
+    f = ad.tensor(cloud_stack(points)[0].reshape(-1, 3).astype(cfg.np_dtype))
     widths = tuple(cfg.resolved_widths) + (cfg.emb_dims,)
     for i in range(len(widths)):
         name = f"embed.l{i}"
@@ -266,11 +298,15 @@ def edgeconv_layer(
 
 def dgcnn_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor:
     """Stacked edge convolutions; intermediate outputs concatenated into the
-    final layer. The neighbor graph is built once from input coordinates."""
+    final layer. The neighbor graph is built once from input coordinates.
+
+    ``points`` is one cloud or a batch (see :func:`cloud_stack`), embedded
+    as one (B*n, c) row block on :func:`batch_knn_graph`; in training, batch
+    norm's statistics cover every edge of every cloud."""
     cfg = model.config
-    pts = geo._as_points(points)
-    graph = knn_graph(pts, cfg.knn_k)
-    f = ad.tensor(pts.astype(cfg.np_dtype))
+    clouds, _ = cloud_stack(points)
+    graph = batch_knn_graph(clouds, cfg.knn_k)
+    f = ad.tensor(clouds.reshape(-1, 3).astype(cfg.np_dtype))
     layer_outputs = []
     for i in range(len(cfg.resolved_widths)):
         f = edgeconv_layer(f, graph, model, f"embed.l{i}", training)
@@ -280,9 +316,12 @@ def dgcnn_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor
 
 
 def embed_cloud(points, model: ModelParams, training: bool = False) -> ad.Tensor:
-    if model.config.embedding == "dgcnn":
-        return dgcnn_embed(points, model, training)
-    return pointnet_embed(points, model, training)
+    """Per-point embeddings (B, n, c) of a batch of B clouds, or of one
+    cloud (B = 1), computed as one row block."""
+    clouds, _ = cloud_stack(points)
+    embed = dgcnn_embed if model.config.embedding == "dgcnn" else pointnet_embed
+    f = embed(clouds, model, training)
+    return ad.reshape(f, clouds.shape[:2] + (f.shape[1],))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +374,9 @@ def transformer_attention(
 ) -> tuple[ad.Tensor, ad.Tensor]:
     """Co-contextual embeddings: each cloud's features plus a learned
     residual computed from both clouds. No positional encoding is used;
-    point index carries no information."""
-    if f_x.shape[1] != f_y.shape[1]:
+    point index carries no information. ``f_x`` (..., n, d) and ``f_y``
+    (..., m, d) may carry a leading batch axis."""
+    if f_x.shape[-1] != f_y.shape[-1]:
         raise ShapeError(f"embedding dims differ: {f_x.shape} vs {f_y.shape}")
     phi_x = ad.add(f_x, _cross_residual(f_x, f_y, model))
     phi_y = ad.add(f_y, _cross_residual(f_y, f_x, model))
@@ -349,18 +389,22 @@ def transformer_attention(
 
 def pointer_softmatch(phi_x: ad.Tensor, phi_y: ad.Tensor) -> ad.Tensor:
     """Row-stochastic soft assignment of each source point over targets,
-    from raw inner-product logits."""
-    if phi_x.shape[1] != phi_y.shape[1]:
+    from raw inner-product logits: (..., n, m) from (..., n, d) and
+    (..., m, d)."""
+    if phi_x.shape[-1] != phi_y.shape[-1]:
         raise ShapeError(f"embedding dims differ: {phi_x.shape} vs {phi_y.shape}")
-    return ad.softmax(ad.matmul(phi_x, ad.transpose(phi_y)), axis=1)
+    return ad.softmax(ad.matmul(phi_x, ad.swap_last(phi_y)), axis=-1)
 
 
 def soft_correspondence(match: ad.Tensor, y_points) -> ad.Tensor:
     """Blend target points by match weights: each row lands in the convex
-    hull of the target cloud."""
-    y = geo._as_points(y_points)
-    if match.shape[1] != y.shape[0]:
-        raise ShapeError(f"match columns {match.shape[1]} != target size {y.shape[0]}")
+    hull of the target cloud. ``match`` (n, m) takes one cloud, and (B, n,
+    m) a batch of B (see :func:`cloud_stack`)."""
+    y, single = cloud_stack(y_points)
+    if match.ndim == 2 and single:
+        y = y[0]
+    if match.shape[:-2] != y.shape[:-2] or match.shape[-1] != y.shape[-2]:
+        raise ShapeError(f"match {match.shape} does not fit target clouds {y.shape}")
     return ad.matmul(match, ad.constant(y.astype(match.dtype)))
 
 
@@ -373,34 +417,38 @@ _CROSS_GENERATORS = np.array(
 )
 
 
-def quaternion_to_rotation(quat: ad.Tensor) -> ad.Tensor:
-    """Differentiable unit-quaternion (w, x, y, z) to rotation matrix.
+def _quaternion_basis() -> np.ndarray:
+    """(16, 9) map from ``q q^T`` (flattened) to the flattened rotation of
+    a unit quaternion q = (w, v): ``R = (w^2 - v.v) I + 2 v v^T + 2 w [v]x``,
+    each term a quadratic form in q."""
+    eye = np.eye(3)
+    basis = np.zeros((4, 4, 3, 3))
+    basis[0, 0] = eye
+    basis[1:, 1:] = 2.0 * np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("ij,kl->ijkl", eye, eye)
+    basis[0, 1:] = 2.0 * _CROSS_GENERATORS
+    return basis.reshape(16, 9)
 
-    The quaternion is normalized internally; a norm below 1e-12 is a
+
+_QUATERNION_BASIS = _quaternion_basis()
+
+
+def quaternion_to_rotation(quat: ad.Tensor) -> ad.Tensor:
+    """Differentiable quaternion (w, x, y, z) to rotation matrix: (..., 4)
+    to (..., 3, 3).
+
+    The quaternion is normalized internally, as ``R(q) = (q q^T) B / |q|^2``
+    with B the quadratic basis of a unit quaternion; a norm below 1e-12 is a
     degenerate output."""
-    if quat.shape != (4,):
-        raise ShapeError(f"quaternion must have shape (4,), got {quat.shape}")
-    norm_sq = ad.sum_reduce(ad.mul(quat, quat))
-    if float(norm_sq.data) < 1e-24:
+    if quat.ndim < 1 or quat.shape[-1] != 4:
+        raise ShapeError(f"quaternion must have shape (..., 4), got {quat.shape}")
+    lead = quat.shape[:-1]
+    norm_sq = ad.sum_reduce(ad.mul(quat, quat), axis=-1)
+    if (norm_sq.data < 1e-24).any():
         raise DegenerateOutputError("quaternion norm below 1e-12; cannot build a rotation")
-    qn = ad.div(quat, ad.reshape(ad.sqrt(norm_sq), (1,)))
-    w = ad.gather(qn, np.array([0]))  # (1,)
-    v = ad.gather(qn, np.array([1, 2, 3]))  # (3,)
-    vcol = ad.reshape(v, (3, 1))
-    vvt = ad.matmul(vcol, ad.transpose(vcol))
-    w2 = ad.mul(w, w)
-    vtv = ad.reshape(ad.sum_reduce(ad.mul(v, v)), (1,))
-    eye = ad.constant(np.eye(3), dtype=quat.dtype)
-    term1 = ad.mul(ad.sub(w2, vtv), eye)
-    two = ad.constant(2.0, dtype=quat.dtype)
-    cross = None
-    for i in range(3):
-        gen = ad.constant(_CROSS_GENERATORS[i], dtype=quat.dtype)
-        part = ad.mul(ad.gather(v, np.array([i])), gen)
-        cross = part if cross is None else ad.add(cross, part)
-    term2 = ad.mul(two, vvt)
-    term3 = ad.mul(ad.mul(two, w), cross)
-    return ad.add(ad.add(term1, term2), term3)
+    outer = ad.matmul(ad.reshape(quat, lead + (4, 1)), ad.reshape(quat, lead + (1, 4)))
+    basis = ad.constant(_QUATERNION_BASIS, dtype=quat.dtype)
+    rotation = ad.reshape(ad.matmul(ad.reshape(outer, lead + (1, 16)), basis), lead + (3, 3))
+    return ad.div(rotation, ad.reshape(norm_sq, lead + (1, 1)))
 
 
 def mlp_head(
@@ -408,24 +456,24 @@ def mlp_head(
 ) -> tuple[ad.Tensor, ad.Tensor]:
     """Regression head: pooled global features to quaternion + translation.
 
-    Single-pair forward normalizes with running statistics (a batch of one
-    has no batch statistics); batched inputs would use batch statistics.
+    ``phi_x`` (B, n, d) and ``phi_y`` (B, m, d) give a rotation (B, 3, 3)
+    and a translation (B, 3) per pair. Each hidden layer's batch norm sees
+    the B pooled rows: in training it normalises with their statistics, so
+    it needs B >= 2; in inference it uses the running statistics.
     """
     p = model.params
-    gx = ad.reshape(ad.max_reduce(phi_x, axis=0), (1, phi_x.shape[1]))
-    gy = ad.reshape(ad.max_reduce(phi_y, axis=0), (1, phi_y.shape[1]))
-    h = ad.concat([gx, gy], axis=1)
-    bn_training = training and h.shape[0] >= 2
+    gx = ad.max_reduce(phi_x, axis=-2)
+    gy = ad.max_reduce(phi_y, axis=-2)
+    h = ad.concat([gx, gy], axis=-1)
     for i in range(len(model.config.mlp_head_widths)):
         name = f"head.fc{i}"
         h = ad.affine(h, p[f"{name}.w"], p[f"{name}.b"])
         h = ad.batch_norm(
-            h, p[f"{name}.bn.gamma"], p[f"{name}.bn.beta"], model.bn_states[f"{name}.bn"], bn_training
+            h, p[f"{name}.bn.gamma"], p[f"{name}.bn.beta"], model.bn_states[f"{name}.bn"], training
         )
         h = ad.relu(h)
-    quat = ad.reshape(ad.affine(h, p["head.rot.w"], p["head.rot.b"]), (4,))
-    rotation = quaternion_to_rotation(quat)
-    translation = ad.reshape(ad.affine(h, p["head.trans.w"], p["head.trans.b"]), (3,))
+    rotation = quaternion_to_rotation(ad.affine(h, p["head.rot.w"], p["head.rot.b"]))
+    translation = ad.affine(h, p["head.trans.w"], p["head.trans.b"])
     return rotation, translation
 
 
@@ -434,6 +482,8 @@ def mlp_head(
 # ---------------------------------------------------------------------------
 
 class DcpForward(NamedTuple):
+    """Outputs of :func:`dcp_forward`; a batch puts a leading B axis on each."""
+
     rotation: ad.Tensor  # (3, 3)
     translation: ad.Tensor  # (3,)
     match: ad.Tensor  # (N, M) row-stochastic
@@ -441,22 +491,39 @@ class DcpForward(NamedTuple):
 
 
 def dcp_forward(x_points, y_points, model: ModelParams, training: bool = False) -> DcpForward:
-    """Differentiable registration forward pass on one cloud pair."""
+    """Differentiable registration forward pass on one cloud pair, or on a
+    batch of B pairs.
+
+    ``x_points`` and ``y_points`` are each one cloud, or a batch of B
+    clouds (a list, or a (B, n, 3) array; see :func:`cloud_stack`). A
+    single pair runs as a batch of one, and its outputs drop the batch
+    axis. The B sources are embedded as one row block and the B targets as
+    another, so in training every batch norm of the embedding normalises
+    over the edges (DGCNN) or points (PointNet) of all B clouds, and the
+    MLP head's over the B pairs; inference uses the running statistics, so
+    each pair's output does not depend on the rest of the batch.
+    """
     cfg = model.config
-    f_x = embed_cloud(x_points, model, training)
-    f_y = embed_cloud(y_points, model, training)
+    xs, single = cloud_stack(x_points)
+    ys, _ = cloud_stack(y_points)
+    if len(xs) != len(ys):
+        raise ShapeError(f"a batch pairs {len(xs)} source clouds with {len(ys)} target clouds")
+    f_x = embed_cloud(xs, model, training)
+    f_y = embed_cloud(ys, model, training)
     if cfg.attention:
         phi_x, phi_y = transformer_attention(f_x, f_y, model)
     else:
         phi_x, phi_y = f_x, f_y
     match = pointer_softmatch(phi_x, phi_y)
-    soft_target = soft_correspondence(match, y_points)
+    soft_target = soft_correspondence(match, ys)
     if cfg.head == "svd":
-        src = ad.constant(geo._as_points(x_points).astype(cfg.np_dtype))
-        rotation, translation = ad.svd_rigid_head(src, soft_target)
+        rotation, translation = ad.svd_rigid_head(ad.constant(xs.astype(cfg.np_dtype)), soft_target)
     else:
         rotation, translation = mlp_head(phi_x, phi_y, model, training)
-    return DcpForward(rotation, translation, match, soft_target)
+    out = DcpForward(rotation, translation, match, soft_target)
+    if single:
+        return DcpForward(*(ad.reshape(t, t.shape[1:]) for t in out))
+    return out
 
 
 def dcp_predict(x_points, y_points, model: ModelParams) -> geo.RigidTransform:
@@ -478,14 +545,29 @@ def _nearest_rotation(rotation: np.ndarray) -> np.ndarray:
     return u @ v.T
 
 
-def dcp_loss(rotation: ad.Tensor, translation: ad.Tensor, gt: geo.RigidTransform) -> ad.Tensor:
+def dcp_loss(rotation: ad.Tensor, translation: ad.Tensor, gt) -> ad.Tensor:
     """Squared alignment error against the generating motion,
     ``|R^T Rg - I|_F^2 + |t - tg|^2``. The paper's ``lambda * |theta|^2``
-    penalty is Adam's weight decay (``TrainConfig.weight_decay``)."""
+    penalty is Adam's weight decay (``TrainConfig.weight_decay``).
+
+    ``gt`` is one ``RigidTransform`` for a (3, 3) rotation and (3,)
+    translation, or a sequence of B of them for a batch, (B, 3, 3) and
+    (B, 3); a batch gives the mean of its B pair losses."""
+    single = isinstance(gt, geo.RigidTransform)
+    gts = [gt] if single else list(gt)
+    rg = np.stack([g.rotation for g in gts])
+    tg = np.stack([g.translation for g in gts])
+    if single:
+        rg, tg = rg[0], tg[0]
+    if rotation.shape != rg.shape or translation.shape != tg.shape:
+        raise ShapeError(
+            f"dcp_loss: {len(gts)} ground truths for rotation {rotation.shape} and translation {translation.shape}"
+        )
     dtype = rotation.dtype
-    rg = ad.constant(np.asarray(gt.rotation, dtype=dtype))
-    tg = ad.constant(np.asarray(gt.translation, dtype=dtype))
     eye = ad.constant(np.eye(3), dtype=dtype)
-    dr = ad.sub(ad.matmul(ad.transpose(rotation), rg), eye)
-    dt = ad.sub(translation, tg)
-    return ad.add(ad.sum_reduce(ad.mul(dr, dr)), ad.sum_reduce(ad.mul(dt, dt)))
+    dr = ad.sub(ad.matmul(ad.swap_last(rotation), ad.constant(rg, dtype=dtype)), eye)
+    dt = ad.sub(translation, ad.constant(tg, dtype=dtype))
+    total = ad.add(ad.sum_reduce(ad.mul(dr, dr)), ad.sum_reduce(ad.mul(dt, dt)))
+    if single:
+        return total
+    return ad.mul(total, ad.constant(1.0 / len(gts), dtype=dtype))

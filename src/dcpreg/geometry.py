@@ -130,26 +130,29 @@ def matrix_to_euler_zyx(rotation: np.ndarray) -> EulerAngles:
 
 
 def svd3(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed SVD of a 3x3 matrix: ``m = u @ diag(s) @ v.T``.
+    """Signed SVD of a 3x3 matrix, or of each in a (B, 3, 3) stack:
+    ``m = u @ diag(s) @ v.T``.
 
     LAPACK SVD with one sign convention on top: ``u`` and ``v`` are proper
     rotations (det = +1); any reflection sign is absorbed into the last
     entry of ``s``, so ``s`` is descending with ``s[2]`` possibly negative.
+    A stack gives (B, 3, 3), (B, 3) and (B, 3, 3) arrays, each matrix's
+    equal to its own SVD bit for bit.
     """
     a = np.array(m, dtype=np.float64)
-    if a.shape != (3, 3):
-        raise InvalidInputError(f"expected a 3x3 matrix, got shape {a.shape}")
+    if a.shape[-2:] != (3, 3) or a.ndim not in (2, 3):
+        raise InvalidInputError(f"expected a 3x3 matrix or a (B, 3, 3) stack, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix entries must be finite")
 
     u, sigma, vt = np.linalg.svd(a)
-    v = vt.T
-    if np.linalg.det(u) < 0.0:
-        u[:, 2] = -u[:, 2]
-        sigma[2] = -sigma[2]
-    if np.linalg.det(v) < 0.0:
-        v[:, 2] = -v[:, 2]
-        sigma[2] = -sigma[2]
+    v = vt.swapaxes(-1, -2)
+    for w in (u, v):
+        flip = np.linalg.det(w) < 0.0
+        if np.count_nonzero(flip):
+            sign = np.where(flip, -1.0, 1.0)
+            w[..., :, 2] *= sign[..., None]
+            sigma[..., 2] *= sign
     return u, sigma, v
 
 

@@ -45,15 +45,20 @@ class UsageError(DcpregError):
 # ---------------------------------------------------------------------------
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """The ``key = value`` lines of ``text``; a key set twice is a ``DataError``."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise DataError(f"config line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise DataError(f"config key {key} is set twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
+        values[key] = value
     return values
 
 
@@ -482,6 +487,12 @@ def cmd_train(args) -> int:
         model_cfg = replace(model_cfg, attention=False)
     tcfg = _from_values(train_mod.TrainConfig, TRAIN_KEYS, values, seed=seed, out_dir=args.out)
     pairs = dataio.read_pair_archive(args.pairs)
+    sizes = sorted({(len(p.source.points), len(p.target.points)) for p in pairs})
+    if len(sizes) > 1 and tcfg.batch_size > 1:
+        raise DataError(
+            f"{args.pairs}: training batches stack their pairs, so the pairs need one source size and one"
+            f" target size; found (source, target) sizes {sizes}"
+        )
     val_pairs = dataio.read_pair_archive(args.val_pairs) if args.val_pairs else None
     model, log = train_mod.train(model_cfg, pairs, val_pairs, tcfg)
     final = Path(args.out) / "checkpoints" / "model_final.dcpk"

@@ -160,6 +160,16 @@ class TrainConfig:
             raise InvalidInputError(f"train.checkpoint_every must be at least 0, got {self.checkpoint_every}")
 
 
+def _batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    """``order`` cut into batches of ``batch_size``; a trailing batch of one
+    pair joins the batch before it, so batch norm never trains on a lone
+    pair when batches hold more than one."""
+    starts = list(range(0, len(order), batch_size))
+    if batch_size > 1 and len(starts) > 1 and len(order) - starts[-1] == 1:
+        starts.pop()
+    return [order[s:e] for s, e in zip(starts, starts[1:] + [len(order)])]
+
+
 LOG_COLUMNS = ("epoch", "lr", "train_loss", "grad_norm") + Metrics.COLUMNS
 
 
@@ -182,6 +192,17 @@ def train(
 ) -> tuple[dcpnet.ModelParams, list[dict]]:
     """Train a registration model; returns final parameters and the log.
 
+    Each epoch shuffles the training pairs into batches of
+    ``cfg.batch_size`` (a trailing lone pair joins the batch before it).
+    A step is one forward of the whole batch on one tape, as
+    :func:`dcpnet.dcp_forward` on B pairs, one backward of the batch-mean
+    loss, and one Adam update. Batch norm therefore trains on statistics
+    over the batch: in the embedding, over every edge (or point) of its B
+    source clouds and, separately, of its B target clouds; in the MLP head,
+    over its B pairs. The pairs of a batch must share one source size and
+    one target size (``ShapeError`` otherwise), and the MLP head needs
+    batches of at least two pairs (``InvalidInputError`` before training).
+
     The log holds one row per epoch: learning rate, mean training loss, the
     mean over batches of the global L2 norm of the gradient Adam receives,
     and validation metrics. A non-finite loss aborts with the most recent
@@ -203,6 +224,11 @@ def train(
         val_pairs = train_pairs[len(train_pairs) - n_val :]
         train_pairs = train_pairs[: len(train_pairs) - n_val]
 
+    if model_cfg.head == "mlp" and min(cfg.batch_size, len(train_pairs)) < 2:
+        raise InvalidInputError(
+            f"the MLP head's batch norm trains on batches of at least 2 pairs; got batch_size {cfg.batch_size}"
+            f" and {len(train_pairs)} training pair(s)"
+        )
     model = dcpnet.ModelParams.initialize(model_cfg, seed=init_seed)
     state = OptimizerState(lr=cfg.base_lr, weight_decay=cfg.weight_decay)
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
@@ -215,27 +241,17 @@ def train(
         order = shuffle_rng.permutation(len(train_pairs))
         epoch_loss = 0.0
         grad_norms = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+        for batch in _batches(order, cfg.batch_size):
+            pairs = [train_pairs[idx] for idx in batch]
             model.zero_grad()
-            batch_loss = 0.0
-            for idx in batch:
-                pair = train_pairs[idx]
-                with ad.Tape() as tape:
-                    out = dcpnet.dcp_forward(pair.source, pair.target, model, training=True)
-                    loss = dcpnet.dcp_loss(out.rotation, out.translation, pair.ground_truth)
-                if not np.isfinite(loss.data):
-                    raise NumericalError(
-                        f"non-finite training loss at epoch {epoch}; last checkpoint retained"
-                    )
-                ad.backward(tape, loss)
-                batch_loss += loss.item()
-            epoch_loss += batch_loss
-            scale = 1.0 / len(batch)
-            grads = {
-                name: (p.grad * scale).astype(p.dtype) if p.grad is not None else None
-                for name, p in model.params.items()
-            }
+            with ad.Tape() as tape:
+                out = dcpnet.dcp_forward([p.source for p in pairs], [p.target for p in pairs], model, training=True)
+                loss = dcpnet.dcp_loss(out.rotation, out.translation, [p.ground_truth for p in pairs])
+            if not np.isfinite(loss.data):
+                raise NumericalError(f"non-finite training loss at epoch {epoch}; last checkpoint retained")
+            ad.backward(tape, loss)
+            epoch_loss += loss.item() * len(pairs)
+            grads = {name: p.grad for name, p in model.params.items()}
             squares = (np.square(g, dtype=np.float64).sum() for g in grads.values() if g is not None)
             grad_norms.append(math.sqrt(sum(squares)))
             adam_step(model.params, grads, state)

@@ -191,16 +191,19 @@ def case_attention(rng):
 def reference_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, heads: int) -> ad.Tensor:
     """Multi-head attention composed from tape primitives, as the model did
     before ``ad.attention``: split heads, q_h k_h^T, scale, softmax, times
-    v_h, merge heads."""
-    n, d = q.shape
+    v_h, merge heads. Leading axes (a batch of pairs) ride along."""
+    *lead, n, d = q.shape
+    lead = tuple(lead)
     dk = d // heads
-    qh = ad.transpose(ad.reshape(q, (n, heads, dk)), (1, 0, 2))
-    kh = ad.transpose(ad.reshape(k, (k.shape[0], heads, dk)), (1, 0, 2))
-    vh = ad.transpose(ad.reshape(v, (v.shape[0], heads, dk)), (1, 0, 2))
-    logits = ad.matmul(qh, ad.transpose(kh, (0, 2, 1)))
+    heads_first = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
+
+    def split(x):
+        return ad.transpose(ad.reshape(x, lead + (x.shape[-2], heads, dk)), heads_first)
+
+    logits = ad.matmul(split(q), ad.swap_last(split(k)))
     logits = ad.mul(logits, ad.constant(1.0 / np.sqrt(dk), dtype=logits.dtype))
-    ctx = ad.matmul(ad.softmax(logits, axis=2), vh)
-    return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (n, d))
+    ctx = ad.matmul(ad.softmax(logits, axis=-1), split(v))
+    return ad.reshape(ad.transpose(ctx, heads_first), lead + (n, d))
 
 
 def case_batch_norm_training(rng):
@@ -296,6 +299,32 @@ def case_svd_rigid_head(rng):
     return forward, [src, dst]
 
 
+def case_svd_rotation_stacked(rng):
+    """Three cross-covariances in one (3, 3, 3) stack."""
+    hs = []
+    for _ in range(3):
+        src, dst = _well_separated_cloud(rng)
+        hs.append((src - src.mean(0)).T @ (dst - dst.mean(0)))
+    h = ad.tensor(np.stack(hs), requires_grad=True)
+    w = _weights(rng, (3, 3, 3))
+    return lambda: ad.sum_reduce(ad.mul(w, ad.svd_rotation(h))), [h]
+
+
+def case_svd_rigid_head_stacked(rng):
+    """Two matched clouds in one (2, 6, 3) batch."""
+    src_v, dst_v = zip(*(_well_separated_cloud(rng) for _ in range(2)))
+    src = ad.tensor(np.stack(src_v), requires_grad=True)
+    dst = ad.tensor(np.stack(dst_v), requires_grad=True)
+    wr = _weights(rng, (2, 3, 3))
+    wt = _weights(rng, (2, 3))
+
+    def forward():
+        r, t = ad.svd_rigid_head(src, dst)
+        return ad.add(ad.sum_reduce(ad.mul(wr, r)), ad.sum_reduce(ad.mul(wt, t)))
+
+    return forward, [src, dst]
+
+
 PRIMITIVE_CASES = [
     case_add,
     case_sub,
@@ -322,4 +351,6 @@ PRIMITIVE_CASES = [
     case_edgeconv_bn_max_eval,
     case_layer_norm,
     case_svd_rotation,
+    case_svd_rotation_stacked,
+    case_svd_rigid_head_stacked,
 ]

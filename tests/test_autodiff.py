@@ -135,6 +135,37 @@ def test_attention_matches_composition(dtype, heads):
         assert np.abs(fused - composed).max() <= tol * np.abs(composed).max()
 
 
+def test_attention_batch_of_one_is_bit_equal_at_1024_points(rng):
+    """A leading axis of size 1 runs the same GEMMs on the same data as the
+    2-D call: forward and backward are equal bit for bit."""
+    q, k, v = (rng.normal(scale=2.0, size=(1024, 32)).astype(np.float32) for _ in range(3))
+    g = rng.normal(size=(1024, 32)).astype(np.float32)
+    flat_out, flat_grads = backward_of(lambda *t: ad.attention(*t, 4), [ad.tensor(a, requires_grad=True) for a in (q, k, v)], g)
+    out, grads = backward_of(lambda *t: ad.attention(*t, 4), [ad.tensor(a[None], requires_grad=True) for a in (q, k, v)], g[None])
+    assert out.shape == (1, 1024, 32)
+    assert np.array_equal(out.data[0], flat_out.data)
+    for got, want in zip(grads, flat_grads):
+        assert np.array_equal(got[0], want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_batch_attends_per_index(rng, dtype):
+    """Each index of the leading axis attends on its own: a (3, n, d) batch
+    gives the three 2-D results."""
+    q = rng.normal(scale=2.0, size=(3, 7, 8)).astype(dtype)
+    k, v = (rng.normal(scale=2.0, size=(3, 5, 8)).astype(dtype) for _ in range(2))
+    g = rng.normal(size=(3, 7, 8)).astype(dtype)
+    out, grads = backward_of(lambda *t: ad.attention(*t, 2), [ad.tensor(a, requires_grad=True) for a in (q, k, v)], g)
+    tol = 1e-6 if dtype == np.float32 else 1e-15
+    for b in range(3):
+        one, one_grads = backward_of(
+            lambda *t: ad.attention(*t, 2), [ad.tensor(a[b], requires_grad=True) for a in (q, k, v)], g[b]
+        )
+        assert np.allclose(out.data[b], one.data, rtol=tol, atol=tol)
+        for got, want in zip(grads, one_grads):
+            assert np.allclose(got[b], want, rtol=tol, atol=tol)
+
+
 def test_attention_leaves_inputs_and_gradient_unchanged(rng):
     q, k, v = attention_inputs(rng, np.float64)
     g = rng.normal(size=(7, 8))
@@ -154,6 +185,8 @@ def test_attention_shape_errors():
         ad.attention(q, ad.tensor(np.zeros((3, 4))), ad.tensor(np.zeros((3, 4))), 2)  # widths differ
     with pytest.raises(ShapeError):
         ad.attention(q, ad.tensor(np.zeros((0, 6))), ad.tensor(np.zeros((0, 6))), 2)  # no keys
+    with pytest.raises(ShapeError):
+        ad.attention(ad.tensor(np.zeros((2, 4, 6))), kv, kv, 2)  # leading axes differ
     with pytest.raises(InvalidInputError):
         ad.attention(q, kv, kv, 0)
     with pytest.raises(InvalidInputError):
@@ -335,6 +368,30 @@ def test_edgeconv_bn_max_leaves_inputs_and_gradient_unchanged(rng, training):
     assert [gr.shape for gr in grads] == [(9, 5), (7, 5), (5,), (5,)]
 
 
+def looped_first_argmax(idx, signed, spick):
+    """The argmax scan the slot code replaced: scanning down from the last
+    neighbor, each match overwrites, so the lowest one is written last."""
+    argmax = np.repeat(idx[:, :1], spick.shape[1], axis=1)
+    for t in range(idx.shape[1] - 1, -1, -1):
+        np.copyto(argmax, idx[:, t : t + 1], where=signed[idx[:, t]] == spick)
+    return argmax
+
+
+@pytest.mark.parametrize("k", [1, 3, 10, 260], ids=lambda k: f"k{k}")
+def test_first_argmax_matches_loop(rng, k):
+    """Rounded values tie often; gamma has both signs, +0 and -0 (where every
+    neighbor ties), and k = 260 needs a code wider than a byte."""
+    m, c = max(k + 1, 40), 6
+    per_point = np.round(rng.normal(size=(m, c)), 1)
+    s = np.sign(np.array([1.5, -0.5, 0.0, -0.0, 2.0, -3.0]))
+    idx = np.array([rng.choice(m, size=k, replace=False) for _ in range(50)])
+    signed = per_point * s
+    spick = signed[idx].max(axis=1)
+    got = ad._first_argmax(idx, signed, spick)
+    assert np.array_equal(got, looped_first_argmax(idx, signed, spick))
+    assert np.array_equal(got[:, 2:4], np.repeat(idx[:, :1], 2, axis=1))  # gamma = +-0: neighbor 0
+
+
 def test_edgeconv_bn_max_moments_do_not_cancel(rng):
     """float32 features sharing an offset of 1e3: E[h^2] - mu^2 would lose
     every digit of the variance, the centred float64 moments keep them."""
@@ -441,9 +498,28 @@ def test_head_equal_singular_values_raise():
         ad.backward(tape, loss)
 
 
+def test_head_names_the_collapsed_pair(rng):
+    """In a batch of three, pair 1's soft targets are all one point, so its
+    cross-covariance is 0: the backward names that pair and its singular
+    values, and no other pair."""
+    src_v = rng.normal(size=(3, 6, 3))
+    dst_v = src_v + 0.1 * rng.normal(size=(3, 6, 3))
+    dst_v[1] = dst_v[1, 0]
+    src, dst = ad.tensor(src_v, requires_grad=True), ad.tensor(dst_v, requires_grad=True)
+    with ad.Tape() as tape:
+        r, _ = ad.svd_rigid_head(src, dst)
+        loss = ad.sum_reduce(ad.mul(r, r))
+    assert r.shape == (3, 3, 3)
+    with pytest.raises(GradientSingularityError, match=r"pair 1 of 3: singular values \[") as exc:
+        ad.backward(tape, loss)
+    assert "pair 0" not in str(exc.value) and "pair 2" not in str(exc.value)
+
+
 def test_head_input_validation():
     good = ad.tensor(np.zeros((4, 3)))
     with pytest.raises(ShapeError):
         ad.svd_rigid_head(good, ad.tensor(np.zeros((5, 3))))
     with pytest.raises(InsufficientDataError):
         ad.svd_rigid_head(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((2, 3))))
+    with pytest.raises(ShapeError):
+        ad.svd_rigid_head(ad.tensor(np.zeros((2, 4, 3))), ad.tensor(np.zeros((3, 4, 3))))

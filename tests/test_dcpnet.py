@@ -573,6 +573,94 @@ def test_forward_gradients_tiny_model(rng):
 
 
 # ---------------------------------------------------------------------------
+# batched forward
+# ---------------------------------------------------------------------------
+
+def with_running_stats(model, rng):
+    """``model`` with random running statistics, so eval mode is not plain
+    identity normalisation."""
+    for st in model.bn_states.values():
+        st.running_mean = rng.normal(scale=0.3, size=st.running_mean.shape).astype(st.running_mean.dtype)
+        st.running_var = rng.uniform(0.5, 2.0, size=st.running_var.shape).astype(st.running_var.dtype)
+    return model
+
+
+@pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-5)])
+@pytest.mark.parametrize(
+    "cfg",
+    [TINY_V2, replace(TINY_V1, head="mlp", mlp_head_widths=(8, 4)), replace(TINY_V1, embedding="pointnet")],
+    ids=["v2", "v1-mlp", "v1-pointnet"],
+)
+def test_eval_batched_forward_equals_single_forwards(rng, cfg, dtype, tol):
+    """Inference normalises with running statistics, so a pair's outputs do
+    not depend on the rest of its batch."""
+    model = with_running_stats(dcpnet.ModelParams.initialize(replace(cfg, dtype=dtype), seed=31), rng)
+    randomize_attention_output(model, rng)
+    if cfg.head == "mlp":  # keep the quaternion away from 0 where ReLU zeroes the hidden rows
+        model.params["head.rot.b"].data[0] = 1.0
+    xs = [unit_points(rng, 16) for _ in range(3)]
+    ys = [unit_points(rng, 12) for _ in range(3)]
+    batch = dcpnet.dcp_forward(xs, ys, model)
+    assert batch.rotation.shape == (3, 3, 3) and batch.match.shape == (3, 16, 12)
+    for b in range(3):
+        one = dcpnet.dcp_forward(xs[b], ys[b], model)
+        for got, want in zip(batch, one):
+            assert got.dtype == np.dtype(dtype)
+            assert np.abs(got.data[b] - want.data).max() <= tol * np.abs(want.data).max()
+
+
+def per_edge_layer0(cloud, model, k):
+    """Layer 0's pre-activations ``x_i @ Wa + (x_j - x_i) @ Wb``, one row per
+    edge of the cloud's own kNN graph."""
+    idx = dcpnet.knn_graph(cloud, k).indices
+    wa, wb = model.params["embed.l0.wa"].data, model.params["embed.l0.wb"].data
+    xi = np.repeat(cloud, k, axis=0)
+    return xi @ wa + (cloud[idx.ravel()] - xi) @ wb
+
+
+def test_training_batch_norm_statistics_span_the_batch(rng):
+    """One batched training-mode embed: layer 0's batch statistics are the
+    mean and variance over every edge of the B clouds together, not of any
+    one cloud."""
+    model = dcpnet.ModelParams.initialize(TINY_V1, seed=32)
+    state = model.bn_states["embed.l0.bn"]
+    state.momentum = 1.0  # the running statistics become the batch's
+    clouds = np.stack([unit_points(rng, 16) * s for s in (0.5, 1.0, 2.0)])
+    f = dcpnet.embed_cloud(clouds, model, training=True)
+    assert f.shape == (3, 16, TINY_V1.emb_dims)
+    edges = np.concatenate([per_edge_layer0(c, model, TINY_V1.knn_k) for c in clouds])
+    assert np.allclose(state.running_mean, np.mean(edges, axis=0), rtol=1e-12, atol=1e-14)
+    assert np.allclose(state.running_var, np.var(edges, axis=0), rtol=1e-12, atol=1e-14)
+    one_cloud = np.var(per_edge_layer0(clouds[0], model, TINY_V1.knn_k), axis=0)
+    assert np.abs(one_cloud - state.running_var).max() > 0.1 * state.running_var.max()
+
+
+def test_batch_graph_offsets_each_cloud(rng):
+    clouds = np.stack([unit_points(rng, 10) for _ in range(3)])
+    graph = dcpnet.batch_knn_graph(clouds, 4)
+    assert graph.indices.shape == (30, 4)
+    for b, cloud in enumerate(clouds):
+        rows = graph.indices[10 * b : 10 * (b + 1)]
+        assert np.array_equal(rows, dcpnet.knn_graph(cloud, 4).indices + 10 * b)
+
+
+def test_cloud_stack_forms(rng):
+    pts = unit_points(rng, 9)
+    for one in (pts, pts.tolist()):
+        stack, single = dcpnet.cloud_stack(one)
+        assert single and stack.shape == (1, 9, 3)
+    stack, single = dcpnet.cloud_stack([pts, pts])
+    assert not single and stack.shape == (2, 9, 3)
+    assert not dcpnet.cloud_stack(stack)[1]
+    with pytest.raises(ShapeError, match=r"\[9, 10\]"):
+        dcpnet.cloud_stack([pts, unit_points(rng, 10)])
+    with pytest.raises(ShapeError):
+        dcpnet.dcp_forward([pts, pts], [pts], dcpnet.ModelParams.initialize(TINY_V1, seed=0))
+    with pytest.raises(InvalidInputError):
+        dcpnet.cloud_stack([])
+
+
+# ---------------------------------------------------------------------------
 # mlp head
 # ---------------------------------------------------------------------------
 
@@ -615,24 +703,29 @@ def test_mlp_head_outputs_proper_rotation(rng):
 
 
 def test_mlp_head_gradients(rng):
+    """A training batch of two pairs: the head's batch norm normalises over
+    the two pooled rows. A lone pair has no batch statistics to train on."""
     cfg = replace(TINY_V1, head="mlp", mlp_head_widths=(8, 4))
     model = dcpnet.ModelParams.initialize(cfg, seed=17)
-    x, y = unit_points(np.random.default_rng(3), 8), unit_points(np.random.default_rng(4), 8)
-    gt = geo.RigidTransform(random_rotation(np.random.default_rng(5)), np.zeros(3))
+    xs = [unit_points(np.random.default_rng(3), 8), unit_points(np.random.default_rng(6), 8)]
+    ys = [unit_points(np.random.default_rng(4), 8), unit_points(np.random.default_rng(7), 8)]
+    gts = [geo.RigidTransform(random_rotation(np.random.default_rng(s)), np.zeros(3)) for s in (5, 8)]
 
     def forward():
-        out = dcpnet.dcp_forward(x, y, model, training=True)
-        return dcpnet.dcp_loss(out.rotation, out.translation, gt)
+        out = dcpnet.dcp_forward(xs, ys, model, training=True)
+        return dcpnet.dcp_loss(out.rotation, out.translation, gts)
 
     model.zero_grad()
     with ad.Tape() as tape:
         loss = forward()
     assert np.isfinite(loss.data)
     ad.backward(tape, loss)
-    for name in ("head.fc0.w", "head.rot.w", "head.trans.b"):
+    for name in ("head.fc0.w", "head.fc1.bn.gamma", "head.rot.w", "head.trans.b"):
         p = model.params[name]
         num = numeric_grad(lambda: forward().item(), p)
         gradcheck.assert_grads_close(p.grad, num, 1e-4, name)
+    with pytest.raises(InvalidInputError):
+        dcpnet.dcp_forward(xs[0], ys[0], model, training=True)
 
 
 def test_mlp_head_zero_rot_weights_degenerate(rng):
@@ -665,3 +758,14 @@ def test_loss_half_turn_about_z():
     pred_r = geo.euler_zyx_to_matrix(math.pi, 0.0, 0.0)
     loss = dcpnet.dcp_loss(ad.tensor(pred_r), ad.tensor(np.zeros(3)), gt)
     assert np.isclose(loss.item(), 8.0)
+
+
+def test_loss_of_a_batch_is_the_mean_of_its_pairs(rng):
+    gts = [geo.RigidTransform(random_rotation(rng), rng.normal(size=3)) for _ in range(3)]
+    rotations = np.stack([random_rotation(rng) for _ in range(3)])
+    translations = rng.normal(size=(3, 3))
+    batch = dcpnet.dcp_loss(ad.tensor(rotations), ad.tensor(translations), gts)
+    singles = [dcpnet.dcp_loss(ad.tensor(r), ad.tensor(t), gt).item() for r, t, gt in zip(rotations, translations, gts)]
+    assert batch.item() == pytest.approx(np.mean(singles), rel=1e-14)
+    with pytest.raises(ShapeError):
+        dcpnet.dcp_loss(ad.tensor(rotations), ad.tensor(translations), gts[:2])

@@ -152,6 +152,20 @@ def test_svd3_reflection_sign_absorbed(rng):
         assert s[2] < 0  # negative determinant shows up in the last value
 
 
+def test_svd3_stack_equals_each_matrix(rng):
+    """A (B, 3, 3) stack gives each matrix's signed SVD bit for bit, with
+    reflections (flipped u, v or both) and a rank-deficient member."""
+    stack = np.stack([random_spd_free_matrix(rng) for _ in range(6)] + [rank2_matrix(rng), np.zeros((3, 3))])
+    stack[1, :, 0] *= -1.0
+    u, s, v = geo.svd3(stack)
+    assert (u.shape, s.shape, v.shape) == ((8, 3, 3), (8, 3), (8, 3, 3))
+    for b, m in enumerate(stack):
+        for got, want in zip((u[b], s[b], v[b]), geo.svd3(m)):
+            assert np.array_equal(got, want)
+    with pytest.raises(InvalidInputError):
+        geo.svd3(np.zeros((2, 2, 3, 3)))
+
+
 def test_svd3_rank_deficient(rng):
     a = rng.normal(size=3)
     b = rng.normal(size=3)

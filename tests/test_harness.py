@@ -479,6 +479,24 @@ def test_train_malformed_number_exits_3(archive, tmp_path, capsys):
     assert "model.widths" in capsys.readouterr().err
 
 
+def test_train_cli_mixed_cloud_sizes_exits_3(corpus, archive, tmp_path, capsys):
+    """Batches stack their pairs, so an archive mixing cloud sizes is a data
+    error, named before training starts, unless every batch holds one pair."""
+    bigger = tmp_path / "bigger"
+    assert harness.main(["gen-data", "--corpus", str(corpus), "--out", str(bigger), "--seed", "5", "--n-points", "40"]) == 0
+    mixed = tmp_path / "mixed"
+    pairs = dataio.read_pair_archive(archive)[:3] + dataio.read_pair_archive(bigger)[:3]
+    dataio.write_pair_archive(pairs, mixed)
+    conf = tmp_path / "model.conf"
+    for batch_size, code in ((4, 3), (1, 0)):
+        conf.write_text(TINY_MODEL_CONF + f"train.batch_size = {batch_size}\ntrain.epochs = 1\n", encoding="utf-8")
+        out = tmp_path / f"run{batch_size}"
+        assert harness.main(["train", "--pairs", str(mixed), "--out", str(out), "--config", str(conf), "--seed", "3"]) == code
+    err = capsys.readouterr().err
+    assert "(32, 32), (40, 40)" in err and "Traceback" not in err
+    assert not (tmp_path / "run4").exists()
+
+
 @pytest.mark.parametrize("fraction", ["3", "-0.1", "1.0"])
 def test_train_val_fraction_outside_unit_interval_exits_3(archive, tmp_path, capsys, fraction):
     conf = tmp_path / "model.conf"
@@ -567,6 +585,32 @@ def test_unknown_config_key_exits_3(corpus, archive, tmp_path, capsys, command, 
     assert harness.main(argv) == 3
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_parse_config_text_rejects_repeated_key():
+    with pytest.raises(DataError, match="train.epochs is set twice, on lines 2 and 4"):
+        harness.parse_config_text("seed = 0\ntrain.epochs = 1\n# later\ntrain.epochs = 3\n")
+
+
+@pytest.mark.parametrize("command", ["train", "experiment", "bench"])
+def test_repeated_config_key_exits_3(corpus, archive, tmp_path, capsys, command):
+    """A key set twice is as likely a slip as a misspelt one; before, the
+    last line won silently."""
+    text = EXPERIMENT_CONF.format(corpus=corpus)
+    first = text.splitlines().index("model.knn_k = 4") + 1
+    conf = tmp_path / "run.conf"
+    conf.write_text(text + "model.knn_k = 3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--pairs", str(archive), "--out", str(out), "--config", str(conf)],
+        "experiment": ["experiment", "--config", str(conf), "--out", str(out)],
+        "bench": ["bench", "--out", str(out), "--methods", "icp", "--sizes", "32", "--trials", "1", "--config", str(conf)],
+    }[command]
+    assert harness.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"model.knn_k is set twice, on lines {first} and {len(text.splitlines()) + 1}" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpreg import autodiff as ad, dataio, dcpnet, geometry as geo, train
-from dcpreg.errors import CheckpointError, InvalidInputError, NumericalError
+from dcpreg.errors import CheckpointError, InvalidInputError, NumericalError, ShapeError
 
 from conftest import npy_bytes, random_rotation, rewrite_checkpoint, save_with_config_bytes
 
@@ -176,10 +176,10 @@ def test_train_two_pairs_hold_out_one(monkeypatch):
     trained, validated = [], []
     forward, evaluate = dcpnet.dcp_forward, train.evaluate
 
-    def spy_forward(source, target, model, training=False):
+    def spy_forward(sources, targets, model, training=False):
         if training:
-            trained.append(source)
-        return forward(source, target, model, training)
+            trained.append(sources)
+        return forward(sources, targets, model, training)
 
     def spy_evaluate(model, val_pairs):
         validated.extend(val_pairs)
@@ -188,27 +188,72 @@ def test_train_two_pairs_hold_out_one(monkeypatch):
     monkeypatch.setattr(dcpnet, "dcp_forward", spy_forward)
     monkeypatch.setattr(train, "evaluate", spy_evaluate)
     train.train(TINY, pairs, cfg=train.TrainConfig(epochs=1, batch_size=4, seed=1, val_fraction=0.9))
-    assert trained == [pairs[0].source]
+    assert trained == [[pairs[0].source]]  # one batch of the one training pair
     assert validated == [pairs[1]]
 
 
 def test_train_logs_mean_gradient_norm():
     """One batch of every pair: grad_norm is the L2 norm, over all
-    parameters, of the batch-mean gradient."""
+    parameters, of the gradient of the batch-mean loss, from one forward
+    whose batch norm statistics span the batch."""
     pairs = make_pairs(3, seed=7)
     cfg = train.TrainConfig(epochs=1, batch_size=3, seed=4)
     _, log = train.train(TINY, pairs, val_pairs=[], cfg=cfg)
     init_seed = int(np.random.SeedSequence(4).spawn(2)[0].generate_state(1)[0])
     model = dcpnet.ModelParams.initialize(TINY, seed=init_seed)
-    for pair in pairs:
-        with ad.Tape() as tape:
-            out = dcpnet.dcp_forward(pair.source, pair.target, model, training=True)
-            loss = dcpnet.dcp_loss(out.rotation, out.translation, pair.ground_truth)
-        ad.backward(tape, loss)
-    grads = [p.grad.astype(np.float64) / 3 for p in model.params.values() if p.grad is not None]
+    with ad.Tape() as tape:
+        out = dcpnet.dcp_forward([p.source for p in pairs], [p.target for p in pairs], model, training=True)
+        loss = dcpnet.dcp_loss(out.rotation, out.translation, [p.ground_truth for p in pairs])
+    ad.backward(tape, loss)
+    grads = [p.grad.astype(np.float64) for p in model.params.values() if p.grad is not None]
     want = math.sqrt(sum(float((g * g).sum()) for g in grads))
     assert log[0]["grad_norm"] == pytest.approx(want, rel=1e-5)
     assert want > 0
+
+
+def test_train_one_tape_per_batch(monkeypatch):
+    """A training step on a batch of 4 pairs records exactly as many tape
+    entries as one on a batch of 2: the tape grows with the model, not the
+    batch."""
+    pairs = make_pairs(4, seed=12)
+    entries = []
+    backward = ad.backward
+
+    def spy_backward(tape, output):
+        entries.append(len(tape.entries))
+        return backward(tape, output)
+
+    monkeypatch.setattr(ad, "backward", spy_backward)
+    for batch_size in (4, 2):
+        train.train(TINY, pairs, val_pairs=[], cfg=train.TrainConfig(epochs=1, batch_size=batch_size, seed=3))
+    assert len(entries) == 3  # one batch of 4, then two of 2
+    assert entries[0] == entries[1] == entries[2] > 0
+
+
+def test_train_batch_of_mixed_cloud_sizes_raises():
+    pairs = make_pairs(2, n_points=16, seed=13) + make_pairs(2, n_points=20, seed=14)
+    with pytest.raises(ShapeError, match=r"\[16, 20\]"):
+        train.train(TINY, pairs, val_pairs=[], cfg=train.TrainConfig(epochs=1, batch_size=4, seed=3))
+
+
+@pytest.mark.parametrize(
+    "n, batch_size, sizes",
+    [(8, 4, [4, 4]), (9, 4, [4, 5]), (10, 4, [4, 4, 2]), (1, 4, [1]), (3, 1, [1, 1, 1])],
+)
+def test_trailing_lone_pair_joins_previous_batch(n, batch_size, sizes):
+    batches = train._batches(np.arange(n), batch_size)
+    assert [len(b) for b in batches] == sizes
+    assert np.array_equal(np.concatenate(batches), np.arange(n))
+
+
+@pytest.mark.parametrize("n_pairs, batch_size", [(4, 1), (2, 4)])
+def test_train_mlp_head_needs_batches_of_two(n_pairs, batch_size):
+    """The MLP head's batch norm has no statistics on a lone pair; training
+    says so before it starts, not at batch norm in the first step."""
+    cfg = replace(TINY, head="mlp", mlp_head_widths=(8, 4))
+    pairs = make_pairs(n_pairs, seed=15)
+    with pytest.raises(InvalidInputError, match="at least 2 pairs"):
+        train.train(cfg, pairs, cfg=train.TrainConfig(epochs=1, batch_size=batch_size, seed=3))
 
 
 def test_train_zero_lr_is_fixed_point():
