@@ -751,10 +751,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Te
     c = x.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError(f"layer_norm: gain/bias must be ({c},), got {gain.shape}/{bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / c  # x.data.var, bit for bit
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
+    xhat = xc * inv_std
     out = Tensor(gain.data * xhat + bias.data)
     lead_axes = tuple(range(x.ndim - 1))
 

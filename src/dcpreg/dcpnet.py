@@ -503,21 +503,9 @@ def dcp_forward(x_points, y_points, model: ModelParams, training: bool = False) 
     MLP head's over the B pairs; inference uses the running statistics, so
     each pair's output does not depend on the rest of the batch.
     """
-    cfg = model.config
-    xs, single = cloud_stack(x_points)
-    ys, _ = cloud_stack(y_points)
-    if len(xs) != len(ys):
-        raise ShapeError(f"a batch pairs {len(xs)} source clouds with {len(ys)} target clouds")
-    f_x = embed_cloud(xs, model, training)
-    f_y = embed_cloud(ys, model, training)
-    if cfg.attention:
-        phi_x, phi_y = transformer_attention(f_x, f_y, model)
-    else:
-        phi_x, phi_y = f_x, f_y
-    match = pointer_softmatch(phi_x, phi_y)
-    soft_target = soft_correspondence(match, ys)
-    if cfg.head == "svd":
-        rotation, translation = ad.svd_rigid_head(ad.constant(xs.astype(cfg.np_dtype)), soft_target)
+    xs, single, phi_x, phi_y, match, soft_target = _soft_match(x_points, y_points, model, training)
+    if model.config.head == "svd":
+        rotation, translation = ad.svd_rigid_head(ad.constant(xs.astype(model.config.np_dtype)), soft_target)
     else:
         rotation, translation = mlp_head(phi_x, phi_y, model, training)
     out = DcpForward(rotation, translation, match, soft_target)
@@ -526,15 +514,39 @@ def dcp_forward(x_points, y_points, model: ModelParams, training: bool = False) 
     return out
 
 
+def _soft_match(x_points, y_points, model: ModelParams, training: bool):
+    """The forward up to the soft targets, shared by :func:`dcp_forward`
+    and :func:`dcp_predict`: the (B, n, 3) source stack, whether it was one
+    cloud, both embeddings, the match and the soft targets, each with a
+    leading B axis."""
+    xs, single = cloud_stack(x_points)
+    ys, _ = cloud_stack(y_points)
+    if len(xs) != len(ys):
+        raise ShapeError(f"a batch pairs {len(xs)} source clouds with {len(ys)} target clouds")
+    f_x = embed_cloud(xs, model, training)
+    f_y = embed_cloud(ys, model, training)
+    if model.config.attention:
+        phi_x, phi_y = transformer_attention(f_x, f_y, model)
+    else:
+        phi_x, phi_y = f_x, f_y
+    match = pointer_softmatch(phi_x, phi_y)
+    return xs, single, phi_x, phi_y, match, soft_correspondence(match, ys)
+
+
 def dcp_predict(x_points, y_points, model: ModelParams) -> geo.RigidTransform:
     """Inference-mode registration returning a validated rigid transform.
 
     The final alignment is recomputed in float64 so the output satisfies
-    the strict orthogonality invariants regardless of model precision.
+    the strict orthogonality invariants regardless of model precision; with
+    the SVD head that solve is the whole head, so its float32 form is not
+    run.
     """
-    out = dcp_forward(x_points, y_points, model, training=False)
     if model.config.head == "svd":
-        return geo.procrustes_solve(geo._as_points(x_points), np.asarray(out.soft_target.data, dtype=np.float64))
+        soft_target = _soft_match(x_points, y_points, model, training=False)[-1]
+        return geo.procrustes_solve(
+            geo._as_points(x_points), np.asarray(soft_target.data.reshape(-1, 3), dtype=np.float64)
+        )
+    out = dcp_forward(x_points, y_points, model, training=False)
     rotation = _nearest_rotation(out.rotation.data)
     return geo.RigidTransform(rotation, np.asarray(out.translation.data, dtype=np.float64))
 

@@ -20,6 +20,7 @@ from .errors import (
 )
 
 ORTHOGONALITY_TOL = 1e-9
+_EYE3 = np.eye(3)
 
 
 def _as_points(points) -> np.ndarray:
@@ -41,9 +42,10 @@ class RigidTransform:
         tra = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if rot.shape != (3, 3):
             raise InvalidInputError(f"rotation must be 3x3, got {rot.shape}")
-        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(tra))):
+        if not (np.isfinite(rot).all() and np.isfinite(tra).all()):
             raise InvalidInputError("transform entries must be finite")
-        ortho = np.linalg.norm(rot.T @ rot - np.eye(3))
+        residual = (rot.T @ rot - _EYE3).ravel()
+        ortho = math.sqrt(residual.dot(residual))  # Frobenius norm, as np.linalg.norm sums it
         if ortho > ORTHOGONALITY_TOL:
             raise InvalidInputError(f"rotation not orthogonal (residual {ortho:.3e})")
         det = float(np.linalg.det(rot))
@@ -139,17 +141,18 @@ def svd3(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A stack gives (B, 3, 3), (B, 3) and (B, 3, 3) arrays, each matrix's
     equal to its own SVD bit for bit.
     """
-    a = np.array(m, dtype=np.float64)
+    a = np.asarray(m, dtype=np.float64)
     if a.shape[-2:] != (3, 3) or a.ndim not in (2, 3):
         raise InvalidInputError(f"expected a 3x3 matrix or a (B, 3, 3) stack, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInputError("matrix entries must be finite")
 
+    # The sign flips write only into LAPACK's fresh u and vt, never into m.
     u, sigma, vt = np.linalg.svd(a)
     v = vt.swapaxes(-1, -2)
-    for w in (u, v):
-        flip = np.linalg.det(w) < 0.0
-        if np.count_nonzero(flip):
+    flips = np.linalg.det(np.array((u, v))) < 0.0
+    if flips.any():
+        for w, flip in zip((u, v), flips):
             sign = np.where(flip, -1.0, 1.0)
             w[..., :, 2] *= sign[..., None]
             sigma[..., 2] *= sign
@@ -171,8 +174,9 @@ def procrustes_work(src, dst) -> tuple[RigidTransform, ProcrustesWork]:
     if x.shape[0] < 3:
         raise InsufficientDataError(f"alignment needs at least 3 point pairs, got {x.shape[0]}")
 
-    cx = x.mean(axis=0)
-    cy = y.mean(axis=0)
+    # sum / n is x.mean(axis=0) bit for bit, without its wrapper.
+    cx = x.sum(axis=0) / x.shape[0]
+    cy = y.sum(axis=0) / y.shape[0]
     h = (x - cx).T @ (y - cy)
     u, s, v = svd3(h)
 

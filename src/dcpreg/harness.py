@@ -175,6 +175,14 @@ def _check_keys(values: dict[str, str]) -> None:
         raise DataError(f"unknown config key(s) {', '.join(unknown)}; the known keys are the tables in dcpreg.harness")
 
 
+def _note_ignored_keys(command: str, values: dict[str, str], read: set[str]) -> None:
+    """Print one line to stderr naming the keys of ``values`` that ``command``
+    accepts but does not read: one config file serves every command."""
+    ignored = sorted(set(values) - read)
+    if ignored:
+        print(f"dcpreg {command}: ignoring config key(s) {', '.join(ignored)}", file=sys.stderr)
+
+
 def _convert(values: dict[str, str], key: str, conv):
     """``conv(values[key])``; a value ``conv`` cannot read raises ``DataError`` naming the key."""
     try:
@@ -379,14 +387,19 @@ def icp_errors(pairs, max_iters, tol, workers: int = 1):
         return list(pool.map(_icp_task, tasks))  # input order preserved
 
 
-def run_method(method: Method, model, source, target, max_iters, tol) -> geo.RigidTransform:
-    """Align ``source`` to ``target`` with an ``icp`` or ``dcp`` method."""
+def run_method(
+    method: Method, model, source, target, max_iters, tol
+) -> tuple[geo.RigidTransform, list[icp.IcpState]]:
+    """Align ``source`` to ``target`` with an ``icp`` or ``dcp`` method.
+
+    Returns the transform and ICP's per-iteration history, empty when the
+    method runs no ICP."""
     if method.base == "icp":
-        return icp.icp_register(source.points, target.points, max_iters=max_iters, tol=tol)[0]
+        return icp.icp_register(source.points, target.points, max_iters=max_iters, tol=tol)
     pred = dcpnet.dcp_predict(source, target, model)
     if method.polish:
-        pred = icp.polish_with_icp(source.points, target.points, pred, max_iters, tol)
-    return pred
+        return icp.icp_register(source.points, target.points, init=pred, max_iters=max_iters, tol=tol)
+    return pred, []
 
 
 def method_errors(method: Method, model, pairs, max_iters, tol, workers: int = 1):
@@ -396,7 +409,7 @@ def method_errors(method: Method, model, pairs, max_iters, tol, workers: int = 1
     if method.base == "icp":
         return icp_errors(pairs, max_iters, tol, workers=workers)
     return [
-        geo.rotation_metrics(run_method(method, model, p.source, p.target, max_iters, tol), p.ground_truth)
+        geo.rotation_metrics(run_method(method, model, p.source, p.target, max_iters, tol)[0], p.ground_truth)
         for p in pairs
     ]
 
@@ -464,9 +477,12 @@ def cmd_register(args) -> int:
     source = _load_cli_cloud(args.source, args.n_points, args.seed)
     target = _load_cli_cloud(args.target, args.n_points, args.seed + 1)
 
-    transform = run_method(method, model, source, target, args.max_iters, args.tol)
+    transform, history = run_method(method, model, source, target, args.max_iters, args.tol)
     vals = list(transform.rotation.reshape(-1)) + list(transform.translation)
     print(" ".join(f"{v:.12g}" for v in vals))
+    if history:
+        # Every history entry after the first follows one alignment step.
+        print(f"icp: {len(history) - 1} iterations, final objective {history[-1].objective:.12g}", file=sys.stderr)
     if args.out:
         aligned = geo.apply_transform(transform, source.points)
         dataio.save_xyz(dataio.PointCloud(aligned), args.out)
@@ -475,6 +491,7 @@ def cmd_register(args) -> int:
 
 def cmd_train(args) -> int:
     values = load_config_file(args.config) if args.config else {}
+    _note_ignored_keys("train", values, {*MODEL_KEYS, *TRAIN_KEYS, "seed"})
     if args.seed is not None:
         values["seed"] = str(args.seed)
     if args.epochs is not None:
@@ -568,6 +585,7 @@ def bench_pair(n_points: int, seed: int):
 
 def cmd_bench(args) -> int:
     values = load_config_file(args.config) if args.config else {}
+    _note_ignored_keys("bench", values, set(MODEL_KEYS))
     base_model_cfg = model_config_from_values(values)
 
     def build(method):

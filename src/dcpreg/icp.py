@@ -4,10 +4,18 @@ Alternates nearest-neighbor correspondence with the closed-form alignment
 solve; the recorded objective (mean squared matched residual) is
 non-increasing by construction. Also provides polishing: the same loop
 seeded from an externally estimated transform.
+
+Each iteration makes one k-d tree query (:func:`_exact_knn`, also the
+DGCNN graph's kNN) and one 3x3 LAPACK SVD (``geometry.svd3``). A query
+ranks its candidates by (squared distance, index), so a distance tie goes
+to the lowest point index, as an exhaustive scan would; only a query row
+whose k-th candidate ties the last one it fetched is queried again, with
+more candidates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,37 +36,60 @@ def _exact_knn(tree: cKDTree, queries: np.ndarray, k: int, skip_self: bool = Fal
 
     Returns ``(indices, squared_distances)``, both ``(len(queries), k)``.
     With ``skip_self`` the queries are the tree's own points and row i
-    never lists point i. The tree supplies ``m`` candidates per row; a row
-    is final once its k-th distance is strictly below its last candidate's,
-    and the others are queried again with ``m`` doubled.
+    never lists point i. One tree query gives ``m`` candidates per row
+    (k + 1, plus one for the point itself with ``skip_self``), whose
+    squared distances are recomputed here; only a row not already in
+    strictly increasing order is sorted. A row is final once its k-th
+    distance is strictly below its last candidate's, so that no point
+    left out can tie or beat it; only the other rows, those with a tie at
+    the k-th place, are queried again, with ``m`` doubled, until ``m``
+    covers every tree point.
     """
-    points = tree.data
-    n = points.shape[0]
-    indices = np.empty((queries.shape[0], k), dtype=np.int64)
-    dist2 = np.empty((queries.shape[0], k))
-    todo = np.arange(queries.shape[0])
-    m = k + 1 + int(skip_self)
+    n = tree.n
+    m = min(k + 1 + int(skip_self), n)
+    rows = np.arange(queries.shape[0])
+    cand, d2, done = _ranked_candidates(tree, queries, rows if skip_self else None, k, m)
+    indices, dist2 = cand[:, :k], d2[:, :k]
+    if done.all():
+        return indices, dist2
+    todo = rows[~done]
     while todo.size:
-        m = min(m, n)
-        q = queries[todo]
-        _, cand = tree.query(q, k=m)
-        cand = cand.reshape(todo.size, m)
-        diff = q[:, None, :] - points[cand]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        last = np.full(todo.size, m - 1)
-        if skip_self:
-            is_self = cand == todo[:, None]
-            d2[is_self] = np.inf  # sorts behind every real candidate
-            last -= is_self.any(axis=1)
-        rows = np.arange(todo.size)[:, None]
-        order = np.lexsort((cand, d2), axis=1)
-        cand, d2 = cand[rows, order], d2[rows, order]
-        done = (d2[:, k - 1] < d2[rows[:, 0], last]) | (m == n)
+        m = min(2 * m, n)
+        cand, d2, done = _ranked_candidates(tree, queries[todo], todo if skip_self else None, k, m)
         indices[todo[done]] = cand[done, :k]
         dist2[todo[done]] = d2[done, :k]
         todo = todo[~done]
-        m *= 2
     return indices, dist2
+
+
+def _ranked_candidates(tree: cKDTree, queries: np.ndarray, self_ids, k: int, m: int):
+    """The ``m`` tree candidates of each query row ranked by (squared
+    distance, index), their squared distances, and whether each row's
+    first k are final. ``self_ids`` holds each row's own tree index, which
+    ranks last at distance inf, or is None."""
+    _, cand = tree.query(queries, k=m)
+    cand = cand.reshape(queries.shape[0], m)
+    diff = queries[:, None, :] - tree.data.take(cand, axis=0)
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    if self_ids is not None:
+        is_self = cand == self_ids[:, None]
+        d2[is_self] = np.inf
+        # The point itself (distance 0) usually comes first: move the first
+        # column to the back, where the ranking puts it.
+        cand = np.concatenate((cand[:, 1:], cand[:, :1]), axis=1)
+        d2 = np.concatenate((d2[:, 1:], d2[:, :1]), axis=1)
+    # A row in strictly increasing order is ranked already, and final: its
+    # k-th distance lies below its last candidate's.
+    done = (d2[:, 1:] > d2[:, :-1]).all(axis=1)
+    if not done.all():
+        r = np.flatnonzero(~done)
+        order = np.lexsort((cand[r], d2[r]), axis=1)
+        cand[r] = np.take_along_axis(cand[r], order, axis=1)
+        d2[r] = np.take_along_axis(d2[r], order, axis=1)
+        # The last real candidate: the point itself, where fetched, ranks behind it.
+        last = m - 1 if self_ids is None else m - 1 - is_self[r].any(axis=1)
+        done[r] = (d2[r, k - 1] < d2[r, last]) | (m == tree.n)
+    return cand, d2, done
 
 
 class SpatialIndex:
@@ -100,13 +131,13 @@ def correspondence_step(x: np.ndarray, index: SpatialIndex, transform: geo.Rigid
     """Match each transformed source point to its nearest target."""
     moved = geo.apply_transform(transform, x)
     idx, dist = index.query_many(moved)
-    objective = float(np.mean(dist**2))
+    objective = float((dist**2).sum() / dist.size)  # np.mean, without its wrapper
     return idx, objective
 
 
 def alignment_step(x: np.ndarray, y: np.ndarray, correspondence: np.ndarray) -> geo.RigidTransform:
     """One alignment update: the closed-form solve on the matched pairs."""
-    return geo.procrustes_solve(x, y[correspondence])
+    return geo.procrustes_solve(x, y.take(correspondence, axis=0))
 
 
 def registration_objective(x, y, transform: geo.RigidTransform, index: SpatialIndex | None = None) -> float:
@@ -142,16 +173,17 @@ def icp_register(
     for k in range(max_iters):
         corr, objective = correspondence_step(xp, index, transform)
         history.append(IcpState(k, transform, objective, corr))
-        if np.unique(corr).size == 1:
+        if (corr == corr[0]).all():
             raise DegenerateCorrespondenceError(
                 "all source points matched a single target point", history=history
             )
         if prev_objective - objective < tol:
             break
         new_transform = alignment_step(xp, yp, corr)
-        delta = np.linalg.norm(new_transform.rotation - transform.rotation) + np.linalg.norm(
-            new_transform.translation - transform.translation
-        )
+        # Frobenius norms, summed as np.linalg.norm sums them.
+        d_rot = (new_transform.rotation - transform.rotation).ravel()
+        d_tra = new_transform.translation - transform.translation
+        delta = math.sqrt(d_rot.dot(d_rot)) + math.sqrt(d_tra.dot(d_tra))
         transform = new_transform
         prev_objective = objective
         if delta < TRANSFORM_TOL:

@@ -1,0 +1,106 @@
+"""Plain forms of the k-d tree kNN, the signed 3x3 SVD, the closed-form
+alignment and the ICP loop, as they read before their per-call overhead
+was cut. Tests require the library's outputs to equal these bit for bit:
+the faster forms change the bookkeeping, not the arithmetic.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from dcpreg import geometry as geo
+from dcpreg.errors import DegenerateCorrespondenceError
+
+
+def exact_knn(tree, queries, k, skip_self=False):
+    """Every round sorts every candidate row by (squared distance, index)."""
+    points = tree.data
+    n = points.shape[0]
+    indices = np.empty((queries.shape[0], k), dtype=np.int64)
+    dist2 = np.empty((queries.shape[0], k))
+    todo = np.arange(queries.shape[0])
+    m = k + 1 + int(skip_self)
+    while todo.size:
+        m = min(m, n)
+        q = queries[todo]
+        _, cand = tree.query(q, k=m)
+        cand = cand.reshape(todo.size, m)
+        diff = q[:, None, :] - points[cand]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        last = np.full(todo.size, m - 1)
+        if skip_self:
+            is_self = cand == todo[:, None]
+            d2[is_self] = np.inf
+            last -= is_self.any(axis=1)
+        rows = np.arange(todo.size)[:, None]
+        order = np.lexsort((cand, d2), axis=1)
+        cand, d2 = cand[rows, order], d2[rows, order]
+        done = (d2[:, k - 1] < d2[rows[:, 0], last]) | (m == n)
+        indices[todo[done]] = cand[done, :k]
+        dist2[todo[done]] = d2[done, :k]
+        todo = todo[~done]
+        m *= 2
+    return indices, dist2
+
+
+def svd3(m):
+    """A determinant per factor, a copy of the input."""
+    a = np.array(m, dtype=np.float64)
+    u, sigma, vt = np.linalg.svd(a)
+    v = vt.swapaxes(-1, -2)
+    for w in (u, v):
+        flip = np.linalg.det(w) < 0.0
+        if np.count_nonzero(flip):
+            sign = np.where(flip, -1.0, 1.0)
+            w[..., :, 2] *= sign[..., None]
+            sigma[..., 2] *= sign
+    return u, sigma, v
+
+
+def procrustes_solve(src, dst):
+    """Centroids from ``mean``; the rank-deficiency warning is left to the library."""
+    x, y = np.asarray(src, dtype=np.float64), np.asarray(dst, dtype=np.float64)
+    cx = x.mean(axis=0)
+    cy = y.mean(axis=0)
+    u, _, v = svd3((x - cx).T @ (y - cy))
+    rotation = v @ u.T
+    return geo.RigidTransform(rotation, cy - rotation @ cx)
+
+
+def icp_register(x, y, init=None, max_iters=100, tol=1e-8, transform_tol=1e-10):
+    """The ICP loop on the forms above; returns ``(transform, history)``
+    with history entries ``(iteration, transform, objective, correspondence)``."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(y)
+    transform = init if init is not None else geo.RigidTransform.identity()
+
+    def correspond(t):
+        moved = x @ t.rotation.T + t.translation
+        idx, d2 = exact_knn(tree, moved, 1)
+        dist = np.sqrt(d2[:, 0])
+        return idx[:, 0], float(np.mean(dist**2))
+
+    history = []
+    prev_objective = np.inf
+    for k in range(max_iters):
+        corr, objective = correspond(transform)
+        history.append((k, transform, objective, corr))
+        if np.unique(corr).size == 1:
+            raise DegenerateCorrespondenceError("all source points matched a single target point", history=history)
+        if prev_objective - objective < tol:
+            break
+        new_transform = procrustes_solve(x, y[corr])
+        delta = np.linalg.norm(new_transform.rotation - transform.rotation) + np.linalg.norm(
+            new_transform.translation - transform.translation
+        )
+        transform = new_transform
+        prev_objective = objective
+        if delta < transform_tol:
+            corr, objective = correspond(transform)
+            history.append((k + 1, transform, objective, corr))
+            break
+    else:
+        corr, objective = correspond(transform)
+        history.append((max_iters, transform, objective, corr))
+    return history[-1][1], history

@@ -225,6 +225,21 @@ def test_affine_in_place_bias_is_exact(rng, dtype, x_shape):
     assert out.dtype == dtype and np.array_equal(out.data, x.data @ w.data + b.data)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("c", [48, 64, 100, 512])
+def test_layer_norm_variance_from_centred_values_is_exact(rng, dtype, c):
+    """``sum((x - mean)^2) / c`` is ``x.var`` bit for bit, so layer norm
+    equals its ``var``-based form, off-centre rows included."""
+    x = (rng.normal(loc=3.0, scale=2.0, size=(2, 37, c)) * rng.uniform(0.01, 10.0, size=(2, 37, 1))).astype(dtype)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    assert np.array_equal((xc * xc).sum(axis=-1, keepdims=True) / c, x.var(axis=-1, keepdims=True))
+    gain, bias = (ad.tensor(rng.normal(size=c).astype(dtype)) for _ in range(2))
+    out = ad.layer_norm(ad.tensor(x), gain, bias)
+    mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+    want = gain.data * ((x - mu) * (1.0 / np.sqrt(var + ad.LN_EPS))) + bias.data
+    assert out.dtype == dtype and np.array_equal(out.data, want)
+
+
 # ---------------------------------------------------------------------------
 # Tape mechanics
 # ---------------------------------------------------------------------------

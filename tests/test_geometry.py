@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dcpreg.errors import (
     InvalidInputError,
 )
 
+import reference_forms as ref
 from conftest import random_rotation
 
 
@@ -180,6 +182,42 @@ def test_svd3_rank_deficient(rng):
     u, s, v = geo.svd3(np.zeros((3, 3)))
     assert np.allclose(s, 0)
     assert np.allclose(u.T @ u, np.eye(3), atol=1e-12)
+
+
+def test_svd3_equals_reference_and_leaves_input_alone(rng):
+    """One determinant on the stacked (u, v) and no input copy give the
+    reference's factors bit for bit, on proper, reflected and
+    rank-deficient matrices, alone or stacked; the input is not written."""
+    mats = []
+    for _ in range(20):
+        m = random_spd_free_matrix(rng)
+        rank1 = np.outer(rng.normal(size=3), rng.normal(size=3))
+        mats += [m, m @ np.diag([1.0, 1.0, -1.0]), -m, rank2_matrix(rng), rank1]
+    mats.append(np.zeros((3, 3)))
+    for m in [*mats, np.stack(mats)]:
+        before = m.copy()
+        for got, want in zip(geo.svd3(m), ref.svd3(m)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(m, before)
+
+
+def test_procrustes_equals_reference(rng):
+    """Centroids as sum / n give the ``mean`` form's transform bit for
+    bit, on reflected, planar and collinear point sets."""
+    for trial in range(30):
+        src = rng.normal(size=(int(rng.integers(3, 200)), 3))
+        dst = src @ random_rotation(rng).T + rng.normal(size=3) + 0.01 * rng.normal(size=src.shape)
+        if trial % 3 == 1:
+            dst[:, 0] = -dst[:, 0]
+        if trial % 3 == 2:
+            src[:, 2] = 0.0
+        for s, d in ((src, dst), (np.outer(src[:, 0], [1.0, 2.0, -0.5]), dst)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegeneracyWarning)
+                got = geo.procrustes_solve(s, d)
+            want = ref.procrustes_solve(s, d)
+            assert np.array_equal(got.rotation, want.rotation)
+            assert np.array_equal(got.translation, want.translation)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,31 @@ def test_register_polish_objective_not_worse(tmp_path, capsys, tiny_checkpoint, 
     assert results["dcp-v1+icp"] <= results["dcp-v1"] + 1e-12
 
 
+@pytest.mark.parametrize("method", ["icp", "dcp-v1+icp", "dcp-v1"])
+def test_register_reports_icp_history_on_stderr(tmp_path, capsys, tiny_checkpoint, rng, method):
+    """Methods that run ICP print its iteration count and final objective
+    to stderr; stdout keeps the 12 numbers alone."""
+    cloud = dataio.normalize_unit_sphere(dataio.PointCloud(rng.normal(size=(48, 3))))
+    pair = dataio.generate_pair(cloud, dataio.PairGenConfig(max_rot_deg=20.0, trans_bound=0.1), rng)
+    src = write_cloud(tmp_path, pair.source.points, "src.xyz")
+    dst = write_cloud(tmp_path, pair.target.points, "dst.xyz")
+    rc = harness.main(
+        ["register", "--method", method, "--source", str(src), "--target", str(dst), "--checkpoint", str(tiny_checkpoint)]
+    )
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.split()) == 12
+    if method == "dcp-v1":
+        assert "icp" not in captured.err
+        return
+    x, y = dataio.load_xyz(src).points, dataio.load_xyz(dst).points
+    init = None
+    if method != "icp":
+        init = dcpnet.dcp_predict(x, y, train_mod.load_checkpoint(tiny_checkpoint))
+    _, history = icp.icp_register(x, y, init=init)
+    assert f"icp: {len(history) - 1} iterations, final objective {history[-1].objective:.12g}\n" in captured.err
+
+
 def register_transform(capsys, method, src, dst, checkpoint):
     rc = harness.main(
         ["register", "--method", method, "--source", str(src), "--target", str(dst),
@@ -586,6 +611,30 @@ def test_unknown_config_key_exits_3(corpus, archive, tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_config_keys_a_command_ignores_are_named(corpus, archive, tmp_path, capsys, command):
+    """One config file serves every command: train and bench accept the
+    keys they do not read, and name them on one stderr line."""
+    read_only = {"train": "seed = 3\nmodel.knn_k = 4\ntrain.epochs = 1\n", "bench": "model.knn_k = 4\n"}[command]
+    ignored = ["data.corpus", "data.n_points", "experiment.kind", "methods", "pairgen.max_rot_deg",
+               "pairgen.trans_bound", "pairs.per_cloud_test", "pairs.per_cloud_train", "split.fraction"]
+    if command == "bench":
+        ignored = sorted(ignored + ["seed", "train.batch_size", "train.epochs"])
+    for text, expected in ((EXPERIMENT_CONF.format(corpus=corpus), ignored), (read_only, [])):
+        conf = tmp_path / "run.conf"
+        conf.write_text(text, encoding="utf-8")
+        out = tmp_path / f"out{len(expected)}"
+        argv = {
+            "train": ["train", "--pairs", str(archive), "--out", str(out), "--config", str(conf)],
+            "bench": ["bench", "--out", str(out), "--methods", "icp", "--sizes", "32", "--trials", "1", "--config", str(conf)],
+        }[command]
+        assert harness.main(argv) == 0
+        captured = capsys.readouterr()
+        notes = [line for line in captured.err.splitlines() if "ignoring" in line]
+        assert notes == ([f"dcpreg {command}: ignoring config key(s) {', '.join(expected)}"] if expected else [])
+        assert "ignoring" not in captured.out
 
 
 def test_parse_config_text_rejects_repeated_key():

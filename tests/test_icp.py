@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from dcpreg import dataio, geometry as geo, icp
 from dcpreg.errors import DegenerateCorrespondenceError, InsufficientDataError
 
+import reference_forms as ref
 from conftest import random_rotation
 
 
@@ -61,6 +65,54 @@ def test_query_lattice_ties_match_exhaustive_scan(rng):
         bi, bd = brute_force_nn(targets, q)
         assert gi == bi
         assert abs(gd - bd) < 1e-12
+
+
+@st.composite
+def tie_heavy_knn_case(draw):
+    """Points on a small integer grid (so with many duplicates and equal
+    distances), k in {1, 2, 10, n - 1, n}, and queries that are either the
+    points themselves (``skip_self``) or grid and half-grid points."""
+    n = draw(st.integers(2, 40))
+    coords = st.integers(-2, 2)
+    pts = np.array(draw(st.lists(st.tuples(coords, coords, coords), min_size=n, max_size=n)), dtype=float)
+    skip_self = draw(st.booleans())
+    ks = {1, 2, 10, n - 1} if skip_self else {1, 2, 10, n - 1, n}
+    k = draw(st.sampled_from(sorted(kk for kk in ks if 1 <= kk <= n - int(skip_self))))
+    if skip_self:
+        queries = pts
+    else:
+        half = st.integers(-6, 6)
+        queries = np.array(draw(st.lists(st.tuples(half, half, half), min_size=1, max_size=30)), dtype=float) / 2.0
+    return pts, queries, k, skip_self
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_knn_case())
+def test_exact_knn_equals_full_sort_reference(case):
+    """Sorting only the rows not already in order, and returning after the
+    first query when it settles every row, change no index or distance."""
+    pts, queries, k, skip_self = case
+    tree = cKDTree(pts)
+    got = icp._exact_knn(tree, queries, k, skip_self=skip_self)
+    want = ref.exact_knn(tree, queries, k, skip_self=skip_self)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_exact_knn_requery_and_whole_cloud_equal_reference(rng):
+    """Rows tied at the k-th place are queried again (a 3x3x3 lattice
+    seen from its centre has six neighbours at distance 1), and with k + 2
+    >= n every point is a candidate at once."""
+    axis = np.arange(-1.0, 2.0)
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    lattice = lattice[rng.permutation(len(lattice))]
+    tree = cKDTree(lattice)
+    for k, skip_self in ((1, True), (2, True), (6, True), (3, False), (25, True), (26, True), (27, False)):
+        queries = lattice if skip_self else np.zeros((1, 3))
+        got = icp._exact_knn(tree, queries, k, skip_self=skip_self)
+        want = ref.exact_knn(tree, queries, k, skip_self=skip_self)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def test_empty_index_rejected():
@@ -123,6 +175,38 @@ def test_icp_degenerate_target_raises(rng):
     with pytest.raises(DegenerateCorrespondenceError) as exc:
         icp.icp_register(x, y)
     assert len(exc.value.history) == 1
+
+
+def noisy_pair(seed, n=128):
+    rng = np.random.default_rng(seed)
+    cloud = dataio.normalize_unit_sphere(dataio.PointCloud(rng.normal(size=(n, 3))))
+    cfg = dataio.PairGenConfig(max_rot_deg=45.0, trans_bound=0.5, n_points=n)
+    pair = dataio.generate_pair(cloud, cfg, rng)
+    return dataio.noisy_pair(pair, cfg.noise_sigma, cfg.noise_clip, rng)
+
+
+@pytest.mark.parametrize("start", ["identity", "perturbed"])
+def test_icp_history_equals_reference_loop(start):
+    """Every iteration's transform, objective and correspondence equals
+    the plain loop's, bit for bit, from the identity and from a start
+    near the truth."""
+    for seed in range(12):
+        pair = noisy_pair(seed)
+        init = None
+        if start == "perturbed":
+            nudge = geo.RigidTransform(geo.euler_zyx_to_matrix(0.05, -0.03, 0.02), np.array([0.01, 0.0, -0.02]))
+            init = geo.compose(nudge, pair.ground_truth)
+        x, y = pair.source.points, pair.target.points
+        transform, history = icp.icp_register(x, y, init=init)
+        want_transform, want = ref.icp_register(x, y, init=init)
+        assert len(history) == len(want)
+        for state, (k, t, objective, corr) in zip(history, want):
+            assert state.iteration == k and state.objective == objective
+            assert np.array_equal(state.correspondence, corr)
+            assert np.array_equal(state.transform.rotation, t.rotation)
+            assert np.array_equal(state.transform.translation, t.translation)
+        assert np.array_equal(transform.rotation, want_transform.rotation)
+        assert np.array_equal(transform.translation, want_transform.translation)
 
 
 def test_icp_requires_three_points(rng):
