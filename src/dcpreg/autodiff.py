@@ -28,8 +28,6 @@ from .errors import (
     ShapeError,
 )
 
-SUPPORTED_DTYPES = (np.float32, np.float64)
-
 BN_EPS = 1e-5
 LN_EPS = 1e-6
 # Minimum separation of singular-value magnitudes for the SVD differential.
@@ -106,9 +104,6 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _tape_stack().pop()
-
-    def backward(self, output: Tensor) -> None:
-        backward(self, output)
 
 
 _LOCAL = threading.local()
@@ -282,16 +277,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _record("div", (a, b), out, bw)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    root = np.sqrt(x.data)
-    out = Tensor(root)
-
-    def bw(g):
-        return (g * 0.5 / root,)
-
-    return _record("sqrt", (x,), out, bw)
 
 
 def _check_axis(x: Tensor, axis: int, op: str) -> int:

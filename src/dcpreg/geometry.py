@@ -32,14 +32,18 @@ def _as_points(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Proper rigid motion: ``p -> rotation @ p + translation``."""
+    """Proper rigid motion: ``p -> rotation @ p + translation``.
+
+    Holds read-only float64 copies of the arrays it is given, so the
+    caller's arrays stay writable and later writes to them do not reach it.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        tra = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        rot = np.array(self.rotation, dtype=np.float64)
+        tra = np.array(self.translation, dtype=np.float64).reshape(3)
         if rot.shape != (3, 3):
             raise InvalidInputError(f"rotation must be 3x3, got {rot.shape}")
         if not (np.isfinite(rot).all() and np.isfinite(tra).all()):
@@ -59,19 +63,6 @@ class RigidTransform:
     @staticmethod
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
-
-
-@dataclass(frozen=True)
-class ProcrustesWork:
-    """Intermediate quantities of a closed-form alignment solve."""
-
-    centroid_x: np.ndarray
-    centroid_y: np.ndarray
-    cross_cov: np.ndarray
-    svd_u: np.ndarray
-    svd_s: np.ndarray
-    svd_v: np.ndarray
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -159,13 +150,13 @@ def svd3(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sigma, v
 
 
-def procrustes_work(src, dst) -> tuple[RigidTransform, ProcrustesWork]:
+def procrustes_solve(src, dst) -> RigidTransform:
     """Closed-form least-squares rigid alignment of matched point lists.
 
     Returns the transform minimizing the mean squared residual
-    ``|R x_i + t - y_i|^2`` together with its intermediate quantities.
-    Rank-deficient cross-covariance (collinear points) still yields a
-    proper rotation and emits a :class:`DegeneracyWarning`.
+    ``|R x_i + t - y_i|^2``. Rank-deficient cross-covariance (collinear
+    points) still yields a proper rotation and emits a
+    :class:`DegeneracyWarning`.
     """
     x = _as_points(src)
     y = _as_points(dst)
@@ -180,8 +171,7 @@ def procrustes_work(src, dst) -> tuple[RigidTransform, ProcrustesWork]:
     h = (x - cx).T @ (y - cy)
     u, s, v = svd3(h)
 
-    degenerate = bool(abs(s[0]) == 0.0 or abs(s[1]) <= 1e-12 * abs(s[0]))
-    if degenerate:
+    if abs(s[0]) == 0.0 or abs(s[1]) <= 1e-12 * abs(s[0]):
         warnings.warn(
             "cross-covariance is rank-deficient; rotation is not uniquely determined",
             DegeneracyWarning,
@@ -189,16 +179,7 @@ def procrustes_work(src, dst) -> tuple[RigidTransform, ProcrustesWork]:
         )
 
     rotation = v @ u.T
-    translation = cy - rotation @ cx
-    transform = RigidTransform(rotation, translation)
-    work = ProcrustesWork(cx, cy, h, u, s, v, degenerate=degenerate)
-    return transform, work
-
-
-def procrustes_solve(src, dst) -> RigidTransform:
-    """Closed-form rigid alignment; see :func:`procrustes_work`."""
-    transform, _ = procrustes_work(src, dst)
-    return transform
+    return RigidTransform(rotation, cy - rotation @ cx)
 
 
 def apply_transform(transform: RigidTransform, points) -> np.ndarray:

@@ -21,7 +21,6 @@ import platform
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -120,7 +119,6 @@ class ExperimentConfig:
     noise_eval: bool = False
     model: dcpnet.ModelConfig = dcpnet.ModelConfig()
     train: train_mod.TrainConfig = train_mod.TrainConfig()
-    workers: int = 1
     icp_max_iters: int = icp.DEFAULT_MAX_ITERS
     icp_tol: float = icp.DEFAULT_TOL
     raw: tuple[tuple[str, str], ...] = ()
@@ -160,7 +158,6 @@ EXPERIMENT_KEYS = {
     "pairs.per_cloud_test": ("pairs_per_cloud_test", _positive_int),
     "noise.train": ("noise_train", _bool),
     "noise.eval": ("noise_eval", _bool),
-    "workers": ("workers", _positive_int),
     "icp.max_iters": ("icp_max_iters", _positive_int),
     "icp.tol": ("icp_tol", float),
 }
@@ -369,24 +366,6 @@ def build_pairs(clouds, per_cloud: int, pairgen: dataio.PairGenConfig, seed_key,
 # Per-method evaluation
 # ---------------------------------------------------------------------------
 
-def _icp_task(task):
-    src, dst, gt_rot, gt_tra, max_iters, tol = task
-    transform, _ = icp.icp_register(src, dst, max_iters=max_iters, tol=tol)
-    err = geo.rotation_metrics(transform, geo.RigidTransform(gt_rot, gt_tra))
-    return err
-
-
-def icp_errors(pairs, max_iters, tol, workers: int = 1):
-    tasks = [
-        (p.source.points, p.target.points, p.ground_truth.rotation, p.ground_truth.translation, max_iters, tol)
-        for p in pairs
-    ]
-    if workers <= 1:
-        return [_icp_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_icp_task, tasks))  # input order preserved
-
-
 def run_method(
     method: Method, model, source, target, max_iters, tol
 ) -> tuple[geo.RigidTransform, list[icp.IcpState]]:
@@ -402,12 +381,10 @@ def run_method(
     return pred, []
 
 
-def method_errors(method: Method, model, pairs, max_iters, tol, workers: int = 1):
+def method_errors(method: Method, model, pairs, max_iters, tol):
     """Rotation and translation errors of ``method`` on each labeled pair."""
     if method.base == "oracle":
         return [geo.rotation_metrics(p.ground_truth, p.ground_truth) for p in pairs]
-    if method.base == "icp":
-        return icp_errors(pairs, max_iters, tol, workers=workers)
     return [
         geo.rotation_metrics(run_method(method, model, p.source, p.target, max_iters, tol)[0], p.ground_truth)
         for p in pairs
@@ -522,7 +499,7 @@ def cmd_eval(args) -> int:
     method = args.method
     model = load_method_model(method, args.checkpoint) if method.base == "dcp" else None
     pairs = dataio.read_pair_archive(args.pairs)
-    errors = method_errors(method, model, pairs, args.max_iters, args.tol, args.workers)
+    errors = method_errors(method, model, pairs, args.max_iters, args.tol)
     metrics = train_mod.pool_metrics(errors)
     print(f"{'metric':>8}  " + "  ".join(f"{c:>12}" for c in train_mod.Metrics.COLUMNS))
     print(f"{method.name:>8}  " + "  ".join(f"{v:12.6f}" for v in metrics.row()))
@@ -559,7 +536,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> list[tuple[str, trai
                 (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
                 train_mod.save_checkpoint(model, out_dir / "checkpoints" / f"{safe}.dcpk")
                 train_mod.write_training_log(log, out_dir / f"training_log_{safe}.csv")
-        errors = method_errors(method, model, test_pairs, cfg.icp_max_iters, cfg.icp_tol, cfg.workers)
+        errors = method_errors(method, model, test_pairs, cfg.icp_max_iters, cfg.icp_tol)
         rows.append((method.name, train_mod.pool_metrics(errors)))
     return rows
 
@@ -693,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for report files")
     p.add_argument("--max-iters", type=_positive_int, default=icp.DEFAULT_MAX_ITERS)
     p.add_argument("--tol", type=float, default=icp.DEFAULT_TOL)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("experiment", help="run a full protocol from a config file")

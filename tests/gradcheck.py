@@ -104,12 +104,6 @@ def case_div(rng):
     return lambda: ad.sum_reduce(ad.mul(w, ad.div(a, b))), [a, b]
 
 
-def case_sqrt(rng):
-    x = ad.tensor(rng.uniform(0.2, 3.0, size=(4, 2)), requires_grad=True)
-    w = _weights(rng, (4, 2))
-    return lambda: ad.sum_reduce(ad.mul(w, ad.sqrt(x))), [x]
-
-
 def case_relu(rng):
     # Keep pre-activations away from the kink at 0.
     vals = rng.uniform(0.1, 1.0, size=(4, 4)) * rng.choice([-1.0, 1.0], size=(4, 4))
@@ -330,7 +324,6 @@ PRIMITIVE_CASES = [
     case_sub,
     case_mul,
     case_div,
-    case_sqrt,
     case_matmul,
     case_matmul_batched,
     case_relu,

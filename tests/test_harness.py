@@ -462,7 +462,7 @@ def test_experiment_bad_token_fails_before_any_method(corpus, tmp_path, capsys, 
     def no_method_may_run(*args, **kwargs):
         raise AssertionError("a method ran before the bad token was rejected")
 
-    monkeypatch.setattr(harness, "icp_errors", no_method_may_run)
+    monkeypatch.setattr(harness, "run_method", no_method_may_run)
     out = tmp_path / "exp"
     conf = EXPERIMENT_CONF.format(corpus=corpus).replace("dcp-v1\n", "dcp-v1:bogus=1\n")
     assert run_experiment(corpus, out, conf) == 3
@@ -588,7 +588,7 @@ def test_experiment_pair_count_below_one_exits_3(corpus, tmp_path, capsys, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", [("icp.max_iters", "-1"), ("workers", "0"), ("train.checkpoint_every", "-1")])
+@pytest.mark.parametrize("key,value", [("icp.max_iters", "-1"), ("train.checkpoint_every", "-1")])
 def test_experiment_count_out_of_range_exits_3(corpus, tmp_path, capsys, key, value):
     conf = EXPERIMENT_CONF.format(corpus=corpus) + f"{key} = {value}\n"
     out = tmp_path / "exp"
@@ -597,7 +597,9 @@ def test_experiment_count_out_of_range_exits_3(corpus, tmp_path, capsys, key, va
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,key", [("train", "train.epoch"), ("experiment", "pairgen.max_rot"), ("bench", "noise.sigmaa")])
+@pytest.mark.parametrize("command,key", [
+    ("train", "train.epoch"), ("experiment", "pairgen.max_rot"), ("bench", "noise.sigmaa"), ("experiment", "workers"),
+])
 def test_unknown_config_key_exits_3(corpus, archive, tmp_path, capsys, command, key):
     conf = tmp_path / "run.conf"
     conf.write_text(EXPERIMENT_CONF.format(corpus=corpus) + f"{key} = 1\n", encoding="utf-8")
@@ -686,10 +688,12 @@ def test_eval_cli_oracle_and_icp(corpus, tmp_path, capsys):
     rc = harness.main(["eval", "--pairs", str(arch), "--method", "oracle", "--out", str(tmp_path / "rep")])
     assert rc == 0
     assert (tmp_path / "rep" / "report.csv").exists()
-    rc = harness.main(["eval", "--pairs", str(arch), "--method", "icp", "--workers", "2"])
+    rc = harness.main(["eval", "--pairs", str(arch), "--method", "icp"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "icp" in out
+    assert harness.main(["eval", "--pairs", str(arch), "--method", "icp", "--workers", "2"]) == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_bench_smoke(corpus, tmp_path, capsys):
@@ -735,7 +739,7 @@ def test_unknown_model_key_exits_3(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("command,flag,value", [
-    ("register", "--max-iters", "-5"), ("eval", "--max-iters", "0"), ("eval", "--workers", "0"), ("bench", "--max-iters", "0"),
+    ("register", "--max-iters", "-5"), ("eval", "--max-iters", "0"), ("bench", "--max-iters", "0"),
 ])
 def test_count_flag_below_one_exits_2(archive, tmp_path, capsys, rng, command, flag, value):
     src = write_cloud(tmp_path, rng.normal(size=(32, 3)), "s.xyz")

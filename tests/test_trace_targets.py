@@ -1,8 +1,11 @@
-"""The benchmark's layer trace patches dcpreg attributes by name; a rename
-or a call that stops going through the module attribute would break
-``benchmark/run.py --trace 1`` or silently zero a metric. Its smoke tests
-live outside ``testpaths``, so these checks keep the names honest here."""
+"""The benchmark's layer trace patches dcpreg attributes by name, and its
+driver and workloads call dcpreg's API; a rename or a call that stops going
+through the module attribute would break ``benchmark/run.py`` or silently
+zero a metric. Its smoke tests live outside ``testpaths``, so these checks
+keep the names honest here."""
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -10,7 +13,8 @@ import numpy as np
 
 from dcpreg import autodiff, dcpnet, geometry, icp
 
-TRACING_PY = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
+BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
+TRACING_PY = BENCHMARK_DIR / "tracing.py"
 
 
 def load_tracing():
@@ -62,3 +66,38 @@ def test_tracer_sees_the_stages_of_predict(rng):
     assert calls["dcpnet.transformer_attention"] == 1 and calls["geometry.procrustes_solve"] == 1
     assert calls["dcpnet.dcp_forward"] == 0 and tracer.counts["autodiff.svd_rotation.calls"] == 0
     assert np.isfinite(tracer.layer_metrics(1, 0.0)["dcpnet.dcp_predict.s"])
+
+
+def _dotted(node: ast.Attribute) -> list[str] | None:
+    """``["train", "load_checkpoint"]`` for ``train.load_checkpoint``; None
+    when the chain does not start at a plain name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def test_benchmark_references_only_existing_api():
+    """Every ``dataio.``, ``dcpnet.``, ``icp.`` and ``train.`` attribute the
+    benchmark's driver and workloads reference, and every name they import
+    from dcpreg, exists; so deleting one fails here, not in a benchmark run.
+    Code in string constants (the setup probe) is parsed as well."""
+    modules = {name: importlib.import_module(f"dcpreg.{name}") for name in ("dataio", "dcpnet", "icp", "train")}
+    checked = set()
+    for path in (BENCHMARK_DIR / "workloads.py", BENCHMARK_DIR / "run.py"):
+        trees = [ast.parse(path.read_text(encoding="utf-8"))]
+        trees += [ast.parse(node.value) for node in ast.walk(trees[0])
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str) and "from dcpreg" in node.value]
+        for node in (n for tree in trees for n in ast.walk(tree)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dcpreg"):
+                owner = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(owner, alias.name), f"{path.name}: {node.module}.{alias.name}"
+            elif isinstance(node, ast.Attribute) and (chain := _dotted(node)) and chain[0] in modules:
+                obj = modules[chain[0]]
+                for attr in chain[1:]:
+                    assert hasattr(obj, attr), f"{path.name}: {'.'.join(chain)}"
+                    obj = getattr(obj, attr)
+                checked.add(".".join(chain))
+    assert {"icp.polish_with_icp", "train.load_checkpoint", "dcpnet.dcp_predict"} <= checked
