@@ -3,12 +3,15 @@
 Covers OFF triangle meshes (fan-triangulated), plain XYZ text files,
 area-uniform surface sampling, unit-sphere normalization, rigid-pair
 synthesis with a clipped-Gaussian noise model, dataset splitting, and the
-on-disk pair-archive layout ``pairs/<id>/{source.xyz,target.xyz,gt.txt}``.
+one array-file container, a zip of ``.npy`` members that ``np.load`` opens,
+in which checkpoints and pair archives (one file of all pairs) are written.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from . import geometry as geo
 from .errors import (
     DegenerateCloudError,
     DegenerateMeshError,
+    InsufficientDataError,
     InvalidInputError,
     MissingLabelError,
     OffParseError,
@@ -319,74 +323,75 @@ def dataset_split(clouds, mode: str, fraction: float, seed) -> tuple[list, list]
 
 
 # ---------------------------------------------------------------------------
-# Pair archives: pairs/<id>/{source.xyz, target.xyz, gt.txt}
+# Array files: checkpoints and pair archives
 # ---------------------------------------------------------------------------
 
-def save_transform_txt(transform: geo.RigidTransform, path) -> None:
-    """Write 12 whitespace-separated numbers: row-major R then t."""
-    vals = list(transform.rotation.reshape(-1)) + list(transform.translation)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(f"{v:.17g}" for v in vals) + "\n")
+_ZIP_MAGIC = b"PK\x03\x04"
+PAIR_MEMBERS = ("source", "target", "rotation", "translation")
 
 
-def load_transform_txt(path) -> geo.RigidTransform:
-    tokens = Path(path).read_text(encoding="utf-8").split()
-    if len(tokens) != 12:
-        raise InvalidInputError(f"{path}: expected 12 numbers, got {len(tokens)}")
-    vals = np.array([float(t) for t in tokens])
-    return geo.RigidTransform(vals[:9].reshape(3, 3), vals[9:])
+def write_arrays(arrays: dict[str, np.ndarray], path) -> None:
+    """Write an uncompressed zip of ``<name>.npy`` members that ``np.load``
+    opens, each stamped 1980-01-01 so that reruns write identical bytes."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in arrays.items():
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 
-def write_pair_archive(pairs, root, seeds=None) -> None:
-    """Lay out pairs under ``root/pairs/<id>/`` plus a manifest.
+def read_arrays(path, error=InvalidInputError) -> dict[str, np.ndarray]:
+    """A :func:`write_arrays` file as ``{name: array}``; raises ``error`` for
+    a file that is not a zip, or is truncated or unreadable."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != _ZIP_MAGIC:
+            raise error(f"{path}: bad magic; not a zip of .npy arrays")
+    try:
+        with zipfile.ZipFile(path) as zf:
+            return {
+                name.removesuffix(".npy"): np.lib.format.read_array(io.BytesIO(zf.read(name)), allow_pickle=False)
+                for name in zf.namelist()
+            }
+    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        raise error(f"{path}: truncated or unreadable ({exc})") from None
 
-    ``seeds`` optionally records the per-pair generation seed in the
-    manifest so an archive can be regenerated from its corpus.
-    """
-    root = Path(root)
-    (root / "pairs").mkdir(parents=True, exist_ok=True)
-    manifest = ["id,label,noise_applied,seed"]
+
+def write_pair_archive(pairs, path, seeds=None) -> None:
+    """Write ``pairs`` as one :func:`write_arrays` file: ``<id>/<member>`` for
+    each of :data:`PAIR_MEMBERS`, ids ``000000``, ``000001``, ..., then
+    ``labels`` (``""`` for none), ``noise_applied`` and, when given, the
+    per-pair generation ``seeds`` that regenerate the archive from its corpus."""
+    arrays = {}
     for i, pair in enumerate(pairs):
-        pdir = root / "pairs" / f"{i:06d}"
-        pdir.mkdir(parents=True, exist_ok=True)
-        save_xyz(pair.source, pdir / "source.xyz")
-        save_xyz(pair.target, pdir / "target.xyz")
-        save_transform_txt(pair.ground_truth, pdir / "gt.txt")
-        seed = "" if seeds is None else str(seeds[i])
-        manifest.append(f"{i:06d},{pair.source.label or ''},{int(pair.noise_applied)},{seed}")
-    (root / "manifest.csv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+        values = (pair.source.points, pair.target.points, pair.ground_truth.rotation, pair.ground_truth.translation)
+        arrays.update((f"{i:06d}/{member}", arr) for member, arr in zip(PAIR_MEMBERS, values))
+    arrays["labels"] = np.array([pair.source.label or "" for pair in pairs], dtype=np.str_)
+    arrays["noise_applied"] = np.array([pair.noise_applied for pair in pairs], dtype=bool)
+    if seeds is not None:
+        arrays["seeds"] = np.array(seeds, dtype=np.uint64)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    write_arrays(arrays, path)
 
 
-def read_pair_archive(root) -> list[LabeledPair]:
-    root = Path(root)
-    pair_root = root / "pairs"
-    if not pair_root.is_dir():
-        raise InvalidInputError(f"{root}: not a pair archive (missing pairs/)")
-    noise_by_id: dict[str, bool] = {}
-    labels_by_id: dict[str, str | None] = {}
-    manifest = root / "manifest.csv"
-    if manifest.exists():
-        for line in manifest.read_text(encoding="utf-8").splitlines()[1:]:
-            if not line.strip():
-                continue
-            pid, label, noise = line.split(",")[:3]
-            noise_by_id[pid] = bool(int(noise))
-            labels_by_id[pid] = label or None
+def read_pair_archive(path) -> list[LabeledPair]:
+    """Read a :func:`write_pair_archive` file back; ``InvalidInputError`` for
+    any other file, a missing or malformed pair member, or a stray member."""
+    arrays = read_arrays(path)
+    labels, noise = arrays.pop("labels", np.array(None)), arrays.pop("noise_applied", np.array(None))
+    arrays.pop("seeds", None)  # LabeledPair has no field for the generation seed
+    if labels.ndim != 1 or not labels.size or labels.dtype.kind != "U" or noise.shape != labels.shape or noise.dtype != bool:
+        raise InvalidInputError(f"{path}: not a pair archive (needs labels and noise_applied for one or more pairs)")
     pairs = []
-    for pdir in sorted(pair_root.iterdir()):
-        if not pdir.is_dir():
-            continue
-        label = labels_by_id.get(pdir.name)
-        pairs.append(
-            LabeledPair(
-                source=load_xyz(pdir / "source.xyz", label=label),
-                target=load_xyz(pdir / "target.xyz", label=label),
-                ground_truth=load_transform_txt(pdir / "gt.txt"),
-                noise_applied=noise_by_id.get(pdir.name, False),
-            )
-        )
-    if not pairs:
-        raise InvalidInputError(f"{root}: archive holds no pairs")
+    for i, (label, noisy) in enumerate(zip(labels.tolist(), noise.tolist())):
+        try:
+            src, tgt, rot, trans = [arrays.pop(f"{i:06d}/{member}") for member in PAIR_MEMBERS]
+            label = label or None
+            pairs.append(LabeledPair(PointCloud(src, label), PointCloud(tgt, label), geo.RigidTransform(rot, trans), noisy))
+        except KeyError as exc:
+            raise InvalidInputError(f"{path}: missing member {exc.args[0]!r}") from None
+        except (InvalidInputError, ValueError) as exc:
+            raise InvalidInputError(f"{path}: pair {i:06d} is malformed ({exc})") from None
+    if arrays:
+        raise InvalidInputError(f"{path}: unexpected member(s) {', '.join(sorted(arrays))}")
     return pairs
 
 
@@ -585,6 +590,8 @@ def load_corpus_cloud(label: str, path: Path, n_points: int, seed) -> PointCloud
         cloud = sample_surface(mesh, n_points, seed)
     else:
         cloud = load_xyz(path)
+        if len(cloud) < n_points:
+            raise InsufficientDataError(f"{path}: holds {len(cloud)} points, fewer than n_points = {n_points}")
         if len(cloud) > n_points:
             idx = as_rng(seed).choice(len(cloud), size=n_points, replace=False)
             cloud = PointCloud(cloud.points[np.sort(idx)])

@@ -481,12 +481,6 @@ def cmd_train(args) -> int:
         model_cfg = replace(model_cfg, attention=False)
     tcfg = _from_values(train_mod.TrainConfig, TRAIN_KEYS, values, seed=seed, out_dir=args.out)
     pairs = dataio.read_pair_archive(args.pairs)
-    sizes = sorted({(len(p.source.points), len(p.target.points)) for p in pairs})
-    if len(sizes) > 1 and tcfg.batch_size > 1:
-        raise DataError(
-            f"{args.pairs}: training batches stack their pairs, so the pairs need one source size and one"
-            f" target size; found (source, target) sizes {sizes}"
-        )
     val_pairs = dataio.read_pair_archive(args.val_pairs) if args.val_pairs else None
     model, log = train_mod.train(model_cfg, pairs, val_pairs, tcfg)
     final = Path(args.out) / "checkpoints" / "model_final.dcpk"
@@ -629,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a labeled pair archive from a mesh/cloud corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="pair archive file to write (a zip of .npy arrays)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs-per-cloud", type=_positive_int, default=1)
     p.add_argument("--n-points", type=int, default=dataio.PairGenConfig.n_points)
@@ -702,7 +696,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, InvalidInputError, FileNotFoundError) as exc:
+    except (DataError, InvalidInputError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

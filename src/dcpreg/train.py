@@ -8,22 +8,19 @@ identical runs produce bitwise-identical checkpoints.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from . import dcpnet
+from . import dataio, dcpnet
 from . import geometry as geo
 from .errors import CheckpointError, InvalidInputError, NumericalError, ShapeError
 
 CHECKPOINT_VERSION = 2
-_ZIP_MAGIC = b"PK\x03\x04"
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +196,8 @@ def train(
     loss, and one Adam update. Batch norm therefore trains on statistics
     over the batch: in the embedding, over every edge (or point) of its B
     source clouds and, separately, of its B target clouds; in the MLP head,
-    over its B pairs. The pairs of a batch must share one source size and
-    one target size (``ShapeError`` otherwise), and the MLP head needs
+    over its B pairs. With batches of more than one pair, the training pairs
+    must share one source size and one target size, and the MLP head needs
     batches of at least two pairs (``InvalidInputError`` before training).
 
     The log holds one row per epoch: learning rate, mean training loss, the
@@ -224,6 +221,9 @@ def train(
         val_pairs = train_pairs[len(train_pairs) - n_val :]
         train_pairs = train_pairs[: len(train_pairs) - n_val]
 
+    sizes = sorted({(len(p.source), len(p.target)) for p in train_pairs})
+    if len(sizes) > 1 and cfg.batch_size > 1:
+        raise InvalidInputError(f"batches stack their pairs, which need one (source, target) size; found {sizes}")
     if model_cfg.head == "mlp" and min(cfg.batch_size, len(train_pairs)) < 2:
         raise InvalidInputError(
             f"the MLP head's batch norm trains on batches of at least 2 pairs; got batch_size {cfg.batch_size}"
@@ -283,20 +283,15 @@ def train(
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: dcpnet.ModelParams, path) -> None:
-    """Write an uncompressed zip of ``.npy`` members that ``np.load`` opens:
-    ``__version__``, ``__config__`` (sorted JSON bytes), ``param/<name>`` and
-    ``bnstate/<name>/{mean,var}``. ``ZipInfo`` stamps every member 1980-01-01,
-    so reruns write identical bytes."""
+    """Write a :func:`dataio.write_arrays` file of ``__version__``, ``__config__``
+    (sorted JSON bytes), ``param/<name>`` and ``bnstate/<name>/{mean,var}``."""
     cfg_json = json.dumps(dataclasses.asdict(model.config), sort_keys=True).encode("utf-8")
     members = {"__version__": np.array(CHECKPOINT_VERSION), "__config__": np.frombuffer(cfg_json, dtype=np.uint8)}
     members.update((f"param/{name}", t.data) for name, t in model.params.items())
     for name, st in model.bn_states.items():
         members[f"bnstate/{name}/mean"] = st.running_mean
         members[f"bnstate/{name}/var"] = st.running_var
-    with zipfile.ZipFile(path, "w") as zf:
-        for name, arr in members.items():
-            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
-                np.lib.format.write_array(fh, arr, allow_pickle=False)
+    dataio.write_arrays(members, path)
 
 
 def _config_from_json(blob: bytes, path) -> dcpnet.ModelConfig:
@@ -314,17 +309,7 @@ def _config_from_json(blob: bytes, path) -> dcpnet.ModelConfig:
 
 def load_checkpoint(path) -> dcpnet.ModelParams:
     """Read a checkpoint back into model parameters."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _ZIP_MAGIC:
-            raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
-    try:
-        with zipfile.ZipFile(path) as zf:
-            records = {
-                name.removesuffix(".npy"): np.lib.format.read_array(io.BytesIO(zf.read(name)), allow_pickle=False)
-                for name in zf.namelist()
-            }
-    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
-        raise CheckpointError(f"{path}: truncated or unreadable checkpoint ({exc})") from None
+    records = dataio.read_arrays(path, CheckpointError)
     version = records.pop("__version__", np.array(None)).tolist()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")

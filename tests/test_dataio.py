@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcpreg import dataio, geometry as geo
+from dcpreg import dataio, dcpnet, geometry as geo, train
 from dcpreg.errors import (
     DegenerateCloudError,
     DegenerateMeshError,
+    InsufficientDataError,
     InvalidInputError,
     MissingLabelError,
     OffParseError,
 )
-
-from conftest import random_rotation
 
 
 def write_off(tmp_path, text, name="mesh.off"):
@@ -304,27 +303,82 @@ def test_split_missing_labels(rng):
 # Pair archives
 # ---------------------------------------------------------------------------
 
-def test_pair_archive_roundtrip(tmp_path, rng):
-    cloud = unit_cloud(rng, n=16)
+def archive_pairs(rng):
+    """Four pairs: one noisy, one unlabeled, and labels holding commas."""
     cfg = dataio.PairGenConfig(shuffle_target=False)
-    pairs = [dataio.generate_pair(cloud, cfg, np.random.default_rng(s)) for s in range(4)]
+    labels = ["chair", "table, round", None, "a,b,,c"]
+    pairs = [
+        dataio.generate_pair(dataio.PointCloud(unit_cloud(rng, n=16).points, label), cfg, np.random.default_rng(s))
+        for s, label in enumerate(labels)
+    ]
     pairs[2] = dataio.noisy_pair(pairs[2], 0.01, 0.05, np.random.default_rng(5))
-    dataio.write_pair_archive(pairs, tmp_path)
-    back = dataio.read_pair_archive(tmp_path)
+    return pairs
+
+
+def test_pair_archive_roundtrip(tmp_path, rng):
+    pairs = archive_pairs(rng)
+    path = tmp_path / "pairs.npz"
+    dataio.write_pair_archive(pairs, path, seeds=[7, 8, 9, 2**64 - 1])
+    back = dataio.read_pair_archive(path)
     assert len(back) == 4
     for orig, got in zip(pairs, back):
         assert np.array_equal(got.source.points, orig.source.points)
         assert np.array_equal(got.target.points, orig.target.points)
         assert np.array_equal(got.ground_truth.rotation, orig.ground_truth.rotation)
+        assert np.array_equal(got.ground_truth.translation, orig.ground_truth.translation)
         assert got.noise_applied == orig.noise_applied
+        assert got.source.label == got.target.label == orig.source.label
 
 
-def test_transform_txt_roundtrip(tmp_path, rng):
-    t = geo.RigidTransform(random_rotation(rng), rng.normal(size=3))
-    dataio.save_transform_txt(t, tmp_path / "gt.txt")
-    back = dataio.load_transform_txt(tmp_path / "gt.txt")
-    assert np.array_equal(back.rotation, t.rotation)
-    assert np.array_equal(back.translation, t.translation)
+def test_pair_archive_is_a_numpy_archive(tmp_path, rng):
+    pairs = archive_pairs(rng)
+    path = tmp_path / "pairs.npz"
+    dataio.write_pair_archive(pairs, path, seeds=[7, 8, 9, 2**64 - 1])
+    with np.load(path, allow_pickle=False) as archive:
+        assert archive["labels"].tolist() == ["chair", "table, round", "", "a,b,,c"]
+        assert archive["noise_applied"].tolist() == [False, False, True, False]
+        assert archive["seeds"].dtype == np.uint64 and archive["seeds"].tolist() == [7, 8, 9, 2**64 - 1]
+        assert np.array_equal(archive["000001/source"], pairs[1].source.points)
+        assert np.array_equal(archive["000003/translation"], pairs[3].ground_truth.translation)
+        assert len(archive.files) == 4 * len(dataio.PAIR_MEMBERS) + 3
+
+
+def rewrite_arrays(path, drop=(), **extra):
+    arrays = dataio.read_arrays(path)
+    for name in drop:
+        del arrays[name]
+    dataio.write_arrays({**arrays, **extra}, path)
+
+
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        (lambda p: p.write_bytes(p.read_bytes()[: len(p.read_bytes()) // 2]), "truncated or unreadable"),
+        (lambda p: p.write_text("000000,chair,0,\n", encoding="utf-8"), "magic"),
+        (lambda p: rewrite_arrays(p, drop=["000002/rotation"]), "missing member '000002/rotation'"),
+        (lambda p: rewrite_arrays(p, drop=["labels"]), "not a pair archive"),
+        (lambda p: rewrite_arrays(p, labels=np.array(["x"])), "not a pair archive"),
+        (lambda p: rewrite_arrays(p, **{"000004/source": np.zeros((3, 3))}), "unexpected member.*000004/source"),
+        (lambda p: rewrite_arrays(p, **{"000001/source": np.zeros((3, 4))}), "pair 000001 is malformed"),
+        (lambda p: rewrite_arrays(p, **{"000001/translation": np.zeros(4)}), "pair 000001 is malformed"),
+        (lambda p: rewrite_arrays(p, **{"000003/target": np.array(["a", "b", "c"])}), "pair 000003 is malformed"),
+    ],
+    ids=["truncated", "text", "missing-member", "no-labels", "short-labels", "stray-pair", "bad-points",
+         "bad-translation", "text-points"],
+)
+def test_pair_archive_rejects_damaged_file(tmp_path, rng, damage, match):
+    path = tmp_path / "pairs.npz"
+    dataio.write_pair_archive(archive_pairs(rng), path)
+    damage(path)
+    with pytest.raises(InvalidInputError, match=match):
+        dataio.read_pair_archive(path)
+
+
+def test_pair_archive_rejects_a_checkpoint(tmp_path):
+    path = tmp_path / "model.dcpk"
+    train.save_checkpoint(dcpnet.ModelParams.initialize(dcpnet.ModelConfig(widths=(4,), emb_dims=8), seed=0), path)
+    with pytest.raises(InvalidInputError, match="not a pair archive"):
+        dataio.read_pair_archive(path)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +407,16 @@ def test_build_corpus_and_scan(tmp_path):
     cloud = dataio.load_corpus_cloud(*entries[0], n_points=50, seed=1)
     assert len(cloud) == 50
     assert abs(np.linalg.norm(cloud.points, axis=1).max() - 1.0) < 1e-9
+
+
+def test_xyz_corpus_cloud_honours_n_points(tmp_path, rng):
+    """An .xyz cloud is subsampled to ``n_points``; one with fewer points is rejected."""
+    path = tmp_path / "small.xyz"
+    dataio.save_xyz(dataio.PointCloud(rng.normal(size=(20, 3))), path)
+    for n_points in (12, 20):
+        assert len(dataio.load_corpus_cloud("small", path, n_points, seed=1)) == n_points
+    with pytest.raises(InsufficientDataError, match=r"small\.xyz: holds 20 points, fewer than n_points = 32"):
+        dataio.load_corpus_cloud("small", path, 32, seed=1)
 
 
 @settings(max_examples=30, deadline=None)

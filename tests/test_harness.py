@@ -177,9 +177,25 @@ def test_gen_data_archive_contract(corpus, tmp_path, capsys):
         mapped = geo.apply_transform(pair.ground_truth, pair.source.points)
         assert np.linalg.norm(mapped - pair.target.points, axis=1).max() < 1e-9
         assert not pair.noise_applied
-    manifest = (out / "manifest.csv").read_text().splitlines()
-    assert manifest[0] == "id,label,noise_applied,seed"
-    assert all(line.split(",")[3] for line in manifest[1:])  # seeds recorded
+    with np.load(out, allow_pickle=False) as archive:
+        assert archive["labels"].tolist() == [label for label, _ in dataio.scan_corpus(corpus)]
+        assert archive["noise_applied"].tolist() == [False] * 8
+        assert archive["seeds"].dtype == np.uint64 and len(set(archive["seeds"].tolist())) == 8
+
+
+def test_undersized_xyz_corpus_cloud_exits_3(tmp_path, capsys, rng):
+    """A corpus .xyz cloud with fewer points than asked for is a data error."""
+    corpus = tmp_path / "corpus"
+    (corpus / "blob").mkdir(parents=True)
+    dataio.save_xyz(dataio.PointCloud(rng.normal(size=(20, 3))), corpus / "blob" / "small.xyz")
+    out = tmp_path / "pairs"
+    assert harness.main(["gen-data", "--corpus", str(corpus), "--out", str(out), "--seed", "1", "--n-points", "32"]) == 3
+    assert "small.xyz: holds 20 points, fewer than n_points = 32" in capsys.readouterr().err
+    assert not out.exists()
+    conf = EXPERIMENT_CONF.format(corpus=corpus).replace("data.n_points = 40", "data.n_points = 32")
+    assert run_experiment(corpus, tmp_path / "exp", conf) == 3
+    err = capsys.readouterr().err
+    assert "fewer than n_points = 32" in err and "Traceback" not in err
 
 
 def test_gen_data_deterministic(corpus, tmp_path):
@@ -189,7 +205,7 @@ def test_gen_data_deterministic(corpus, tmp_path):
         assert harness.main(
             ["gen-data", "--corpus", str(corpus), "--out", str(out), "--seed", "3", "--n-points", "32"]
         ) == 0
-        outs.append(tree_digest(out))
+        outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -520,6 +536,26 @@ def test_train_cli_mixed_cloud_sizes_exits_3(corpus, archive, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "(32, 32), (40, 40)" in err and "Traceback" not in err
     assert not (tmp_path / "run4").exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "truncated", "checkpoint"])
+def test_train_and_eval_reject_a_file_that_is_no_pair_archive(corpus, archive, tiny_checkpoint, tmp_path, capsys, kind):
+    """A pair archive directory of the old layout, a cut archive file and a
+    checkpoint all exit 3 with a data error, and gen-data will not write over
+    a directory."""
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        (bad / "pairs" / "000000").mkdir(parents=True)
+        (bad / "manifest.csv").write_text("id,label,noise_applied,seed\n000000,box,0,\n", encoding="utf-8")
+        assert harness.main(["gen-data", "--corpus", str(corpus), "--out", str(bad), "--seed", "1", "--n-points", "32"]) == 3
+    else:
+        blob = (archive if kind == "truncated" else tiny_checkpoint).read_bytes()
+        bad.write_bytes(blob[: len(blob) // 2] if kind == "truncated" else blob)
+    for argv in (["train", "--out", str(tmp_path / "run"), "--seed", "3"], ["eval", "--method", "icp"]):
+        assert harness.main(argv + ["--pairs", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("fraction", ["3", "-0.1", "1.0"])

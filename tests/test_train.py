@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpreg import autodiff as ad, dataio, dcpnet, geometry as geo, train
-from dcpreg.errors import CheckpointError, InvalidInputError, NumericalError, ShapeError
+from dcpreg.errors import CheckpointError, InvalidInputError, NumericalError
 
 from conftest import npy_bytes, random_rotation, rewrite_checkpoint, save_with_config_bytes
 
@@ -230,10 +230,21 @@ def test_train_one_tape_per_batch(monkeypatch):
     assert entries[0] == entries[1] == entries[2] > 0
 
 
-def test_train_batch_of_mixed_cloud_sizes_raises():
+def test_train_batch_of_mixed_cloud_sizes_raises(tmp_path, monkeypatch):
+    """Mixed sizes among the training pairs fail before any forward pass and
+    before ``out_dir`` exists; only the validation pairs may differ."""
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward pass ran before the mixed sizes were rejected")
+
+    monkeypatch.setattr(dcpnet, "dcp_forward", no_forward)
     pairs = make_pairs(2, n_points=16, seed=13) + make_pairs(2, n_points=20, seed=14)
-    with pytest.raises(ShapeError, match=r"\[16, 20\]"):
-        train.train(TINY, pairs, val_pairs=[], cfg=train.TrainConfig(epochs=1, batch_size=4, seed=3))
+    cfg = train.TrainConfig(epochs=1, batch_size=4, seed=3, out_dir=str(tmp_path / "run"))
+    with pytest.raises(InvalidInputError, match=r"\[\(16, 16\), \(20, 20\)\]"):
+        train.train(TINY, pairs, val_pairs=[], cfg=cfg)
+    assert not (tmp_path / "run").exists()
+    monkeypatch.undo()
+    model, _ = train.train(TINY, pairs[:2], val_pairs=pairs[2:], cfg=replace(cfg, out_dir=None))
+    assert model.config == TINY
 
 
 @pytest.mark.parametrize(
