@@ -12,6 +12,7 @@ including a 3x3-SVD rigid alignment head with an analytic backward rule.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -32,6 +33,10 @@ BN_EPS = 1e-5
 LN_EPS = 1e-6
 # Minimum separation of singular-value magnitudes for the SVD differential.
 SVD_GAP_TOL = 1e-8
+# Bytes of attention scores or layer-norm rows that an untaped forward
+# works on at a time: a share of one core's L2 cache, so the passes over a
+# tile after the first find it there.
+TILE_BYTES = 256 * 1024
 
 
 class Tensor:
@@ -126,12 +131,22 @@ def _tracked(t: Tensor) -> bool:
     return t.requires_grad or t._in_graph
 
 
-def _record(op: str, inputs: tuple[Tensor, ...], output: Tensor, backward_fn) -> Tensor:
+def _will_record(*inputs: Tensor) -> bool:
+    """Whether :func:`_record` puts an operation on ``inputs`` on the tape."""
     tape = _active_tape()
-    if tape is not None and any(_tracked(t) for t in inputs):
+    return tape is not None and any(_tracked(t) for t in inputs)
+
+
+def _record(op: str, inputs: tuple[Tensor, ...], output: Tensor, backward_fn) -> Tensor:
+    if _will_record(*inputs):
         output._in_graph = True
-        tape.entries.append(TapeEntry(op, inputs, output, backward_fn))
+        _active_tape().entries.append(TapeEntry(op, inputs, output, backward_fn))
     return output
+
+
+def _tile_rows(width: int, dtype) -> int:
+    """Rows of ``width`` elements of ``dtype`` that fit one tile, at least 1."""
+    return max(1, TILE_BYTES // max(1, width * np.dtype(dtype).itemsize))
 
 
 def _check_same_dtype(*tensors: Tensor) -> None:
@@ -320,14 +335,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     v_h``. A leading axis of size 1 gives the 2-D result bit for bit: each
     product is the same GEMM on the same data.
 
-    The forward makes one (..., heads, n, m) buffer and runs every step in it:
-    ``a = q_h @ k_h^T``, then ``a *= 1/sqrt(dk)`` (cast to the tensor
-    dtype), then the softmax over each row (subtract the row max, exp,
-    divide by the row sum), then ``a @ v_h``. These are the operations of
-    the reshape/transpose/matmul/mul/softmax/matmul composition, on the
-    same head views and in the same order; writing each result in place
-    does not change its rounding, so the output is equal to that
-    composition bit for bit.
+    The forward runs every step of a score block in one buffer: ``a = q_h
+    @ k_h^T``, then ``a *= 1/sqrt(dk)`` (cast to the tensor dtype), then the
+    softmax over each row (subtract the row max, exp, divide by the row
+    sum), then ``a @ v_h``, written straight into the head's columns of the
+    output. These are the operations of the
+    reshape/transpose/matmul/mul/softmax/matmul composition, on the same
+    head views and in the same order; writing each result in place does not
+    change its rounding, so the output is equal to that composition bit for
+    bit.
+
+    Tiles. A call no tape records works on one ``TILE_BYTES`` buffer,
+    reused: it holds the scores of as many (batch index, head) slices as fit
+    (whole heads of several batch indices, or some heads of one; always at
+    least one slice), and the scale and softmax run over blocks of as many
+    whole score rows as fit a tile, so each block's passes after the GEMM
+    find it in cache. A recorded call takes the whole (..., heads, n, m)
+    array as its one tile and one block, since the backward needs every
+    score. Each row and each slice sees the same operations either way, so
+    the two are equal bit for bit.
 
     The backward is analytic and keeps only ``a``: with ``g_h`` the output
     gradient of head ``h`` and ``c_h = a @ v_h``, ``dV = a^T g_h``,
@@ -347,27 +373,44 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         raise ShapeError(
             f"attention: need q (..., n, d) and k, v (..., m, d), got {q.shape}, {k.shape}, {v.shape}"
         )
-    d, m = q.shape[-1], k.shape[-2]
+    (n, d), m = q.shape[-2:], k.shape[-2]
     if m == 0 or d == 0 or d % heads:
         raise ShapeError(f"attention: needs m >= 1 keys and d >= 1 divisible by {heads} heads, got {k.shape}")
     dk = d // heads
+    lead = q.shape[:-2]
+    b = math.prod(lead)
 
     def split(x: np.ndarray) -> np.ndarray:
-        # (..., heads, rows, dk) view
-        return x.reshape(x.shape[:-1] + (heads, dk)).swapaxes(-3, -2)
+        # (b, heads, rows, dk) view
+        return x.reshape((b, x.shape[-2], heads, dk)).swapaxes(1, 2)
 
     def merge(x: np.ndarray) -> np.ndarray:
-        return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], d))
+        return x.swapaxes(1, 2).reshape(lead + (x.shape[2], d))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = np.asarray(1.0 / np.sqrt(dk), dtype=q.dtype)
-    a = qh @ kh.swapaxes(-1, -2)
-    a *= scale
-    _softmax(a, -1, out=a)
-    ctx = a @ vh
-    out = Tensor(merge(ctx))
+    out = np.empty((b, n, d), dtype=q.dtype)
+    ctx = split(out)
+    if _will_record(q, k, v):  # the backward reads every score: one tile, one block
+        per_tile, block = max(1, b * heads), max(1, b * heads * n)
+    else:
+        per_tile, block = _tile_rows(n * m, q.dtype), _tile_rows(m, q.dtype)
+    nh, nb = min(heads, per_tile), max(1, per_tile // heads)
+    scores = np.empty(min(nb, b) * nh * n * m, dtype=q.dtype)
+    for b0 in range(0, b, nb):
+        for h0 in range(0, heads, nh):
+            qs, ks, vs, cs = (x[b0 : b0 + nb, h0 : h0 + nh] for x in (qh, kh, vh, ctx))
+            a = scores[: qs.shape[0] * qs.shape[1] * n * m].reshape(qs.shape[:2] + (n, m))
+            np.matmul(qs, ks.swapaxes(-1, -2), out=a)
+            rows = a.reshape(-1, m)
+            for r0 in range(0, len(rows), block):
+                tile = rows[r0 : r0 + block]
+                tile *= scale
+                _softmax(tile, -1, out=tile)
+            np.matmul(a, vs, out=cs)
 
     def bw(g):
+        a = scores.reshape(b, heads, n, m)  # a recorded call's one tile
         gh = split(g)
         gv = a.swapaxes(-1, -2) @ gh
         ds = gh @ vh.swapaxes(-1, -2)
@@ -376,6 +419,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         ds *= scale
         return merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh), merge(gv)
 
+    out = Tensor(out.reshape(q.shape))
     return _record("attention", (q, k, v), out, bw)
 
 
@@ -730,25 +774,41 @@ def edgeconv_bn_max(
     return _record("edgeconv_bn_max", (center, per_point, gamma, beta), out, bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
-    """Normalize each row over the last axis with learned gain and bias."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize each row over the last axis with learned gain and bias.
+
+    A call no tape records works in blocks of as many whole rows as fit
+    ``TILE_BYTES``, so the passes over a block after the first find it in
+    cache; a recorded call takes all rows as one block, since the backward
+    needs every row's ``xhat`` and ``1/std``. Each row sees the same
+    operations either way, so the two are equal bit for bit.
+    """
     _check_same_dtype(x, gain, bias)
     c = x.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError(f"layer_norm: gain/bias must be ({c},), got {gain.shape}/{bias.shape}")
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (xc * xc).sum(axis=-1, keepdims=True) / c  # x.data.var, bit for bit
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    out = Tensor(gain.data * xhat + bias.data)
+    x2 = x.data.reshape(math.prod(x.shape[:-1]), c)
+    y = np.empty(x2.shape, dtype=x.dtype)
+    block = max(1, len(x2)) if _will_record(x, gain, bias) else _tile_rows(c, x.dtype)
+    for r0 in range(0, max(1, len(x2)), block):  # one block even for no rows, for the backward
+        rows = x2[r0 : r0 + block]
+        xc = rows - rows.mean(axis=-1, keepdims=True)
+        var = (xc * xc).sum(axis=-1, keepdims=True) / c  # rows.var, bit for bit
+        inv_std = 1.0 / np.sqrt(var + LN_EPS)
+        xhat = np.multiply(xc, inv_std, out=xc)
+        np.multiply(gain.data, xhat, out=y[r0 : r0 + block])
+        y[r0 : r0 + block] += bias.data
+    out = Tensor(y.reshape(x.shape))
     lead_axes = tuple(range(x.ndim - 1))
 
     def bw(g):
+        # A recorded call's one block covers every row.
+        xh, inv = xhat.reshape(x.shape), inv_std.reshape(x.shape[:-1] + (1,))
         dxhat = g * gain.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv_std * (dxhat - m1 - xhat * m2)
-        return gx, (g * xhat).sum(axis=lead_axes), g.sum(axis=lead_axes)
+        m2 = (dxhat * xh).mean(axis=-1, keepdims=True)
+        gx = inv * (dxhat - m1 - xh * m2)
+        return gx, (g * xh).sum(axis=lead_axes), g.sum(axis=lead_axes)
 
     return _record("layer_norm", (x, gain, bias), out, bw)
 

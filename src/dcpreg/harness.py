@@ -643,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the aligned source cloud as xyz")
     p.add_argument("--max-iters", type=_positive_int, default=icp.DEFAULT_MAX_ITERS)
     p.add_argument("--tol", type=float, default=icp.DEFAULT_TOL)
-    p.add_argument("--n-points", type=int, default=1024, help="surface samples when input is an OFF mesh")
+    p.add_argument("--n-points", type=_positive_int, default=1024, help="surface samples when input is an OFF mesh")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_register)
 

@@ -151,6 +151,9 @@ class TrainConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
+            if value < 1:
+                raise InvalidInputError(f"train.{name} must be at least 1, got {value}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise InvalidInputError(f"train.val_fraction must lie in [0, 1), got {self.val_fraction}")
         if self.checkpoint_every < 0:

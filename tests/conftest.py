@@ -4,12 +4,28 @@ import zipfile
 import numpy as np
 import pytest
 
-from dcpreg import train
+from dcpreg import autodiff as ad, train
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def score_tile_rows(monkeypatch):
+    """Row counts of the 2-D blocks ``autodiff._softmax`` works on, which
+    are attention's score tiles (the pointer's softmax runs on (B, n, m))."""
+    rows = []
+    softmax = ad._softmax
+
+    def spy(x, axis, out=None):
+        if x.ndim == 2:
+            rows.append(x.shape[0])
+        return softmax(x, axis, out)
+
+    monkeypatch.setattr(ad, "_softmax", spy)
+    return rows
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -193,6 +193,44 @@ def test_attention_shape_errors():
         ad.attention(q, kv, ad.tensor(np.zeros((3, 6)), dtype=np.float32), 2)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tile_scores,blocks", [
+    (4 * 9, [4, 4, 3] * 9),  # one head per tile, four-row blocks, the last partial
+    (2 * 11 * 9, [22, 11] * 3),  # two of three heads per tile, the last group partial
+    (6 * 11 * 9, [66, 33]),  # every head of two of three batch indices per tile
+])
+def test_attention_tiles_equal_whole_array(rng, monkeypatch, score_tile_rows, dtype, tile_scores, blocks):
+    """An untaped call in tiles of ``tile_scores`` scores gives the output of
+    a taped call, which keeps the whole (3, 3, 11, 9) score array, bit for
+    bit."""
+    q = rng.normal(scale=2.0, size=(3, 11, 12)).astype(dtype)
+    k, v = (rng.normal(scale=2.0, size=(3, 9, 12)).astype(dtype) for _ in range(2))
+    monkeypatch.setattr(ad, "TILE_BYTES", tile_scores * np.dtype(dtype).itemsize)
+    with ad.Tape() as tape:
+        whole = ad.attention(*(ad.tensor(a, requires_grad=True) for a in (q, k, v)), 3)
+    assert len(tape.entries) == 1 and score_tile_rows == [99]
+    score_tile_rows.clear()
+    tiled = ad.attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), 3)
+    assert score_tile_rows == blocks
+    assert tiled.dtype == dtype and np.array_equal(tiled.data, whole.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("block", [1, 4, 5, 33])
+def test_layer_norm_row_blocks_equal_whole_array(rng, monkeypatch, dtype, block):
+    """An untaped call in blocks of ``block`` of the 33 rows (the last
+    partial for 4 and 5) gives the output of a taped call, which normalises
+    every row at once, bit for bit."""
+    x = (rng.normal(loc=3.0, scale=2.0, size=(3, 11, 10)) * rng.uniform(0.01, 10.0, size=(3, 11, 1))).astype(dtype)
+    gain, bias = (rng.normal(size=10).astype(dtype) for _ in range(2))
+    monkeypatch.setattr(ad, "TILE_BYTES", block * 10 * np.dtype(dtype).itemsize)
+    with ad.Tape() as tape:
+        whole = ad.layer_norm(ad.tensor(x, requires_grad=True), ad.tensor(gain), ad.tensor(bias))
+    assert len(tape.entries) == 1
+    tiled = ad.layer_norm(ad.tensor(x), ad.tensor(gain), ad.tensor(bias))
+    assert tiled.dtype == dtype and np.array_equal(tiled.data, whole.data)
+
+
 def three_temporary_softmax(x, axis):
     """The softmax forward as it was: shifted, exponentiated and normalised
     into three fresh arrays."""

@@ -416,6 +416,30 @@ def test_attention_shape_preserved(n, rng):
     assert phi_y.shape == (n, 8)
 
 
+def test_untaped_forward_tiles_attention_and_taped_keeps_scores(rng, monkeypatch, score_tile_rows):
+    """``dcp_predict`` runs attention's softmax in tiles, and predicts as it
+    does with all of a pair's scores in one tile; a training forward and an eval forward
+    on a tape, whose parameters are tracked, keep the whole (B, heads, n, n)
+    score array for the backward."""
+    model = dcpnet.ModelParams.initialize(TINY_V2, seed=4)
+    randomize_attention_output(model, rng)
+    x, y = unit_points(rng, 24), unit_points(rng, 24)
+    whole = dcpnet.dcp_predict(x, y, model)
+    assert score_tile_rows == [2 * 24] * 6  # both heads fit one default tile
+    score_tile_rows.clear()
+    monkeypatch.setattr(ad, "TILE_BYTES", 4 * 24 * 8)  # four float64 score rows
+    tiled = dcpnet.dcp_predict(x, y, model)
+    assert score_tile_rows == [4] * (6 * 2 * 6)  # six calls, two heads, six blocks of 24 rows
+    assert np.array_equal(tiled.rotation, whole.rotation)
+    assert np.array_equal(tiled.translation, whole.translation)
+    for training in (True, False):
+        score_tile_rows.clear()
+        with ad.Tape() as tape:
+            dcpnet.dcp_forward([x, y], [y, x], model, training=training)
+        assert score_tile_rows == [2 * 2 * 24] * 6
+        assert sum(e.op == "attention" for e in tape.entries) == 6
+
+
 def test_attention_training_gradients_match_composition(rng, monkeypatch):
     """A tiny-v2 training step through ``ad.attention`` gives the gradients
     of the tape composition it replaced, within 1e-13 of the largest

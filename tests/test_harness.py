@@ -776,6 +776,7 @@ def test_unknown_model_key_exits_3(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("command,flag,value", [
     ("register", "--max-iters", "-5"), ("eval", "--max-iters", "0"), ("bench", "--max-iters", "0"),
+    ("register", "--n-points", "-5"),
 ])
 def test_count_flag_below_one_exits_2(archive, tmp_path, capsys, rng, command, flag, value):
     src = write_cloud(tmp_path, rng.normal(size=(32, 3)), "s.xyz")

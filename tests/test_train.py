@@ -129,17 +129,6 @@ def test_metrics_rmse_is_sqrt_mse(rot_deg, trans):
 # train()
 # ---------------------------------------------------------------------------
 
-def test_train_zero_epochs_returns_init():
-    pairs = make_pairs(4)
-    cfg = train.TrainConfig(epochs=0, seed=3)
-    model, log = train.train(TINY, pairs, cfg=cfg)
-    assert log == []
-    fresh_seed = int(np.random.SeedSequence(3).spawn(2)[0].generate_state(1)[0])
-    fresh = dcpnet.ModelParams.initialize(TINY, seed=fresh_seed)
-    for name, p in model.params.items():
-        assert np.array_equal(p.data, fresh.params[name].data)
-
-
 def test_train_loss_decreases():
     pairs = make_pairs(30, seed=5)
     cfg = train.TrainConfig(epochs=4, batch_size=8, seed=1, lr_milestones=(100,))
@@ -161,6 +150,12 @@ def test_train_deterministic_checkpoints(tmp_path):
     log_a = (tmp_path / "a" / "training_log.csv").read_text()
     log_b = (tmp_path / "b" / "training_log.csv").read_text()
     assert log_a == log_b
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_train_config_rejects_count_below_one(field):
+    with pytest.raises(InvalidInputError, match=f"train.{field} must be at least 1, got 0"):
+        train.TrainConfig(**{field: 0})
 
 
 @pytest.mark.parametrize("fraction", [3.0, -0.1, 1.0])
