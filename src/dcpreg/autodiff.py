@@ -13,7 +13,6 @@ including a 3x3-SVD rigid alignment head with an analytic backward rule.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -99,32 +98,21 @@ class TapeEntry:
 
 @dataclass
 class Tape:
-    """Ordered record of executed primitives for one forward pass."""
+    """Ordered record of executed primitives for one forward pass. Entering
+    a tape pushes it on the module list ``_TAPES``, one for all threads,
+    and leaving pops it; the innermost tape records."""
 
     entries: list[TapeEntry] = field(default_factory=list)
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _tape_stack().pop()
+        _TAPES.pop()
 
 
-_LOCAL = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
-
-
-def _active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_TAPES: list[Tape] = []
 
 
 def _tracked(t: Tensor) -> bool:
@@ -133,14 +121,13 @@ def _tracked(t: Tensor) -> bool:
 
 def _will_record(*inputs: Tensor) -> bool:
     """Whether :func:`_record` puts an operation on ``inputs`` on the tape."""
-    tape = _active_tape()
-    return tape is not None and any(_tracked(t) for t in inputs)
+    return bool(_TAPES) and any(_tracked(t) for t in inputs)
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], output: Tensor, backward_fn) -> Tensor:
     if _will_record(*inputs):
         output._in_graph = True
-        _active_tape().entries.append(TapeEntry(op, inputs, output, backward_fn))
+        _TAPES[-1].entries.append(TapeEntry(op, inputs, output, backward_fn))
     return output
 
 
@@ -259,14 +246,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         ga = g @ np.swapaxes(b.data, -1, -2)
-        if b.ndim == 2 and a.ndim > 2:
-            # Flattened GEMM instead of a batched product plus reduction.
-            a2 = a.data.reshape(-1, a.shape[-1])
-            g2 = np.ascontiguousarray(g).reshape(-1, g.shape[-1])
-            gb = a2.T @ g2
-        else:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return _unbroadcast(ga, a.shape), gb
+        gb = np.swapaxes(a.data, -1, -2) @ g
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _record("matmul", (a, b), out, bw)
 
@@ -441,23 +422,15 @@ def max_reduce(x: Tensor, axis: int) -> Tensor:
     return _record("max_reduce", (x,), out, bw)
 
 
-def mean_reduce(x: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        out = Tensor(np.asarray(x.data.mean()))
-        size = x.data.size
-
-        def bw(g):
-            return (np.full_like(x.data, 1.0 / size) * g,)
-
-        return _record("mean_reduce", (x,), out, bw)
+def mean_reduce(x: Tensor, axis: int) -> Tensor:
     axis = _check_axis(x, axis, "mean_reduce")
     out = Tensor(x.data.mean(axis=axis))
     n = x.shape[axis]
 
-    def bw_axis(g):
+    def bw(g):
         return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
 
-    return _record("mean_reduce", (x,), out, bw_axis)
+    return _record("mean_reduce", (x,), out, bw)
 
 
 def sum_reduce(x: Tensor, axis: int | None = None) -> Tensor:
@@ -525,12 +498,9 @@ def gather(x: Tensor, index) -> Tensor:
     return _record("gather", (x,), out, bw)
 
 
-def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor(np.transpose(x.data, axes))
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
+    inv = tuple(np.argsort(axes))
 
     def bw(g):
         return (np.transpose(g, inv),)

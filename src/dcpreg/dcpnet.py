@@ -5,6 +5,11 @@ network), optional cross-cloud attention residual, soft pointer matching,
 soft correspondence averaging, and a rigid head (differentiable SVD by
 default, quaternion MLP as the ablation variant). DCP-v1 skips the
 attention stage; DCP-v2 includes it.
+
+Every stage takes a batch of B pairs of n source and m target points (see
+:func:`cloud_stack`): embeddings (B, n, d) and (B, m, d), match (B, n, m),
+soft targets (B, n, 3), rotations (B, 3, 3), translations (B, 3).
+:func:`dcp_predict` registers one pair as a batch of one.
 """
 
 from __future__ import annotations
@@ -65,47 +70,43 @@ class ModelConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
 
-class KnnGraph(NamedTuple):
-    k: int
-    indices: np.ndarray  # (N, k) neighbor rows, ties broken by lowest index
-
-
-def knn_graph(points, k: int) -> KnnGraph:
-    """Exact k nearest neighbors by Euclidean distance, self excluded."""
+def knn_graph(points, k: int) -> np.ndarray:
+    """The kNN graph of one (N, 3) cloud as an (N, k) index array: row i
+    holds point i's k nearest neighbors by Euclidean distance, self
+    excluded, nearest first and ties broken by lowest index."""
     pts = geo._as_points(points)
     n = pts.shape[0]
     if k < 1 or k >= n:
         raise InvalidInputError(f"k must satisfy 1 <= k < n_points, got k={k}, n={n}")
-    indices, _ = icp._exact_knn(cKDTree(pts), pts, k, skip_self=True)
-    return KnnGraph(k=k, indices=indices)
+    return icp._exact_knn(cKDTree(pts), pts, k, skip_self=True)[0]
 
 
-def cloud_stack(clouds) -> tuple[np.ndarray, bool]:
-    """A (B, n, 3) float64 stack of clouds and whether it was one cloud.
+def cloud_stack(clouds) -> np.ndarray:
+    """The (B, n, 3) float64 stack of a batch of B clouds.
 
-    ``clouds`` is one cloud (a ``PointCloud``, an (n, 3) array or a list of
-    points, B = 1), a (B, n, 3) array, or a list or tuple of clouds, which
-    must all have the same number of points: a batch with mixed sizes
-    raises ``ShapeError``.
+    ``clouds`` is a (B, n, 3) array, or a list or tuple of clouds
+    (``PointCloud`` or (n, 3) arrays), which must all have the same number
+    of points: a batch with mixed sizes raises ``ShapeError``. One bare
+    cloud would be read row by row, so it raises ``InvalidInputError``.
     """
     if isinstance(clouds, (list, tuple)) and clouds and np.ndim(getattr(clouds[0], "points", clouds[0])) == 2:
         pts = [geo._as_points(c) for c in clouds]
         sizes = sorted({len(c) for c in pts})
         if len(sizes) > 1:
             raise ShapeError(f"a batch stacks clouds of one size, got clouds of {sizes} points")
-        return np.stack(pts), False
+        return np.stack(pts)
     pts = np.asarray(getattr(clouds, "points", clouds), dtype=np.float64)
-    if pts.ndim == 3 and pts.shape[2] == 3 and len(pts):
-        return pts, False
-    return geo._as_points(pts)[None], True
+    if pts.ndim != 3 or pts.shape[2] != 3 or not len(pts):
+        raise InvalidInputError(f"pass a batch (a list of clouds or a (B, n, 3) array), got shape {pts.shape}")
+    return pts
 
 
-def batch_knn_graph(clouds: np.ndarray, k: int) -> KnnGraph:
-    """The kNN graphs of a (B, n, 3) stack as one graph on its (B*n) rows:
-    each cloud's graph from :func:`knn_graph`, offset by its row start, so
-    no edge joins two clouds."""
+def batch_knn_graph(clouds: np.ndarray, k: int) -> np.ndarray:
+    """The kNN graphs of a (B, n, 3) stack as one (B*n, k) index array on
+    its rows: each cloud's graph from :func:`knn_graph`, offset by its row
+    start, so no edge joins two clouds."""
     n = clouds.shape[1]
-    return KnnGraph(k, np.concatenate([knn_graph(c, k).indices + b * n for b, c in enumerate(clouds)]))
+    return np.concatenate([knn_graph(c, k) + b * n for b, c in enumerate(clouds)])
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +228,11 @@ class _Builder:
 def pointnet_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor:
     """Shared per-point MLP; no information flows between points.
 
-    ``points`` is one cloud or a batch (see :func:`cloud_stack`), embedded
-    as one (B*n, c) row block; in training, batch norm's statistics cover
-    every point of every cloud."""
+    ``points`` is a batch of B clouds of n points (see :func:`cloud_stack`),
+    embedded as one (B*n, c) row block; in training, batch norm's
+    statistics cover every point of every cloud."""
     cfg = model.config
-    f = ad.tensor(cloud_stack(points)[0].reshape(-1, 3).astype(cfg.np_dtype))
+    f = ad.tensor(cloud_stack(points).reshape(-1, 3).astype(cfg.np_dtype))
     widths = tuple(cfg.resolved_widths) + (cfg.emb_dims,)
     for i in range(len(widths)):
         name = f"embed.l{i}"
@@ -249,13 +250,16 @@ def pointnet_embed(points, model: ModelParams, training: bool = False) -> ad.Ten
 
 def edgeconv_layer(
     f: ad.Tensor,
-    graph: KnnGraph,
+    graph: np.ndarray,
     model: ModelParams,
     name: str,
     training: bool = False,
 ) -> ad.Tensor:
     """Edge convolution: per-edge MLP on (x_i, x_j - x_i), then batch norm,
     ReLU and the max over neighbors, at per-point cost in both modes.
+
+    ``f`` (N, c_in) holds one row per point of a batch and ``graph`` (N, k)
+    its neighbor rows (:func:`batch_knn_graph`); the output is (N, c_out).
 
     The edge map is linear: ``x_i @ Wa + (x_j - x_i) @ Wb == x_i @ (Wa - Wb)
     + x_j @ Wb``. So two GEMMs give each point ``center = f @ (Wa - Wb)``
@@ -279,8 +283,8 @@ def edgeconv_layer(
       neighbor 0, as a per-edge max would; that edge's normalised value is
       what the gradient of gamma sees.
     """
-    if graph.indices.shape[0] != f.shape[0]:
-        raise ShapeError(f"graph rows {graph.indices.shape[0]} != feature rows {f.shape[0]}")
+    if len(graph) != f.shape[0]:
+        raise ShapeError(f"graph rows {len(graph)} != feature rows {f.shape[0]}")
     p = model.params
     wb = p[f"{name}.wb"]
     center = ad.matmul(f, ad.sub(p[f"{name}.wa"], wb))  # (n, c_out)
@@ -288,7 +292,7 @@ def edgeconv_layer(
     return ad.edgeconv_bn_max(
         center,
         per_point,
-        graph.indices,
+        graph,
         p[f"{name}.bn.gamma"],
         p[f"{name}.bn.beta"],
         model.bn_states[f"{name}.bn"],
@@ -300,11 +304,11 @@ def dgcnn_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor
     """Stacked edge convolutions; intermediate outputs concatenated into the
     final layer. The neighbor graph is built once from input coordinates.
 
-    ``points`` is one cloud or a batch (see :func:`cloud_stack`), embedded
-    as one (B*n, c) row block on :func:`batch_knn_graph`; in training, batch
-    norm's statistics cover every edge of every cloud."""
+    ``points`` is a batch of B clouds of n points (see :func:`cloud_stack`),
+    embedded as one (B*n, c) row block on :func:`batch_knn_graph`; in
+    training, batch norm's statistics cover every edge of every cloud."""
     cfg = model.config
-    clouds, _ = cloud_stack(points)
+    clouds = cloud_stack(points)
     graph = batch_knn_graph(clouds, cfg.knn_k)
     f = ad.tensor(clouds.reshape(-1, 3).astype(cfg.np_dtype))
     layer_outputs = []
@@ -316,9 +320,9 @@ def dgcnn_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor
 
 
 def embed_cloud(points, model: ModelParams, training: bool = False) -> ad.Tensor:
-    """Per-point embeddings (B, n, c) of a batch of B clouds, or of one
-    cloud (B = 1), computed as one row block."""
-    clouds, _ = cloud_stack(points)
+    """Per-point embeddings (B, n, c) of a batch of B clouds of n points
+    (see :func:`cloud_stack`), computed as one row block."""
+    clouds = cloud_stack(points)
     embed = dgcnn_embed if model.config.embedding == "dgcnn" else pointnet_embed
     f = embed(clouds, model, training)
     return ad.reshape(f, clouds.shape[:2] + (f.shape[1],))
@@ -374,8 +378,8 @@ def transformer_attention(
 ) -> tuple[ad.Tensor, ad.Tensor]:
     """Co-contextual embeddings: each cloud's features plus a learned
     residual computed from both clouds. No positional encoding is used;
-    point index carries no information. ``f_x`` (..., n, d) and ``f_y``
-    (..., m, d) may carry a leading batch axis."""
+    point index carries no information. ``f_x`` (B, n, d) and ``f_y``
+    (B, m, d) give (B, n, d) and (B, m, d)."""
     if f_x.shape[-1] != f_y.shape[-1]:
         raise ShapeError(f"embedding dims differ: {f_x.shape} vs {f_y.shape}")
     phi_x = ad.add(f_x, _cross_residual(f_x, f_y, model))
@@ -389,20 +393,18 @@ def transformer_attention(
 
 def pointer_softmatch(phi_x: ad.Tensor, phi_y: ad.Tensor) -> ad.Tensor:
     """Row-stochastic soft assignment of each source point over targets,
-    from raw inner-product logits: (..., n, m) from (..., n, d) and
-    (..., m, d)."""
+    from raw inner-product logits: (B, n, m) from (B, n, d) and
+    (B, m, d)."""
     if phi_x.shape[-1] != phi_y.shape[-1]:
         raise ShapeError(f"embedding dims differ: {phi_x.shape} vs {phi_y.shape}")
     return ad.softmax(ad.matmul(phi_x, ad.swap_last(phi_y)), axis=-1)
 
 
 def soft_correspondence(match: ad.Tensor, y_points) -> ad.Tensor:
-    """Blend target points by match weights: each row lands in the convex
-    hull of the target cloud. ``match`` (n, m) takes one cloud, and (B, n,
-    m) a batch of B (see :func:`cloud_stack`)."""
-    y, single = cloud_stack(y_points)
-    if match.ndim == 2 and single:
-        y = y[0]
+    """Blend target points by match weights: ``match`` (B, n, m) over a
+    batch of B target clouds of m points (see :func:`cloud_stack`) gives
+    (B, n, 3) points, each row in the convex hull of its target cloud."""
+    y = cloud_stack(y_points)
     if match.shape[:-2] != y.shape[:-2] or match.shape[-1] != y.shape[-2]:
         raise ShapeError(f"match {match.shape} does not fit target clouds {y.shape}")
     return ad.matmul(match, ad.constant(y.astype(match.dtype)))
@@ -482,45 +484,40 @@ def mlp_head(
 # ---------------------------------------------------------------------------
 
 class DcpForward(NamedTuple):
-    """Outputs of :func:`dcp_forward`; a batch puts a leading B axis on each."""
+    """Outputs of :func:`dcp_forward` on B pairs of n source and m target points."""
 
-    rotation: ad.Tensor  # (3, 3)
-    translation: ad.Tensor  # (3,)
-    match: ad.Tensor  # (N, M) row-stochastic
-    soft_target: ad.Tensor  # (N, 3) blended target points
+    rotation: ad.Tensor  # (B, 3, 3)
+    translation: ad.Tensor  # (B, 3)
+    match: ad.Tensor  # (B, n, m) row-stochastic
+    soft_target: ad.Tensor  # (B, n, 3) blended target points
 
 
 def dcp_forward(x_points, y_points, model: ModelParams, training: bool = False) -> DcpForward:
-    """Differentiable registration forward pass on one cloud pair, or on a
-    batch of B pairs.
+    """Differentiable registration forward pass on a batch of B pairs.
 
-    ``x_points`` and ``y_points`` are each one cloud, or a batch of B
-    clouds (a list, or a (B, n, 3) array; see :func:`cloud_stack`). A
-    single pair runs as a batch of one, and its outputs drop the batch
-    axis. The B sources are embedded as one row block and the B targets as
-    another, so in training every batch norm of the embedding normalises
-    over the edges (DGCNN) or points (PointNet) of all B clouds, and the
-    MLP head's over the B pairs; inference uses the running statistics, so
-    each pair's output does not depend on the rest of the batch.
+    ``x_points`` and ``y_points`` are each a batch of B clouds, of n and m
+    points (a list, or a (B, n, 3) array; see :func:`cloud_stack`); the
+    outputs are those of :class:`DcpForward`. The B sources are embedded
+    as one row block and the B targets as another, so in training every
+    batch norm of the embedding normalises over the edges (DGCNN) or
+    points (PointNet) of all B clouds, and the MLP head's over the B pairs;
+    inference uses the running statistics, so each pair's output does not
+    depend on the rest of the batch.
     """
-    xs, single, phi_x, phi_y, match, soft_target = _soft_match(x_points, y_points, model, training)
+    xs, phi_x, phi_y, match, soft_target = _soft_match(x_points, y_points, model, training)
     if model.config.head == "svd":
         rotation, translation = ad.svd_rigid_head(ad.constant(xs.astype(model.config.np_dtype)), soft_target)
     else:
         rotation, translation = mlp_head(phi_x, phi_y, model, training)
-    out = DcpForward(rotation, translation, match, soft_target)
-    if single:
-        return DcpForward(*(ad.reshape(t, t.shape[1:]) for t in out))
-    return out
+    return DcpForward(rotation, translation, match, soft_target)
 
 
 def _soft_match(x_points, y_points, model: ModelParams, training: bool):
     """The forward up to the soft targets, shared by :func:`dcp_forward`
-    and :func:`dcp_predict`: the (B, n, 3) source stack, whether it was one
-    cloud, both embeddings, the match and the soft targets, each with a
-    leading B axis."""
-    xs, single = cloud_stack(x_points)
-    ys, _ = cloud_stack(y_points)
+    and :func:`dcp_predict`: the (B, n, 3) source stack, both embeddings,
+    the match and the soft targets."""
+    xs = cloud_stack(x_points)
+    ys = cloud_stack(y_points)
     if len(xs) != len(ys):
         raise ShapeError(f"a batch pairs {len(xs)} source clouds with {len(ys)} target clouds")
     f_x = embed_cloud(xs, model, training)
@@ -530,11 +527,12 @@ def _soft_match(x_points, y_points, model: ModelParams, training: bool):
     else:
         phi_x, phi_y = f_x, f_y
     match = pointer_softmatch(phi_x, phi_y)
-    return xs, single, phi_x, phi_y, match, soft_correspondence(match, ys)
+    return xs, phi_x, phi_y, match, soft_correspondence(match, ys)
 
 
 def dcp_predict(x_points, y_points, model: ModelParams) -> geo.RigidTransform:
-    """Inference-mode registration returning a validated rigid transform.
+    """Inference-mode registration of one pair, run as a batch of one,
+    returning a validated rigid transform.
 
     The final alignment is recomputed in float64 so the output satisfies
     the strict orthogonality invariants regardless of model precision; with
@@ -542,13 +540,11 @@ def dcp_predict(x_points, y_points, model: ModelParams) -> geo.RigidTransform:
     run.
     """
     if model.config.head == "svd":
-        soft_target = _soft_match(x_points, y_points, model, training=False)[-1]
-        return geo.procrustes_solve(
-            geo._as_points(x_points), np.asarray(soft_target.data.reshape(-1, 3), dtype=np.float64)
-        )
-    out = dcp_forward(x_points, y_points, model, training=False)
-    rotation = _nearest_rotation(out.rotation.data)
-    return geo.RigidTransform(rotation, np.asarray(out.translation.data, dtype=np.float64))
+        soft_target = _soft_match([x_points], [y_points], model, training=False)[-1]
+        return geo.procrustes_solve(geo._as_points(x_points), np.asarray(soft_target.data[0], dtype=np.float64))
+    out = dcp_forward([x_points], [y_points], model, training=False)
+    rotation = _nearest_rotation(out.rotation.data[0])
+    return geo.RigidTransform(rotation, np.asarray(out.translation.data[0], dtype=np.float64))
 
 
 def _nearest_rotation(rotation: np.ndarray) -> np.ndarray:
@@ -557,20 +553,16 @@ def _nearest_rotation(rotation: np.ndarray) -> np.ndarray:
     return u @ v.T
 
 
-def dcp_loss(rotation: ad.Tensor, translation: ad.Tensor, gt) -> ad.Tensor:
+def dcp_loss(rotation: ad.Tensor, translation: ad.Tensor, gts) -> ad.Tensor:
     """Squared alignment error against the generating motion,
-    ``|R^T Rg - I|_F^2 + |t - tg|^2``. The paper's ``lambda * |theta|^2``
-    penalty is Adam's weight decay (``TrainConfig.weight_decay``).
+    ``|R^T Rg - I|_F^2 + |t - tg|^2``, averaged over a batch of B pairs.
+    The paper's ``lambda * |theta|^2`` penalty is Adam's weight decay
+    (``TrainConfig.weight_decay``).
 
-    ``gt`` is one ``RigidTransform`` for a (3, 3) rotation and (3,)
-    translation, or a sequence of B of them for a batch, (B, 3, 3) and
-    (B, 3); a batch gives the mean of its B pair losses."""
-    single = isinstance(gt, geo.RigidTransform)
-    gts = [gt] if single else list(gt)
+    ``rotation`` (B, 3, 3) and ``translation`` (B, 3) are scored against
+    the sequence ``gts`` of B ground-truth ``RigidTransform``s."""
     rg = np.stack([g.rotation for g in gts])
     tg = np.stack([g.translation for g in gts])
-    if single:
-        rg, tg = rg[0], tg[0]
     if rotation.shape != rg.shape or translation.shape != tg.shape:
         raise ShapeError(
             f"dcp_loss: {len(gts)} ground truths for rotation {rotation.shape} and translation {translation.shape}"
@@ -580,6 +572,4 @@ def dcp_loss(rotation: ad.Tensor, translation: ad.Tensor, gt) -> ad.Tensor:
     dr = ad.sub(ad.matmul(ad.swap_last(rotation), ad.constant(rg, dtype=dtype)), eye)
     dt = ad.sub(translation, ad.constant(tg, dtype=dtype))
     total = ad.add(ad.sum_reduce(ad.mul(dr, dr)), ad.sum_reduce(ad.mul(dt, dt)))
-    if single:
-        return total
     return ad.mul(total, ad.constant(1.0 / len(gts), dtype=dtype))

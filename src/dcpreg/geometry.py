@@ -192,11 +192,6 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     return RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
 
 
-def inverse(a: RigidTransform) -> RigidTransform:
-    rot = a.rotation.T
-    return RigidTransform(rot, -rot @ a.translation)
-
-
 def alignment_mse(src, dst, transform: RigidTransform) -> float:
     """Mean squared residual of ``transform`` mapping src onto dst, index-matched."""
     x = _as_points(src)

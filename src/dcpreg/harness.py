@@ -90,6 +90,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _seed(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError("a seed must be at least 0")
+    return value
+
+
 def _int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
@@ -213,7 +220,7 @@ def experiment_config_from_values(values: dict[str, str]) -> ExperimentConfig:
     corpus = merged["data.corpus"]
     if not Path(corpus).is_dir():
         raise DataError(f"corpus directory {corpus} does not exist")
-    seed = _convert(merged, "seed", int)
+    seed = _convert(merged, "seed", _seed)
     methods = parse_methods(merged.get("methods", "icp,dcp-v1"))
     model = model_config_from_values(merged)
     for method in methods:
@@ -475,7 +482,7 @@ def cmd_train(args) -> int:
         values["train.epochs"] = str(args.epochs)
     if "seed" not in values:
         raise UsageError("set --seed or a seed in the config file")
-    seed = _convert(values, "seed", int)
+    seed = _convert(values, "seed", _seed)
     model_cfg = model_config_from_values(values)
     if args.v1:
         model_cfg = replace(model_cfg, attention=False)
@@ -624,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a labeled pair archive from a mesh/cloud corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="pair archive file to write (a zip of .npy arrays)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--pairs-per-cloud", type=_positive_int, default=1)
     p.add_argument("--n-points", type=int, default=dataio.PairGenConfig.n_points)
     p.add_argument("--max-rot-deg", type=float, default=dataio.PairGenConfig.max_rot_deg)
@@ -644,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=_positive_int, default=icp.DEFAULT_MAX_ITERS)
     p.add_argument("--tol", type=float, default=icp.DEFAULT_TOL)
     p.add_argument("--n-points", type=_positive_int, default=1024, help="surface samples when input is an OFF mesh")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("train", help="train a model on a pair archive")
@@ -652,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-pairs")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="key=value file with model.* and train.* settings")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--epochs", type=_positive_int)
     p.add_argument("--v1", action="store_true", help="disable the attention stage")
     p.set_defaults(func=cmd_train)
@@ -678,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--config", help="model settings for untrained dcp timing")
     p.add_argument("--checkpoint")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-iters", type=_positive_int, default=20)
     p.set_defaults(func=cmd_bench)
 
@@ -696,7 +703,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, InvalidInputError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DataError, InvalidInputError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

@@ -2,15 +2,15 @@
 
 Alternates nearest-neighbor correspondence with the closed-form alignment
 solve; the recorded objective (mean squared matched residual) is
-non-increasing by construction. Also provides polishing: the same loop
+non-increasing by construction. :func:`polish_with_icp` runs the same loop
 seeded from an externally estimated transform.
 
-Each iteration makes one k-d tree query (:func:`_exact_knn`, also the
-DGCNN graph's kNN) and one 3x3 LAPACK SVD (``geometry.svd3``). A query
-ranks its candidates by (squared distance, index), so a distance tie goes
-to the lowest point index, as an exhaustive scan would; only a query row
-whose k-th candidate ties the last one it fetched is queried again, with
-more candidates.
+Each iteration makes one ``SpatialIndex.query_many`` (:func:`_exact_knn`,
+also the DGCNN graph's kNN) and one ``geometry.procrustes_solve``, with
+its 3x3 LAPACK SVD (``geometry.svd3``). A query ranks its candidates by
+(squared distance, index), so a distance tie goes to the lowest point
+index, as an exhaustive scan would; only a query row whose k-th candidate
+ties the last one it fetched is queried again, with more candidates.
 """
 
 from __future__ import annotations
@@ -106,13 +106,6 @@ class SpatialIndex:
         self.points = pts
         self._tree = cKDTree(pts)
 
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def query(self, point) -> tuple[int, float]:
-        idx, dist = self.query_many(np.asarray(point, dtype=np.float64).reshape(1, 3))
-        return int(idx[0]), float(dist[0])
-
     def query_many(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """Nearest target index and distance for each query row."""
         idx, dist2 = _exact_knn(self._tree, np.asarray(queries, dtype=np.float64), 1)
@@ -133,20 +126,6 @@ def correspondence_step(x: np.ndarray, index: SpatialIndex, transform: geo.Rigid
     idx, dist = index.query_many(moved)
     objective = float((dist**2).sum() / dist.size)  # np.mean, without its wrapper
     return idx, objective
-
-
-def alignment_step(x: np.ndarray, y: np.ndarray, correspondence: np.ndarray) -> geo.RigidTransform:
-    """One alignment update: the closed-form solve on the matched pairs."""
-    return geo.procrustes_solve(x, y.take(correspondence, axis=0))
-
-
-def registration_objective(x, y, transform: geo.RigidTransform, index: SpatialIndex | None = None) -> float:
-    """Mean squared nearest-neighbor residual of ``transform`` aligning x to y."""
-    xp = geo._as_points(x)
-    if index is None:
-        index = SpatialIndex(y)
-    _, objective = correspondence_step(xp, index, transform)
-    return objective
 
 
 def icp_register(
@@ -179,7 +158,7 @@ def icp_register(
             )
         if prev_objective - objective < tol:
             break
-        new_transform = alignment_step(xp, yp, corr)
+        new_transform = geo.procrustes_solve(xp, yp.take(corr, axis=0))
         # Frobenius norms, summed as np.linalg.norm sums them.
         d_rot = (new_transform.rotation - transform.rotation).ravel()
         d_tra = new_transform.translation - transform.translation

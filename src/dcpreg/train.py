@@ -151,13 +151,11 @@ class TrainConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
-            if value < 1:
-                raise InvalidInputError(f"train.{name} must be at least 1, got {value}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("checkpoint_every", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise InvalidInputError(f"train.{name} must be at least {low}, got {getattr(self, name)}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise InvalidInputError(f"train.val_fraction must lie in [0, 1), got {self.val_fraction}")
-        if self.checkpoint_every < 0:
-            raise InvalidInputError(f"train.checkpoint_every must be at least 0, got {self.checkpoint_every}")
 
 
 def _batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:

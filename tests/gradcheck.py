@@ -135,7 +135,7 @@ def case_mean_reduce(rng):
 
 def case_mean_all(rng):
     x = _t(rng, (4, 2))
-    return lambda: ad.mean_reduce(ad.mul(x, x)), [x]
+    return lambda: ad.mean_reduce(ad.mean_reduce(ad.mul(x, x), axis=1), axis=0), [x]
 
 
 def case_sum_reduce(rng):

@@ -62,7 +62,7 @@ def test_composite_graph_finite_difference():
         h = ad.relu(ad.affine(x, w, b))
         p = ad.softmax(h, axis=1)
         d = ad.sub(p, target)
-        return ad.mean_reduce(ad.mul(d, d))
+        return ad.mean_reduce(ad.mean_reduce(ad.mul(d, d), axis=1), axis=0)
 
     with ad.Tape() as tape:
         loss = forward()
@@ -525,7 +525,7 @@ def test_head_alignment_loss_jacobian(rng):
 
     def forward():
         r, t = ad.svd_rigid_head(src, dst)
-        dr = ad.sub(ad.matmul(ad.transpose(r), rg), eye)
+        dr = ad.sub(ad.matmul(ad.swap_last(r), rg), eye)
         dt = ad.sub(t, tg)
         return ad.add(ad.sum_reduce(ad.mul(dr, dr)), ad.sum_reduce(ad.mul(dt, dt)))
 

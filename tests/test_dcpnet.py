@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dcpreg import autodiff as ad, dcpnet, geometry as geo
+from dcpreg import autodiff as ad, dataio, dcpnet, geometry as geo
 from dcpreg.errors import DegenerateOutputError, InvalidInputError, ShapeError
 
 import gradcheck
@@ -33,15 +33,15 @@ def unit_points(rng, n=16):
 def test_knn_collinear_endpoints():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
     g = dcpnet.knn_graph(pts, 1)
-    assert g.indices[0, 0] == 1
-    assert g.indices[3, 0] == 2
+    assert g[0, 0] == 1
+    assert g[3, 0] == 2
 
 
 def test_knn_complete_graph(rng):
     pts = rng.normal(size=(6, 3))
     g = dcpnet.knn_graph(pts, 5)
     for i in range(6):
-        assert set(g.indices[i]) == set(range(6)) - {i}
+        assert set(g[i]) == set(range(6)) - {i}
 
 
 def test_knn_matches_bruteforce(rng):
@@ -51,7 +51,7 @@ def test_knn_matches_bruteforce(rng):
         d = np.linalg.norm(pts - pts[i], axis=1)
         d[i] = np.inf
         want = np.argsort(d, kind="stable")[:20]
-        assert np.array_equal(g.indices[i], want)
+        assert np.array_equal(g[i], want)
 
 
 def dense_knn_reference(pts, k):
@@ -78,7 +78,7 @@ def knn_reference_cloud(rng, kind):
 def test_knn_matches_dense_reference(rng, kind):
     pts = knn_reference_cloud(rng, kind)
     for k in range(1, len(pts)):
-        assert np.array_equal(dcpnet.knn_graph(pts, k).indices, dense_knn_reference(pts, k)), k
+        assert np.array_equal(dcpnet.knn_graph(pts, k), dense_knn_reference(pts, k)), k
 
 
 def test_knn_invalid_k(rng):
@@ -92,7 +92,7 @@ def test_knn_invalid_k(rng):
 def test_knn_tie_breaks_to_lowest_index():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0], [2.0, 0, 0]])
     g = dcpnet.knn_graph(pts, 2)
-    assert np.array_equal(g.indices[0], [1, 2])  # both at distance 1
+    assert np.array_equal(g[0], [1, 2])  # both at distance 1
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_pointnet_duplicate_points_identical_rows(rng):
     model = dcpnet.ModelParams.initialize(cfg, seed=0)
     pts = unit_points(rng, 10)
     pts[7] = pts[2]
-    f = dcpnet.pointnet_embed(pts, model)
+    f = dcpnet.pointnet_embed([pts], model)
     assert np.array_equal(f.data[2], f.data[7])
 
 
@@ -113,8 +113,8 @@ def test_pointnet_permutation_equivariance(rng):
     model = dcpnet.ModelParams.initialize(cfg, seed=0)
     pts = unit_points(rng, 12)
     perm = rng.permutation(12)
-    f = dcpnet.pointnet_embed(pts, model)
-    f_perm = dcpnet.pointnet_embed(pts[perm], model)
+    f = dcpnet.pointnet_embed([pts], model)
+    f_perm = dcpnet.pointnet_embed([pts[perm]], model)
     assert np.array_equal(f.data[perm], f_perm.data)
 
 
@@ -122,7 +122,7 @@ def test_pointnet_default_output_shape(rng):
     cfg = dcpnet.ModelConfig(embedding="pointnet", attention=False, dtype="float32")
     assert cfg.resolved_widths == (64, 64, 64, 128)
     model = dcpnet.ModelParams.initialize(cfg, seed=1)
-    f = dcpnet.pointnet_embed(unit_points(rng, 1024), model)
+    f = dcpnet.pointnet_embed([unit_points(rng, 1024)], model)
     assert f.shape == (1024, 512)
 
 
@@ -134,7 +134,7 @@ def test_edgeconv_identical_inputs_give_identical_rows(rng):
     model = dcpnet.ModelParams.initialize(TINY_V1, seed=0)
     n, k = 6, 3
     f = ad.tensor(np.tile(rng.normal(size=(1, 3)), (n, 1)))
-    graph = dcpnet.KnnGraph(k, np.tile(np.arange(k), (n, 1)))
+    graph = np.tile(np.arange(k), (n, 1))
     out = dcpnet.edgeconv_layer(f, graph, model, "embed.l0")
     assert np.allclose(out.data, out.data[0], atol=1e-12)
 
@@ -146,7 +146,7 @@ def test_edgeconv_k1_is_identity_aggregation(rng):
     out = dcpnet.edgeconv_layer(ad.tensor(pts), graph, model, "embed.l0")
     # Manual single-edge computation: no max needed over one neighbor.
     xi = pts
-    xj = pts[graph.indices[:, 0]]
+    xj = pts[graph[:, 0]]
     wa = model.params["embed.l0.wa"].data
     wb = model.params["embed.l0.wb"].data
     st = model.bn_states["embed.l0.bn"]
@@ -160,11 +160,11 @@ def test_edgeconv_neighbor_order_invariance(rng):
     model = dcpnet.ModelParams.initialize(TINY_V1, seed=0)
     pts = unit_points(rng, 10)
     graph = dcpnet.knn_graph(pts, 4)
-    shuffled = graph.indices.copy()
+    shuffled = graph.copy()
     for row in shuffled:
         rng.shuffle(row)
     out1 = dcpnet.edgeconv_layer(ad.tensor(pts), graph, model, "embed.l0")
-    out2 = dcpnet.edgeconv_layer(ad.tensor(pts), dcpnet.KnnGraph(4, shuffled), model, "embed.l0")
+    out2 = dcpnet.edgeconv_layer(ad.tensor(pts), shuffled, model, "embed.l0")
     assert np.array_equal(out1.data, out2.data)
 
 
@@ -176,7 +176,7 @@ def split_form_edgeconv(f, graph, model, name, training):
     """The form edgeconv_layer replaced: ``x_i @ Wa + (x_j - x_i) @ Wb`` per
     edge, then batch norm, ReLU and the neighbor max, all per edge."""
     n, c = f.shape
-    diff = ad.sub(ad.gather(f, graph.indices), ad.reshape(f, (n, 1, c)))
+    diff = ad.sub(ad.gather(f, graph), ad.reshape(f, (n, 1, c)))
     center = ad.matmul(f, model.params[f"{name}.wa"])
     h = ad.add(ad.reshape(center, (n, 1, center.shape[1])), ad.matmul(diff, model.params[f"{name}.wb"]))
     h = ad.batch_norm(
@@ -196,7 +196,7 @@ def per_edge_eval_reference(f, graph, model, name):
     per_point = f @ wb
     st = model.bn_states[f"{name}.bn"]
     inv_std = 1.0 / np.sqrt(st.running_var.astype(f.dtype) + st.eps)
-    xhat = ((center[:, None, :] + per_point[graph.indices]) - st.running_mean.astype(f.dtype)) * inv_std
+    xhat = ((center[:, None, :] + per_point[graph]) - st.running_mean.astype(f.dtype)) * inv_std
     return np.maximum(p[f"{name}.bn.gamma"].data * xhat + p[f"{name}.bn.beta"].data, 0).max(axis=1)
 
 
@@ -317,7 +317,7 @@ def test_edgeconv_duplicate_points_match_split_form(rng):
     pts[20:32], f[20:32] = pts[:12], f[:12]
     pts[39] = 50.0
     graph = dcpnet.knn_graph(pts, 5)
-    degree = np.bincount(graph.indices.ravel(), minlength=40)
+    degree = np.bincount(graph.ravel(), minlength=40)
     assert degree[39] == 0 and degree.max() > 5
     model = edge_case_model(rng, "float64", gamma_zeros=False)
     (out, mean, var, grads), (ref_out, ref_mean, ref_var, ref_grads) = edge_layer_and_split_form(
@@ -352,7 +352,7 @@ def test_dgcnn_output_shape_default(rng):
     cfg = dcpnet.ModelConfig(attention=False, dtype="float32")
     assert cfg.resolved_widths == (64, 64, 128, 256)
     model = dcpnet.ModelParams.initialize(cfg, seed=2)
-    f = dcpnet.dgcnn_embed(unit_points(rng, 64), model)
+    f = dcpnet.dgcnn_embed([unit_points(rng, 64)], model)
     assert f.shape == (64, 512)
 
 
@@ -360,8 +360,8 @@ def test_dgcnn_not_rotation_invariant(rng):
     model = dcpnet.ModelParams.initialize(TINY_V1, seed=3)
     pts = unit_points(rng, 20)
     rot = geo.euler_zyx_to_matrix(math.radians(30), 0, 0)
-    f1 = dcpnet.dgcnn_embed(pts, model)
-    f2 = dcpnet.dgcnn_embed(pts @ rot.T, model)
+    f1 = dcpnet.dgcnn_embed([pts], model)
+    f2 = dcpnet.dgcnn_embed([pts @ rot.T], model)
     assert np.abs(f1.data - f2.data).max() > 1e-6
 
 
@@ -369,8 +369,8 @@ def test_dgcnn_permutation_equivariance(rng):
     model = dcpnet.ModelParams.initialize(TINY_V1, seed=3)
     pts = unit_points(rng, 14)
     perm = rng.permutation(14)
-    f = dcpnet.dgcnn_embed(pts, model)
-    f_perm = dcpnet.dgcnn_embed(pts[perm], model)
+    f = dcpnet.dgcnn_embed([pts], model)
+    f_perm = dcpnet.dgcnn_embed([pts[perm]], model)
     assert np.allclose(f.data[perm], f_perm.data, atol=1e-12)
 
 
@@ -456,8 +456,8 @@ def test_attention_training_gradients_match_composition(rng, monkeypatch):
     def attention_grads():
         model.zero_grad()
         with ad.Tape() as tape:
-            out = dcpnet.dcp_forward(x, y, model, training=True)
-            loss = dcpnet.dcp_loss(out.rotation, out.translation, gt)
+            out = dcpnet.dcp_forward([x], [y], model, training=True)
+            loss = dcpnet.dcp_loss(out.rotation, out.translation, [gt])
         ad.backward(tape, loss)
         return {name: t.grad for name, t in model.params.items() if name.startswith("attn.")}
 
@@ -503,22 +503,22 @@ def test_soft_correspondence_onehot_reindexes(rng):
     idx = np.array([3, 1, 4])
     match = np.zeros((3, 6))
     match[np.arange(3), idx] = 1.0
-    out = dcpnet.soft_correspondence(ad.tensor(match), y)
-    assert np.allclose(out.data, y[idx], atol=1e-12)
+    out = dcpnet.soft_correspondence(ad.tensor(match[None]), [y])
+    assert np.allclose(out.data[0], y[idx], atol=1e-12)
 
 
 def test_soft_correspondence_uniform_gives_centroid(rng):
     y = rng.normal(size=(8, 3))
     match = np.full((5, 8), 1.0 / 8.0)
-    out = dcpnet.soft_correspondence(ad.tensor(match), y)
-    assert np.allclose(out.data, y.mean(axis=0), atol=1e-12)
+    out = dcpnet.soft_correspondence(ad.tensor(match[None]), [y])
+    assert np.allclose(out.data[0], y.mean(axis=0), atol=1e-12)
 
 
 def test_soft_correspondence_convex_hull_bound(rng):
     y = rng.normal(size=(10, 3))
     logits = rng.normal(size=(7, 10))
-    match = dcpnet.pointer_softmatch(ad.tensor(logits), ad.tensor(np.eye(10)))
-    out = dcpnet.soft_correspondence(match, y)
+    match = dcpnet.pointer_softmatch(ad.tensor(logits[None]), ad.tensor(np.eye(10)[None]))
+    out = dcpnet.soft_correspondence(match, [y])
     lo, hi = y.min(axis=0), y.max(axis=0)
     assert (out.data >= lo - 1e-12).all()
     assert (out.data <= hi + 1e-12).all()
@@ -531,8 +531,8 @@ def test_softmatch_rows_stochastic_float32(rng):
     for trial in range(5):
         pts_x = unit_points(np.random.default_rng(trial), 32)
         pts_y = unit_points(np.random.default_rng(trial + 50), 40)
-        out = dcpnet.dcp_forward(pts_x, pts_y, model)
-        sums = out.match.data.sum(axis=1)
+        out = dcpnet.dcp_forward([pts_x], [pts_y], model)
+        sums = out.match.data.sum(axis=-1)
         assert np.abs(sums - 1.0).max() < 1e-6
         assert (out.match.data >= 0).all() and (out.match.data <= 1).all()
 
@@ -557,8 +557,8 @@ def test_v2_with_zero_residual_equals_v1(rng):
     for trial in range(5):
         r = np.random.default_rng(trial)
         x, y = unit_points(r, 16), unit_points(r, 16)
-        out1 = dcpnet.dcp_forward(x, y, v1)
-        out2 = dcpnet.dcp_forward(x, y, v2)
+        out1 = dcpnet.dcp_forward([x], [y], v1)
+        out2 = dcpnet.dcp_forward([x], [y], v2)
         assert np.array_equal(out1.rotation.data, out2.rotation.data)
         assert np.array_equal(out1.translation.data, out2.translation.data)
         assert np.array_equal(out1.match.data, out2.match.data)
@@ -580,8 +580,8 @@ def test_forward_gradients_tiny_model(rng):
     gt = geo.RigidTransform.identity()
 
     def forward():
-        out = dcpnet.dcp_forward(x, y, model, training=True)
-        return dcpnet.dcp_loss(out.rotation, out.translation, gt)
+        out = dcpnet.dcp_forward([x], [y], model, training=True)
+        return dcpnet.dcp_loss(out.rotation, out.translation, [gt])
 
     model.zero_grad()
     with ad.Tape() as tape:
@@ -627,16 +627,16 @@ def test_eval_batched_forward_equals_single_forwards(rng, cfg, dtype, tol):
     batch = dcpnet.dcp_forward(xs, ys, model)
     assert batch.rotation.shape == (3, 3, 3) and batch.match.shape == (3, 16, 12)
     for b in range(3):
-        one = dcpnet.dcp_forward(xs[b], ys[b], model)
+        one = dcpnet.dcp_forward([xs[b]], [ys[b]], model)
         for got, want in zip(batch, one):
             assert got.dtype == np.dtype(dtype)
-            assert np.abs(got.data[b] - want.data).max() <= tol * np.abs(want.data).max()
+            assert np.abs(got.data[b] - want.data[0]).max() <= tol * np.abs(want.data).max()
 
 
 def per_edge_layer0(cloud, model, k):
     """Layer 0's pre-activations ``x_i @ Wa + (x_j - x_i) @ Wb``, one row per
     edge of the cloud's own kNN graph."""
-    idx = dcpnet.knn_graph(cloud, k).indices
+    idx = dcpnet.knn_graph(cloud, k)
     wa, wb = model.params["embed.l0.wa"].data, model.params["embed.l0.wb"].data
     xi = np.repeat(cloud, k, axis=0)
     return xi @ wa + (cloud[idx.ravel()] - xi) @ wb
@@ -662,26 +662,31 @@ def test_training_batch_norm_statistics_span_the_batch(rng):
 def test_batch_graph_offsets_each_cloud(rng):
     clouds = np.stack([unit_points(rng, 10) for _ in range(3)])
     graph = dcpnet.batch_knn_graph(clouds, 4)
-    assert graph.indices.shape == (30, 4)
+    assert graph.shape == (30, 4)
     for b, cloud in enumerate(clouds):
-        rows = graph.indices[10 * b : 10 * (b + 1)]
-        assert np.array_equal(rows, dcpnet.knn_graph(cloud, 4).indices + 10 * b)
+        rows = graph[10 * b : 10 * (b + 1)]
+        assert np.array_equal(rows, dcpnet.knn_graph(cloud, 4) + 10 * b)
 
 
 def test_cloud_stack_forms(rng):
     pts = unit_points(rng, 9)
-    for one in (pts, pts.tolist()):
-        stack, single = dcpnet.cloud_stack(one)
-        assert single and stack.shape == (1, 9, 3)
-    stack, single = dcpnet.cloud_stack([pts, pts])
-    assert not single and stack.shape == (2, 9, 3)
-    assert not dcpnet.cloud_stack(stack)[1]
+    model = dcpnet.ModelParams.initialize(TINY_V1, seed=0)
+    stack = dcpnet.cloud_stack([pts, pts])
+    assert stack.shape == (2, 9, 3) and np.array_equal(stack[1], pts)
+    assert np.array_equal(dcpnet.cloud_stack(stack), stack)
+    assert np.array_equal(dcpnet.cloud_stack((dataio.PointCloud(pts),)), pts[None])
     with pytest.raises(ShapeError, match=r"\[9, 10\]"):
         dcpnet.cloud_stack([pts, unit_points(rng, 10)])
     with pytest.raises(ShapeError):
-        dcpnet.dcp_forward([pts, pts], [pts], dcpnet.ModelParams.initialize(TINY_V1, seed=0))
+        dcpnet.dcp_forward([pts, pts], [pts], model)
     with pytest.raises(InvalidInputError):
         dcpnet.cloud_stack([])
+    # One bare cloud would be read row by row: each entry asks for a batch.
+    calls = (dcpnet.cloud_stack, lambda c: dcpnet.embed_cloud(c, model), lambda c: dcpnet.dcp_forward(c, [pts], model))
+    for one in (pts, pts.tolist(), dataio.PointCloud(pts)):
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="pass a batch"):
+                call(one)
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +723,8 @@ def test_mlp_head_outputs_proper_rotation(rng):
     cfg = replace(TINY_V1, head="mlp", mlp_head_widths=(8, 4))
     model = dcpnet.ModelParams.initialize(cfg, seed=16)
     x, y = unit_points(rng, 12), unit_points(rng, 12)
-    out = dcpnet.dcp_forward(x, y, model)
-    r = out.rotation.data
+    out = dcpnet.dcp_forward([x], [y], model)
+    r = out.rotation.data[0]
     assert np.linalg.norm(r.T @ r - np.eye(3)) < 1e-9
     assert abs(np.linalg.det(r) - 1) < 1e-9
     transform = dcpnet.dcp_predict(x, y, model)
@@ -749,7 +754,7 @@ def test_mlp_head_gradients(rng):
         num = numeric_grad(lambda: forward().item(), p)
         gradcheck.assert_grads_close(p.grad, num, 1e-4, name)
     with pytest.raises(InvalidInputError):
-        dcpnet.dcp_forward(xs[0], ys[0], model, training=True)
+        dcpnet.dcp_forward([xs[0]], [ys[0]], model, training=True)
 
 
 def test_mlp_head_zero_rot_weights_degenerate(rng):
@@ -758,7 +763,7 @@ def test_mlp_head_zero_rot_weights_degenerate(rng):
     model.params["head.rot.w"].data[...] = 0.0
     model.params["head.rot.b"].data[...] = 0.0
     with pytest.raises(DegenerateOutputError):
-        dcpnet.dcp_forward(unit_points(rng, 10), unit_points(rng, 10), model)
+        dcpnet.dcp_forward([unit_points(rng, 10)], [unit_points(rng, 10)], model)
 
 
 # ---------------------------------------------------------------------------
@@ -767,20 +772,20 @@ def test_mlp_head_zero_rot_weights_degenerate(rng):
 
 def test_loss_zero_when_equal(rng):
     gt = geo.RigidTransform(random_rotation(rng), rng.normal(size=3))
-    loss = dcpnet.dcp_loss(ad.tensor(gt.rotation), ad.tensor(gt.translation), gt)
+    loss = dcpnet.dcp_loss(ad.tensor(gt.rotation[None]), ad.tensor(gt.translation[None]), [gt])
     assert abs(loss.item()) < 1e-18
 
 
 def test_loss_translation_offset():
     gt = geo.RigidTransform.identity()
-    loss = dcpnet.dcp_loss(ad.tensor(np.eye(3)), ad.tensor([1.0, 0.0, 0.0]), gt)
+    loss = dcpnet.dcp_loss(ad.tensor(np.eye(3)[None]), ad.tensor([[1.0, 0.0, 0.0]]), [gt])
     assert np.isclose(loss.item(), 1.0)
 
 
 def test_loss_half_turn_about_z():
     gt = geo.RigidTransform.identity()
     pred_r = geo.euler_zyx_to_matrix(math.pi, 0.0, 0.0)
-    loss = dcpnet.dcp_loss(ad.tensor(pred_r), ad.tensor(np.zeros(3)), gt)
+    loss = dcpnet.dcp_loss(ad.tensor(pred_r[None]), ad.tensor(np.zeros((1, 3))), [gt])
     assert np.isclose(loss.item(), 8.0)
 
 
@@ -789,7 +794,10 @@ def test_loss_of_a_batch_is_the_mean_of_its_pairs(rng):
     rotations = np.stack([random_rotation(rng) for _ in range(3)])
     translations = rng.normal(size=(3, 3))
     batch = dcpnet.dcp_loss(ad.tensor(rotations), ad.tensor(translations), gts)
-    singles = [dcpnet.dcp_loss(ad.tensor(r), ad.tensor(t), gt).item() for r, t, gt in zip(rotations, translations, gts)]
+    singles = [
+        dcpnet.dcp_loss(ad.tensor(r[None]), ad.tensor(t[None]), [gt]).item()
+        for r, t, gt in zip(rotations, translations, gts)
+    ]
     assert batch.item() == pytest.approx(np.mean(singles), rel=1e-14)
     with pytest.raises(ShapeError):
         dcpnet.dcp_loss(ad.tensor(rotations), ad.tensor(translations), gts[:2])

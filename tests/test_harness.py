@@ -328,7 +328,8 @@ def test_register_polish_objective_not_worse(tmp_path, capsys, tiny_checkpoint, 
         assert rc == 0
         vals = [float(t) for t in capsys.readouterr().out.split()]
         transform = geo.RigidTransform(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:]))
-        results[method] = icp.registration_objective(pair.source.points, pair.target.points, transform)
+        index = icp.SpatialIndex(pair.target.points)
+        _, results[method] = icp.correspondence_step(pair.source.points, index, transform)
     assert results["dcp-v1+icp"] <= results["dcp-v1"] + 1e-12
 
 
@@ -605,6 +606,17 @@ def test_train_count_below_one_exits_3(archive, tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_train_config_negative_seed_exits_3(archive, tmp_path, capsys):
+    conf = tmp_path / "model.conf"
+    conf.write_text(TINY_MODEL_CONF + "seed = -1\n", encoding="utf-8")
+    out = tmp_path / "run"
+    rc = harness.main(["train", "--pairs", str(archive), "--out", str(out), "--config", str(conf)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("epochs", ["0", "-2"])
 def test_train_epochs_flag_below_one_exits_2(archive, tmp_path, capsys, epochs):
     out = tmp_path / "run"
@@ -624,9 +636,12 @@ def test_experiment_pair_count_below_one_exits_3(corpus, tmp_path, capsys, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", [("icp.max_iters", "-1"), ("train.checkpoint_every", "-1")])
+@pytest.mark.parametrize("key,value", [("icp.max_iters", "-1"), ("train.checkpoint_every", "-1"), ("seed", "-1")])
 def test_experiment_count_out_of_range_exits_3(corpus, tmp_path, capsys, key, value):
-    conf = EXPERIMENT_CONF.format(corpus=corpus) + f"{key} = {value}\n"
+    conf = EXPERIMENT_CONF.format(corpus=corpus)
+    if key == "seed":  # a key may appear once
+        conf = conf.replace("seed = 21\n", "")
+    conf += f"{key} = {value}\n"
     out = tmp_path / "exp"
     assert run_experiment(corpus, out, conf) == 3
     assert key in capsys.readouterr().err
@@ -776,19 +791,43 @@ def test_unknown_model_key_exits_3(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("command,flag,value", [
     ("register", "--max-iters", "-5"), ("eval", "--max-iters", "0"), ("bench", "--max-iters", "0"),
-    ("register", "--n-points", "-5"),
+    ("register", "--n-points", "-5"), ("register", "--seed", "-1"), ("gen-data", "--seed", "-1"),
+    ("train", "--seed", "-1"), ("bench", "--seed", "-1"),
 ])
-def test_count_flag_below_one_exits_2(archive, tmp_path, capsys, rng, command, flag, value):
-    src = write_cloud(tmp_path, rng.normal(size=(32, 3)), "s.xyz")
+def test_count_flag_below_one_exits_2(corpus, archive, tmp_path, capsys, command, flag, value):
+    """A count flag below 1, or a seed below 0, is a usage error. The
+    register source is an OFF mesh, whose surface sampling reads both."""
+    src = next(corpus.rglob("*.off"))
+    out = tmp_path / "out"
     argv = {
         "register": ["register", "--method", "icp", "--source", str(src), "--target", str(src)],
         "eval": ["eval", "--method", "icp", "--pairs", str(archive)],
-        "bench": ["bench", "--methods", "icp", "--sizes", "32", "--trials", "1", "--out", str(tmp_path / "bench")],
+        "bench": ["bench", "--methods", "icp", "--sizes", "32", "--trials", "1", "--out", str(out)],
+        "gen-data": ["gen-data", "--corpus", str(corpus), "--out", str(out), "--seed", "1"],
+        "train": ["train", "--pairs", str(archive), "--out", str(out)],
     }[command]
     assert harness.main(argv + [flag, value]) == 2
     captured = capsys.readouterr()
     assert flag in captured.err and captured.out == ""
-    assert not (tmp_path / "bench").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data", "eval"])
+def test_output_path_through_a_file_exits_3(archive, corpus, tmp_path, capsys, command):
+    """An output path that needs an existing file to be a directory is a
+    data error with its message, not a traceback."""
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n", encoding="utf-8")
+    argv = {
+        "train": ["train", "--pairs", str(archive), "--out", str(blocker), "--seed", "1", "--epochs", "1"],
+        "gen-data": ["gen-data", "--corpus", str(corpus), "--out", str(blocker / "x.zip"), "--seed", "1",
+                     "--n-points", "32"],
+        "eval": ["eval", "--pairs", str(archive), "--method", "icp", "--out", str(blocker)],
+    }[command]
+    assert harness.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(blocker) in err and "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_exit_code_for_missing_corpus(tmp_path, capsys):

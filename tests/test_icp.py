@@ -10,7 +10,6 @@ from dcpreg import dataio, geometry as geo, icp
 from dcpreg.errors import DegenerateCorrespondenceError, InsufficientDataError
 
 import reference_forms as ref
-from conftest import random_rotation
 
 
 def brute_force_nn(targets, query):
@@ -26,21 +25,21 @@ def brute_force_nn(targets, query):
 def test_query_exact_point(rng):
     pts = rng.normal(size=(50, 3))
     index = icp.SpatialIndex(pts)
-    idx, dist = index.query(pts[17])
-    assert idx == 17
-    assert dist == 0.0
+    idx, dist = index.query_many(pts[17:18])
+    assert idx[0] == 17
+    assert dist[0] == 0.0
 
 
 def test_query_tie_goes_to_lower_index():
     pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     index = icp.SpatialIndex(pts)
-    idx, dist = index.query([0.0, 0.0, 0.0])
-    assert idx == 0
-    assert np.isclose(dist, 1.0)
+    idx, dist = index.query_many([[0.0, 0.0, 0.0]])
+    assert idx[0] == 0
+    assert np.isclose(dist[0], 1.0)
     # Same with the duplicate-point tie.
     dup = np.array([[2.0, 1.0, 0.0], [2.0, 1.0, 0.0], [5.0, 5.0, 5.0]])
-    idx, _ = icp.SpatialIndex(dup).query([2.0, 1.0, 0.1])
-    assert idx == 0
+    idx, _ = icp.SpatialIndex(dup).query_many([[2.0, 1.0, 0.1]])
+    assert idx[0] == 0
 
 
 def test_query_matches_exhaustive_scan(rng):
@@ -160,10 +159,10 @@ def test_icp_single_step_equals_procrustes(rng):
     # With the correct correspondence, one alignment step is exactly the
     # closed-form solve.
     src = rng.normal(size=(32, 3))
-    rot = random_rotation(rng)
-    dst = src @ rot.T + np.array([0.1, 0.2, -0.1])
-    corr = np.arange(len(src))
-    stepped = icp.alignment_step(src, dst, corr)
+    rot = geo.euler_zyx_to_matrix(1e-3, -2e-3, 1e-3)
+    dst = src @ rot.T + np.array([1e-3, 2e-3, -1e-3])
+    stepped, history = icp.icp_register(src, dst, max_iters=1)
+    assert np.array_equal(history[0].correspondence, np.arange(len(src)))
     solved = geo.procrustes_solve(src, dst)
     assert np.array_equal(stepped.rotation, solved.rotation)
     assert np.array_equal(stepped.translation, solved.translation)
@@ -245,9 +244,9 @@ def test_polish_objective_never_worse_than_init(rng):
     pair = make_pair(rng)
     init = geo.RigidTransform.identity()
     index = icp.SpatialIndex(pair.target.points)
-    before = icp.registration_objective(pair.source.points, pair.target.points, init, index)
+    _, before = icp.correspondence_step(pair.source.points, index, init)
     polished = icp.polish_with_icp(pair.source.points, pair.target.points, init)
-    after = icp.registration_objective(pair.source.points, pair.target.points, polished, index)
+    _, after = icp.correspondence_step(pair.source.points, index, polished)
     assert after <= before + 1e-12
 
 

@@ -158,6 +158,11 @@ def test_train_config_rejects_count_below_one(field):
         train.TrainConfig(**{field: 0})
 
 
+def test_train_config_rejects_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed must be at least 0, got -1"):
+        train.TrainConfig(seed=-1)
+
+
 @pytest.mark.parametrize("fraction", [3.0, -0.1, 1.0])
 def test_train_config_rejects_val_fraction_outside_unit_interval(fraction):
     with pytest.raises(InvalidInputError, match="train.val_fraction"):
