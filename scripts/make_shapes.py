@@ -18,6 +18,8 @@ def main():
     parser.add_argument("--n-shapes", type=int, default=20)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
+    if args.n_shapes < 1:
+        parser.error("--n-shapes must be at least 1")
 
     out = Path(args.out)
     corpus = dataio.build_shape_corpus(args.n_shapes, seed=args.seed)

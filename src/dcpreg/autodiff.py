@@ -29,6 +29,7 @@ from .errors import (
 )
 
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 LN_EPS = 1e-6
 # Minimum separation of singular-value magnitudes for the SVD differential.
 SVD_GAP_TOL = 1e-8
@@ -550,20 +551,15 @@ class BatchNormState:
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = BN_EPS
 
     @staticmethod
-    def create(channels: int, dtype=np.float64, momentum: float = 0.1) -> "BatchNormState":
-        return BatchNormState(
-            running_mean=np.zeros(channels, dtype=dtype),
-            running_var=np.ones(channels, dtype=dtype),
-            momentum=momentum,
-        )
+    def create(channels: int, dtype=np.float64) -> "BatchNormState":
+        return BatchNormState(running_mean=np.zeros(channels, dtype=dtype), running_var=np.ones(channels, dtype=dtype))
 
     def update(self, mu: np.ndarray, var: np.ndarray) -> None:
-        """Move the running statistics toward one batch's ``mu`` and ``var``."""
-        m = self.momentum
+        """Move the running statistics by ``BN_MOMENTUM`` toward one batch's
+        ``mu`` and ``var``."""
+        m = BN_MOMENTUM
         self.running_mean = ((1.0 - m) * self.running_mean + m * mu).astype(self.running_mean.dtype)
         self.running_var = ((1.0 - m) * self.running_var + m * var).astype(self.running_var.dtype)
 
@@ -571,9 +567,9 @@ class BatchNormState:
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool) -> Tensor:
     """Normalize per channel (last axis) over all leading axes.
 
-    Training mode uses batch statistics (biased variance) and updates the
-    running statistics in place with the configured momentum; inference
-    mode normalizes with the stored running statistics.
+    Training mode uses batch statistics (biased variance) and moves the
+    running statistics in place by ``BN_MOMENTUM``; inference mode
+    normalizes with the stored running statistics.
     """
     _check_same_dtype(x, gamma, beta)
     c = x.shape[-1]
@@ -581,7 +577,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, tr
         raise ShapeError(f"batch_norm: gamma/beta must be ({c},), got {gamma.shape}/{beta.shape}")
     axes = tuple(range(x.ndim - 1))
     n = int(np.prod([x.shape[i] for i in axes])) if axes else 1
-    eps = state.eps
 
     if training:
         if n < 2:
@@ -593,7 +588,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, tr
         mu = state.running_mean.astype(x.dtype)
         var = state.running_var.astype(x.dtype)
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu) * inv_std
     out = Tensor(gamma.data * xhat + beta.data)
 
@@ -719,7 +714,7 @@ def edgeconv_bn_max(
         mu = state.running_mean.astype(center.dtype)
         var = state.running_var.astype(center.dtype)
 
-    inv_std = 1.0 / np.sqrt(var + state.eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (center.data + pick - mu) * inv_std
     y = gamma.data * xhat + beta.data
     np.maximum(y, 0, out=y)
@@ -801,22 +796,22 @@ def _svd_gap_check(s: np.ndarray) -> None:
 
 
 def svd_rotation(h: Tensor) -> Tensor:
-    """Best-fit proper rotation of a 3x3 cross-covariance, or of each in a
-    (B, 3, 3) stack, differentiable.
+    """Best-fit proper rotation of each 3x3 cross-covariance in a (B, 3, 3)
+    stack, differentiable.
 
     Forward matches the closed-form alignment rotation ``V @ U.T`` with the
     signed-singular-value convention. Backward uses the analytic SVD
     differential per matrix and fails loudly, naming the pair, when one
     matrix's singular values nearly coincide.
     """
-    if h.ndim not in (2, 3) or h.shape[-2:] != (3, 3):
-        raise ShapeError(f"svd_rotation expects a 3x3 input or a (B, 3, 3) stack, got {h.shape}")
+    if h.ndim != 3 or h.shape[1:] != (3, 3):
+        raise ShapeError(f"svd_rotation expects a (B, 3, 3) stack, got {h.shape}")
     u, s, v = geo.svd3(h.data)
     ut, vt = np.swapaxes(u, -1, -2), np.swapaxes(v, -1, -2)
     out = Tensor((v @ ut).astype(h.dtype))
 
     def bw(g):
-        _svd_gap_check(s.reshape(-1, 3))
+        _svd_gap_check(s)
         gr = np.asarray(g, dtype=np.float64)
         u_bar = np.swapaxes(gr, -1, -2) @ v  # d(V U^T)/dU adjoint
         v_bar = gr @ u
@@ -837,23 +832,20 @@ def svd_rotation(h: Tensor) -> Tensor:
 def svd_rigid_head(src: Tensor, dst: Tensor) -> tuple[Tensor, Tensor]:
     """Differentiable closed-form alignment of matched point tensors.
 
-    ``src`` and ``dst`` are (N, 3), or (B, N, 3) for a batch of pairs.
-    Returns ``(rotation, translation)``, (3, 3) and (3,) or (B, 3, 3) and
-    (B, 3), such that ``rotation @ x + t`` best aligns ``src`` to ``dst`` in
-    the least-squares sense, per pair; gradients of any scalar loss flow
-    into both point sets.
+    ``src`` and ``dst`` are (B, N, 3), a batch of B pairs. Returns
+    ``(rotation, translation)``, (B, 3, 3) and (B, 3), such that
+    ``rotation @ x + t`` best aligns ``src`` to ``dst`` in the least-squares
+    sense, per pair; gradients of any scalar loss flow into both point sets.
     """
     _check_same_dtype(src, dst)
-    if src.ndim not in (2, 3) or src.shape[-1] != 3 or src.shape != dst.shape:
-        raise ShapeError(
-            f"svd_rigid_head expects matching (N, 3) or (B, N, 3) tensors, got {src.shape} and {dst.shape}"
-        )
-    if src.shape[-2] < 3:
-        raise InsufficientDataError(f"alignment needs at least 3 point pairs, got {src.shape[-2]}")
-    lead = src.shape[:-2]
-    cx = reshape(mean_reduce(src, axis=-2), lead + (1, 3))
-    cy = reshape(mean_reduce(dst, axis=-2), lead + (1, 3))
+    if src.ndim != 3 or src.shape[2] != 3 or src.shape != dst.shape:
+        raise ShapeError(f"svd_rigid_head expects matching (B, N, 3) tensors, got {src.shape} and {dst.shape}")
+    b, n = src.shape[:2]
+    if n < 3:
+        raise InsufficientDataError(f"alignment needs at least 3 point pairs, got {n}")
+    cx = reshape(mean_reduce(src, axis=1), (b, 1, 3))
+    cy = reshape(mean_reduce(dst, axis=1), (b, 1, 3))
     h = matmul(swap_last(sub(src, cx)), sub(dst, cy))
     r = svd_rotation(h)
-    t = reshape(sub(cy, matmul(cx, swap_last(r))), lead + (3,))
+    t = reshape(sub(cy, matmul(cx, swap_last(r))), (b, 3))
     return r, t

@@ -23,7 +23,6 @@ from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from . import geometry as geo
-from . import icp
 from .errors import DegenerateOutputError, InvalidInputError, ShapeError
 
 DGCNN_DEFAULT_WIDTHS = (64, 64, 128, 256)
@@ -73,12 +72,18 @@ class ModelConfig:
 def knn_graph(points, k: int) -> np.ndarray:
     """The kNN graph of one (N, 3) cloud as an (N, k) index array: row i
     holds point i's k nearest neighbors by Euclidean distance, self
-    excluded, nearest first and ties broken by lowest index."""
+    excluded and nearest first; a distance tie goes to whichever point the
+    k-d tree returns first."""
     pts = geo._as_points(points)
     n = pts.shape[0]
     if k < 1 or k >= n:
         raise InvalidInputError(f"k must satisfy 1 <= k < n_points, got k={k}, n={n}")
-    return icp._exact_knn(cKDTree(pts), pts, k, skip_self=True)[0]
+    _, idx = cKDTree(pts).query(pts, k=k + 1)
+    drop = idx == np.arange(n)[:, None]
+    # k + 1 duplicates of a point can crowd the point itself out of its row;
+    # all of them lie at distance 0 then, so the last one goes.
+    drop[~drop.any(axis=1), -1] = True
+    return idx[~drop].reshape(n, k)
 
 
 def cloud_stack(clouds) -> np.ndarray:
@@ -435,22 +440,22 @@ _QUATERNION_BASIS = _quaternion_basis()
 
 
 def quaternion_to_rotation(quat: ad.Tensor) -> ad.Tensor:
-    """Differentiable quaternion (w, x, y, z) to rotation matrix: (..., 4)
-    to (..., 3, 3).
+    """Differentiable quaternion (w, x, y, z) to rotation matrix, per pair:
+    (B, 4) to (B, 3, 3).
 
     The quaternion is normalized internally, as ``R(q) = (q q^T) B / |q|^2``
     with B the quadratic basis of a unit quaternion; a norm below 1e-12 is a
     degenerate output."""
-    if quat.ndim < 1 or quat.shape[-1] != 4:
-        raise ShapeError(f"quaternion must have shape (..., 4), got {quat.shape}")
-    lead = quat.shape[:-1]
+    if quat.ndim != 2 or quat.shape[1] != 4:
+        raise ShapeError(f"quaternions must have shape (B, 4), got {quat.shape}")
+    b = quat.shape[0]
     norm_sq = ad.sum_reduce(ad.mul(quat, quat), axis=-1)
     if (norm_sq.data < 1e-24).any():
         raise DegenerateOutputError("quaternion norm below 1e-12; cannot build a rotation")
-    outer = ad.matmul(ad.reshape(quat, lead + (4, 1)), ad.reshape(quat, lead + (1, 4)))
+    outer = ad.matmul(ad.reshape(quat, (b, 4, 1)), ad.reshape(quat, (b, 1, 4)))
     basis = ad.constant(_QUATERNION_BASIS, dtype=quat.dtype)
-    rotation = ad.reshape(ad.matmul(ad.reshape(outer, lead + (1, 16)), basis), lead + (3, 3))
-    return ad.div(rotation, ad.reshape(norm_sq, lead + (1, 1)))
+    rotation = ad.reshape(ad.matmul(ad.reshape(outer, (b, 1, 16)), basis), (b, 3, 3))
+    return ad.div(rotation, ad.reshape(norm_sq, (b, 1, 1)))
 
 
 def mlp_head(

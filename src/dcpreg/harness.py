@@ -101,6 +101,13 @@ def _int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
+def _sizes(raw: str) -> tuple[int, ...]:
+    sizes = _int_tuple(raw)
+    if not sizes or min(sizes) < 1:
+        raise ValueError("need one or more point counts, each at least 1")
+    return sizes
+
+
 KIND_DEFAULTS = {
     "full": {},
     "category": {"split.mode": "by_category"},
@@ -681,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time registration methods across point counts")
     p.add_argument("--out", required=True)
     p.add_argument("--methods", default="icp,dcp-v1,dcp-v2", type=_cli_tokens(parse_methods), help=METHOD_HELP)
-    p.add_argument("--sizes", default=(512, 1024, 2048, 4096), type=_int_tuple, help="comma-separated point counts")
+    p.add_argument("--sizes", default=(512, 1024, 2048, 4096), type=_sizes, help="comma-separated point counts")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--config", help="model settings for untrained dcp timing")
     p.add_argument("--checkpoint")

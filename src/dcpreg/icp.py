@@ -5,12 +5,10 @@ solve; the recorded objective (mean squared matched residual) is
 non-increasing by construction. :func:`polish_with_icp` runs the same loop
 seeded from an externally estimated transform.
 
-Each iteration makes one ``SpatialIndex.query_many`` (:func:`_exact_knn`,
-also the DGCNN graph's kNN) and one ``geometry.procrustes_solve``, with
-its 3x3 LAPACK SVD (``geometry.svd3``). A query ranks its candidates by
-(squared distance, index), so a distance tie goes to the lowest point
-index, as an exhaustive scan would; only a query row whose k-th candidate
-ties the last one it fetched is queried again, with more candidates.
+Each iteration makes one ``SpatialIndex.query_many`` (a ``cKDTree``
+query) and one ``geometry.procrustes_solve``, with its 3x3 LAPACK SVD
+(``geometry.svd3``). A distance tie goes to whichever target the tree
+returns first.
 """
 
 from __future__ import annotations
@@ -30,73 +28,11 @@ DEFAULT_TOL = 1e-8
 TRANSFORM_TOL = 1e-10
 
 
-def _exact_knn(tree: cKDTree, queries: np.ndarray, k: int, skip_self: bool = False):
-    """The k nearest tree points of each query row, ranked by (squared
-    distance, index), so distance ties go to the lowest index.
-
-    Returns ``(indices, squared_distances)``, both ``(len(queries), k)``.
-    With ``skip_self`` the queries are the tree's own points and row i
-    never lists point i. One tree query gives ``m`` candidates per row
-    (k + 1, plus one for the point itself with ``skip_self``), whose
-    squared distances are recomputed here; only a row not already in
-    strictly increasing order is sorted. A row is final once its k-th
-    distance is strictly below its last candidate's, so that no point
-    left out can tie or beat it; only the other rows, those with a tie at
-    the k-th place, are queried again, with ``m`` doubled, until ``m``
-    covers every tree point.
-    """
-    n = tree.n
-    m = min(k + 1 + int(skip_self), n)
-    rows = np.arange(queries.shape[0])
-    cand, d2, done = _ranked_candidates(tree, queries, rows if skip_self else None, k, m)
-    indices, dist2 = cand[:, :k], d2[:, :k]
-    if done.all():
-        return indices, dist2
-    todo = rows[~done]
-    while todo.size:
-        m = min(2 * m, n)
-        cand, d2, done = _ranked_candidates(tree, queries[todo], todo if skip_self else None, k, m)
-        indices[todo[done]] = cand[done, :k]
-        dist2[todo[done]] = d2[done, :k]
-        todo = todo[~done]
-    return indices, dist2
-
-
-def _ranked_candidates(tree: cKDTree, queries: np.ndarray, self_ids, k: int, m: int):
-    """The ``m`` tree candidates of each query row ranked by (squared
-    distance, index), their squared distances, and whether each row's
-    first k are final. ``self_ids`` holds each row's own tree index, which
-    ranks last at distance inf, or is None."""
-    _, cand = tree.query(queries, k=m)
-    cand = cand.reshape(queries.shape[0], m)
-    diff = queries[:, None, :] - tree.data.take(cand, axis=0)
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    if self_ids is not None:
-        is_self = cand == self_ids[:, None]
-        d2[is_self] = np.inf
-        # The point itself (distance 0) usually comes first: move the first
-        # column to the back, where the ranking puts it.
-        cand = np.concatenate((cand[:, 1:], cand[:, :1]), axis=1)
-        d2 = np.concatenate((d2[:, 1:], d2[:, :1]), axis=1)
-    # A row in strictly increasing order is ranked already, and final: its
-    # k-th distance lies below its last candidate's.
-    done = (d2[:, 1:] > d2[:, :-1]).all(axis=1)
-    if not done.all():
-        r = np.flatnonzero(~done)
-        order = np.lexsort((cand[r], d2[r]), axis=1)
-        cand[r] = np.take_along_axis(cand[r], order, axis=1)
-        d2[r] = np.take_along_axis(d2[r], order, axis=1)
-        # The last real candidate: the point itself, where fetched, ranks behind it.
-        last = m - 1 if self_ids is None else m - 1 - is_self[r].any(axis=1)
-        done[r] = (d2[r, k - 1] < d2[r, last]) | (m == tree.n)
-    return cand, d2, done
-
-
 class SpatialIndex:
     """Exact nearest-neighbor index over target points.
 
-    Backed by a k-d tree; distance ties are broken toward the lowest point
-    index so queries match an exhaustive scan exactly.
+    Backed by a k-d tree; a distance tie goes to whichever of the tied
+    points the tree returns first.
     """
 
     def __init__(self, points):
@@ -107,9 +43,15 @@ class SpatialIndex:
         self._tree = cKDTree(pts)
 
     def query_many(self, queries) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest target index and distance for each query row."""
-        idx, dist2 = _exact_knn(self._tree, np.asarray(queries, dtype=np.float64), 1)
-        return idx[:, 0], np.sqrt(dist2[:, 0])
+        """Nearest target index and distance for each query row.
+
+        The distance is recomputed from the matched residual rather than
+        taken from the tree, whose own distances can differ in the last
+        bits; ICP's objective and stopping rule read it."""
+        q = np.asarray(queries, dtype=np.float64)
+        _, idx = self._tree.query(q, k=1)
+        diff = q - self.points.take(idx, axis=0)
+        return idx, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from . import geometry as geo
 from .errors import CheckpointError, InvalidInputError, NumericalError, ShapeError
 
 CHECKPOINT_VERSION = 2
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +32,6 @@ CHECKPOINT_VERSION = 2
 @dataclass
 class OptimizerState:
     lr: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     weight_decay: float = 1e-4
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -45,7 +45,7 @@ def adam_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray], state:
     bias-corrected moments drive the step. NaN gradients abort loudly.
     """
     state.step += 1
-    b1, b2 = state.betas
+    b1, b2 = ADAM_BETAS
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     for name, p in params.items():
@@ -69,7 +69,7 @@ def adam_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray], state:
         state.v[name] = v
         m_hat = m / c1
         v_hat = v / c2
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 

@@ -270,25 +270,24 @@ def _well_separated_cloud(rng, n=6):
 
 
 def case_svd_rotation(rng):
+    """One cross-covariance as a (1, 3, 3) batch."""
     src, dst = _well_separated_cloud(rng)
-    h = ad.tensor((src - src.mean(0)).T @ (dst - dst.mean(0)), requires_grad=True)
-    w = _weights(rng, (3, 3))
+    h = ad.tensor(((src - src.mean(0)).T @ (dst - dst.mean(0)))[None], requires_grad=True)
+    w = _weights(rng, (1, 3, 3))
     return lambda: ad.sum_reduce(ad.mul(w, ad.svd_rotation(h))), [h]
 
 
 def case_svd_rigid_head(rng):
+    """One matched cloud as a (1, 6, 3) batch."""
     src_v, dst_v = _well_separated_cloud(rng)
-    src = ad.tensor(src_v, requires_grad=True)
-    dst = ad.tensor(dst_v, requires_grad=True)
-    wr = _weights(rng, (3, 3))
-    wt = _weights(rng, (3,))
+    src = ad.tensor(src_v[None], requires_grad=True)
+    dst = ad.tensor(dst_v[None], requires_grad=True)
+    wr = _weights(rng, (1, 3, 3))
+    wt = _weights(rng, (1, 3))
 
     def forward():
         r, t = ad.svd_rigid_head(src, dst)
-        return ad.add(
-            ad.sum_reduce(ad.mul(wr, r)),
-            ad.sum_reduce(ad.mul(wt, ad.reshape(t, (3,)))),
-        )
+        return ad.add(ad.sum_reduce(ad.mul(wr, r)), ad.sum_reduce(ad.mul(wt, t)))
 
     return forward, [src, dst]
 

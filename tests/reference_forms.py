@@ -2,6 +2,11 @@
 alignment and the ICP loop, as they read before their per-call overhead
 was cut. Tests require the library's outputs to equal these bit for bit:
 the faster forms change the bookkeeping, not the arithmetic.
+
+:func:`exact_knn` breaks distance ties toward the lowest index, which the
+library's kNN does not promise: tests compare its squared distances with
+the library's, and its indices only where no tie can occur, as in the ICP
+loop on noisy pairs.
 """
 
 from __future__ import annotations

@@ -392,7 +392,7 @@ def test_batch_norm_running_stats_update():
     expected_mean = 0.9 * 0.0 + 0.1 * x.data.mean(axis=0)
     assert np.allclose(state.running_mean, expected_mean)
     out_eval = ad.batch_norm(x, gamma, beta, state, training=False)
-    manual = (x.data - state.running_mean) / np.sqrt(state.running_var + state.eps)
+    manual = (x.data - state.running_mean) / np.sqrt(state.running_var + ad.BN_EPS)
     assert np.allclose(out_eval.data, manual)
 
 
@@ -445,11 +445,12 @@ def test_first_argmax_matches_loop(rng, k):
     assert np.array_equal(got[:, 2:4], np.repeat(idx[:, :1], 2, axis=1))  # gamma = +-0: neighbor 0
 
 
-def test_edgeconv_bn_max_moments_do_not_cancel(rng):
+def test_edgeconv_bn_max_moments_do_not_cancel(rng, monkeypatch):
     """float32 features sharing an offset of 1e3: E[h^2] - mu^2 would lose
     every digit of the variance, the centred float64 moments keep them."""
     center, per_point, idx, gamma, beta = edgeconv_inputs(rng, np.float32, n=64, m=64, k=8, offset=1e3)
-    state = ad.BatchNormState.create(5, dtype=np.float32, momentum=1.0)
+    monkeypatch.setattr(ad, "BN_MOMENTUM", 1.0)
+    state = ad.BatchNormState.create(5, dtype=np.float32)
     ad.edgeconv_bn_max(center, per_point, idx, gamma, beta, state, training=True)
     edges = center.data.astype(np.float64)[:, None, :] + per_point.data.astype(np.float64)[idx]
     assert state.running_var.dtype == np.float32
@@ -487,14 +488,14 @@ def test_edgeconv_bn_max_input_errors(rng):
 # ---------------------------------------------------------------------------
 
 def test_head_identity_pair(rng):
-    pts = rng.normal(size=(8, 3))
+    pts = rng.normal(size=(1, 8, 3))
     src = ad.tensor(pts, requires_grad=True)
     dst = ad.tensor(pts.copy(), requires_grad=True)
     with ad.Tape() as tape:
         r, t = ad.svd_rigid_head(src, dst)
         loss = ad.sum_reduce(ad.mul(t, t))
-    assert np.allclose(r.data, np.eye(3), atol=1e-9)
-    assert np.allclose(t.data, 0, atol=1e-9)
+    assert np.allclose(r.data[0], np.eye(3), atol=1e-9)
+    assert np.allclose(t.data[0], 0, atol=1e-9)
     ad.backward(tape, loss)
 
     def forward():
@@ -508,10 +509,10 @@ def test_head_identity_pair(rng):
 def test_head_forward_matches_procrustes(rng):
     src_v = rng.normal(size=(12, 3))
     dst_v = src_v @ np.linalg.qr(rng.normal(size=(3, 3)))[0] + rng.normal(size=3)
-    r, t = ad.svd_rigid_head(ad.tensor(src_v), ad.tensor(dst_v))
+    r, t = ad.svd_rigid_head(ad.tensor(src_v[None]), ad.tensor(dst_v[None]))
     solved = geo.procrustes_solve(src_v, dst_v)
-    assert np.abs(r.data - solved.rotation).max() < 1e-12
-    assert np.abs(t.data - solved.translation).max() < 1e-12
+    assert np.abs(r.data[0] - solved.rotation).max() < 1e-12
+    assert np.abs(t.data[0] - solved.translation).max() < 1e-12
 
 
 def test_head_alignment_loss_jacobian(rng):
@@ -519,8 +520,8 @@ def test_head_alignment_loss_jacobian(rng):
     gt = geo.procrustes_solve(src_v, dst_v)
     rg = ad.constant(gt.rotation)
     tg = ad.constant(gt.translation)
-    src = ad.tensor(src_v, requires_grad=True)
-    dst = ad.tensor(dst_v + 0.1 * rng.normal(size=dst_v.shape), requires_grad=True)
+    src = ad.tensor(src_v[None], requires_grad=True)
+    dst = ad.tensor((dst_v + 0.1 * rng.normal(size=dst_v.shape))[None], requires_grad=True)
     eye = ad.constant(np.eye(3))
 
     def forward():
@@ -541,12 +542,12 @@ def test_head_equal_singular_values_raise():
     pts = np.array(
         [[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
     )
-    src = ad.tensor(pts, requires_grad=True)
-    dst = ad.tensor(pts.copy(), requires_grad=True)
+    src = ad.tensor(pts[None], requires_grad=True)
+    dst = ad.tensor(pts[None].copy(), requires_grad=True)
     with ad.Tape() as tape:
         r, t = ad.svd_rigid_head(src, dst)
         loss = ad.sum_reduce(ad.mul(r, r))
-    assert np.allclose(r.data, np.eye(3), atol=1e-12)  # forward is fine
+    assert np.allclose(r.data[0], np.eye(3), atol=1e-12)  # forward is fine
     with pytest.raises(GradientSingularityError):
         ad.backward(tape, loss)
 
@@ -569,10 +570,15 @@ def test_head_names_the_collapsed_pair(rng):
 
 
 def test_head_input_validation():
-    good = ad.tensor(np.zeros((4, 3)))
+    good = ad.tensor(np.zeros((1, 4, 3)))
     with pytest.raises(ShapeError):
-        ad.svd_rigid_head(good, ad.tensor(np.zeros((5, 3))))
+        ad.svd_rigid_head(good, ad.tensor(np.zeros((1, 5, 3))))
     with pytest.raises(InsufficientDataError):
-        ad.svd_rigid_head(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((2, 3))))
+        ad.svd_rigid_head(ad.tensor(np.zeros((1, 2, 3))), ad.tensor(np.zeros((1, 2, 3))))
+    # A lone pair is not a batch, for the head or for its rotation.
+    with pytest.raises(ShapeError, match=r"\(B, N, 3\)"):
+        ad.svd_rigid_head(ad.tensor(np.zeros((4, 3))), ad.tensor(np.zeros((4, 3))))
+    with pytest.raises(ShapeError, match=r"\(B, 3, 3\)"):
+        ad.svd_rotation(ad.tensor(np.eye(3)))
     with pytest.raises(ShapeError):
         ad.svd_rigid_head(ad.tensor(np.zeros((2, 4, 3))), ad.tensor(np.zeros((3, 4, 3))))

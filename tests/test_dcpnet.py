@@ -54,13 +54,26 @@ def test_knn_matches_bruteforce(rng):
         assert np.array_equal(g[i], want)
 
 
-def dense_knn_reference(pts, k):
+def dense_sq_distances(pts):
     """The dense form knn_graph replaced: full squared-distance matrix, self
-    masked, stable argsort (so ties go to the lowest index)."""
+    masked."""
     diff = pts[:, None, :] - pts[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(d2, np.inf)
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return d2
+
+
+def assert_valid_knn(pts, graph):
+    """Row i lists k distinct points other than i, nearest first, at the
+    dense reference row's k smallest squared distances."""
+    n, k = graph.shape
+    d2 = dense_sq_distances(pts)
+    rows = np.arange(n)[:, None]
+    assert (graph != rows).all()
+    assert all(len(set(row)) == k for row in graph)
+    got = d2[rows, graph]
+    assert (np.diff(got, axis=1) >= 0).all()
+    assert np.array_equal(got, np.sort(d2, axis=1)[:, :k])
 
 
 def knn_reference_cloud(rng, kind):
@@ -78,7 +91,10 @@ def knn_reference_cloud(rng, kind):
 def test_knn_matches_dense_reference(rng, kind):
     pts = knn_reference_cloud(rng, kind)
     for k in range(1, len(pts)):
-        assert np.array_equal(dcpnet.knn_graph(pts, k), dense_knn_reference(pts, k)), k
+        graph = dcpnet.knn_graph(pts, k)
+        assert_valid_knn(pts, graph)
+        if kind == "normal":  # no distance ties, so one valid graph
+            assert np.array_equal(graph, np.argsort(dense_sq_distances(pts), axis=1, kind="stable")[:, :k]), k
 
 
 def test_knn_invalid_k(rng):
@@ -89,10 +105,11 @@ def test_knn_invalid_k(rng):
         dcpnet.knn_graph(pts, 0)
 
 
-def test_knn_tie_breaks_to_lowest_index():
+def test_knn_tie_lists_every_equidistant_point():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0], [2.0, 0, 0]])
     g = dcpnet.knn_graph(pts, 2)
-    assert np.array_equal(g[0], [1, 2])  # both at distance 1
+    assert sorted(g[0]) == [1, 2]  # both at distance 1
+    assert_valid_knn(pts, g)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +168,7 @@ def test_edgeconv_k1_is_identity_aggregation(rng):
     wb = model.params["embed.l0.wb"].data
     st = model.bn_states["embed.l0.bn"]
     pre = xi @ wa + (xj - xi) @ wb
-    xhat = (pre - st.running_mean) / np.sqrt(st.running_var + st.eps)
+    xhat = (pre - st.running_mean) / np.sqrt(st.running_var + ad.BN_EPS)
     want = np.maximum(model.params["embed.l0.bn.gamma"].data * xhat + model.params["embed.l0.bn.beta"].data, 0)
     assert np.allclose(out.data, want, atol=1e-12)
 
@@ -195,7 +212,7 @@ def per_edge_eval_reference(f, graph, model, name):
     center = f @ (p[f"{name}.wa"].data - wb)
     per_point = f @ wb
     st = model.bn_states[f"{name}.bn"]
-    inv_std = 1.0 / np.sqrt(st.running_var.astype(f.dtype) + st.eps)
+    inv_std = 1.0 / np.sqrt(st.running_var.astype(f.dtype) + ad.BN_EPS)
     xhat = ((center[:, None, :] + per_point[graph]) - st.running_mean.astype(f.dtype)) * inv_std
     return np.maximum(p[f"{name}.bn.gamma"].data * xhat + p[f"{name}.bn.beta"].data, 0).max(axis=1)
 
@@ -642,13 +659,13 @@ def per_edge_layer0(cloud, model, k):
     return xi @ wa + (cloud[idx.ravel()] - xi) @ wb
 
 
-def test_training_batch_norm_statistics_span_the_batch(rng):
+def test_training_batch_norm_statistics_span_the_batch(rng, monkeypatch):
     """One batched training-mode embed: layer 0's batch statistics are the
     mean and variance over every edge of the B clouds together, not of any
     one cloud."""
     model = dcpnet.ModelParams.initialize(TINY_V1, seed=32)
     state = model.bn_states["embed.l0.bn"]
-    state.momentum = 1.0  # the running statistics become the batch's
+    monkeypatch.setattr(ad, "BN_MOMENTUM", 1.0)  # the running statistics become the batch's
     clouds = np.stack([unit_points(rng, 16) * s for s in (0.5, 1.0, 2.0)])
     f = dcpnet.embed_cloud(clouds, model, training=True)
     assert f.shape == (3, 16, TINY_V1.emb_dims)
@@ -694,14 +711,14 @@ def test_cloud_stack_forms(rng):
 # ---------------------------------------------------------------------------
 
 def test_quaternion_identity_rotation():
-    r = dcpnet.quaternion_to_rotation(ad.tensor([1.0, 0.0, 0.0, 0.0]))
-    assert np.allclose(r.data, np.eye(3), atol=1e-12)
+    r = dcpnet.quaternion_to_rotation(ad.tensor([[1.0, 0.0, 0.0, 0.0]]))
+    assert np.allclose(r.data[0], np.eye(3), atol=1e-12)
 
 
 def test_quaternion_matches_reference(rng):
     for _ in range(20):
         q = rng.normal(size=4)
-        r = dcpnet.quaternion_to_rotation(ad.tensor(q))
+        r = dcpnet.quaternion_to_rotation(ad.tensor(q[None]))
         qn = q / np.linalg.norm(q)
         w, x, y, z = qn
         want = np.array(
@@ -711,12 +728,17 @@ def test_quaternion_matches_reference(rng):
                 [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
             ]
         )
-        assert np.allclose(r.data, want, atol=1e-12)
+        assert np.allclose(r.data[0], want, atol=1e-12)
 
 
 def test_quaternion_zero_norm_rejected():
     with pytest.raises(DegenerateOutputError):
-        dcpnet.quaternion_to_rotation(ad.tensor([0.0, 0.0, 0.0, 0.0]))
+        dcpnet.quaternion_to_rotation(ad.tensor([[0.0, 0.0, 0.0, 0.0]]))
+
+
+def test_quaternion_needs_a_batch():
+    with pytest.raises(ShapeError, match=r"\(B, 4\)"):
+        dcpnet.quaternion_to_rotation(ad.tensor([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_mlp_head_outputs_proper_rotation(rng):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import runpy
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -761,11 +762,23 @@ def test_bench_smoke(corpus, tmp_path, capsys):
     assert len(lines) == 2 + 3 * 2
 
 
-def test_bench_malformed_sizes_exits_2(tmp_path, capsys):
-    rc = harness.main(["bench", "--out", str(tmp_path / "bench"), "--methods", "icp", "--sizes", "32,x"])
+@pytest.mark.parametrize("sizes", ["32,x", "-5", "0", ""], ids=["malformed", "negative", "zero", "empty"])
+def test_bench_malformed_sizes_exits_2(tmp_path, capsys, sizes):
+    rc = harness.main(["bench", "--out", str(tmp_path / "bench"), "--methods", "icp", "--sizes", sizes])
     assert rc == 2
     assert "--sizes" in capsys.readouterr().err
     assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_make_shapes_count_below_one_exits_2(tmp_path, monkeypatch, capsys, count):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_shapes.py"
+    monkeypatch.setattr("sys.argv", [str(script), "--out", str(tmp_path / "shapes"), "--n-shapes", count, "--seed", "0"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    assert "--n-shapes" in capsys.readouterr().err
+    assert not (tmp_path / "shapes").exists()
 
 
 def test_bench_zero_trials_exits_2(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from dcpreg import dataio, geometry as geo, icp
+from dcpreg import dataio, dcpnet, geometry as geo, icp
 from dcpreg.errors import DegenerateCorrespondenceError, InsufficientDataError
 
 import reference_forms as ref
@@ -30,16 +30,40 @@ def test_query_exact_point(rng):
     assert dist[0] == 0.0
 
 
-def test_query_tie_goes_to_lower_index():
+def assert_valid_knn(points, queries, idx, skip_self=False):
+    """Each row of ``idx`` lists k distinct points (with ``skip_self``, never
+    the query's own), nearest first, at exactly the squared distances of the
+    full-sort reference's k nearest, which it returns."""
+    k = idx.shape[1]
+    _, want = ref.exact_knn(cKDTree(points), queries, k, skip_self=skip_self)
+    diff = queries[:, None, :] - points[idx]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    if skip_self:
+        assert (idx != np.arange(len(queries))[:, None]).all()
+    assert all(len(set(row)) == k for row in idx)
+    assert (np.diff(d2, axis=1) >= 0).all()
+    assert np.array_equal(d2, want)
+    return want
+
+
+def assert_nearest(targets, queries):
+    """``query_many`` matches each query to a target at the exhaustive
+    minimum distance, and reports that distance."""
+    idx, dist = icp.SpatialIndex(targets).query_many(queries)
+    want = assert_valid_knn(targets, queries, idx[:, None])
+    assert np.array_equal(dist, np.sqrt(want[:, 0]))
+
+
+def test_query_tie_goes_to_a_nearest_target():
     pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     index = icp.SpatialIndex(pts)
     idx, dist = index.query_many([[0.0, 0.0, 0.0]])
-    assert idx[0] == 0
+    assert idx[0] in (0, 1)
     assert np.isclose(dist[0], 1.0)
     # Same with the duplicate-point tie.
     dup = np.array([[2.0, 1.0, 0.0], [2.0, 1.0, 0.0], [5.0, 5.0, 5.0]])
     idx, _ = icp.SpatialIndex(dup).query_many([[2.0, 1.0, 0.1]])
-    assert idx[0] == 0
+    assert idx[0] in (0, 1)
 
 
 def test_query_matches_exhaustive_scan(rng):
@@ -59,59 +83,47 @@ def test_query_lattice_ties_match_exhaustive_scan(rng):
     targets = targets[rng.permutation(len(targets))]
     # Integer and half-integer coordinates: 1, 2, 4 or 8 equidistant targets.
     queries = rng.integers(-6, 7, size=(2000, 3)) / 2.0
-    got_idx, got_dist = icp.SpatialIndex(targets).query_many(queries)
-    for q, gi, gd in zip(queries, got_idx, got_dist):
-        bi, bd = brute_force_nn(targets, q)
-        assert gi == bi
-        assert abs(gd - bd) < 1e-12
+    assert_nearest(targets, queries)
 
 
 @st.composite
 def tie_heavy_knn_case(draw):
     """Points on a small integer grid (so with many duplicates and equal
-    distances), k in {1, 2, 10, n - 1, n}, and queries that are either the
-    points themselves (``skip_self``) or grid and half-grid points."""
+    distances), and queries that are either the points themselves, for the
+    kNN graph with k in {1, 2, 10, n - 1}, or grid and half-grid points,
+    for the nearest-target query (k = 1)."""
     n = draw(st.integers(2, 40))
     coords = st.integers(-2, 2)
     pts = np.array(draw(st.lists(st.tuples(coords, coords, coords), min_size=n, max_size=n)), dtype=float)
-    skip_self = draw(st.booleans())
-    ks = {1, 2, 10, n - 1} if skip_self else {1, 2, 10, n - 1, n}
-    k = draw(st.sampled_from(sorted(kk for kk in ks if 1 <= kk <= n - int(skip_self))))
-    if skip_self:
-        queries = pts
-    else:
-        half = st.integers(-6, 6)
-        queries = np.array(draw(st.lists(st.tuples(half, half, half), min_size=1, max_size=30)), dtype=float) / 2.0
-    return pts, queries, k, skip_self
+    if draw(st.booleans()):
+        return pts, None, draw(st.sampled_from(sorted(kk for kk in {1, 2, 10, n - 1} if 1 <= kk <= n - 1)))
+    half = st.integers(-6, 6)
+    queries = np.array(draw(st.lists(st.tuples(half, half, half), min_size=1, max_size=30)), dtype=float) / 2.0
+    return pts, queries, 1
 
 
 @settings(max_examples=300, deadline=None)
 @given(tie_heavy_knn_case())
 def test_exact_knn_equals_full_sort_reference(case):
-    """Sorting only the rows not already in order, and returning after the
-    first query when it settles every row, change no index or distance."""
-    pts, queries, k, skip_self = case
-    tree = cKDTree(pts)
-    got = icp._exact_knn(tree, queries, k, skip_self=skip_self)
-    want = ref.exact_knn(tree, queries, k, skip_self=skip_self)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+    """On tie-heavy grids the kNN graph and the nearest-target query each
+    return a valid kNN at the full-sort reference's distances."""
+    pts, queries, k = case
+    if queries is None:
+        assert_valid_knn(pts, pts, dcpnet.knn_graph(pts, k), skip_self=True)
+    else:
+        assert_nearest(pts, queries)
 
 
-def test_exact_knn_requery_and_whole_cloud_equal_reference(rng):
-    """Rows tied at the k-th place are queried again (a 3x3x3 lattice
-    seen from its centre has six neighbours at distance 1), and with k + 2
-    >= n every point is a candidate at once."""
+def test_lattice_knn_and_whole_cloud_equal_reference(rng):
+    """A 3x3x3 lattice seen from its centre has six neighbours at distance
+    1: k = 2 splits that tie and k = 6 takes all of it; k = n - 1 lists the
+    whole cloud. The off-lattice queries have 2, 4 or 8 equidistant targets."""
     axis = np.arange(-1.0, 2.0)
     lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     lattice = lattice[rng.permutation(len(lattice))]
-    tree = cKDTree(lattice)
-    for k, skip_self in ((1, True), (2, True), (6, True), (3, False), (25, True), (26, True), (27, False)):
-        queries = lattice if skip_self else np.zeros((1, 3))
-        got = icp._exact_knn(tree, queries, k, skip_self=skip_self)
-        want = ref.exact_knn(tree, queries, k, skip_self=skip_self)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+    for k in (1, 2, 6, 25, 26):
+        assert_valid_knn(lattice, lattice, dcpnet.knn_graph(lattice, k), skip_self=True)
+    assert_nearest(lattice, np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.5, 0.5]]))
 
 
 def test_empty_index_rejected():
