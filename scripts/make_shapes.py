@@ -20,6 +20,8 @@ def main():
     args = parser.parse_args()
     if args.n_shapes < 1:
         parser.error("--n-shapes must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be at least 0")
 
     out = Path(args.out)
     corpus = dataio.build_shape_corpus(args.n_shapes, seed=args.seed)

@@ -2,7 +2,8 @@
 
 A :class:`Tape` records primitive operations while active; ``backward``
 replays the record in exact reverse order, so gradient accumulation is
-deterministic (two identical passes produce bitwise-identical gradients).
+deterministic (two identical passes produce bitwise-identical gradients),
+and frees each intermediate gradient once its producing entry has run.
 Tensors carry a fixed precision (float32 or float64) chosen at
 construction; mixing precisions in one operation is an error.
 
@@ -33,9 +34,9 @@ BN_MOMENTUM = 0.1
 LN_EPS = 1e-6
 # Minimum separation of singular-value magnitudes for the SVD differential.
 SVD_GAP_TOL = 1e-8
-# Bytes of attention scores or layer-norm rows that an untaped forward
-# works on at a time: a share of one core's L2 cache, so the passes over a
-# tile after the first find it there.
+# Bytes of scores that an untaped attention forward works on at a time: a
+# share of one core's L2 cache, so the passes over a tile after the first
+# find it there.
 TILE_BYTES = 256 * 1024
 
 
@@ -157,39 +158,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def backward(tape: Tape, output: Tensor) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from output.
 
-    Repeated calls accumulate into existing ``grad`` buffers.
+    Each entry takes its output's gradient out of the buffers, so only the
+    gradients not yet spent stay alive. Repeated calls accumulate into
+    existing ``grad`` buffers.
     """
     if output.ndim != 0:
         raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
     buffers: dict[int, np.ndarray] = {id(output): np.ones((), dtype=output.dtype)}
-
-    def credit(t: Tensor, g: np.ndarray | None) -> None:
-        if g is None:
-            return
-        key = id(t)
-        if key in buffers:
-            buffers[key] = buffers[key] + g
-        else:
-            buffers[key] = g
-
-    seen: dict[int, Tensor] = {id(output): output}
+    leaves: dict[int, Tensor] = {id(output): output} if output.requires_grad else {}
     for entry in reversed(tape.entries):
-        g_out = buffers.get(id(entry.output))
+        g_out = buffers.pop(id(entry.output), None)
         if g_out is None:
             continue
-        grads = entry.backward_fn(g_out)
-        for t, g in zip(entry.inputs, grads):
-            credit(t, g)
-            seen[id(t)] = t
+        for t, g in zip(entry.inputs, entry.backward_fn(g_out)):
+            key = id(t)
+            if t.requires_grad:
+                leaves[key] = t
+            if g is not None:
+                buffers[key] = buffers[key] + g if key in buffers else g
 
-    for t in seen.values():
-        if t.requires_grad:
-            g = buffers.get(id(t))
-            if g is None:
-                continue
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad = t.grad + np.asarray(g, dtype=t.dtype).reshape(t.shape)
+    for key, t in leaves.items():
+        if key in buffers:
+            base = np.zeros_like(t.data) if t.grad is None else t.grad
+            t.grad = base + np.asarray(buffers[key], dtype=t.dtype).reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -740,40 +731,26 @@ def edgeconv_bn_max(
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize each row over the last axis with learned gain and bias.
-
-    A call no tape records works in blocks of as many whole rows as fit
-    ``TILE_BYTES``, so the passes over a block after the first find it in
-    cache; a recorded call takes all rows as one block, since the backward
-    needs every row's ``xhat`` and ``1/std``. Each row sees the same
-    operations either way, so the two are equal bit for bit.
-    """
+    """Normalize each row over the last axis with learned gain and bias."""
     _check_same_dtype(x, gain, bias)
     c = x.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError(f"layer_norm: gain/bias must be ({c},), got {gain.shape}/{bias.shape}")
-    x2 = x.data.reshape(math.prod(x.shape[:-1]), c)
-    y = np.empty(x2.shape, dtype=x.dtype)
-    block = max(1, len(x2)) if _will_record(x, gain, bias) else _tile_rows(c, x.dtype)
-    for r0 in range(0, max(1, len(x2)), block):  # one block even for no rows, for the backward
-        rows = x2[r0 : r0 + block]
-        xc = rows - rows.mean(axis=-1, keepdims=True)
-        var = (xc * xc).sum(axis=-1, keepdims=True) / c  # rows.var, bit for bit
-        inv_std = 1.0 / np.sqrt(var + LN_EPS)
-        xhat = np.multiply(xc, inv_std, out=xc)
-        np.multiply(gain.data, xhat, out=y[r0 : r0 + block])
-        y[r0 : r0 + block] += bias.data
-    out = Tensor(y.reshape(x.shape))
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / c  # x.var, bit for bit
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = np.multiply(xc, inv_std, out=xc)
+    y = gain.data * xhat
+    y += bias.data
+    out = Tensor(y)
     lead_axes = tuple(range(x.ndim - 1))
 
     def bw(g):
-        # A recorded call's one block covers every row.
-        xh, inv = xhat.reshape(x.shape), inv_std.reshape(x.shape[:-1] + (1,))
         dxhat = g * gain.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xh).mean(axis=-1, keepdims=True)
-        gx = inv * (dxhat - m1 - xh * m2)
-        return gx, (g * xh).sum(axis=lead_axes), g.sum(axis=lead_axes)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        gx = inv_std * (dxhat - m1 - xhat * m2)
+        return gx, (g * xhat).sum(axis=lead_axes), g.sum(axis=lead_axes)
 
     return _record("layer_norm", (x, gain, bias), out, bw)
 

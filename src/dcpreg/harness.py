@@ -101,6 +101,13 @@ def _int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
+def _tolerance(raw: str) -> float:
+    value = float(raw)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ValueError("a tolerance must be a finite number of at least 0")
+    return value
+
+
 def _sizes(raw: str) -> tuple[int, ...]:
     sizes = _int_tuple(raw)
     if not sizes or min(sizes) < 1:
@@ -173,7 +180,7 @@ EXPERIMENT_KEYS = {
     "noise.train": ("noise_train", _bool),
     "noise.eval": ("noise_eval", _bool),
     "icp.max_iters": ("icp_max_iters", _positive_int),
-    "icp.tol": ("icp_tol", float),
+    "icp.tol": ("icp_tol", _tolerance),
 }
 # Keys that experiment_config_from_values and cmd_train read themselves.
 OTHER_KEYS = ("seed", "methods", "experiment.kind", "data.corpus")
@@ -301,10 +308,14 @@ def parse_methods(text: str) -> tuple[Method, ...]:
     """Parse a comma-separated token list.
 
     Only a comma followed by ``oracle``, ``icp`` or ``dcp`` starts a new
-    token, so ``icp, dcp-v2:dims=16,heads=2`` is two tokens.
+    token, so ``icp, dcp-v2:dims=16,heads=2`` is two tokens. A list with
+    no token is a ``DataError``.
     """
     tokens = (tok.strip(" \t,") for tok in re.split(r",(?=\s*(?:oracle|icp|dcp))", text))
-    return tuple(parse_method(tok) for tok in tokens if tok)
+    methods = tuple(parse_method(tok) for tok in tokens if tok)
+    if not methods:
+        raise DataError(f"the methods list {text!r} names no method")
+    return methods
 
 
 def method_model_config(base: dcpnet.ModelConfig, method: Method) -> dcpnet.ModelConfig:
@@ -589,8 +600,6 @@ def cmd_bench(args) -> int:
     for method, model in zip(args.methods, models):
         for size in args.sizes:
             pair = bench_pair(size, args.seed)
-            if model is not None and model.config.knn_k >= size:
-                raise DataError(f"model knn_k={model.config.knn_k} too large for {size} points")
 
             def run_once():
                 run_method(method, model, pair.source, pair.target, args.max_iters, icp.DEFAULT_TOL)
@@ -656,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--out", help="write the aligned source cloud as xyz")
     p.add_argument("--max-iters", type=_positive_int, default=icp.DEFAULT_MAX_ITERS)
-    p.add_argument("--tol", type=float, default=icp.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=icp.DEFAULT_TOL)
     p.add_argument("--n-points", type=_positive_int, default=1024, help="surface samples when input is an OFF mesh")
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_register)
@@ -677,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--out", help="directory for report files")
     p.add_argument("--max-iters", type=_positive_int, default=icp.DEFAULT_MAX_ITERS)
-    p.add_argument("--tol", type=float, default=icp.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=icp.DEFAULT_TOL)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("experiment", help="run a full protocol from a config file")

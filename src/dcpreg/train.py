@@ -207,8 +207,9 @@ def train(
     checkpoint left on disk.
 
     Without ``val_pairs``, the last ``val_fraction`` of ``train_pairs`` is
-    held out for validation: at least one pair when there are two or more,
-    and never every pair.
+    held out for validation: none when ``val_fraction`` is 0 (the metrics
+    are then NaN, as with ``val_pairs=[]``), otherwise at least one pair
+    when there are two or more, and never every pair.
     """
     train_pairs = list(train_pairs)
     if not train_pairs:
@@ -218,7 +219,9 @@ def train(
     shuffle_rng = np.random.default_rng(seeds[1])
 
     if val_pairs is None:
-        n_val = min(max(1, int(round(cfg.val_fraction * len(train_pairs)))), len(train_pairs) - 1)
+        n_val = int(round(cfg.val_fraction * len(train_pairs)))
+        if cfg.val_fraction > 0:
+            n_val = min(max(1, n_val), len(train_pairs) - 1)
         val_pairs = train_pairs[len(train_pairs) - n_val :]
         train_pairs = train_pairs[: len(train_pairs) - n_val]
 

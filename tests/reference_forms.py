@@ -1,7 +1,8 @@
 """Plain forms of the k-d tree kNN, the signed 3x3 SVD, the closed-form
-alignment and the ICP loop, as they read before their per-call overhead
-was cut. Tests require the library's outputs to equal these bit for bit:
-the faster forms change the bookkeeping, not the arithmetic.
+alignment, the ICP loop and the tape's backward, as they read before their
+per-call overhead or their memory was cut. Tests require the library's
+outputs to equal these bit for bit: the leaner forms change the
+bookkeeping, not the arithmetic.
 
 :func:`exact_knn` breaks distance ties toward the lowest index, which the
 library's kNN does not promise: tests compare its squared distances with
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from dcpreg import geometry as geo
-from dcpreg.errors import DegenerateCorrespondenceError
+from dcpreg.errors import DegenerateCorrespondenceError, ShapeError
 
 
 def exact_knn(tree, queries, k, skip_self=False):
@@ -109,3 +110,39 @@ def icp_register(x, y, init=None, max_iters=100, tol=1e-8, transform_tol=1e-10):
         corr, objective = correspond(transform)
         history.append((max_iters, transform, objective, corr))
     return history[-1][1], history
+
+
+def backward(tape, output):
+    """Every gradient buffer, spent or not, lives until the pass returns;
+    ``seen`` lists every input the pass met, in order."""
+    if output.ndim != 0:
+        raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
+    buffers = {id(output): np.ones((), dtype=output.dtype)}
+
+    def credit(t, g):
+        if g is None:
+            return
+        key = id(t)
+        if key in buffers:
+            buffers[key] = buffers[key] + g
+        else:
+            buffers[key] = g
+
+    seen = {id(output): output}
+    for entry in reversed(tape.entries):
+        g_out = buffers.get(id(entry.output))
+        if g_out is None:
+            continue
+        grads = entry.backward_fn(g_out)
+        for t, g in zip(entry.inputs, grads):
+            credit(t, g)
+            seen[id(t)] = t
+
+    for t in seen.values():
+        if t.requires_grad:
+            g = buffers.get(id(t))
+            if g is None:
+                continue
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad = t.grad + np.asarray(g, dtype=t.dtype).reshape(t.shape)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dcpreg import autodiff as ad, geometry as geo
+from dcpreg import autodiff as ad, dcpnet, geometry as geo
 from dcpreg.errors import (
     GradientSingularityError,
     InsufficientDataError,
@@ -13,6 +14,8 @@ from dcpreg.errors import (
 )
 
 import gradcheck
+import reference_forms as ref
+from conftest import random_rotation
 from gradcheck import PRIMITIVE_CASES, case_svd_rigid_head, check_case, numeric_grad, reference_attention
 
 
@@ -217,18 +220,20 @@ def test_attention_tiles_equal_whole_array(rng, monkeypatch, score_tile_rows, dt
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("block", [1, 4, 5, 33])
-def test_layer_norm_row_blocks_equal_whole_array(rng, monkeypatch, dtype, block):
-    """An untaped call in blocks of ``block`` of the 33 rows (the last
-    partial for 4 and 5) gives the output of a taped call, which normalises
-    every row at once, bit for bit."""
+def test_layer_norm_row_blocks_equal_whole_array(rng, dtype, block):
+    """Untaped calls on blocks of ``block`` of the 33 rows (the last partial
+    for 4 and 5) give the rows of a taped call on the whole (3, 11, 10)
+    array bit for bit: each row is normalised on its own."""
     x = (rng.normal(loc=3.0, scale=2.0, size=(3, 11, 10)) * rng.uniform(0.01, 10.0, size=(3, 11, 1))).astype(dtype)
     gain, bias = (rng.normal(size=10).astype(dtype) for _ in range(2))
-    monkeypatch.setattr(ad, "TILE_BYTES", block * 10 * np.dtype(dtype).itemsize)
     with ad.Tape() as tape:
         whole = ad.layer_norm(ad.tensor(x, requires_grad=True), ad.tensor(gain), ad.tensor(bias))
     assert len(tape.entries) == 1
-    tiled = ad.layer_norm(ad.tensor(x), ad.tensor(gain), ad.tensor(bias))
-    assert tiled.dtype == dtype and np.array_equal(tiled.data, whole.data)
+    rows = x.reshape(33, 10)
+    blocks = [ad.layer_norm(ad.tensor(rows[r : r + block]), ad.tensor(gain), ad.tensor(bias)).data
+              for r in range(0, 33, block)]
+    tiled = np.concatenate(blocks)
+    assert tiled.dtype == dtype and np.array_equal(tiled, whole.data.reshape(33, 10))
 
 
 def three_temporary_softmax(x, axis):
@@ -306,6 +311,64 @@ def test_backward_accumulates_and_is_deterministic():
     once = x.grad.copy()
     ad.backward(tape, out)
     assert np.array_equal(x.grad, 2.0 * once)
+
+
+def v2_batch_step(dtype, n=24):
+    """The model and the tape and loss of one training forward of a tiny
+    DCP-v2 model on a batch of two pairs, its attention residual not a no-op."""
+    rng = np.random.default_rng(5)
+    cfg = dcpnet.ModelConfig(widths=(4, 4), emb_dims=8, heads=2, ffn_dims=16, knn_k=4, dtype=dtype, attention=True)
+    model = dcpnet.ModelParams.initialize(cfg, seed=3)
+    out_w = model.params["attn.out.w"]
+    out_w.data = rng.normal(scale=0.5, size=out_w.shape).astype(dtype)
+    xs = [rng.normal(size=(n, 3)) for _ in range(2)]
+    gts = [geo.RigidTransform(random_rotation(rng), rng.normal(scale=0.2, size=3)) for _ in range(2)]
+    ys = [x @ gt.rotation.T + gt.translation for x, gt in zip(xs, gts)]
+    with ad.Tape() as tape:
+        out = dcpnet.dcp_forward(xs, ys, model, training=True)
+        loss = dcpnet.dcp_loss(out.rotation, out.translation, gts)
+    return model, tape, loss
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_backward_equals_old_form_bit_for_bit(dtype):
+    """The backward that frees spent gradients gives every parameter the
+    gradient of the form that kept them all, bit for bit, after one pass
+    and after a second pass over the same tape."""
+    model, tape, loss = v2_batch_step(dtype)
+    runs = []
+    for backward in (ref.backward, ad.backward):
+        model.zero_grad()
+        passes = []
+        for _ in range(2):
+            backward(tape, loss)
+            passes.append({name: p.grad.copy() for name, p in model.params.items() if p.grad is not None})
+        runs.append(passes)
+    assert len(runs[0][0]) == len(model.params)
+    assert any(np.abs(g).max() > 0 for name, g in runs[0][0].items() if name.startswith("attn."))
+    for old, new in zip(*runs):
+        assert old.keys() == new.keys()
+        for name in old:
+            assert new[name].dtype == old[name].dtype and new[name].tobytes() == old[name].tobytes(), name
+
+
+def test_backward_peak_memory_below_old_form():
+    """Gradients freed once spent: the pass peaks well below the form that
+    keeps every gradient until it returns, on the same tape."""
+    model, tape, loss = v2_batch_step("float32", n=32)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for _ in range(2):  # the second round runs warm
+            for name, backward in (("old", ref.backward), ("new", ad.backward)):
+                model.zero_grad()
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                backward(tape, loss)
+                peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peaks["new"] < 0.75 * peaks["old"], peaks
 
 
 def test_backward_rejects_non_scalar():

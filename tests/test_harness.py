@@ -637,11 +637,14 @@ def test_experiment_pair_count_below_one_exits_3(corpus, tmp_path, capsys, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", [("icp.max_iters", "-1"), ("train.checkpoint_every", "-1"), ("seed", "-1")])
+@pytest.mark.parametrize("key,value", [
+    ("icp.max_iters", "-1"), ("train.checkpoint_every", "-1"), ("seed", "-1"), ("icp.tol", "nan"), ("icp.tol", "-1"),
+    ("methods", ""),
+])
 def test_experiment_count_out_of_range_exits_3(corpus, tmp_path, capsys, key, value):
     conf = EXPERIMENT_CONF.format(corpus=corpus)
-    if key == "seed":  # a key may appear once
-        conf = conf.replace("seed = 21\n", "")
+    if key in ("seed", "methods"):  # a key may appear once
+        conf = re.sub(rf"^{key} = .*\n", "", conf, flags=re.M)
     conf += f"{key} = {value}\n"
     out = tmp_path / "exp"
     assert run_experiment(corpus, out, conf) == 3
@@ -781,6 +784,16 @@ def test_make_shapes_count_below_one_exits_2(tmp_path, monkeypatch, capsys, coun
     assert not (tmp_path / "shapes").exists()
 
 
+def test_make_shapes_negative_seed_exits_2(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_shapes.py"
+    monkeypatch.setattr("sys.argv", [str(script), "--out", str(tmp_path / "shapes"), "--seed", "-1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "shapes").exists()
+
+
 def test_bench_zero_trials_exits_2(tmp_path, capsys):
     rc = harness.main(["bench", "--out", str(tmp_path / "bench"), "--methods", "icp", "--sizes", "32", "--trials", "0"])
     assert rc == 2
@@ -806,10 +819,14 @@ def test_unknown_model_key_exits_3(tmp_path, capsys, key):
     ("register", "--max-iters", "-5"), ("eval", "--max-iters", "0"), ("bench", "--max-iters", "0"),
     ("register", "--n-points", "-5"), ("register", "--seed", "-1"), ("gen-data", "--seed", "-1"),
     ("train", "--seed", "-1"), ("bench", "--seed", "-1"),
+    ("register", "--tol", "nan"), ("register", "--tol", "-0.5"), ("eval", "--tol", "nan"), ("eval", "--tol", "inf"),
+    ("bench", "--methods", ""), ("bench", "--methods", " , "),
 ])
 def test_count_flag_below_one_exits_2(corpus, archive, tmp_path, capsys, command, flag, value):
-    """A count flag below 1, or a seed below 0, is a usage error. The
-    register source is an OFF mesh, whose surface sampling reads both."""
+    """A count flag below 1, a seed below 0, an ICP tolerance that is not a
+    finite number of at least 0, or a method list with no token is a usage
+    error. The register source is an OFF mesh, whose surface sampling reads
+    the count and the seed."""
     src = next(corpus.rglob("*.off"))
     out = tmp_path / "out"
     argv = {
@@ -871,3 +888,18 @@ def test_bench_times_each_token_model(tmp_path, capsys, monkeypatch):
     )
     assert rc == 0
     assert sorted(set(seen)) == [("dgcnn", False, "svd"), ("dgcnn", True, "mlp"), ("pointnet", False, "svd")]
+
+
+def test_bench_knn_k_limits_only_dgcnn(tmp_path, capsys):
+    """PointNet builds no kNN graph, so a size at or below ``knn_k`` is
+    timed; DGCNN at that size is a data error from its kNN graph."""
+    conf = tmp_path / "model.conf"
+    conf.write_text(TINY_MODEL_CONF.replace("model.knn_k = 4", "model.knn_k = 20"), encoding="utf-8")
+    argv = ["bench", "--sizes", "16", "--trials", "1", "--config", str(conf)]
+    assert harness.main(argv + ["--out", str(tmp_path / "pointnet"), "--methods", "dcp-v1:pointnet"]) == 0
+    lines = (tmp_path / "pointnet" / "timing.csv").read_text().splitlines()
+    assert lines[2].startswith("dcp-v1:pointnet,16,1,")
+    capsys.readouterr()
+    assert harness.main(argv + ["--out", str(tmp_path / "dgcnn"), "--methods", "dcp-v1"]) == 3
+    assert "k=20" in capsys.readouterr().err
+    assert not (tmp_path / "dgcnn").exists()

@@ -192,6 +192,28 @@ def test_train_two_pairs_hold_out_one(monkeypatch):
     assert validated == [pairs[1]]
 
 
+def test_train_zero_val_fraction_holds_out_nothing(monkeypatch):
+    """``val_fraction=0`` trains on every pair and validates on none, with
+    the NaN metrics of ``val_pairs=[]``."""
+    pairs = make_pairs(4, seed=6)
+    trained = []
+    forward = dcpnet.dcp_forward
+
+    def spy_forward(sources, targets, model, training=False):
+        if training:
+            trained.extend(sources)
+        return forward(sources, targets, model, training)
+
+    def no_evaluate(model, val_pairs):
+        raise AssertionError("validation ran with val_fraction=0")
+
+    monkeypatch.setattr(dcpnet, "dcp_forward", spy_forward)
+    monkeypatch.setattr(train, "evaluate", no_evaluate)
+    _, log = train.train(TINY, pairs, cfg=train.TrainConfig(epochs=1, batch_size=4, seed=1, val_fraction=0.0))
+    assert sorted(id(s) for s in trained) == sorted(id(p.source) for p in pairs)
+    assert all(math.isnan(log[0][c]) for c in train.Metrics.COLUMNS)
+
+
 def test_train_logs_mean_gradient_norm():
     """One batch of every pair: grad_norm is the L2 norm, over all
     parameters, of the gradient of the batch-mean loss, from one forward
