@@ -84,12 +84,13 @@ class PairGenConfig:
     noise_clip: float = 0.05
 
     def __post_init__(self):
-        if self.max_rot_deg < 0 or self.trans_bound < 0:
-            raise InvalidInputError("rotation/translation bounds must be non-negative")
+        for name in ("max_rot_deg", "trans_bound", "noise_sigma"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be a finite number of at least 0, got {getattr(self, name)}")
+        if not 0.0 < self.noise_clip < math.inf:
+            raise InvalidInputError(f"noise_clip must be a finite number above 0, got {self.noise_clip}")
         if self.n_points < 3:
             raise InvalidInputError("n_points must be at least 3")
-        if self.noise_sigma < 0 or self.noise_clip <= 0:
-            raise InvalidInputError("noise_sigma must be >= 0 and noise_clip > 0")
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,13 @@ class ModelConfig:
             raise InvalidInputError(f"unknown head {self.head!r}")
         if self.dtype not in ("float32", "float64"):
             raise InvalidInputError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        if not isinstance(self.attention, bool):
+            raise InvalidInputError(f"attention must be true or false, got {self.attention!r}")
         for name in ("widths", "emb_dims", "heads", "ffn_dims", "mlp_head_widths", "knn_k"):
             value = getattr(self, name)
-            if value is not None and any(v < 1 for v in (value if isinstance(value, tuple) else (value,))):
-                raise InvalidInputError(f"{name} must be at least 1, got {value}")
+            ints = value if isinstance(value, tuple) else (value,)
+            if value is not None and not all(type(v) is int and v >= 1 for v in ints):
+                raise InvalidInputError(f"{name} must be integers of at least 1, got {value!r}")
         if self.embedding == "dgcnn" and not self.resolved_widths:
             raise InvalidInputError("widths must not be empty for the dgcnn embedding")
         if self.attention and self.emb_dims % self.heads != 0:
@@ -118,6 +121,85 @@ def batch_knn_graph(clouds: np.ndarray, k: int) -> np.ndarray:
 # Parameters
 # ---------------------------------------------------------------------------
 
+class TensorSpec(NamedTuple):
+    """One model tensor: its shape, and how :meth:`ModelParams.initialize`
+    fills it, with a uniform draw on (-bound, bound) when ``bound`` is set
+    and with ``fill`` otherwise."""
+
+    shape: tuple[int, ...]
+    bound: float | None = None
+    fill: float = 0.0
+
+
+def model_shapes(config: ModelConfig) -> dict[str, TensorSpec]:
+    """The table of every tensor a model of ``config`` holds, in the order
+    :meth:`ModelParams.initialize` makes them, by checkpoint member name:
+    ``param/<name>`` for a learnable tensor, ``bnstate/<site>/mean`` and
+    ``bnstate/<site>/var`` for the running statistics of a batch-norm site.
+    It draws and allocates no weights."""
+    table: dict[str, TensorSpec] = {}
+
+    def affine(name: str, n_in: int, n_out: int, zero: bool = False, bias: bool = True) -> None:
+        table[f"param/{name}.w"] = TensorSpec((n_in, n_out), None if zero else math.sqrt(6.0 / n_in))
+        if bias:
+            table[f"param/{name}.b"] = TensorSpec((n_out,))
+
+    def edge_map(name: str, c_in: int, c_out: int) -> None:
+        # One logical (2*c_in, c_out) edge map stored as its vertex and
+        # offset halves; fan-in scaling matches the concatenated form.
+        for part in ("wa", "wb"):
+            table[f"param/{name}.{part}"] = TensorSpec((c_in, c_out), math.sqrt(6.0 / (2 * c_in)))
+
+    def batch_norm(name: str, channels: int) -> None:
+        table[f"param/{name}.gamma"] = TensorSpec((channels,), fill=1.0)
+        table[f"param/{name}.beta"] = TensorSpec((channels,))
+        table[f"bnstate/{name}/mean"] = TensorSpec((channels,))
+        table[f"bnstate/{name}/var"] = TensorSpec((channels,), fill=1.0)
+
+    def layer_norm(name: str, channels: int) -> None:
+        table[f"param/{name}.g"] = TensorSpec((channels,), fill=1.0)
+        table[f"param/{name}.b"] = TensorSpec((channels,))
+
+    widths = config.resolved_widths
+    # Embedding layers carry no bias: batch norm follows each one and
+    # subtracts any per-channel constant. DGCNN's last layer reads the
+    # concatenated outputs of the layers before it.
+    dgcnn = config.embedding == "dgcnn"
+    c_ins = (3,) + (widths[:-1] + (sum(widths),) if dgcnn else widths)
+    for i, (c_in, width) in enumerate(zip(c_ins, widths + (config.emb_dims,))):
+        if dgcnn:
+            edge_map(f"embed.l{i}", c_in, width)
+        else:
+            affine(f"embed.l{i}", c_in, width, bias=False)
+        batch_norm(f"embed.l{i}.bn", width)
+
+    if config.attention:
+        dims = config.emb_dims
+        # The encoder's self-attention and FFN, then the decoder's
+        # self-attention, cross-attention and FFN, each with its layer norm.
+        for block in ("enc.self", "enc.ffn", "dec.self", "dec.cross", "dec.ffn"):
+            if block.endswith("ffn"):
+                affine(f"attn.{block}.l0", dims, config.ffn_dims)
+                affine(f"attn.{block}.l1", config.ffn_dims, dims)
+            else:
+                for proj in ("wq", "wk", "wv", "wo"):
+                    affine(f"attn.{block}.{proj}", dims, dims)
+            layer_norm(f"attn.{block}_ln", dims)
+        # Residual output projection starts at zero so an untrained
+        # attention stage is an exact no-op (v2 == v1 at init).
+        affine("attn.out", dims, dims, zero=True)
+
+    if config.head == "mlp":
+        n_in = 2 * config.emb_dims
+        for i, width in enumerate(config.mlp_head_widths):
+            affine(f"head.fc{i}", n_in, width)
+            batch_norm(f"head.fc{i}.bn", width)
+            n_in = width
+        affine("head.rot", n_in, 4)
+        affine("head.trans", n_in, 3)
+    return table
+
+
 @dataclass
 class ModelParams:
     """Configuration plus all learnable tensors and normalization state."""
@@ -128,102 +210,33 @@ class ModelParams:
 
     @staticmethod
     def initialize(config: ModelConfig, seed: int) -> "ModelParams":
-        return _Builder(config, np.random.default_rng(seed)).build()
+        """A model of ``config`` with every tensor of :func:`model_shapes`
+        made in table order, each draw from one generator of ``seed``."""
+        rng = np.random.default_rng(seed)
+        arrays = {
+            name: (np.full(spec.shape, spec.fill) if spec.bound is None
+                   else rng.uniform(-spec.bound, spec.bound, size=spec.shape)).astype(config.np_dtype)
+            for name, spec in model_shapes(config).items()
+        }
+        return ModelParams.from_arrays(config, arrays)
+
+    @staticmethod
+    def from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelParams":
+        """A model of ``config`` that holds ``arrays``, named as in
+        :func:`model_shapes`, in their order."""
+        params, bn_states = {}, {}
+        for name, arr in arrays.items():
+            kind, _, rest = name.partition("/")
+            if kind == "param":
+                params[rest] = ad.tensor(arr, requires_grad=True)
+            elif rest.endswith("/var"):
+                site = rest.removesuffix("/var")
+                bn_states[site] = ad.BatchNormState(arrays[f"bnstate/{site}/mean"], arr)
+        return ModelParams(config, params, bn_states)
 
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.zero_grad()
-
-
-class _Builder:
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        self.config = config
-        self.rng = rng
-        self.dtype = config.np_dtype
-        self.params: dict[str, ad.Tensor] = {}
-        self.bn_states: dict[str, ad.BatchNormState] = {}
-
-    def affine(self, name: str, n_in: int, n_out: int, zero: bool = False, bias: bool = True) -> None:
-        if zero:
-            w = np.zeros((n_in, n_out))
-        else:
-            bound = math.sqrt(6.0 / n_in)
-            w = self.rng.uniform(-bound, bound, size=(n_in, n_out))
-        self.params[f"{name}.w"] = ad.tensor(w.astype(self.dtype), requires_grad=True)
-        if bias:
-            self.params[f"{name}.b"] = ad.tensor(np.zeros(n_out, dtype=self.dtype), requires_grad=True)
-
-    def edge_map(self, name: str, c_in: int, c_out: int) -> None:
-        # One logical (2*c_in, c_out) edge map stored as its vertex and
-        # offset halves; fan-in scaling matches the concatenated form.
-        bound = math.sqrt(6.0 / (2 * c_in))
-        for part in ("wa", "wb"):
-            w = self.rng.uniform(-bound, bound, size=(c_in, c_out))
-            self.params[f"{name}.{part}"] = ad.tensor(w.astype(self.dtype), requires_grad=True)
-
-    def batch_norm(self, name: str, channels: int) -> None:
-        self.params[f"{name}.gamma"] = ad.tensor(np.ones(channels, dtype=self.dtype), requires_grad=True)
-        self.params[f"{name}.beta"] = ad.tensor(np.zeros(channels, dtype=self.dtype), requires_grad=True)
-        self.bn_states[name] = ad.BatchNormState.create(channels, dtype=self.dtype)
-
-    def layer_norm(self, name: str, channels: int) -> None:
-        self.params[f"{name}.g"] = ad.tensor(np.ones(channels, dtype=self.dtype), requires_grad=True)
-        self.params[f"{name}.b"] = ad.tensor(np.zeros(channels, dtype=self.dtype), requires_grad=True)
-
-    def attention_block(self, name: str, dims: int) -> None:
-        for proj in ("wq", "wk", "wv", "wo"):
-            self.affine(f"{name}.{proj}", dims, dims)
-
-    def build(self) -> ModelParams:
-        cfg = self.config
-        widths = cfg.resolved_widths
-
-        # Embedding layers carry no bias: batch norm follows each one and
-        # subtracts any per-channel constant.
-        if cfg.embedding == "dgcnn":
-            c_in = 3
-            for i, width in enumerate(widths):
-                self.edge_map(f"embed.l{i}", c_in, width)
-                self.batch_norm(f"embed.l{i}.bn", width)
-                c_in = width
-            cat = sum(widths)
-            self.edge_map(f"embed.l{len(widths)}", cat, cfg.emb_dims)
-            self.batch_norm(f"embed.l{len(widths)}.bn", cfg.emb_dims)
-        else:
-            c_in = 3
-            for i, width in enumerate(tuple(widths) + (cfg.emb_dims,)):
-                self.affine(f"embed.l{i}", c_in, width, bias=False)
-                self.batch_norm(f"embed.l{i}.bn", width)
-                c_in = width
-
-        if cfg.attention:
-            dims = cfg.emb_dims
-            self.attention_block("attn.enc.self", dims)
-            self.layer_norm("attn.enc.self_ln", dims)
-            self.affine("attn.enc.ffn.l0", dims, cfg.ffn_dims)
-            self.affine("attn.enc.ffn.l1", cfg.ffn_dims, dims)
-            self.layer_norm("attn.enc.ffn_ln", dims)
-            self.attention_block("attn.dec.self", dims)
-            self.layer_norm("attn.dec.self_ln", dims)
-            self.attention_block("attn.dec.cross", dims)
-            self.layer_norm("attn.dec.cross_ln", dims)
-            self.affine("attn.dec.ffn.l0", dims, cfg.ffn_dims)
-            self.affine("attn.dec.ffn.l1", cfg.ffn_dims, dims)
-            self.layer_norm("attn.dec.ffn_ln", dims)
-            # Residual output projection starts at zero so an untrained
-            # attention stage is an exact no-op (v2 == v1 at init).
-            self.affine("attn.out", dims, dims, zero=True)
-
-        if cfg.head == "mlp":
-            n_in = 2 * cfg.emb_dims
-            for i, width in enumerate(cfg.mlp_head_widths):
-                self.affine(f"head.fc{i}", n_in, width)
-                self.batch_norm(f"head.fc{i}.bn", width)
-                n_in = width
-            self.affine("head.rot", n_in, 4)
-            self.affine("head.trans", n_in, 3)
-
-        return ModelParams(cfg, self.params, self.bn_states)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Subcommands: ``gen-data``, ``register``, ``train``, ``eval``,
 ``experiment``, ``bench``. All randomness is seeded; reports embed the
 config hash and rerun byte-identically. Exit codes: 0 success, 2 usage
-error, 3 data error, 4 numerical failure.
+error, 3 data error, 4 numerical failure. A checkpoint that contradicts its
+own configuration (a tensor missing, unexpected or at another shape) is a
+data error, 3; a sound checkpoint that a method token cannot use is a usage
+error, 2.
 
 Config files (``train``, ``experiment`` and ``bench --config``) hold
 ``key = value`` lines. The key tables ``MODEL_KEYS``, ``TRAIN_KEYS``,
@@ -101,10 +104,10 @@ def _int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
-def _tolerance(raw: str) -> float:
+def _nonnegative(raw: str) -> float:
     value = float(raw)
-    if not (np.isfinite(value) and value >= 0.0):
-        raise ValueError("a tolerance must be a finite number of at least 0")
+    if not 0.0 <= value < np.inf:
+        raise ValueError("must be a finite number of at least 0")
     return value
 
 
@@ -165,11 +168,11 @@ TRAIN_KEYS = {
     "train.checkpoint_every": ("checkpoint_every", int),
 }
 PAIRGEN_KEYS = {
-    "pairgen.max_rot_deg": ("max_rot_deg", float),
-    "pairgen.trans_bound": ("trans_bound", float),
+    "pairgen.max_rot_deg": ("max_rot_deg", _nonnegative),
+    "pairgen.trans_bound": ("trans_bound", _nonnegative),
     "pairgen.shuffle_target": ("shuffle_target", _bool),
-    "noise.sigma": ("noise_sigma", float),
-    "noise.clip": ("noise_clip", float),
+    "noise.sigma": ("noise_sigma", _nonnegative),
+    "noise.clip": ("noise_clip", _nonnegative),
 }
 EXPERIMENT_KEYS = {
     "data.n_points": ("n_points", int),
@@ -180,7 +183,7 @@ EXPERIMENT_KEYS = {
     "noise.train": ("noise_train", _bool),
     "noise.eval": ("noise_eval", _bool),
     "icp.max_iters": ("icp_max_iters", _positive_int),
-    "icp.tol": ("icp_tol", _tolerance),
+    "icp.tol": ("icp_tol", _nonnegative),
 }
 # Keys that experiment_config_from_values and cmd_train read themselves.
 OTHER_KEYS = ("seed", "methods", "experiment.kind", "data.corpus")
@@ -325,9 +328,11 @@ def method_model_config(base: dcpnet.ModelConfig, method: Method) -> dcpnet.Mode
 def load_method_model(method: Method, checkpoint) -> dcpnet.ModelParams:
     """The model ``method`` asks for, with its weights from ``checkpoint``.
 
-    The checkpoint must hold every parameter and normalisation state that
-    model has, at the same shape; otherwise it cannot honour the token and
-    this raises ``UsageError``.
+    That model's tensor table (:func:`dcpnet.model_shapes`) must lie within
+    the table of the checkpoint's own configuration, each tensor at the
+    same shape; otherwise the checkpoint cannot honour the token and this
+    raises ``UsageError``. A checkpoint that contradicts its own
+    configuration is a ``CheckpointError`` from :func:`train.load_checkpoint`.
     """
     if not checkpoint:
         raise UsageError(f"method {method.name} requires --checkpoint")
@@ -336,20 +341,12 @@ def load_method_model(method: Method, checkpoint) -> dcpnet.ModelParams:
         cfg = method_model_config(loaded.config, method)
     except InvalidInputError as exc:
         raise UsageError(f"checkpoint {checkpoint} cannot run {method.name}: {exc}") from None
-    need = dcpnet.ModelParams.initialize(cfg, seed=0)
-    have = _shapes(loaded)
-    bad = sorted(name for name, shape in _shapes(need).items() if have.get(name) != shape)
+    have = {name: spec.shape for name, spec in dcpnet.model_shapes(loaded.config).items()}
+    bad = sorted(name for name, spec in dcpnet.model_shapes(cfg).items() if have.get(name) != spec.shape)
     if bad:
         detail = f"{len(bad)} tensor(s) missing or mis-shaped, such as {', '.join(bad[:3])}"
         raise UsageError(f"checkpoint {checkpoint} cannot run {method.name}: {detail}")
-    return dcpnet.ModelParams(cfg, loaded.params, loaded.bn_states)
-
-
-def _shapes(model: dcpnet.ModelParams) -> dict[str, tuple[int, ...]]:
-    shapes = {name: t.shape for name, t in model.params.items()}
-    for name, state in model.bn_states.items():
-        shapes[f"{name}/mean"], shapes[f"{name}/var"] = state.running_mean.shape, state.running_var.shape
-    return shapes
+    return replace(loaded, config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -368,23 +365,17 @@ def load_clouds(corpus, n_points: int, seed: int) -> list[dataio.PointCloud]:
 
 def build_pairs(clouds, per_cloud: int, pairgen: dataio.PairGenConfig, seed_key, noise: bool):
     """Deterministic labeled pairs: one child seed per (cloud, repeat)."""
-    seq = np.random.SeedSequence(seed_key)
-    seeds = seq.generate_state(len(clouds) * per_cloud, dtype=np.uint64)
-    pairs, pair_seeds = [], []
-    i = 0
-    for cloud in clouds:
-        for _ in range(per_cloud):
-            seed = int(seeds[i])
-            i += 1
-            children = np.random.SeedSequence(seed).spawn(2)
-            pair = dataio.generate_pair(cloud, pairgen, np.random.default_rng(children[0]))
-            if noise and pairgen.noise_sigma > 0:
-                pair = dataio.noisy_pair(
-                    pair, pairgen.noise_sigma, pairgen.noise_clip, np.random.default_rng(children[1])
-                )
-            pairs.append(pair)
-            pair_seeds.append(seed)
-    return pairs, pair_seeds
+    seeds = np.random.SeedSequence(seed_key).generate_state(len(clouds) * per_cloud, dtype=np.uint64).tolist()
+    pairs = []
+    for cloud, seed in zip((cloud for cloud in clouds for _ in range(per_cloud)), seeds):
+        children = np.random.SeedSequence(seed).spawn(2)
+        pair = dataio.generate_pair(cloud, pairgen, np.random.default_rng(children[0]))
+        if noise and pairgen.noise_sigma > 0:
+            pair = dataio.noisy_pair(
+                pair, pairgen.noise_sigma, pairgen.noise_clip, np.random.default_rng(children[1])
+            )
+        pairs.append(pair)
+    return pairs, seeds
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--pairs-per-cloud", type=_positive_int, default=1)
     p.add_argument("--n-points", type=int, default=dataio.PairGenConfig.n_points)
-    p.add_argument("--max-rot-deg", type=float, default=dataio.PairGenConfig.max_rot_deg)
-    p.add_argument("--trans-bound", type=float, default=dataio.PairGenConfig.trans_bound)
+    p.add_argument("--max-rot-deg", type=_nonnegative, default=dataio.PairGenConfig.max_rot_deg)
+    p.add_argument("--trans-bound", type=_nonnegative, default=dataio.PairGenConfig.trans_bound)
     p.add_argument("--noise", action="store_true", help="perturb source clouds with clipped Gaussian noise")
-    p.add_argument("--sigma", type=float, default=dataio.PairGenConfig.noise_sigma)
-    p.add_argument("--clip", type=float, default=dataio.PairGenConfig.noise_clip)
+    p.add_argument("--sigma", type=_nonnegative, default=dataio.PairGenConfig.noise_sigma)
+    p.add_argument("--clip", type=_nonnegative, default=dataio.PairGenConfig.noise_clip)
     p.add_argument("--no-shuffle", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
@@ -665,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--out", help="write the aligned source cloud as xyz")
     p.add_argument("--max-iters", type=_positive_int, default=icp.DEFAULT_MAX_ITERS)
-    p.add_argument("--tol", type=_tolerance, default=icp.DEFAULT_TOL)
+    p.add_argument("--tol", type=_nonnegative, default=icp.DEFAULT_TOL)
     p.add_argument("--n-points", type=_positive_int, default=1024, help="surface samples when input is an OFF mesh")
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_register)
@@ -686,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--out", help="directory for report files")
     p.add_argument("--max-iters", type=_positive_int, default=icp.DEFAULT_MAX_ITERS)
-    p.add_argument("--tol", type=_tolerance, default=icp.DEFAULT_TOL)
+    p.add_argument("--tol", type=_nonnegative, default=icp.DEFAULT_TOL)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("experiment", help="run a full protocol from a config file")

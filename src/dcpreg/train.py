@@ -58,15 +58,9 @@ def adam_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray], state:
             raise NumericalError(f"non-finite gradient for parameter {name!r}")
         if state.weight_decay:
             p.data = p.data - (state.lr * state.weight_decay) * p.data
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
+        # Both moments start at 0.
+        m = state.m[name] = b1 * state.m.get(name, 0.0) + (1.0 - b1) * g
+        v = state.v[name] = b2 * state.v.get(name, 0.0) + (1.0 - b2) * (g * g)
         m_hat = m / c1
         v_hat = v / c2
         p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -75,8 +69,6 @@ def adam_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray], state:
 
 def lr_schedule(epoch: int, base_lr: float, milestones: tuple[int, ...], factor: float) -> float:
     """Piecewise-constant decay: divide by 1/factor at each milestone epoch."""
-    if epoch < 0:
-        raise ValueError("epoch must be non-negative")
     drops = sum(1 for m in milestones if epoch >= m)
     return base_lr * factor**drops
 
@@ -156,6 +148,11 @@ class TrainConfig:
                 raise InvalidInputError(f"train.{name} must be at least {low}, got {getattr(self, name)}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise InvalidInputError(f"train.val_fraction must lie in [0, 1), got {self.val_fraction}")
+        for name in ("base_lr", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidInputError(f"train.{name} must be a finite number of at least 0, got {getattr(self, name)}")
+        if not 0.0 < self.lr_factor < math.inf:
+            raise InvalidInputError(f"train.lr_factor must be a finite number above 0, got {self.lr_factor}")
 
 
 def _batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
@@ -312,7 +309,19 @@ def _config_from_json(blob: bytes, path) -> dcpnet.ModelConfig:
 
 
 def load_checkpoint(path) -> dcpnet.ModelParams:
-    """Read a checkpoint back into model parameters."""
+    """Read a checkpoint back into model parameters.
+
+    Raises ``CheckpointError`` for a file that is not a readable
+    :func:`dataio.write_arrays` file; whose ``__version__`` is not
+    ``CHECKPOINT_VERSION``; whose ``__config__`` is missing, is not a JSON
+    object or holds a key ``ModelConfig`` lacks (a value it rejects raises
+    its ``InvalidInputError``); that lacks a member of that configuration's
+    table (:func:`dcpnet.model_shapes`), holds a member the table does not
+    list, or holds one at another shape, naming each; that holds a member
+    not of the configuration's dtype; or whose batch-norm means and
+    variances are not finite or hold a negative variance (inference divides
+    by ``sqrt(var + eps)``, and the edge-convolution fold needs it positive).
+    """
     records = dataio.read_arrays(path, CheckpointError)
     version = records.pop("__version__", np.array(None)).tolist()
     if version != CHECKPOINT_VERSION:
@@ -320,36 +329,20 @@ def load_checkpoint(path) -> dcpnet.ModelParams:
     if "__config__" not in records:
         raise CheckpointError(f"{path}: missing model configuration record")
     config = _config_from_json(records.pop("__config__").tobytes(), path)
-    params: dict[str, ad.Tensor] = {}
-    bn_arrays: dict[str, dict[str, np.ndarray]] = {}
+    table = dcpnet.model_shapes(config)
+    faults = [f"missing record {name!r}" for name in table if name not in records]
     for name, arr in records.items():
-        if name.startswith("param/"):
-            if arr.dtype != config.np_dtype:
-                raise CheckpointError(f"{path}: record {name!r} dtype {arr.dtype} != {config.dtype}")
-            params[name[len("param/") :]] = ad.tensor(arr, requires_grad=True)
-        elif name.startswith("bnstate/"):
-            bn_name, _, kind = name[len("bnstate/") :].rpartition("/")
-            bn_arrays.setdefault(bn_name, {})[kind] = arr
-        else:
-            raise CheckpointError(f"{path}: unexpected record {name!r}")
-    bn_states = {}
-    for bn_name, parts in bn_arrays.items():
-        if set(parts) != {"mean", "var"}:
-            raise CheckpointError(f"{path}: incomplete normalization state for {bn_name!r}")
-        mean, var = parts["mean"], parts["var"]
-        # Inference divides by sqrt(var + eps), and the edge-convolution fold
-        # needs that scale positive.
-        if mean.dtype != config.np_dtype or var.dtype != config.np_dtype:
-            raise CheckpointError(
-                f"{path}: normalization state {bn_name!r} dtype {mean.dtype}/{var.dtype} != {config.dtype}"
-            )
-        if mean.shape != var.shape:
-            raise CheckpointError(
-                f"{path}: normalization state {bn_name!r} has mean shape {mean.shape} but variance shape {var.shape}"
-            )
-        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
-            raise CheckpointError(f"{path}: normalization state {bn_name!r} is not finite")
-        if (var < 0).any():
-            raise CheckpointError(f"{path}: normalization state {bn_name!r} has a negative variance")
-        bn_states[bn_name] = ad.BatchNormState(running_mean=mean, running_var=var)
-    return dcpnet.ModelParams(config, params, bn_states)
+        if name not in table:
+            faults.append(f"unexpected record {name!r}")
+        elif arr.shape != table[name].shape:
+            faults.append(f"record {name!r} has shape {arr.shape}, not {table[name].shape}")
+    if faults:
+        raise CheckpointError(f"{path}: does not match its model configuration: {'; '.join(faults)}")
+    for name, arr in records.items():
+        if arr.dtype != config.np_dtype:
+            raise CheckpointError(f"{path}: record {name!r} dtype {arr.dtype} != {config.dtype}")
+        if name.startswith("bnstate/") and not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: normalization state {name!r} is not finite")
+        if name.endswith("/var") and (arr < 0).any():
+            raise CheckpointError(f"{path}: normalization state {name!r} has a negative variance")
+    return dcpnet.ModelParams.from_arrays(config, {name: records[name] for name in table})

@@ -1,8 +1,9 @@
 """Plain forms of the k-d tree kNN, the signed 3x3 SVD, the closed-form
-alignment, the ICP loop and the tape's backward, as they read before their
-per-call overhead or their memory was cut. Tests require the library's
-outputs to equal these bit for bit: the leaner forms change the
-bookkeeping, not the arithmetic.
+alignment, the ICP loop, the tape's backward and the model initializer, as
+they read before their per-call overhead or their memory was cut, or their
+tensors were declared in one table. Tests require the library's outputs to
+equal these bit for bit: the leaner forms change the bookkeeping, not the
+arithmetic.
 
 :func:`exact_knn` breaks distance ties toward the lowest index, which the
 library's kNN does not promise: tests compare its squared distances with
@@ -12,9 +13,11 @@ loop on noisy pairs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from dcpreg import geometry as geo
+from dcpreg import autodiff as ad, dcpnet, geometry as geo
 from dcpreg.errors import DegenerateCorrespondenceError, ShapeError
 
 
@@ -146,3 +149,80 @@ def backward(tape, output):
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
             t.grad = t.grad + np.asarray(g, dtype=t.dtype).reshape(t.shape)
+
+
+def initialize(cfg, seed):
+    """Each layer helper draws its weights from one generator as the model
+    is built, layer by layer."""
+    rng = np.random.default_rng(seed)
+    dtype = cfg.np_dtype
+    params, bn_states = {}, {}
+
+    def affine(name, n_in, n_out, zero=False, bias=True):
+        if zero:
+            w = np.zeros((n_in, n_out))
+        else:
+            bound = math.sqrt(6.0 / n_in)
+            w = rng.uniform(-bound, bound, size=(n_in, n_out))
+        params[f"{name}.w"] = ad.tensor(w.astype(dtype), requires_grad=True)
+        if bias:
+            params[f"{name}.b"] = ad.tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
+
+    def edge_map(name, c_in, c_out):
+        bound = math.sqrt(6.0 / (2 * c_in))
+        for part in ("wa", "wb"):
+            w = rng.uniform(-bound, bound, size=(c_in, c_out))
+            params[f"{name}.{part}"] = ad.tensor(w.astype(dtype), requires_grad=True)
+
+    def batch_norm(name, channels):
+        params[f"{name}.gamma"] = ad.tensor(np.ones(channels, dtype=dtype), requires_grad=True)
+        params[f"{name}.beta"] = ad.tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
+        bn_states[name] = ad.BatchNormState.create(channels, dtype=dtype)
+
+    def layer_norm(name, channels):
+        params[f"{name}.g"] = ad.tensor(np.ones(channels, dtype=dtype), requires_grad=True)
+        params[f"{name}.b"] = ad.tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
+
+    def attention_block(name, dims):
+        for proj in ("wq", "wk", "wv", "wo"):
+            affine(f"{name}.{proj}", dims, dims)
+
+    widths = cfg.resolved_widths
+    if cfg.embedding == "dgcnn":
+        c_in = 3
+        for i, width in enumerate(widths):
+            edge_map(f"embed.l{i}", c_in, width)
+            batch_norm(f"embed.l{i}.bn", width)
+            c_in = width
+        edge_map(f"embed.l{len(widths)}", sum(widths), cfg.emb_dims)
+        batch_norm(f"embed.l{len(widths)}.bn", cfg.emb_dims)
+    else:
+        c_in = 3
+        for i, width in enumerate(tuple(widths) + (cfg.emb_dims,)):
+            affine(f"embed.l{i}", c_in, width, bias=False)
+            batch_norm(f"embed.l{i}.bn", width)
+            c_in = width
+    if cfg.attention:
+        dims = cfg.emb_dims
+        attention_block("attn.enc.self", dims)
+        layer_norm("attn.enc.self_ln", dims)
+        affine("attn.enc.ffn.l0", dims, cfg.ffn_dims)
+        affine("attn.enc.ffn.l1", cfg.ffn_dims, dims)
+        layer_norm("attn.enc.ffn_ln", dims)
+        attention_block("attn.dec.self", dims)
+        layer_norm("attn.dec.self_ln", dims)
+        attention_block("attn.dec.cross", dims)
+        layer_norm("attn.dec.cross_ln", dims)
+        affine("attn.dec.ffn.l0", dims, cfg.ffn_dims)
+        affine("attn.dec.ffn.l1", cfg.ffn_dims, dims)
+        layer_norm("attn.dec.ffn_ln", dims)
+        affine("attn.out", dims, dims, zero=True)
+    if cfg.head == "mlp":
+        n_in = 2 * cfg.emb_dims
+        for i, width in enumerate(cfg.mlp_head_widths):
+            affine(f"head.fc{i}", n_in, width)
+            batch_norm(f"head.fc{i}.bn", width)
+            n_in = width
+        affine("head.rot", n_in, 4)
+        affine("head.trans", n_in, 3)
+    return dcpnet.ModelParams(cfg, params, bn_states)

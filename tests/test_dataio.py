@@ -150,6 +150,15 @@ def unit_cloud(rng, n=32):
     return dataio.normalize_unit_sphere(dataio.PointCloud(rng.normal(size=(n, 3))))
 
 
+@pytest.mark.parametrize("field", ["max_rot_deg", "trans_bound", "noise_sigma", "noise_clip"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_pair_config_rejects_non_finite_settings(field, value):
+    """NaN would slip past a sign check (and NaN noise would be read as no
+    noise); infinity would overflow the motion draw."""
+    with pytest.raises(InvalidInputError, match=f"{field} must be a finite number"):
+        dataio.PairGenConfig(**{field: value})
+
+
 def test_generate_pair_zero_motion(rng):
     cloud = unit_cloud(rng)
     cfg = dataio.PairGenConfig(max_rot_deg=0.0, trans_bound=0.0, shuffle_target=False)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from dcpreg import autodiff as ad, dataio, dcpnet, geometry as geo
 from dcpreg.errors import DegenerateOutputError, InvalidInputError, ShapeError
 
 import gradcheck
+import reference_forms as ref
 from gradcheck import numeric_grad
 
 from conftest import random_rotation
@@ -110,6 +112,60 @@ def test_knn_tie_lists_every_equidistant_point():
     g = dcpnet.knn_graph(pts, 2)
     assert sorted(g[0]) == [1, 2]  # both at distance 1
     assert_valid_knn(pts, g)
+
+
+# ---------------------------------------------------------------------------
+# parameters
+# ---------------------------------------------------------------------------
+
+# DCP-v1 and v2, DGCNN and PointNet, SVD and MLP heads.
+TABLE_CONFIGS = [
+    replace(TINY_V1, attention=attention, embedding=embedding, head=head, widths=(4, 6), mlp_head_widths=(6, 5))
+    for attention, embedding, head in itertools.product((False, True), ("dgcnn", "pointnet"), ("svd", "mlp"))
+]
+
+
+@pytest.mark.parametrize("cfg", TABLE_CONFIGS, ids=lambda c: f"{c.attention}-{c.embedding}-{c.head}")
+def test_model_shapes_are_the_tensors_initialize_builds(cfg):
+    """The table lists every parameter and batch-norm state, by its
+    checkpoint member name, at the shape ``initialize`` builds, and the
+    parameters in the order it builds them."""
+    model = dcpnet.ModelParams.initialize(cfg, seed=3)
+    built = {f"param/{name}": t.shape for name, t in model.params.items()}
+    for site, state in model.bn_states.items():
+        built[f"bnstate/{site}/mean"], built[f"bnstate/{site}/var"] = state.running_mean.shape, state.running_var.shape
+    table = dcpnet.model_shapes(cfg)
+    assert {name: spec.shape for name, spec in table.items()} == built
+    assert [name for name in table if name.startswith("param/")] == [name for name in built if name.startswith("param/")]
+
+
+@pytest.mark.parametrize(
+    "cfg", TABLE_CONFIGS + [replace(TINY_V2, dtype="float32"), dcpnet.ModelConfig()],
+    ids=lambda c: f"{c.attention}-{c.embedding}-{c.head}-{c.emb_dims}-{c.dtype}",
+)
+def test_initialize_equals_old_form_bit_for_bit(cfg):
+    """Drawing from the table gives the values, dtypes and order of the
+    layer-by-layer initializer, at paper size too."""
+    new, old = dcpnet.ModelParams.initialize(cfg, seed=7), ref.initialize(cfg, seed=7)
+    assert list(new.params) == list(old.params) and list(new.bn_states) == list(old.bn_states)
+    for name, t in old.params.items():
+        assert new.params[name].data.dtype == t.data.dtype and new.params[name].requires_grad
+        assert new.params[name].data.tobytes() == t.data.tobytes(), name
+    for site, state in old.bn_states.items():
+        assert new.bn_states[site].running_mean.tobytes() == state.running_mean.tobytes()
+        assert new.bn_states[site].running_var.tobytes() == state.running_var.tobytes()
+        assert new.bn_states[site].running_var.dtype == state.running_var.dtype
+
+
+@pytest.mark.parametrize("field, value", [
+    ("emb_dims", 8.0), ("heads", True), ("knn_k", 4.5), ("widths", (4.0, 4)), ("widths", ("ab",)),
+    ("mlp_head_widths", "x"), ("attention", "no"),
+])
+def test_model_config_rejects_values_of_another_type(field, value):
+    """A checkpoint's JSON config can hold any type; one that the model
+    could not be built or run with is an ``InvalidInputError`` naming it."""
+    with pytest.raises(InvalidInputError, match=field):
+        replace(TINY_V1, **{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,32 @@ def test_token_checkpoint_cannot_honour_exits_2(request, tmp_path, capsys, archi
     assert not (tmp_path / "bench").exists()
 
 
+@pytest.mark.parametrize("command", ["register", "eval", "bench"])
+@pytest.mark.parametrize("replace_members, drop, record", [
+    ({}, ["param/attn.out.w.npy"], "param/attn.out.w"),
+    ({"param/embed.l0.wa.npy": np.zeros((3, 5), np.float32)}, [], "param/embed.l0.wa"),
+], ids=["missing", "misshaped"])
+def test_checkpoint_contradicting_its_config_exits_3(
+    v2_checkpoint, tmp_path, capsys, archive, rng, command, replace_members, drop, record
+):
+    """A checkpoint that lacks a tensor of its own configuration, or holds
+    one at another shape, is a data error that names the tensor, not a
+    token it cannot honour (exit 2)."""
+    checkpoint = tmp_path / "broken.dcpk"
+    checkpoint.write_bytes(v2_checkpoint.read_bytes())
+    rewrite_checkpoint(checkpoint, replace_members, drop)
+    src = write_cloud(tmp_path, rng.normal(size=(32, 3)), "s.xyz")
+    argv = {
+        "register": ["register", "--method", "dcp-v2", "--source", str(src), "--target", str(src)],
+        "eval": ["eval", "--method", "dcp-v2", "--pairs", str(archive)],
+        "bench": ["bench", "--methods", "icp,dcp-v2", "--sizes", "32", "--trials", "1", "--out", str(tmp_path / "bench")],
+    }[command]
+    assert harness.main(argv + ["--checkpoint", str(checkpoint)]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and record in err and "Traceback" not in err
+    assert not (tmp_path / "bench").exists()
+
+
 def test_register_writes_aligned_cloud(tmp_path, capsys, rng):
     pts = rng.normal(size=(24, 3))
     src = write_cloud(tmp_path, pts, "s.xyz")
@@ -639,12 +665,13 @@ def test_experiment_pair_count_below_one_exits_3(corpus, tmp_path, capsys, key):
 
 @pytest.mark.parametrize("key,value", [
     ("icp.max_iters", "-1"), ("train.checkpoint_every", "-1"), ("seed", "-1"), ("icp.tol", "nan"), ("icp.tol", "-1"),
-    ("methods", ""),
+    ("methods", ""), ("pairgen.max_rot_deg", "nan"), ("pairgen.trans_bound", "inf"), ("noise.sigma", "nan"),
+    ("noise.clip", "inf"), ("train.base_lr", "-1e-3"), ("train.base_lr", "nan"), ("train.weight_decay", "-1"),
+    ("train.lr_factor", "-1"), ("train.lr_factor", "0"),
 ])
 def test_experiment_count_out_of_range_exits_3(corpus, tmp_path, capsys, key, value):
     conf = EXPERIMENT_CONF.format(corpus=corpus)
-    if key in ("seed", "methods"):  # a key may appear once
-        conf = re.sub(rf"^{key} = .*\n", "", conf, flags=re.M)
+    conf = re.sub(rf"^{re.escape(key)} = .*\n", "", conf, flags=re.M)  # a key may appear once
     conf += f"{key} = {value}\n"
     out = tmp_path / "exp"
     assert run_experiment(corpus, out, conf) == 3
@@ -821,19 +848,23 @@ def test_unknown_model_key_exits_3(tmp_path, capsys, key):
     ("train", "--seed", "-1"), ("bench", "--seed", "-1"),
     ("register", "--tol", "nan"), ("register", "--tol", "-0.5"), ("eval", "--tol", "nan"), ("eval", "--tol", "inf"),
     ("bench", "--methods", ""), ("bench", "--methods", " , "),
+    ("gen-data", "--max-rot-deg", "nan"), ("gen-data", "--trans-bound", "inf"), ("gen-data", "--sigma", "nan"),
+    ("gen-data", "--sigma", "-0.1"), ("gen-data", "--clip", "inf"),
 ])
 def test_count_flag_below_one_exits_2(corpus, archive, tmp_path, capsys, command, flag, value):
-    """A count flag below 1, a seed below 0, an ICP tolerance that is not a
-    finite number of at least 0, or a method list with no token is a usage
-    error. The register source is an OFF mesh, whose surface sampling reads
-    the count and the seed."""
+    """A count flag below 1, a seed below 0, an ICP tolerance or a pair
+    setting that is not a finite number of at least 0, or a method list with
+    no token is a usage error. The register source is an OFF mesh, whose
+    surface sampling reads the count and the seed. A NaN or infinite pair
+    setting once ended in an OverflowError, or in pairs written without the
+    noise that ``--noise`` asked for."""
     src = next(corpus.rglob("*.off"))
     out = tmp_path / "out"
     argv = {
         "register": ["register", "--method", "icp", "--source", str(src), "--target", str(src)],
         "eval": ["eval", "--method", "icp", "--pairs", str(archive)],
         "bench": ["bench", "--methods", "icp", "--sizes", "32", "--trials", "1", "--out", str(out)],
-        "gen-data": ["gen-data", "--corpus", str(corpus), "--out", str(out), "--seed", "1"],
+        "gen-data": ["gen-data", "--corpus", str(corpus), "--out", str(out), "--seed", "1", "--noise"],
         "train": ["train", "--pairs", str(archive), "--out", str(out)],
     }[command]
     assert harness.main(argv + [flag, value]) == 2

@@ -7,14 +7,16 @@ keep the names honest here."""
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from dcpreg import autodiff, dcpnet, geometry, icp
+from dcpreg import autodiff, dcpnet, geometry, icp, train
 
 BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 TRACING_PY = BENCHMARK_DIR / "tracing.py"
+WORKLOADS_PY = BENCHMARK_DIR / "workloads.py"
 
 
 def load_tracing():
@@ -22,6 +24,33 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_workload_checkpoint_loads_back_bit_for_bit(tmp_path):
+    """``benchmark/run.py`` saves each workload's model and loads it back,
+    through the loader's checks on its tensor table, before it times
+    anything; the loaded model must equal the saved one."""
+    workloads = load_workloads()
+    for name, w in workloads.WORKLOADS.items():
+        model = dcpnet.ModelParams.initialize(w.model, seed=workloads.WEIGHTS_SEED)
+        train.save_checkpoint(model, tmp_path / f"{name}.dcpk")
+        back = train.load_checkpoint(tmp_path / f"{name}.dcpk")
+        assert back.config == model.config and list(back.params) == list(model.params), name
+        for key, t in model.params.items():
+            assert back.params[key].data.dtype == t.data.dtype
+            assert back.params[key].data.tobytes() == t.data.tobytes(), (name, key)
+        assert list(back.bn_states) == list(model.bn_states), name
+        for site, state in model.bn_states.items():
+            assert back.bn_states[site].running_mean.tobytes() == state.running_mean.tobytes()
+            assert back.bn_states[site].running_var.tobytes() == state.running_var.tobytes()
 
 
 def test_every_traced_name_exists_and_is_callable():

@@ -169,6 +169,19 @@ def test_train_config_rejects_val_fraction_outside_unit_interval(fraction):
         train.TrainConfig(val_fraction=fraction)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("base_lr", -1e-3), ("base_lr", float("nan")), ("base_lr", float("inf")),
+    ("weight_decay", -1.0), ("weight_decay", float("nan")),
+    ("lr_factor", -1.0), ("lr_factor", 0.0), ("lr_factor", float("inf")),
+])
+def test_train_config_rejects_rate_or_decay_out_of_range(field, value):
+    """A negative or non-finite rate or decay, or a decay factor that is not
+    above 0, would train backwards or to NaN; a zero rate is allowed."""
+    with pytest.raises(InvalidInputError, match=f"train.{field} must be a finite number"):
+        train.TrainConfig(**{field: value})
+    assert train.TrainConfig(base_lr=0.0, weight_decay=0.0).base_lr == 0.0
+
+
 def test_train_two_pairs_hold_out_one(monkeypatch):
     """A fraction that rounds to every pair still leaves one to train on,
     and validation never sees a training pair."""
@@ -378,14 +391,27 @@ def test_checkpoint_is_a_numpy_archive(tmp_path):
         ({}, ["__version__.npy"], "version None"),
         ({}, ["__config__.npy"], "missing model configuration"),
         ({"junk.npy": np.zeros(2)}, [], "unexpected record 'junk'"),
-        ({}, ["bnstate/embed.l0.bn/var.npy"], "incomplete normalization state"),
-        ({"bnstate/stray.npy": np.zeros(2)}, [], "incomplete normalization state"),
+        ({}, ["bnstate/embed.l0.bn/var.npy"], "missing record 'bnstate/embed.l0.bn/var'"),
+        ({"bnstate/stray.npy": np.zeros(2)}, [], "unexpected record 'bnstate/stray'"),
         ({"param/embed.l0.wa.npy": b"not an npy member"}, [], "unreadable"),
         ({"param/embed.l0.wa.npy": npy_bytes(np.zeros((3, 4), np.float32))[:-8]}, [], "unreadable"),
+        ({}, ["param/embed.l1.wb.npy"], "missing record 'param/embed.l1.wb'"),
+        ({"param/embed.l3.wa.npy": np.zeros((8, 8), np.float32)}, [], "unexpected record 'param/embed.l3.wa'"),
+        ({"param/embed.l0.wa.npy": np.zeros((3, 5), np.float32)}, [],
+         r"record 'param/embed.l0.wa' has shape \(3, 5\), not \(3, 4\)"),
+        ({}, ["bnstate/embed.l1.bn/mean.npy"], "missing record 'bnstate/embed.l1.bn/mean'"),
+        ({"bnstate/embed.l3.bn/mean.npy": np.zeros(8, np.float32), "bnstate/embed.l3.bn/var.npy": np.ones(8, np.float32)},
+         [], "unexpected record 'bnstate/embed.l3.bn/mean'; unexpected record 'bnstate/embed.l3.bn/var'"),
+        ({"bnstate/embed.l1.bn/mean.npy": np.zeros(5, np.float32), "bnstate/embed.l1.bn/var.npy": np.ones(5, np.float32)},
+         [], r"record 'bnstate/embed.l1.bn/mean' has shape \(5,\), not \(4,\)"),
     ],
-    ids=["no-version", "no-config", "stray-record", "half-bn-state", "bn-state-without-kind", "not-npy", "cut-npy"],
+    ids=["no-version", "no-config", "stray-record", "half-bn-state", "bn-state-without-kind", "not-npy", "cut-npy",
+         "missing-param", "extra-param", "misshaped-param", "missing-bn-state", "extra-bn-state", "misshaped-bn-state"],
 )
 def test_checkpoint_malformed_archive(tmp_path, replace_members, drop, match):
+    """A checkpoint must be readable and hold exactly the tensors of its own
+    configuration's table, at its shapes; each fault is named, where
+    inference would otherwise fail on a bare lookup or a shape mismatch."""
     model = dcpnet.ModelParams.initialize(TINY, seed=28)
     path = tmp_path / "model.dcpk"
     train.save_checkpoint(model, path)
@@ -400,9 +426,9 @@ def test_checkpoint_malformed_archive(tmp_path, replace_members, drop, match):
         ("mean", np.array([0.0, np.nan, 0.0, 0.0], np.float32), "not finite"),
         ("var", np.array([1.0, 1.0, np.inf, 1.0], np.float32), "not finite"),
         ("var", np.array([1.0, -1.0, 1.0, 1.0], np.float32), "negative variance"),
-        ("var", np.ones(5, np.float32), r"mean shape \(4,\) but variance shape \(5,\)"),
-        ("mean", np.array(["a", "b", "c", "d"]), "dtype <U1/float32 != float32"),
-        ("var", np.ones(4, np.float64), "dtype float32/float64 != float32"),
+        ("var", np.ones(5, np.float32), r"record 'bnstate/embed.l1.bn/var' has shape \(5,\), not \(4,\)"),
+        ("mean", np.array(["a", "b", "c", "d"]), "record 'bnstate/embed.l1.bn/mean' dtype <U1 != float32"),
+        ("var", np.ones(4, np.float64), "record 'bnstate/embed.l1.bn/var' dtype float64 != float32"),
     ],
     ids=["nan-mean", "inf-var", "negative-var", "shape-mismatch", "text-mean", "float64-var"],
 )
