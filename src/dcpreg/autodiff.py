@@ -467,7 +467,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def gather(x: Tensor, index) -> Tensor:
     """Index-select rows: output shape ``index.shape + x.shape[1:]``.
 
-    Backward scatter-adds, so repeated indices accumulate gradient.
+    Backward scatter-adds, so repeated indices accumulate gradient. The
+    model does not call it; ``benchmark/tracing.OPS`` traces it by name.
     """
     idx = np.asarray(index)
     if not np.issubdtype(idx.dtype, np.integer):
@@ -542,10 +543,6 @@ class BatchNormState:
 
     running_mean: np.ndarray
     running_var: np.ndarray
-
-    @staticmethod
-    def create(channels: int, dtype=np.float64) -> "BatchNormState":
-        return BatchNormState(running_mean=np.zeros(channels, dtype=dtype), running_var=np.ones(channels, dtype=dtype))
 
     def update(self, mu: np.ndarray, var: np.ndarray) -> None:
         """Move the running statistics by ``BN_MOMENTUM`` toward one batch's

@@ -90,7 +90,7 @@ class PairGenConfig:
         if not 0.0 < self.noise_clip < math.inf:
             raise InvalidInputError(f"noise_clip must be a finite number above 0, got {self.noise_clip}")
         if self.n_points < 3:
-            raise InvalidInputError("n_points must be at least 3")
+            raise InvalidInputError(f"n_points must be at least 3, got {self.n_points}")
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,6 @@ class EulerAngles:
     roll: float
     gimbal_lock: bool = False
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.yaw, self.pitch, self.roll])
-
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle into (-pi, pi]."""
@@ -185,19 +182,6 @@ def procrustes_solve(src, dst) -> RigidTransform:
 def apply_transform(transform: RigidTransform, points) -> np.ndarray:
     pts = _as_points(points)
     return pts @ transform.rotation.T + transform.translation
-
-
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Composition acting as ``a(b(x))``."""
-    return RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
-
-
-def alignment_mse(src, dst, transform: RigidTransform) -> float:
-    """Mean squared residual of ``transform`` mapping src onto dst, index-matched."""
-    x = _as_points(src)
-    y = _as_points(dst)
-    diff = apply_transform(transform, x) - y
-    return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
 @dataclass(frozen=True)

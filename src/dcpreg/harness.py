@@ -3,10 +3,15 @@
 Subcommands: ``gen-data``, ``register``, ``train``, ``eval``,
 ``experiment``, ``bench``. All randomness is seeded; reports embed the
 config hash and rerun byte-identically. Exit codes: 0 success, 2 usage
-error, 3 data error, 4 numerical failure. A checkpoint that contradicts its
-own configuration (a tensor missing, unexpected or at another shape) is a
-data error, 3; a sound checkpoint that a method token cannot use is a usage
-error, 2.
+error, 3 data error, 4 numerical failure. A bad flag value exits 2 with a
+message that names the flag and states the rule; a bad config key value
+exits 3 with one that names the key and states the rule. Each bound lives
+in one place: ``TrainConfig`` and ``PairGenConfig`` check the settings
+they hold, whose flags and keys only parse the text (:func:`_field`), and
+every other setting has one converter here (:func:`_rule`). A checkpoint
+that contradicts its own configuration (a tensor missing, unexpected or at
+another shape) is a data error, 3; a sound checkpoint that a method token
+cannot use is a usage error, 2.
 
 Config files (``train``, ``experiment`` and ``bench --config``) hold
 ``key = value`` lines. The key tables ``MODEL_KEYS``, ``TRAIN_KEYS``,
@@ -86,36 +91,45 @@ def _bool(raw: str) -> bool:
     raise ValueError("not a boolean")
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise ValueError("must be at least 1")
-    return value
-
-
-def _seed(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise ValueError("a seed must be at least 0")
-    return value
-
-
 def _int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
-def _nonnegative(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 <= value < np.inf:
-        raise ValueError("must be a finite number of at least 0")
-    return value
+def _rule(parse, ok, rule: str):
+    """The one converter of a setting that no config dataclass holds:
+    ``parse(raw)``, or ``ArgumentTypeError`` stating ``rule`` when ``raw``
+    does not parse or its value fails ``ok``."""
+    def convert(raw: str):
+        try:
+            value = parse(raw)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{rule}, got {raw!r}")
+    return convert
 
 
-def _sizes(raw: str) -> tuple[int, ...]:
-    sizes = _int_tuple(raw)
-    if not sizes or min(sizes) < 1:
-        raise ValueError("need one or more point counts, each at least 1")
-    return sizes
+_positive_int = _rule(int, lambda n: n >= 1, "must be an integer of at least 1")
+_seed = _rule(int, lambda n: n >= 0, "a seed must be an integer of at least 0")
+_nonnegative = _rule(float, lambda x: 0.0 <= x < np.inf, "must be a finite number of at least 0")
+
+
+def _field(cls, name: str, parse):
+    """The converter of setting ``name`` of the config dataclass ``cls``:
+    ``parse`` reads the text, and ``cls`` checks the value, as its default
+    with that one field replaced. The bound lives in ``cls`` alone; a value
+    it rejects raises ``ArgumentTypeError`` with its message."""
+    def convert(raw: str):
+        try:
+            return getattr(replace(cls(), **{name: parse(raw)}), name)
+        except (ValueError, InvalidInputError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+_n_points = _field(dataio.PairGenConfig, "n_points", int)
+_sizes = _rule(lambda raw: tuple(map(_n_points, raw.replace(",", " ").split())), bool, "need one or more point counts")
 
 
 KIND_DEFAULTS = {
@@ -158,24 +172,24 @@ MODEL_KEYS = {
                        ("ffn_dims", int), ("knn_k", int), ("head", str), ("dtype", str))
 }
 TRAIN_KEYS = {
-    "train.epochs": ("epochs", _positive_int),
-    "train.batch_size": ("batch_size", _positive_int),
-    "train.base_lr": ("base_lr", float),
-    "train.milestones": ("lr_milestones", _int_tuple),
-    "train.lr_factor": ("lr_factor", float),
-    "train.weight_decay": ("weight_decay", float),
-    "train.val_fraction": ("val_fraction", float),
-    "train.checkpoint_every": ("checkpoint_every", int),
+    key: (field, _field(train_mod.TrainConfig, field, parse))
+    for key, field, parse in (
+        ("seed", "seed", int), ("train.epochs", "epochs", int), ("train.batch_size", "batch_size", int),
+        ("train.base_lr", "base_lr", float), ("train.milestones", "lr_milestones", _int_tuple),
+        ("train.lr_factor", "lr_factor", float), ("train.weight_decay", "weight_decay", float),
+        ("train.val_fraction", "val_fraction", float), ("train.checkpoint_every", "checkpoint_every", int),
+    )
 }
 PAIRGEN_KEYS = {
-    "pairgen.max_rot_deg": ("max_rot_deg", _nonnegative),
-    "pairgen.trans_bound": ("trans_bound", _nonnegative),
-    "pairgen.shuffle_target": ("shuffle_target", _bool),
-    "noise.sigma": ("noise_sigma", _nonnegative),
-    "noise.clip": ("noise_clip", _nonnegative),
+    key: (field, _field(dataio.PairGenConfig, field, parse))
+    for key, field, parse in (
+        ("pairgen.max_rot_deg", "max_rot_deg", float), ("pairgen.trans_bound", "trans_bound", float),
+        ("pairgen.shuffle_target", "shuffle_target", _bool), ("noise.sigma", "noise_sigma", float),
+        ("noise.clip", "noise_clip", float),
+    )
 }
 EXPERIMENT_KEYS = {
-    "data.n_points": ("n_points", int),
+    "data.n_points": ("n_points", _n_points),
     "split.mode": ("split_mode", str),
     "split.fraction": ("split_fraction", float),
     "pairs.per_cloud_train": ("pairs_per_cloud_train", _positive_int),
@@ -185,8 +199,8 @@ EXPERIMENT_KEYS = {
     "icp.max_iters": ("icp_max_iters", _positive_int),
     "icp.tol": ("icp_tol", _nonnegative),
 }
-# Keys that experiment_config_from_values and cmd_train read themselves.
-OTHER_KEYS = ("seed", "methods", "experiment.kind", "data.corpus")
+# Keys that experiment_config_from_values reads itself.
+OTHER_KEYS = ("methods", "experiment.kind", "data.corpus")
 
 
 def _check_keys(values: dict[str, str]) -> None:
@@ -204,18 +218,17 @@ def _note_ignored_keys(command: str, values: dict[str, str], read: set[str]) -> 
         print(f"dcpreg {command}: ignoring config key(s) {', '.join(ignored)}", file=sys.stderr)
 
 
-def _convert(values: dict[str, str], key: str, conv):
-    """``conv(values[key])``; a value ``conv`` cannot read raises ``DataError`` naming the key."""
-    try:
-        return conv(values[key])
-    except ValueError as exc:
-        raise DataError(f"config key {key}: bad value {values[key]!r} ({exc})") from None
-
-
 def _from_values(cls, table, values: dict[str, str], **fields):
     """``cls(**fields)`` plus the fields that the ``table`` keys set in
-    ``values``; every other field keeps the default ``cls`` declares."""
-    fields.update((field, _convert(values, key, conv)) for key, (field, conv) in table.items() if key in values)
+    ``values``; every other field keeps the default ``cls`` declares. A
+    value that its key's converter rejects raises ``DataError`` naming the
+    key and stating the rule."""
+    for key, (field, conv) in table.items():
+        if key in values:
+            try:
+                fields[field] = conv(values[key])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise DataError(f"config key {key}: bad value {values[key]!r} ({exc})") from None
     return cls(**fields)
 
 
@@ -237,16 +250,15 @@ def experiment_config_from_values(values: dict[str, str]) -> ExperimentConfig:
     corpus = merged["data.corpus"]
     if not Path(corpus).is_dir():
         raise DataError(f"corpus directory {corpus} does not exist")
-    seed = _convert(merged, "seed", _seed)
+    train = _from_values(train_mod.TrainConfig, TRAIN_KEYS, merged)
     methods = parse_methods(merged.get("methods", "icp,dcp-v1"))
     model = model_config_from_values(merged)
     for method in methods:
         if method.base == "dcp":
             method_model_config(model, method)  # fail before any method runs
     cfg = _from_values(
-        ExperimentConfig, EXPERIMENT_KEYS, merged, kind=kind, corpus=corpus, seed=seed, methods=methods,
-        model=model, train=_from_values(train_mod.TrainConfig, TRAIN_KEYS, merged, seed=seed),
-        raw=tuple(sorted(values.items())),
+        ExperimentConfig, EXPERIMENT_KEYS, merged, kind=kind, corpus=corpus, seed=train.seed, methods=methods,
+        model=model, train=train, raw=tuple(sorted(values.items())),
     )
     return replace(cfg, pairgen=_from_values(dataio.PairGenConfig, PAIRGEN_KEYS, merged, n_points=cfg.n_points))
 
@@ -484,18 +496,17 @@ def cmd_register(args) -> int:
 
 def cmd_train(args) -> int:
     values = load_config_file(args.config) if args.config else {}
-    _note_ignored_keys("train", values, {*MODEL_KEYS, *TRAIN_KEYS, "seed"})
+    _note_ignored_keys("train", values, {*MODEL_KEYS, *TRAIN_KEYS})
     if args.seed is not None:
         values["seed"] = str(args.seed)
     if args.epochs is not None:
         values["train.epochs"] = str(args.epochs)
     if "seed" not in values:
         raise UsageError("set --seed or a seed in the config file")
-    seed = _convert(values, "seed", _seed)
     model_cfg = model_config_from_values(values)
     if args.v1:
         model_cfg = replace(model_cfg, attention=False)
-    tcfg = _from_values(train_mod.TrainConfig, TRAIN_KEYS, values, seed=seed, out_dir=args.out)
+    tcfg = _from_values(train_mod.TrainConfig, TRAIN_KEYS, values, out_dir=args.out)
     pairs = dataio.read_pair_archive(args.pairs)
     val_pairs = dataio.read_pair_archive(args.val_pairs) if args.val_pairs else None
     model, log = train_mod.train(model_cfg, pairs, val_pairs, tcfg)
@@ -634,18 +645,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rigid point-cloud registration: classical ICP and learned soft matching.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag that sets a config dataclass's setting shares its key's converter.
+    key_type = {key: conv for table in (TRAIN_KEYS, PAIRGEN_KEYS, EXPERIMENT_KEYS) for key, (_, conv) in table.items()}
 
     p = sub.add_parser("gen-data", help="generate a labeled pair archive from a mesh/cloud corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="pair archive file to write (a zip of .npy arrays)")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--pairs-per-cloud", type=_positive_int, default=1)
-    p.add_argument("--n-points", type=int, default=dataio.PairGenConfig.n_points)
-    p.add_argument("--max-rot-deg", type=_nonnegative, default=dataio.PairGenConfig.max_rot_deg)
-    p.add_argument("--trans-bound", type=_nonnegative, default=dataio.PairGenConfig.trans_bound)
+    p.add_argument("--n-points", type=key_type["data.n_points"], default=dataio.PairGenConfig.n_points)
+    p.add_argument("--max-rot-deg", type=key_type["pairgen.max_rot_deg"], default=dataio.PairGenConfig.max_rot_deg)
+    p.add_argument("--trans-bound", type=key_type["pairgen.trans_bound"], default=dataio.PairGenConfig.trans_bound)
     p.add_argument("--noise", action="store_true", help="perturb source clouds with clipped Gaussian noise")
-    p.add_argument("--sigma", type=_nonnegative, default=dataio.PairGenConfig.noise_sigma)
-    p.add_argument("--clip", type=_nonnegative, default=dataio.PairGenConfig.noise_clip)
+    p.add_argument("--sigma", type=key_type["noise.sigma"], default=dataio.PairGenConfig.noise_sigma)
+    p.add_argument("--clip", type=key_type["noise.clip"], default=dataio.PairGenConfig.noise_clip)
     p.add_argument("--no-shuffle", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
@@ -666,8 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-pairs")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="key=value file with model.* and train.* settings")
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--epochs", type=_positive_int)
+    p.add_argument("--seed", type=key_type["seed"])
+    p.add_argument("--epochs", type=key_type["train.epochs"])
     p.add_argument("--v1", action="store_true", help="disable the attention stage")
     p.set_defaults(func=cmd_train)
 

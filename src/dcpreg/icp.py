@@ -125,6 +125,7 @@ def polish_with_icp(
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
 ) -> geo.RigidTransform:
-    """Refine an externally estimated transform by local ICP iterations."""
+    """Refine an externally estimated transform by local ICP iterations;
+    ``benchmark/workloads.py`` polishes its DCP estimates with it."""
     transform, _ = icp_register(x, y, init=init_from_dcp, max_iters=max_iters, tol=tol)
     return transform

@@ -153,6 +153,8 @@ class TrainConfig:
                 raise InvalidInputError(f"train.{name} must be a finite number of at least 0, got {getattr(self, name)}")
         if not 0.0 < self.lr_factor < math.inf:
             raise InvalidInputError(f"train.lr_factor must be a finite number above 0, got {self.lr_factor}")
+        if min(self.lr_milestones, default=1) < 1:
+            raise InvalidInputError(f"train.lr_milestones must each be at least 1, got {self.lr_milestones}")
 
 
 def _batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:

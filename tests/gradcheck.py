@@ -8,6 +8,8 @@ import numpy as np
 
 from dcpreg import autodiff as ad
 
+import reference_forms as ref
+
 FD_STEP = 1e-6
 PRIMITIVE_TOL = 1e-5
 
@@ -205,7 +207,7 @@ def case_batch_norm_training(rng):
     w = _weights(rng, (6, 4))
 
     def forward():
-        state = ad.BatchNormState.create(4)  # fresh state; stats not under test
+        state = ref.batch_norm_state(4)  # fresh state; stats not under test
         return ad.sum_reduce(ad.mul(w, ad.batch_norm(x, gamma, beta, state, training=True)))
 
     return forward, [x, gamma, beta]
@@ -213,7 +215,7 @@ def case_batch_norm_training(rng):
 
 def case_batch_norm_eval(rng):
     x, gamma, beta = _t(rng, (6, 4)), _t(rng, (4,), 0.5, 1.5), _t(rng, (4,))
-    state = ad.BatchNormState.create(4)
+    state = ref.batch_norm_state(4)
     state.running_mean = rng.normal(size=4) * 0.1
     state.running_var = rng.uniform(0.5, 1.5, size=4)
     w = _weights(rng, (6, 4))
@@ -232,12 +234,12 @@ def _edgeconv_case(rng, training):
     beta = _t(rng, (4,), 0.0, 1.0)
     idx = np.array([rng.choice(5, size=3, replace=False) for _ in range(6)])
     w = _weights(rng, (6, 4))
-    state = ad.BatchNormState.create(4)
+    state = ref.batch_norm_state(4)
     state.running_mean = rng.normal(size=4) * 0.1
     state.running_var = rng.uniform(0.5, 1.5, size=4)
 
     def forward():
-        st = ad.BatchNormState.create(4) if training else state  # training stats not under test
+        st = ref.batch_norm_state(4) if training else state  # training stats not under test
         return ad.sum_reduce(ad.mul(w, ad.edgeconv_bn_max(center, per_point, idx, gamma, beta, st, training)))
 
     return forward, [center, per_point, gamma, beta]

@@ -9,6 +9,10 @@ arithmetic.
 library's kNN does not promise: tests compare its squared distances with
 the library's, and its indices only where no tie can occur, as in the ICP
 loop on noisy pairs.
+
+The last helpers are small forms that only tests need, kept here rather
+than in the package: composing two transforms, the index-matched alignment
+residual, Euler angles as an array and a fresh batch-norm state.
 """
 
 from __future__ import annotations
@@ -177,7 +181,7 @@ def initialize(cfg, seed):
     def batch_norm(name, channels):
         params[f"{name}.gamma"] = ad.tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         params[f"{name}.beta"] = ad.tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        bn_states[name] = ad.BatchNormState.create(channels, dtype=dtype)
+        bn_states[name] = batch_norm_state(channels, dtype=dtype)
 
     def layer_norm(name, channels):
         params[f"{name}.g"] = ad.tensor(np.ones(channels, dtype=dtype), requires_grad=True)
@@ -226,3 +230,24 @@ def initialize(cfg, seed):
         affine("head.rot", n_in, 4)
         affine("head.trans", n_in, 3)
     return dcpnet.ModelParams(cfg, params, bn_states)
+
+
+def compose(a, b):
+    """The transform acting as ``a(b(x))``."""
+    return geo.RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
+
+
+def alignment_mse(src, dst, transform):
+    """Mean squared residual of ``transform`` mapping ``src`` onto ``dst``, index-matched."""
+    diff = geo.apply_transform(transform, src) - np.asarray(dst, dtype=np.float64)
+    return float(np.mean(np.sum(diff * diff, axis=1)))
+
+
+def euler_array(angles):
+    """``(yaw, pitch, roll)`` of an ``EulerAngles`` as one array."""
+    return np.array([angles.yaw, angles.pitch, angles.roll])
+
+
+def batch_norm_state(channels, dtype=np.float64):
+    """Zero running means and unit running variances for ``channels`` channels."""
+    return ad.BatchNormState(np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))

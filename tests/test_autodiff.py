@@ -443,14 +443,14 @@ def test_batch_norm_training_needs_batch():
     g = ad.tensor(np.ones(4))
     b = ad.tensor(np.zeros(4))
     with pytest.raises(InvalidInputError):
-        ad.batch_norm(x, g, b, ad.BatchNormState.create(4), training=True)
+        ad.batch_norm(x, g, b, ref.batch_norm_state(4), training=True)
 
 
 def test_batch_norm_running_stats_update():
     rng = np.random.default_rng(5)
     x = ad.tensor(rng.normal(loc=2.0, size=(64, 3)))
     gamma, beta = ad.tensor(np.ones(3)), ad.tensor(np.zeros(3))
-    state = ad.BatchNormState.create(3)
+    state = ref.batch_norm_state(3)
     ad.batch_norm(x, gamma, beta, state, training=True)
     expected_mean = 0.9 * 0.0 + 0.1 * x.data.mean(axis=0)
     assert np.allclose(state.running_mean, expected_mean)
@@ -473,7 +473,7 @@ def edgeconv_inputs(rng, dtype, n=9, m=7, k=3, c=5, offset=0.0):
 @pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
 def test_edgeconv_bn_max_leaves_inputs_and_gradient_unchanged(rng, training):
     center, per_point, idx, gamma, beta = edgeconv_inputs(rng, np.float64)
-    state = ad.BatchNormState.create(5)
+    state = ref.batch_norm_state(5)
     g = rng.normal(size=(9, 5))
     tensors = (center, per_point, gamma, beta)
     copies = [t.data.copy() for t in tensors] + [idx.copy(), g.copy()]
@@ -513,7 +513,7 @@ def test_edgeconv_bn_max_moments_do_not_cancel(rng, monkeypatch):
     every digit of the variance, the centred float64 moments keep them."""
     center, per_point, idx, gamma, beta = edgeconv_inputs(rng, np.float32, n=64, m=64, k=8, offset=1e3)
     monkeypatch.setattr(ad, "BN_MOMENTUM", 1.0)
-    state = ad.BatchNormState.create(5, dtype=np.float32)
+    state = ref.batch_norm_state(5, dtype=np.float32)
     ad.edgeconv_bn_max(center, per_point, idx, gamma, beta, state, training=True)
     edges = center.data.astype(np.float64)[:, None, :] + per_point.data.astype(np.float64)[idx]
     assert state.running_var.dtype == np.float32
@@ -523,7 +523,7 @@ def test_edgeconv_bn_max_moments_do_not_cancel(rng, monkeypatch):
 
 def test_edgeconv_bn_max_input_errors(rng):
     center, per_point, idx, gamma, beta = edgeconv_inputs(rng, np.float64)
-    state = ad.BatchNormState.create(5)
+    state = ref.batch_norm_state(5)
 
     def call(c=center, p=per_point, i=idx, ga=gamma, training=False):
         return ad.edgeconv_bn_max(c, p, i, ga, beta, state, training)

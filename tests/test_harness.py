@@ -667,15 +667,19 @@ def test_experiment_pair_count_below_one_exits_3(corpus, tmp_path, capsys, key):
     ("icp.max_iters", "-1"), ("train.checkpoint_every", "-1"), ("seed", "-1"), ("icp.tol", "nan"), ("icp.tol", "-1"),
     ("methods", ""), ("pairgen.max_rot_deg", "nan"), ("pairgen.trans_bound", "inf"), ("noise.sigma", "nan"),
     ("noise.clip", "inf"), ("train.base_lr", "-1e-3"), ("train.base_lr", "nan"), ("train.weight_decay", "-1"),
-    ("train.lr_factor", "-1"), ("train.lr_factor", "0"),
+    ("train.lr_factor", "-1"), ("train.lr_factor", "0"), ("noise.clip", "0"), ("data.n_points", "2"),
+    ("train.milestones", "-3"),
 ])
 def test_experiment_count_out_of_range_exits_3(corpus, tmp_path, capsys, key, value):
+    """A config value out of its range is a data error naming the key, not
+    the dataclass field it sets or the converter that checks it."""
     conf = EXPERIMENT_CONF.format(corpus=corpus)
     conf = re.sub(rf"^{re.escape(key)} = .*\n", "", conf, flags=re.M)  # a key may appear once
     conf += f"{key} = {value}\n"
     out = tmp_path / "exp"
     assert run_experiment(corpus, out, conf) == 3
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and not any(name in err for name in CONVERTER_NAMES)
     assert not out.exists()
 
 
@@ -792,8 +796,12 @@ def test_bench_smoke(corpus, tmp_path, capsys):
     assert len(lines) == 2 + 3 * 2
 
 
-@pytest.mark.parametrize("sizes", ["32,x", "-5", "0", ""], ids=["malformed", "negative", "zero", "empty"])
+@pytest.mark.parametrize(
+    "sizes", ["32,x", "-5", "0", "", "32,2"], ids=["malformed", "negative", "zero", "empty", "below-three"]
+)
 def test_bench_malformed_sizes_exits_2(tmp_path, capsys, sizes):
+    """A point count that a pair cannot have is a usage error; ``32,2``
+    once timed 32 points, then exited 3 naming a dataclass field."""
     rc = harness.main(["bench", "--out", str(tmp_path / "bench"), "--methods", "icp", "--sizes", sizes])
     assert rc == 2
     assert "--sizes" in capsys.readouterr().err
@@ -842,6 +850,10 @@ def test_unknown_model_key_exits_3(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+# The converters of settings that no config dataclass holds; no message names them.
+CONVERTER_NAMES = ("_nonnegative", "_positive_int", "_seed", "_sizes", "_rule", "_field")
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("register", "--max-iters", "-5"), ("eval", "--max-iters", "0"), ("bench", "--max-iters", "0"),
     ("register", "--n-points", "-5"), ("register", "--seed", "-1"), ("gen-data", "--seed", "-1"),
@@ -849,15 +861,19 @@ def test_unknown_model_key_exits_3(tmp_path, capsys, key):
     ("register", "--tol", "nan"), ("register", "--tol", "-0.5"), ("eval", "--tol", "nan"), ("eval", "--tol", "inf"),
     ("bench", "--methods", ""), ("bench", "--methods", " , "),
     ("gen-data", "--max-rot-deg", "nan"), ("gen-data", "--trans-bound", "inf"), ("gen-data", "--sigma", "nan"),
-    ("gen-data", "--sigma", "-0.1"), ("gen-data", "--clip", "inf"),
+    ("gen-data", "--sigma", "-0.1"), ("gen-data", "--clip", "inf"), ("gen-data", "--n-points", "2"),
+    ("gen-data", "--clip", "0"),
 ])
 def test_count_flag_below_one_exits_2(corpus, archive, tmp_path, capsys, command, flag, value):
     """A count flag below 1, a seed below 0, an ICP tolerance or a pair
-    setting that is not a finite number of at least 0, or a method list with
-    no token is a usage error. The register source is an OFF mesh, whose
-    surface sampling reads the count and the seed. A NaN or infinite pair
-    setting once ended in an OverflowError, or in pairs written without the
-    noise that ``--noise`` asked for."""
+    setting that is not a finite number of at least 0, a noise clip that is
+    not above 0, fewer than 3 points per pair, or a method list with no
+    token is a usage error, and the message names the flag and states the
+    rule, not the converter that checks it. The register source is an OFF
+    mesh, whose surface sampling reads the count and the seed. A NaN or
+    infinite pair setting once ended in an OverflowError, or in pairs
+    written without the noise that ``--noise`` asked for; ``--n-points 2``
+    and ``--clip 0`` once exited 3 naming a dataclass field."""
     src = next(corpus.rglob("*.off"))
     out = tmp_path / "out"
     argv = {
@@ -867,9 +883,15 @@ def test_count_flag_below_one_exits_2(corpus, archive, tmp_path, capsys, command
         "gen-data": ["gen-data", "--corpus", str(corpus), "--out", str(out), "--seed", "1", "--noise"],
         "train": ["train", "--pairs", str(archive), "--out", str(out)],
     }[command]
+    rule = {
+        "--max-iters": "at least 1", "--n-points": "at least", "--seed": "at least 0", "--tol": "at least 0",
+        "--methods": "names no method", "--max-rot-deg": "at least 0", "--trans-bound": "at least 0",
+        "--sigma": "at least 0", "--clip": "above 0",
+    }[flag]
     assert harness.main(argv + [flag, value]) == 2
     captured = capsys.readouterr()
-    assert flag in captured.err and captured.out == ""
+    assert flag in captured.err and rule in captured.err and captured.out == ""
+    assert not any(name in captured.err for name in CONVERTER_NAMES)
     assert not out.exists()
 
 

@@ -206,7 +206,7 @@ def test_icp_history_equals_reference_loop(start):
         init = None
         if start == "perturbed":
             nudge = geo.RigidTransform(geo.euler_zyx_to_matrix(0.05, -0.03, 0.02), np.array([0.01, 0.0, -0.02]))
-            init = geo.compose(nudge, pair.ground_truth)
+            init = ref.compose(nudge, pair.ground_truth)
         x, y = pair.source.points, pair.target.points
         transform, history = icp.icp_register(x, y, init=init)
         want_transform, want = ref.icp_register(x, y, init=init)
@@ -246,7 +246,7 @@ def test_polish_noop_when_already_optimal(rng):
 def test_polish_from_nearby_init_converges(rng):
     pair = make_pair(rng, n=512)
     nudge = geo.RigidTransform(geo.euler_zyx_to_matrix(math.radians(4), 0, 0), np.zeros(3))
-    init = geo.compose(nudge, pair.ground_truth)
+    init = ref.compose(nudge, pair.ground_truth)
     polished = icp.polish_with_icp(pair.source.points, pair.target.points, init)
     err = geo.rotation_metrics(polished, pair.ground_truth)
     assert err.rot_abs_deg.max() < 0.1
@@ -268,10 +268,10 @@ def test_polish_better_init_beats_identity(rng):
     rng = np.random.default_rng(7)
     pair = make_pair(rng, n=512, max_rot_deg=40.0)
     # Re-draw until the motion is genuinely large.
-    while geo.matrix_to_euler_zyx(pair.ground_truth.rotation).as_array().max() < math.radians(25):
+    while ref.euler_array(geo.matrix_to_euler_zyx(pair.ground_truth.rotation)).max() < math.radians(25):
         pair = make_pair(rng, n=512, max_rot_deg=40.0)
     nudge = geo.RigidTransform(geo.euler_zyx_to_matrix(math.radians(2), 0, 0), np.zeros(3))
-    near_init = geo.compose(nudge, pair.ground_truth)
+    near_init = ref.compose(nudge, pair.ground_truth)
 
     from_identity = icp.polish_with_icp(pair.source.points, pair.target.points, geo.RigidTransform.identity())
     from_near = icp.polish_with_icp(pair.source.points, pair.target.points, near_init)

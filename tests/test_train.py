@@ -158,6 +158,13 @@ def test_train_config_rejects_count_below_one(field):
         train.TrainConfig(**{field: 0})
 
 
+@pytest.mark.parametrize("milestones", [(-3,), (0, 15), (15, 0)])
+def test_train_config_rejects_milestone_below_one(milestones):
+    """A milestone below 1 would cut the rate from epoch 0, as a lower base_lr."""
+    with pytest.raises(InvalidInputError, match="train.lr_milestones must each be at least 1"):
+        train.TrainConfig(lr_milestones=milestones)
+
+
 def test_train_config_rejects_negative_seed():
     with pytest.raises(InvalidInputError, match="seed must be at least 0, got -1"):
         train.TrainConfig(seed=-1)
