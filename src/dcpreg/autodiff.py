@@ -645,7 +645,8 @@ def edgeconv_bn_max(
     and ``s = sign(gamma)`` (negation is exact), equal bit for bit to the
     per-edge form at the same mu and var. Where gamma is 0 (either sign)
     every edge gives the same output, and ``pick`` is neighbor 0's row, the
-    edge a per-edge ``max_reduce`` would pick.
+    edge a per-edge ``max_reduce`` would pick; that edge's normalised value
+    is what the gradient of gamma sees.
 
     Backward. The gradient reaches the argmax edge of each (i, channel),
     found here as the first neighbor whose ``s * per_point_j`` equals the

@@ -5,6 +5,10 @@ area-uniform surface sampling, unit-sphere normalization, rigid-pair
 synthesis with a clipped-Gaussian noise model, dataset splitting, and the
 one array-file container, a zip of ``.npy`` members that ``np.load`` opens,
 in which checkpoints and pair archives (one file of all pairs) are written.
+
+OFF, XYZ and ``harness`` config text share one line reader,
+:func:`text_lines`, and the parametric shapes' rings of vertices share
+one band rule, :func:`_bands`, which joins each ring to the next.
 """
 
 from __future__ import annotations
@@ -97,33 +101,37 @@ class PairGenConfig:
 # OFF meshes and XYZ clouds
 # ---------------------------------------------------------------------------
 
-def _off_tokens(lines):
-    """Yield (line_number, tokens) skipping blanks and '#' comments."""
-    for i, raw in enumerate(lines, start=1):
+def text_lines(lines):
+    """Yield ``(line number, text)`` for each line of ``lines`` that holds
+    more than blanks and a ``#`` comment: its text before any ``#``,
+    stripped. Line numbers start at 1 and count every line."""
+    for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if text:
-            yield i, text.split()
+            yield lineno, text
+
+
+def _next_tokens(stream, lineno: int, message: str, *args):
+    """The next ``(line number, tokens)`` of ``stream``; ``OffParseError``
+    of ``message.format(*args)`` at ``lineno`` once the file has ended."""
+    try:
+        return next(stream)
+    except StopIteration:
+        raise OffParseError(message.format(*args), line=lineno) from None
 
 
 def load_off_mesh(path) -> TriMesh:
     """Parse an ASCII OFF file; polygonal faces are fan-triangulated."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    stream = _off_tokens(lines)
+        stream = ((lineno, text.split()) for lineno, text in text_lines(fh.readlines()))
 
-    try:
-        lineno, tokens = next(stream)
-    except StopIteration:
-        raise OffParseError("empty file", line=1) from None
+    lineno, tokens = _next_tokens(stream, 1, "empty file")
     # Header may be "OFF" alone or "OFF v f e" fused on one line.
     if tokens[0] != "OFF":
         raise OffParseError(f"expected 'OFF' magic, got {tokens[0]!r}", line=lineno)
     counts = tokens[1:]
     if not counts:
-        try:
-            lineno, counts = next(stream)
-        except StopIteration:
-            raise OffParseError("missing vertex/face counts", line=lineno) from None
+        lineno, counts = _next_tokens(stream, lineno, "missing vertex/face counts")
     if len(counts) < 2:
         raise OffParseError("count line needs at least vertex and face counts", line=lineno)
     try:
@@ -135,10 +143,7 @@ def load_off_mesh(path) -> TriMesh:
 
     vertices = np.empty((n_vert, 3))
     for i in range(n_vert):
-        try:
-            lineno, tokens = next(stream)
-        except StopIteration:
-            raise OffParseError(f"expected {n_vert} vertex lines, file ended after {i}", line=lineno) from None
+        lineno, tokens = _next_tokens(stream, lineno, "expected {} vertex lines, file ended after {}", n_vert, i)
         if len(tokens) < 3:
             raise OffParseError(f"vertex line has {len(tokens)} coordinates, need 3", line=lineno)
         try:
@@ -148,10 +153,7 @@ def load_off_mesh(path) -> TriMesh:
 
     triangles: list[tuple[int, int, int]] = []
     for i in range(n_face):
-        try:
-            lineno, tokens = next(stream)
-        except StopIteration:
-            raise OffParseError(f"expected {n_face} face lines, file ended after {i}", line=lineno) from None
+        lineno, tokens = _next_tokens(stream, lineno, "expected {} face lines, file ended after {}", n_face, i)
         try:
             k = int(tokens[0])
             idx = [int(t) for t in tokens[1 : 1 + k]]
@@ -199,14 +201,11 @@ def sample_surface(mesh: TriMesh, n: int, seed) -> PointCloud:
     return PointCloud(pts)
 
 
-def load_xyz(path, label: str | None = None) -> PointCloud:
+def load_xyz(path) -> PointCloud:
     """Read a whitespace-separated ``x y z`` file, one point per line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
+        for lineno, text in text_lines(fh):
             tokens = text.split()
             if len(tokens) != 3:
                 raise InvalidInputError(f"{path}: line {lineno}: expected 3 values, got {len(tokens)}")
@@ -216,7 +215,15 @@ def load_xyz(path, label: str | None = None) -> PointCloud:
                 raise InvalidInputError(f"{path}: line {lineno}: bad number in {tokens}") from None
     if not rows:
         raise InvalidInputError(f"{path}: no points found")
-    return PointCloud(np.array(rows), label=label)
+    return PointCloud(np.array(rows))
+
+
+def load_cloud_file(path, n_points: int, seed) -> PointCloud:
+    """A ``.off`` mesh's surface sampled at ``n_points`` points from ``seed``,
+    or any other file read as XYZ, every point kept."""
+    if Path(path).suffix.lower() == ".off":
+        return sample_surface(load_off_mesh(path), n_points, seed)
+    return load_xyz(path)
 
 
 def save_xyz(cloud: PointCloud, path) -> None:
@@ -450,6 +457,17 @@ def _quad(a, b, c, d):
     return [(a, b, c), (a, c, d)]
 
 
+def _bands(ring_starts, segments) -> list[tuple[int, int, int]]:
+    """The band rule: the quads, two triangles each, that join each ring of
+    ``segments`` vertices, starting at ``ring_starts[r]``, to the next."""
+    return [
+        tri
+        for base0, base1 in zip(ring_starts, ring_starts[1:])
+        for i in range(segments)
+        for tri in _quad(base0 + i, base0 + (i + 1) % segments, base1 + (i + 1) % segments, base1 + i)
+    ]
+
+
 def _box_mesh(dims) -> TriMesh:
     dx, dy, dz = dims
     v = np.array(
@@ -493,12 +511,7 @@ def _lathe_mesh(radii, heights, segments, close_caps) -> TriMesh:
     for r, h in zip(radii, heights):
         rings.append(np.stack([r * np.cos(angles), r * np.sin(angles), np.full(segments, h)], axis=1))
     verts = np.concatenate(rings, axis=0)
-    faces = []
-    for ring in range(len(rings) - 1):
-        base0, base1 = ring * segments, (ring + 1) * segments
-        for i in range(segments):
-            j = (i + 1) % segments
-            faces += _quad(base0 + i, base0 + j, base1 + j, base1 + i)
+    faces = _bands(range(0, len(verts), segments), segments)
     if close_caps:
         for base, h in ((0, heights[0]), ((len(rings) - 1) * segments, heights[-1])):
             center = len(verts)
@@ -521,13 +534,7 @@ def _torus_mesh(major, minor, n_major, n_minor) -> TriMesh:
                     minor * math.sin(b),
                 ]
             )
-    faces = []
-    for i in range(n_major):
-        for j in range(n_minor):
-            a, b = i * n_minor + j, i * n_minor + (j + 1) % n_minor
-            c = ((i + 1) % n_major) * n_minor + (j + 1) % n_minor
-            d = ((i + 1) % n_major) * n_minor + j
-            faces += _quad(a, b, c, d)
+    faces = _bands([*range(0, len(verts), n_minor), 0], n_minor)  # the last ring joins the first
     return TriMesh(np.array(verts, dtype=np.float64), np.array(faces))
 
 
@@ -552,11 +559,7 @@ def _ellipsoid_mesh(radii, n_lat) -> TriMesh:
     for j in range(n_lon):
         faces.append((top, ring(1) + j, ring(1) + (j + 1) % n_lon))
         faces.append((bottom, ring(n_lat - 1) + (j + 1) % n_lon, ring(n_lat - 1) + j))
-    for i in range(1, n_lat - 1):
-        for j in range(n_lon):
-            a, b = ring(i) + j, ring(i) + (j + 1) % n_lon
-            c, d = ring(i + 1) + (j + 1) % n_lon, ring(i + 1) + j
-            faces += _quad(a, b, c, d)
+    faces += _bands([ring(i) for i in range(1, n_lat)], n_lon)
     return TriMesh(np.array(verts, dtype=np.float64), np.array(faces))
 
 
@@ -586,15 +589,10 @@ def scan_corpus(root) -> list[tuple[str, Path]]:
 
 def load_corpus_cloud(label: str, path: Path, n_points: int, seed) -> PointCloud:
     """Load one corpus entry as a normalized cloud of ``n_points`` points."""
-    if path.suffix.lower() == ".off":
-        mesh = load_off_mesh(path)
-        cloud = sample_surface(mesh, n_points, seed)
-    else:
-        cloud = load_xyz(path)
-        if len(cloud) < n_points:
-            raise InsufficientDataError(f"{path}: holds {len(cloud)} points, fewer than n_points = {n_points}")
-        if len(cloud) > n_points:
-            idx = as_rng(seed).choice(len(cloud), size=n_points, replace=False)
-            cloud = PointCloud(cloud.points[np.sort(idx)])
-    cloud = PointCloud(cloud.points, label=label)
-    return normalize_unit_sphere(cloud)
+    cloud = load_cloud_file(path, n_points, seed)
+    if len(cloud) < n_points:
+        raise InsufficientDataError(f"{path}: holds {len(cloud)} points, fewer than n_points = {n_points}")
+    if len(cloud) > n_points:
+        idx = as_rng(seed).choice(len(cloud), size=n_points, replace=False)
+        cloud = PointCloud(cloud.points[np.sort(idx)])
+    return normalize_unit_sphere(PointCloud(cloud.points, label=label))

@@ -283,23 +283,10 @@ def edgeconv_layer(
     + x_j @ Wb``. So two GEMMs give each point ``center = f @ (Wa - Wb)``
     and ``per_point = f @ Wb``, and edge (i, j) has the pre-activation
     ``center_i + per_point_j``. :func:`autodiff.edgeconv_bn_max` does the
-    rest without building that (n, k, c_out) array:
-
-    - Statistics. In training, batch norm's mu and var cover every edge.
-      They come from O(n * c_out) moments, with ``d`` the in-degrees and
-      ``A`` the kNN adjacency: ``nk * mu = k * sum(center) + sum(d *
-      per_point)``, and on centred values ``a``, ``b`` (so that ``h - mu =
-      a_i + b_j``), ``nk * var = k * sum(a^2) + 2 * sum(a * (A b)) + sum(d *
-      b^2)``, in float64. In inference they are the running statistics.
-    - Fold. With mu and var fixed, batch norm and ReLU are monotone per
-      channel (non-decreasing where gamma > 0, non-increasing where gamma <
-      0), and so is each IEEE-rounded step of them. So ``max_k
-      relu(bn(center_i + P_j))`` equals ``relu(bn(center_i + pick_i))`` bit
-      for bit, with ``pick = s * max_k(s * P_j)`` and ``s = sign(gamma)``
-      (negation is exact). Batch norm and ReLU then run on (n, c_out).
-    - Gamma = 0. There every edge gives the same output, and the layer takes
-      neighbor 0, as a per-edge max would; that edge's normalised value is
-      what the gradient of gamma sees.
+    rest without building that (n, k, c_out) array; its docstring derives
+    the batch-norm statistics from O(n * c_out) moments, the monotone fold
+    that takes the neighbor max before batch norm and ReLU, and the
+    gamma = 0 case.
     """
     if len(graph) != f.shape[0]:
         raise ShapeError(f"graph rows {len(graph)} != feature rows {f.shape[0]}")

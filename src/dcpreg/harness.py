@@ -10,15 +10,17 @@ in one place: ``TrainConfig`` and ``PairGenConfig`` check the settings
 they hold, whose flags and keys only parse the text (:func:`_field`), and
 every other setting has one converter here (:func:`_rule`). A checkpoint
 that contradicts its own configuration (a tensor missing, unexpected or at
-another shape) is a data error, 3; a sound checkpoint that a method token
-cannot use is a usage error, 2.
+another shape) is a data error, 3; a sound checkpoint, or ``bench``'s
+model settings, that a method token cannot use is a usage error, 2.
 
 Config files (``train``, ``experiment`` and ``bench --config``) hold
-``key = value`` lines. The key tables ``MODEL_KEYS``, ``TRAIN_KEYS``,
+``key = value`` lines and ``#`` comments, read by :func:`dataio.text_lines`
+as OFF and XYZ files are. The key tables ``MODEL_KEYS``, ``TRAIN_KEYS``,
 ``PAIRGEN_KEYS`` and ``EXPERIMENT_KEYS``, with ``OTHER_KEYS``, are the one
 list of config keys. Each table entry names the dataclass field its key
 sets, and a key left unset keeps the default that dataclass declares. An
-unknown key exits 3.
+unknown key exits 3, as do values a dataclass rejects together (``model.emb_dims``
+that ``model.heads`` does not divide); the message names those keys.
 """
 
 from __future__ import annotations
@@ -55,12 +57,10 @@ def parse_config_text(text: str) -> dict[str, str]:
     """The ``key = value`` lines of ``text``; a key set twice is a ``DataError``."""
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    raw_lines = text.splitlines()
+    for lineno, line in dataio.text_lines(raw_lines):
         if "=" not in line:
-            raise DataError(f"config line {lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise DataError(f"config line {lineno}: expected 'key = value', got {raw_lines[lineno - 1].strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in lines:
             raise DataError(f"config key {key} is set twice, on lines {lines[key]} and {lineno}")
@@ -222,14 +222,20 @@ def _from_values(cls, table, values: dict[str, str], **fields):
     """``cls(**fields)`` plus the fields that the ``table`` keys set in
     ``values``; every other field keeps the default ``cls`` declares. A
     value that its key's converter rejects raises ``DataError`` naming the
-    key and stating the rule."""
+    key and stating the rule; so do values that ``cls`` rejects together
+    (``model.emb_dims`` that ``heads`` does not divide), naming each key
+    whose field the rule names."""
     for key, (field, conv) in table.items():
         if key in values:
             try:
                 fields[field] = conv(values[key])
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise DataError(f"config key {key}: bad value {values[key]!r} ({exc})") from None
-    return cls(**fields)
+    try:
+        return cls(**fields)
+    except InvalidInputError as exc:
+        keys = [key for key, (field, _) in table.items() if key in values and re.search(rf"\b{field}\b", str(exc))]
+        raise DataError(f"config key(s) {', '.join(keys)}: {exc}") from None
 
 
 def model_config_from_values(values: dict[str, str]) -> dcpnet.ModelConfig:
@@ -337,6 +343,15 @@ def method_model_config(base: dcpnet.ModelConfig, method: Method) -> dcpnet.Mode
     return replace(base, attention=method.attention, **dict(method.overrides))
 
 
+def _runnable_config(base: dcpnet.ModelConfig, method: Method, source: str) -> dcpnet.ModelConfig:
+    """:func:`method_model_config`, or ``UsageError`` when ``source``, the
+    model settings ``base`` came from, cannot hold the token's overrides."""
+    try:
+        return method_model_config(base, method)
+    except InvalidInputError as exc:
+        raise UsageError(f"{source} cannot run {method.name}: {exc}") from None
+
+
 def load_method_model(method: Method, checkpoint) -> dcpnet.ModelParams:
     """The model ``method`` asks for, with its weights from ``checkpoint``.
 
@@ -349,10 +364,7 @@ def load_method_model(method: Method, checkpoint) -> dcpnet.ModelParams:
     if not checkpoint:
         raise UsageError(f"method {method.name} requires --checkpoint")
     loaded = train_mod.load_checkpoint(checkpoint)
-    try:
-        cfg = method_model_config(loaded.config, method)
-    except InvalidInputError as exc:
-        raise UsageError(f"checkpoint {checkpoint} cannot run {method.name}: {exc}") from None
+    cfg = _runnable_config(loaded.config, method, f"checkpoint {checkpoint}")
     have = {name: spec.shape for name, spec in dcpnet.model_shapes(loaded.config).items()}
     bad = sorted(name for name, spec in dcpnet.model_shapes(cfg).items() if have.get(name) != spec.shape)
     if bad:
@@ -469,9 +481,7 @@ def _load_cli_cloud(path: str, n_points: int, seed: int) -> dataio.PointCloud:
     p = Path(path)
     if not p.is_file():
         raise DataError(f"cloud file {p} does not exist")
-    if p.suffix.lower() == ".off":
-        return dataio.sample_surface(dataio.load_off_mesh(p), n_points, seed)
-    return dataio.load_xyz(p)
+    return dataio.load_cloud_file(p, n_points, seed)
 
 
 def cmd_register(args) -> int:
@@ -593,7 +603,8 @@ def cmd_bench(args) -> int:
             return None
         if args.checkpoint:
             return load_method_model(method, args.checkpoint)
-        return dcpnet.ModelParams.initialize(method_model_config(base_model_cfg, method), seed=args.seed)
+        cfg = _runnable_config(base_model_cfg, method, "the model settings")
+        return dcpnet.ModelParams.initialize(cfg, seed=args.seed)
 
     models = [build(method) for method in args.methods]
     lines = [f"# hardware={platform.processor() or platform.machine()} ({platform.system()})"]
@@ -670,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the aligned source cloud as xyz")
     p.add_argument("--max-iters", type=_positive_int, default=icp.DEFAULT_MAX_ITERS)
     p.add_argument("--tol", type=_nonnegative, default=icp.DEFAULT_TOL)
-    p.add_argument("--n-points", type=_positive_int, default=1024, help="surface samples when input is an OFF mesh")
+    p.add_argument("--n-points", type=key_type["data.n_points"], default=1024, help="surface samples when input is an OFF mesh")
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_register)
 

@@ -1,7 +1,8 @@
 """Plain forms of the k-d tree kNN, the signed 3x3 SVD, the closed-form
-alignment, the ICP loop, the tape's backward and the model initializer, as
-they read before their per-call overhead or their memory was cut, or their
-tensors were declared in one table. Tests require the library's outputs to
+alignment, the ICP loop, the tape's backward, the model initializer and the
+ring meshes' face loops, as they read before their per-call overhead or
+their memory was cut, their tensors were declared in one table, or their
+bands of quads came from one rule. Tests require the library's outputs to
 equal these bit for bit: the leaner forms change the bookkeeping, not the
 arithmetic.
 
@@ -230,6 +231,55 @@ def initialize(cfg, seed):
         affine("head.rot", n_in, 4)
         affine("head.trans", n_in, 3)
     return dcpnet.ModelParams(cfg, params, bn_states)
+
+
+def _quad(a, b, c, d):
+    return [(a, b, c), (a, c, d)]
+
+
+def lathe_faces(radii, heights, segments, close_caps):
+    """The faces of ``dataio._lathe_mesh``, from its own loops."""
+    faces = []
+    for ring in range(len(radii) - 1):
+        base0, base1 = ring * segments, (ring + 1) * segments
+        for i in range(segments):
+            j = (i + 1) % segments
+            faces += _quad(base0 + i, base0 + j, base1 + j, base1 + i)
+    if close_caps:
+        centers = (len(radii) * segments, len(radii) * segments + 1)
+        for base, center in zip((0, (len(radii) - 1) * segments), centers):
+            for i in range(segments):
+                faces.append((base + i, base + (i + 1) % segments, center))
+    return np.array(faces)
+
+
+def torus_faces(major, minor, n_major, n_minor):
+    """The faces of ``dataio._torus_mesh``, from its own loops."""
+    faces = []
+    for i in range(n_major):
+        for j in range(n_minor):
+            a, b = i * n_minor + j, i * n_minor + (j + 1) % n_minor
+            c = ((i + 1) % n_major) * n_minor + (j + 1) % n_minor
+            d = ((i + 1) % n_major) * n_minor + j
+            faces += _quad(a, b, c, d)
+    return np.array(faces)
+
+
+def ellipsoid_faces(radii, n_lat):
+    """The faces of ``dataio._ellipsoid_mesh``, from its own loops."""
+    n_lon = 2 * n_lat
+    top, bottom = 0, 1 + (n_lat - 1) * n_lon
+    ring = lambda i: 1 + (i - 1) * n_lon  # noqa: E731 - index helper
+    faces = []
+    for j in range(n_lon):
+        faces.append((top, ring(1) + j, ring(1) + (j + 1) % n_lon))
+        faces.append((bottom, ring(n_lat - 1) + (j + 1) % n_lon, ring(n_lat - 1) + j))
+    for i in range(1, n_lat - 1):
+        for j in range(n_lon):
+            a, b = ring(i) + j, ring(i) + (j + 1) % n_lon
+            c, d = ring(i + 1) + (j + 1) % n_lon, ring(i + 1) + j
+            faces += _quad(a, b, c, d)
+    return np.array(faces)
 
 
 def compose(a, b):

@@ -13,6 +13,8 @@ from dcpreg.errors import (
     OffParseError,
 )
 
+import reference_forms as ref
+
 
 def write_off(tmp_path, text, name="mesh.off"):
     path = tmp_path / name
@@ -85,6 +87,56 @@ def test_off_header_and_count_errors(tmp_path):
     with pytest.raises(OffParseError) as exc:
         dataio.load_off_mesh(write_off(tmp_path, "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n"))
     assert exc.value.line == 6
+
+
+FACES_AFTER_TRIANGLE = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
+
+
+@pytest.mark.parametrize("text,message,line", [
+    ("", "empty file", 1),
+    ("# only a comment\n\n", "empty file", 1),
+    ("OFX\n3 1 0\n", "expected 'OFF' magic, got 'OFX'", 1),
+    ("# header next\nOFX 3 1 0\n", "expected 'OFF' magic, got 'OFX'", 2),
+    ("OFF\n", "missing vertex/face counts", 1),
+    ("OFF # no counts\n\n# none here either\n", "missing vertex/face counts", 1),
+    ("OFF\n3\n", "count line needs at least vertex and face counts", 2),
+    ("OFF 3\n", "count line needs at least vertex and face counts", 1),
+    ("OFF\nx y 0\n", "counts must be integers, got ['x', 'y']", 2),
+    ("OFF\n-1 0 0\n", "counts must be non-negative", 2),
+    ("OFF\n2 1 0\n0 0 0\n", "expected 2 vertex lines, file ended after 1", 3),
+    ("OFF\n2 1 0\n", "expected 2 vertex lines, file ended after 0", 2),
+    ("OFF\n\n# note\n1 0 0\n0 0 # two\n", "vertex line has 2 coordinates, need 3", 5),
+    ("OFF\n1 0 0\n0 a 0\n", "bad vertex coordinates ['0', 'a', '0']", 3),
+    (FACES_AFTER_TRIANGLE.replace("3 1 0", "3 2 0") + "3 0 1 2\n", "expected 2 face lines, file ended after 1", 6),
+    (FACES_AFTER_TRIANGLE + "3 0 x 2\n", "bad face line ['3', '0', 'x', '2']", 6),
+    (FACES_AFTER_TRIANGLE + "4 0 1 2\n", "face declares 4 vertices but lists 3", 6),
+    (FACES_AFTER_TRIANGLE + "2 0 1\n", "face declares 2 vertices but lists 2", 6),
+    (FACES_AFTER_TRIANGLE + "3 0 1 9\n", "face index out of range", 6),
+    (FACES_AFTER_TRIANGLE + "3 0 -1 2\n", "face index out of range", 6),
+])
+def test_off_parse_errors_name_the_line(tmp_path, text, message, line):
+    """Each way an OFF file can be malformed, with its message and the
+    line it names: blank and comment lines count, and a file that ends
+    early names the last line read."""
+    with pytest.raises(OffParseError) as exc:
+        dataio.load_off_mesh(write_off(tmp_path, text))
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1 2\n", "line 1: expected 3 values, got 2"),
+    ("# x y z\n0 0 0\n\n1 2 3 4  # four\n", "line 4: expected 3 values, got 4"),
+    ("0 0 0\n1 x 3\n", "line 2: bad number in ['1', 'x', '3']"),
+    ("", "no points found"),
+    ("# only a comment\n   \n", "no points found"),
+])
+def test_xyz_errors_name_the_line(tmp_path, text, message):
+    path = tmp_path / "bad.xyz"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InvalidInputError) as exc:
+        dataio.load_xyz(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_off_fused_header_line(tmp_path):
@@ -401,6 +453,26 @@ def test_shape_meshes_sampleable(kind):
     cloud = dataio.sample_surface(mesh, 64, seed=0)
     assert len(cloud) == 64
     assert np.isfinite(cloud.points).all()
+
+
+@pytest.mark.parametrize("kind", dataio.SHAPE_KINDS)
+def test_ring_meshes_keep_their_hand_written_faces(kind, monkeypatch):
+    """The band rule gives each ring mesh the faces its own loops gave,
+    dtype included, for every parameter ``make_shape_mesh`` draws."""
+    checked = []
+    for name, faces_of in (("_lathe_mesh", ref.lathe_faces), ("_torus_mesh", ref.torus_faces),
+                           ("_ellipsoid_mesh", ref.ellipsoid_faces)):
+        def build(*args, _build=getattr(dataio, name), _faces_of=faces_of, **kwargs):
+            mesh = _build(*args, **kwargs)
+            expected = _faces_of(*args, **kwargs)
+            assert mesh.faces.dtype == expected.dtype and np.array_equal(mesh.faces, expected)
+            checked.append(name)
+            return mesh
+        monkeypatch.setattr(dataio, name, build)
+    for seed in range(50):
+        dataio.make_shape_mesh(kind, np.random.default_rng(seed))
+    ring_kinds = ("cylinder", "cone", "tube", "torus", "ellipsoid")
+    assert len(checked) == (50 if kind in ring_kinds else 0)
 
 
 def test_build_corpus_and_scan(tmp_path):

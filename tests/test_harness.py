@@ -87,6 +87,20 @@ def test_parse_config_text():
         harness.parse_config_text("not a key value line")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("not a key value line", "config line 1: expected 'key = value', got 'not a key value line'"),
+    ("seed = 0\n\n  # a = b\nmodel # knn_k = 4\n", "config line 4: expected 'key = value', got 'model # knn_k = 4'"),
+    ("seed = 0\nseed = 1\n", "config key seed is set twice, on lines 1 and 2"),
+    ("# header\n a = 1 # one\n\nb = 2\na=3", "config key a is set twice, on lines 2 and 5"),
+])
+def test_parse_config_text_errors_name_the_line(text, message):
+    """Blank and comment lines count toward the line numbers, and a line
+    without '=' is quoted whole, its comment included."""
+    with pytest.raises(DataError) as exc:
+        harness.parse_config_text(text)
+    assert str(exc.value) == message
+
+
 def test_config_hash_stable_and_order_free():
     a = harness.config_hash({"b": "2", "a": "1"})
     b = harness.config_hash({"a": "1", "b": "2"})
@@ -414,6 +428,29 @@ def test_token_checkpoint_cannot_honour_exits_2(request, tmp_path, capsys, archi
     assert not (tmp_path / "bench").exists()
 
 
+@pytest.mark.parametrize("with_checkpoint", [False, True])
+def test_bench_token_its_model_cannot_hold_exits_2(tmp_path, capsys, v2_checkpoint, with_checkpoint):
+    """``dims=6`` cannot split into 4 heads, whether the model settings
+    come from a checkpoint or from the defaults that bench initializes."""
+    argv = ["bench", "--methods", "icp,dcp-v2:dims=6,heads=4", "--sizes", "32", "--trials", "1",
+            "--out", str(tmp_path / "bench")]
+    assert harness.main(argv + (["--checkpoint", str(v2_checkpoint)] if with_checkpoint else [])) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "cannot run dcp-v2:dims=6,heads=4" in err and "not divisible" in err
+    assert not (tmp_path / "bench").exists()
+
+
+def test_register_numerical_failure_exits_4(tmp_path, capsys):
+    """Every source point lies nearest the same target point, so ICP's
+    correspondences collapse: a numerical failure, exit 4."""
+    src = write_cloud(tmp_path, np.array([[0.1, 0.1, 0.1], [0.1, 0.2, 0.1], [0.2, 0.1, 0.1], [0.1, 0.1, 0.2]]), "s.xyz")
+    dst = write_cloud(tmp_path, np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 5.0]]), "d.xyz")
+    assert harness.main(["register", "--method", "icp", "--source", str(src), "--target", str(dst)]) == 4
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err and "single target point" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["register", "eval", "bench"])
 @pytest.mark.parametrize("replace_members, drop, record", [
     ({}, ["param/attn.out.w.npy"], "param/attn.out.w"),
@@ -668,12 +705,13 @@ def test_experiment_pair_count_below_one_exits_3(corpus, tmp_path, capsys, key):
     ("methods", ""), ("pairgen.max_rot_deg", "nan"), ("pairgen.trans_bound", "inf"), ("noise.sigma", "nan"),
     ("noise.clip", "inf"), ("train.base_lr", "-1e-3"), ("train.base_lr", "nan"), ("train.weight_decay", "-1"),
     ("train.lr_factor", "-1"), ("train.lr_factor", "0"), ("noise.clip", "0"), ("data.n_points", "2"),
-    ("train.milestones", "-3"),
+    ("train.milestones", "-3"), ("model.emb_dims", "0"), ("model.emb_dims", "6"),
 ])
 def test_experiment_count_out_of_range_exits_3(corpus, tmp_path, capsys, key, value):
     """A config value out of its range is a data error naming the key, not
-    the dataclass field it sets or the converter that checks it."""
-    conf = EXPERIMENT_CONF.format(corpus=corpus)
+    the dataclass field it sets or the converter that checks it. The model
+    keeps the default 4 heads, which ``model.emb_dims = 6`` cannot split."""
+    conf = EXPERIMENT_CONF.format(corpus=corpus).replace("model.heads = 2\n", "")
     conf = re.sub(rf"^{re.escape(key)} = .*\n", "", conf, flags=re.M)  # a key may appear once
     conf += f"{key} = {value}\n"
     out = tmp_path / "exp"
@@ -862,7 +900,7 @@ CONVERTER_NAMES = ("_nonnegative", "_positive_int", "_seed", "_sizes", "_rule", 
     ("bench", "--methods", ""), ("bench", "--methods", " , "),
     ("gen-data", "--max-rot-deg", "nan"), ("gen-data", "--trans-bound", "inf"), ("gen-data", "--sigma", "nan"),
     ("gen-data", "--sigma", "-0.1"), ("gen-data", "--clip", "inf"), ("gen-data", "--n-points", "2"),
-    ("gen-data", "--clip", "0"),
+    ("gen-data", "--clip", "0"), ("register", "--n-points", "2"),
 ])
 def test_count_flag_below_one_exits_2(corpus, archive, tmp_path, capsys, command, flag, value):
     """A count flag below 1, a seed below 0, an ICP tolerance or a pair

@@ -180,6 +180,20 @@ def test_icp_single_step_equals_procrustes(rng):
     assert np.array_equal(stepped.translation, solved.translation)
 
 
+def test_icp_stops_when_the_objective_falls_less_than_tol(rng):
+    """With a tolerance above any decrease, ICP takes one alignment step,
+    measures the objective after it, and stops there."""
+    src = rng.normal(size=(32, 3))
+    dst = src @ geo.euler_zyx_to_matrix(0.3, -0.2, 0.1).T + np.array([0.2, 0.0, -0.1])
+    stepped, history = icp.icp_register(src, dst, tol=1e9)
+    assert [state.iteration for state in history] == [0, 1]
+    solved = geo.procrustes_solve(src, dst[history[0].correspondence])
+    assert np.array_equal(stepped.rotation, solved.rotation)
+    assert np.array_equal(stepped.translation, solved.translation)
+    assert history[1].transform is stepped
+    assert len(icp.icp_register(src, dst)[1]) > 2  # the default tolerance goes on
+
+
 def test_icp_degenerate_target_raises(rng):
     x = rng.normal(size=(10, 3))
     y = np.tile([[1.0, 2.0, 3.0]], (5, 1))

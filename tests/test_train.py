@@ -152,6 +152,28 @@ def test_train_deterministic_checkpoints(tmp_path):
     assert log_a == log_b
 
 
+def test_train_writes_periodic_checkpoints(tmp_path):
+    """``checkpoint_every = 2`` over 3 epochs saves epoch index 1 and the
+    final model, and the epoch checkpoint is the model a 2-epoch run ends
+    with."""
+    pairs = make_pairs(6, seed=3)
+    runs = {}
+    for epochs in (3, 2):
+        cfg = train.TrainConfig(epochs=epochs, batch_size=3, seed=4, checkpoint_every=2,
+                                out_dir=str(tmp_path / f"e{epochs}"))
+        runs[epochs] = train.train(TINY, pairs, [], cfg)[0]
+    assert sorted(p.name for p in (tmp_path / "e3" / "checkpoints").iterdir()) == ["epoch_0001.dcpk", "model_final.dcpk"]
+    saved = train.load_checkpoint(tmp_path / "e3" / "checkpoints" / "epoch_0001.dcpk")
+    two = runs[2]
+    assert saved.config == two.config and saved.params.keys() == two.params.keys()
+    for name, t in two.params.items():
+        assert saved.params[name].data.dtype == t.data.dtype and np.array_equal(saved.params[name].data, t.data)
+    for name, st in two.bn_states.items():
+        assert np.array_equal(saved.bn_states[name].running_mean, st.running_mean)
+        assert np.array_equal(saved.bn_states[name].running_var, st.running_var)
+    assert not all(np.array_equal(runs[3].params[n].data, t.data) for n, t in two.params.items())
+
+
 @pytest.mark.parametrize("field", ["epochs", "batch_size"])
 def test_train_config_rejects_count_below_one(field):
     with pytest.raises(InvalidInputError, match=f"train.{field} must be at least 1, got 0"):
