@@ -150,6 +150,8 @@ def load_off_mesh(path) -> TriMesh:
             vertices[i] = [float(t) for t in tokens[:3]]
         except ValueError:
             raise OffParseError(f"bad vertex coordinates {tokens[:3]}", line=lineno) from None
+        if not np.isfinite(vertices[i]).all():
+            raise OffParseError(f"vertex coordinates {tokens[:3]} are not finite", line=lineno)
 
     triangles: list[tuple[int, int, int]] = []
     for i in range(n_face):
@@ -187,10 +189,11 @@ def sample_surface(mesh: TriMesh, n: int, seed) -> PointCloud:
     placed by the square-root barycentric trick. Deterministic given seed.
     """
     rng = as_rng(seed)
-    areas = mesh.triangle_areas()
-    total = areas.sum()
-    if not total > 0:
-        raise DegenerateMeshError("mesh has zero surface area")
+    with np.errstate(over="ignore", invalid="ignore"):  # an area past float range is rejected below
+        areas = mesh.triangle_areas()
+        total = areas.sum()
+    if not 0 < total < np.inf:
+        raise DegenerateMeshError(f"mesh surface area must be a finite number above 0, got {total}")
     tri_idx = rng.choice(len(areas), size=n, p=areas / total)
     a = mesh.vertices[mesh.faces[tri_idx, 0]]
     b = mesh.vertices[mesh.faces[tri_idx, 1]]

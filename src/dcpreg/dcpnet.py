@@ -53,8 +53,10 @@ class ModelConfig:
             raise InvalidInputError(f"attention must be true or false, got {self.attention!r}")
         for name in ("widths", "emb_dims", "heads", "ffn_dims", "mlp_head_widths", "knn_k"):
             value = getattr(self, name)
-            ints = value if isinstance(value, tuple) else (value,)
-            if value is not None and not all(type(v) is int and v >= 1 for v in ints):
+            if name == "widths" and value is None:
+                continue
+            ints = value if name.endswith("widths") else (value,)  # the widths are tuples
+            if not isinstance(ints, tuple) or not all(type(v) is int and v >= 1 for v in ints):
                 raise InvalidInputError(f"{name} must be integers of at least 1, got {value!r}")
         if self.embedding == "dgcnn" and not self.resolved_widths:
             raise InvalidInputError("widths must not be empty for the dgcnn embedding")

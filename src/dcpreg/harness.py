@@ -2,16 +2,18 @@
 
 Subcommands: ``gen-data``, ``register``, ``train``, ``eval``,
 ``experiment``, ``bench``. All randomness is seeded; reports embed the
-config hash and rerun byte-identically. Exit codes: 0 success, 2 usage
-error, 3 data error, 4 numerical failure. A bad flag value exits 2 with a
-message that names the flag and states the rule; a bad config key value
-exits 3 with one that names the key and states the rule. Each bound lives
-in one place: ``TrainConfig`` and ``PairGenConfig`` check the settings
-they hold, whose flags and keys only parse the text (:func:`_field`), and
-every other setting has one converter here (:func:`_rule`). A checkpoint
-that contradicts its own configuration (a tensor missing, unexpected or at
-another shape) is a data error, 3; a sound checkpoint, or ``bench``'s
-model settings, that a method token cannot use is a usage error, 2.
+config hash and rerun byte-identically; ``eval`` and ``experiment`` print
+the ``report.txt`` table (:func:`report_table`). Exit codes: 0 success, 2
+usage error, 3 data error, 4 numerical failure. A bad flag value exits 2
+with a message that names the flag and states the rule; a bad config key
+value exits 3 with one that names the key and states the rule. Each bound
+lives in one place: ``TrainConfig`` and ``PairGenConfig`` check the
+settings they hold, whose flags and keys only parse the text
+(:func:`_field`), and every other setting has one converter here
+(:func:`_rule`). A checkpoint that contradicts its own configuration (a
+tensor missing, unexpected or at another shape) is a data error, 3; a
+sound checkpoint, or ``bench``'s model settings, that a method token
+cannot use is a usage error, 2.
 
 Config files (``train``, ``experiment`` and ``bench --config``) hold
 ``key = value`` lines and ``#`` comments, read by :func:`dataio.text_lines`
@@ -409,16 +411,13 @@ def build_pairs(clouds, per_cloud: int, pairgen: dataio.PairGenConfig, seed_key,
 def run_method(
     method: Method, model, source, target, max_iters, tol
 ) -> tuple[geo.RigidTransform, list[icp.IcpState]]:
-    """Align ``source`` to ``target`` with an ``icp`` or ``dcp`` method.
-
-    Returns the transform and ICP's per-iteration history, empty when the
-    method runs no ICP."""
-    if method.base == "icp":
-        return icp.icp_register(source.points, target.points, max_iters=max_iters, tol=tol)
-    pred = dcpnet.dcp_predict(source, target, model)
-    if method.polish:
-        return icp.icp_register(source.points, target.points, init=pred, max_iters=max_iters, tol=tol)
-    return pred, []
+    """Align ``source`` to ``target``: ``icp`` is ICP from the identity, a
+    ``dcp`` token takes :func:`dcpnet.dcp_predict`'s estimate, and ``+icp``
+    is ICP from it. Returns the transform and ICP's history, empty without ICP."""
+    init = dcpnet.dcp_predict(source, target, model) if method.base == "dcp" else None
+    if method.base == "icp" or method.polish:
+        return icp.icp_register(source.points, target.points, init=init, max_iters=max_iters, tol=tol)
+    return init, []
 
 
 def method_errors(method: Method, model, pairs, max_iters, tol):
@@ -435,26 +434,27 @@ def method_errors(method: Method, model, pairs, max_iters, tol):
 # Reports
 # ---------------------------------------------------------------------------
 
-REPORT_COLUMNS = ("method", "mse_r", "rmse_r", "mae_r", "mse_t", "rmse_t", "mae_t")
+REPORT_COLUMNS = ("method", *train_mod.Metrics.COLUMNS)
 REPORT_HEADERS = ("Method", "MSE(R)", "RMSE(R)", "MAE(R)", "MSE(t)", "RMSE(t)", "MAE(t)")
+
+
+def report_table(rows: list[tuple[str, train_mod.Metrics]], provenance: dict[str, str]) -> str:
+    """The ``report.txt`` text of ``rows``, which ``eval`` and ``experiment``
+    also print: one ``# key=value`` line per provenance entry, then the table."""
+    width = max([8, *(len(name) for name, _ in rows)])
+    lines = [f"# {k}={v}" for k, v in provenance.items()]
+    lines.append(f"{REPORT_HEADERS[0]:<{width}}  " + "  ".join(f"{h:>12}" for h in REPORT_HEADERS[1:]))
+    lines += [f"{name:<{width}}  " + "  ".join(f"{v:12.6f}" for v in metrics.row()) for name, metrics in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_report(rows: list[tuple[str, train_mod.Metrics]], out_dir: Path, provenance: dict[str, str]):
     out_dir.mkdir(parents=True, exist_ok=True)
-    prov_lines = [f"# {k}={v}" for k, v in provenance.items()]
-
-    csv_lines = list(prov_lines)
-    csv_lines.append(",".join(REPORT_COLUMNS))
-    for name, metrics in rows:
-        csv_lines.append(name + "," + ",".join(f"{v:.9f}" for v in metrics.row()))
-    (out_dir / "report.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-
-    width = max(8, *(len(r[0]) for r in rows)) if rows else 8
-    txt_lines = list(prov_lines)
-    txt_lines.append(f"{'Method':<{width}}  " + "  ".join(f"{h:>12}" for h in REPORT_HEADERS[1:]))
-    for name, metrics in rows:
-        txt_lines.append(f"{name:<{width}}  " + "  ".join(f"{v:12.6f}" for v in metrics.row()))
-    (out_dir / "report.txt").write_text("\n".join(txt_lines) + "\n", encoding="utf-8")
+    lines = [f"# {k}={v}" for k, v in provenance.items()]
+    lines.append(",".join(REPORT_COLUMNS))
+    lines += [name + "," + ",".join(f"{v:.9f}" for v in metrics.row()) for name, metrics in rows]
+    (out_dir / "report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out_dir / "report.txt").write_text(report_table(rows, provenance), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +529,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     method = args.method
     model = load_method_model(method, args.checkpoint) if method.base == "dcp" else None
-    pairs = dataio.read_pair_archive(args.pairs)
-    errors = method_errors(method, model, pairs, args.max_iters, args.tol)
-    metrics = train_mod.pool_metrics(errors)
-    print(f"{'metric':>8}  " + "  ".join(f"{c:>12}" for c in train_mod.Metrics.COLUMNS))
-    print(f"{method.name:>8}  " + "  ".join(f"{v:12.6f}" for v in metrics.row()))
+    errors = method_errors(method, model, dataio.read_pair_archive(args.pairs), args.max_iters, args.tol)
+    rows = [(method.name, train_mod.pool_metrics(errors))]
+    provenance = {"version": __version__}
+    print(report_table(rows, provenance), end="")
     if args.out:
-        write_report([(method.name, metrics)], Path(args.out), {"version": __version__})
+        write_report(rows, Path(args.out), provenance)
     return EXIT_OK
 
 
@@ -579,8 +578,7 @@ def cmd_experiment(args) -> int:
     rows = run_experiment(cfg, out_dir)
     provenance = {"config_hash": cfg.hash(), "version": __version__, "kind": cfg.kind, "seed": str(cfg.seed)}
     write_report(rows, out_dir, provenance)
-    for line in (out_dir / "report.txt").read_text(encoding="utf-8").splitlines():
-        print(line)
+    print(report_table(rows, provenance), end="")
     return EXIT_OK
 
 

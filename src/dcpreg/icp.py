@@ -5,6 +5,10 @@ solve; the recorded objective (mean squared matched residual) is
 non-increasing by construction. :func:`polish_with_icp` runs the same loop
 seeded from an externally estimated transform.
 
+Each recorded state comes from one correspondence step. The step after a
+stalled transform, or after the ``max_iters``-th solve, is the last: its
+state skips the degenerate-match check and the ``tol`` check.
+
 Each iteration makes one ``SpatialIndex.query_many`` (a ``cKDTree``
 query) and one ``geometry.procrustes_solve``, with its 3x3 LAPACK SVD
 (``geometry.svd3``). A distance tie goes to whichever target the tree
@@ -79,9 +83,10 @@ def icp_register(
 ) -> tuple[geo.RigidTransform, list[IcpState]]:
     """Register x onto y starting from ``init`` (identity by default).
 
-    Returns the final transform and the per-iteration history. Stops when
-    the objective decrease falls below ``tol``, the transform stalls, or
-    ``max_iters`` is reached.
+    Returns the final transform and the history, one state per
+    correspondence step: at most ``max_iters + 1``. Stops when the
+    objective decrease falls below ``tol``, or one step after the transform
+    stalls or the ``max_iters``-th solve.
     """
     xp, yp = geo._as_points(x), geo._as_points(y)
     if xp.shape[0] < 3 or yp.shape[0] < 3:
@@ -91,29 +96,23 @@ def icp_register(
 
     history: list[IcpState] = []
     prev_objective = np.inf
-    for k in range(max_iters):
+    stalled = False
+    for k in range(max_iters + 1):
         corr, objective = correspondence_step(xp, index, transform)
         history.append(IcpState(k, transform, objective, corr))
+        if stalled or k == max_iters:
+            break
         if (corr == corr[0]).all():
-            raise DegenerateCorrespondenceError(
-                "all source points matched a single target point", history=history
-            )
+            raise DegenerateCorrespondenceError("all source points matched a single target point", history=history)
         if prev_objective - objective < tol:
             break
         new_transform = geo.procrustes_solve(xp, yp.take(corr, axis=0))
         # Frobenius norms, summed as np.linalg.norm sums them.
         d_rot = (new_transform.rotation - transform.rotation).ravel()
         d_tra = new_transform.translation - transform.translation
-        delta = math.sqrt(d_rot.dot(d_rot)) + math.sqrt(d_tra.dot(d_tra))
+        stalled = math.sqrt(d_rot.dot(d_rot)) + math.sqrt(d_tra.dot(d_tra)) < TRANSFORM_TOL
         transform = new_transform
         prev_objective = objective
-        if delta < TRANSFORM_TOL:
-            corr, objective = correspondence_step(xp, index, transform)
-            history.append(IcpState(k + 1, transform, objective, corr))
-            break
-    else:
-        corr, objective = correspondence_step(xp, index, transform)
-        history.append(IcpState(max_iters, transform, objective, corr))
 
     return history[-1].transform, history
 

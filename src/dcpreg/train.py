@@ -92,28 +92,19 @@ class Metrics:
     COLUMNS = ("mse_r", "rmse_r", "mae_r", "mse_t", "rmse_t", "mae_t")
 
     def row(self) -> list[float]:
-        return [self.mse_r, self.rmse_r, self.mae_r, self.mse_t, self.rmse_t, self.mae_t]
+        return [getattr(self, c) for c in self.COLUMNS]
 
 
 def pool_metrics(errors: list[geo.TransformErrors]) -> Metrics:
-    """Aggregate per-pair errors over all axes/components and samples."""
+    """Pool per-pair errors over all axes or components and pairs: the MSE,
+    RMSE and MAE of rotation, then of translation, as ``Metrics.COLUMNS``."""
     if not errors:
         raise ValueError("cannot pool an empty error list")
-    rot_sq = np.concatenate([e.rot_sq_deg for e in errors])
-    rot_abs = np.concatenate([e.rot_abs_deg for e in errors])
-    trans_sq = np.concatenate([e.trans_sq for e in errors])
-    trans_abs = np.concatenate([e.trans_abs for e in errors])
-    mse_r = float(rot_sq.mean())
-    mse_t = float(trans_sq.mean())
-    return Metrics(
-        mse_r=mse_r,
-        rmse_r=float(np.sqrt(mse_r)),
-        mae_r=float(rot_abs.mean()),
-        mse_t=mse_t,
-        rmse_t=float(np.sqrt(mse_t)),
-        mae_t=float(trans_abs.mean()),
-        n_pairs=len(errors),
-    )
+    pooled = []
+    for sq, ab in (("rot_sq_deg", "rot_abs_deg"), ("trans_sq", "trans_abs")):
+        mse = float(np.concatenate([getattr(e, sq) for e in errors]).mean())
+        pooled += [mse, float(np.sqrt(mse)), float(np.concatenate([getattr(e, ab) for e in errors]).mean())]
+    return Metrics(*pooled, n_pairs=len(errors))
 
 
 def evaluate(model: dcpnet.ModelParams, pairs) -> Metrics:

@@ -1,8 +1,10 @@
 """Plain forms of the k-d tree kNN, the signed 3x3 SVD, the closed-form
-alignment, the ICP loop, the tape's backward, the model initializer and the
-ring meshes' face loops, as they read before their per-call overhead or
-their memory was cut, their tensors were declared in one table, or their
-bands of quads came from one rule. Tests require the library's outputs to
+alignment, the ICP loop (on the forms above, and again with its
+correspondence step in three places), the tape's backward, the model
+initializer and the ring meshes' face loops, as they read before their
+per-call overhead or their memory was cut, their tensors were declared in
+one table, their recorded states came from one step, or their bands of
+quads came from one rule. Tests require the library's outputs to
 equal these bit for bit: the leaner forms change the bookkeeping, not the
 arithmetic.
 
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from dcpreg import autodiff as ad, dcpnet, geometry as geo
+from dcpreg import autodiff as ad, dcpnet, geometry as geo, icp
 from dcpreg.errors import DegenerateCorrespondenceError, ShapeError
 
 
@@ -118,6 +120,39 @@ def icp_register(x, y, init=None, max_iters=100, tol=1e-8, transform_tol=1e-10):
         corr, objective = correspond(transform)
         history.append((max_iters, transform, objective, corr))
     return history[-1][1], history
+
+
+def icp_three_step_sites(x, y, init=None, max_iters=icp.DEFAULT_MAX_ITERS, tol=icp.DEFAULT_TOL):
+    """``icp.icp_register`` as it read when the correspondence step, and the
+    state it records, sat in three places: in the loop, after a stall and
+    after the ``max_iters``-th solve. It runs the library's own step and
+    solve, so its history must equal the library's field for field."""
+    xp, yp = geo._as_points(x), geo._as_points(y)
+    transform = init if init is not None else geo.RigidTransform.identity()
+    index = icp.SpatialIndex(yp)
+    history = []
+    prev_objective = np.inf
+    for k in range(max_iters):
+        corr, objective = icp.correspondence_step(xp, index, transform)
+        history.append(icp.IcpState(k, transform, objective, corr))
+        if (corr == corr[0]).all():
+            raise DegenerateCorrespondenceError("all source points matched a single target point", history=history)
+        if prev_objective - objective < tol:
+            break
+        new_transform = geo.procrustes_solve(xp, yp.take(corr, axis=0))
+        d_rot = (new_transform.rotation - transform.rotation).ravel()
+        d_tra = new_transform.translation - transform.translation
+        delta = math.sqrt(d_rot.dot(d_rot)) + math.sqrt(d_tra.dot(d_tra))
+        transform = new_transform
+        prev_objective = objective
+        if delta < icp.TRANSFORM_TOL:
+            corr, objective = icp.correspondence_step(xp, index, transform)
+            history.append(icp.IcpState(k + 1, transform, objective, corr))
+            break
+    else:
+        corr, objective = icp.correspondence_step(xp, index, transform)
+        history.append(icp.IcpState(max_iters, transform, objective, corr))
+    return history[-1].transform, history
 
 
 def backward(tape, output):

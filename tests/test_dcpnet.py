@@ -159,7 +159,8 @@ def test_initialize_equals_old_form_bit_for_bit(cfg):
 
 @pytest.mark.parametrize("field, value", [
     ("emb_dims", 8.0), ("heads", True), ("knn_k", 4.5), ("widths", (4.0, 4)), ("widths", ("ab",)),
-    ("mlp_head_widths", "x"), ("attention", "no"),
+    ("mlp_head_widths", "x"), ("attention", "no"), ("widths", 5), ("mlp_head_widths", 5), ("mlp_head_widths", None),
+    ("emb_dims", None),
 ])
 def test_model_config_rejects_values_of_another_type(field, value):
     """A checkpoint's JSON config can hold any type; one that the model

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import runpy
+import shlex
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -288,6 +289,33 @@ def test_register_stale_checkpoint_exits_3(tmp_path, capsys, tiny_checkpoint, rn
     )
     assert rc == 3
     assert "dynamic_graph" in capsys.readouterr().err
+
+
+def test_register_checkpoint_with_a_number_for_widths_exits_3(tmp_path, capsys, tiny_checkpoint, rng):
+    """A checkpoint's JSON config holding a number where the width list
+    belongs is a data error naming the field, not a TypeError."""
+    model = train_mod.load_checkpoint(tiny_checkpoint)
+    ckpt = tmp_path / "widths.dcpk"
+    raw = dict(asdict(model.config), widths=5)
+    save_with_config_bytes(model, ckpt, json.dumps(raw, sort_keys=True).encode("utf-8"))
+    src = write_cloud(tmp_path, rng.normal(size=(16, 3)), "s.xyz")
+    rc = harness.main(
+        ["register", "--method", "dcp-v1", "--source", str(src), "--target", str(src), "--checkpoint", str(ckpt)]
+    )
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "data error" in err and "widths" in err and "Traceback" not in err
+
+
+def test_register_off_mesh_whose_area_overflows_exits_3(tmp_path, capsys):
+    """Finite vertices whose triangle area overflows to inf once ended in a
+    ValueError from the sampler's probabilities."""
+    mesh = tmp_path / "m.off"
+    mesh.write_text("OFF\n3 1 0\n0 0 0\n1e300 0 0\n0 1e300 0\n3 0 1 2\n", encoding="utf-8")
+    rc = harness.main(["register", "--method", "icp", "--source", str(mesh), "--target", str(mesh), "--n-points", "50"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "data error: mesh surface area must be a finite number above 0, got inf" in err
 
 
 @pytest.mark.parametrize("cut", [None, 0.5], ids=["dcpk-format", "truncated"])
@@ -802,6 +830,30 @@ def test_desk_script_config_accepted(corpus):
         assert cfg.kind == kind and cfg.train.batch_size == 8 and cfg.model.knn_k == 10
 
 
+def test_desk_script_commands_parse():
+    """Every ``python3 -m dcpreg`` command of scripts/run_desk_protocols.sh,
+    its continuation lines joined and its shell variables filled in, parses,
+    so a renamed or removed flag fails here rather than in the script."""
+    script = (Path(__file__).resolve().parents[1] / "scripts" / "run_desk_protocols.sh").read_text(encoding="utf-8")
+    variables = {"OUT": "runs/desk", "SEED": "0", "EPOCHS": "50", "kind": "full"}
+    commands = [
+        re.sub(r"\$(\w+)", lambda m: variables[m.group(1)], line.strip())
+        for line in script.replace("\\\n", " ").splitlines() if line.strip().startswith("python3 -m dcpreg ")
+    ]
+    assert len(commands) == 2
+    parser = harness.build_parser()
+    for command in commands:
+        argv = shlex.split(command)[3:]
+        assert parser.parse_args(argv).command == argv[0]
+
+
+def test_eval_and_experiment_print_the_report_table(corpus, archive, tmp_path, capsys):
+    assert harness.main(["eval", "--pairs", str(archive), "--method", "icp", "--out", str(tmp_path / "rep")]) == 0
+    assert capsys.readouterr().out == (tmp_path / "rep" / "report.txt").read_text(encoding="utf-8")
+    assert run_experiment(corpus, tmp_path / "exp") == 0
+    assert capsys.readouterr().out == (tmp_path / "exp" / "report.txt").read_text(encoding="utf-8")
+
+
 def test_eval_cli_oracle_and_icp(corpus, tmp_path, capsys):
     arch = tmp_path / "arch"
     assert harness.main(
@@ -994,3 +1046,91 @@ def test_bench_knn_k_limits_only_dgcnn(tmp_path, capsys):
     assert harness.main(argv + ["--out", str(tmp_path / "dgcnn"), "--methods", "dcp-v1"]) == 3
     assert "k=20" in capsys.readouterr().err
     assert not (tmp_path / "dgcnn").exists()
+
+
+# ---------------------------------------------------------------------------
+# CLI branches: each exit code with its message
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag,value", [("--max-iters", "abc"), ("--tol", "abc"), ("--seed", "1.5")])
+def test_unparsable_flag_value_exits_2(capsys, flag, value):
+    rc = harness.main(["register", "--method", "icp", "--source", "s.xyz", "--target", "t.xyz", flag, value])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert flag in err and f"got {value!r}" in err
+
+
+def test_boolean_config_key_reads_false_and_rejects_other_words(corpus, tmp_path, capsys):
+    values = harness.parse_config_text(EXPERIMENT_CONF.format(corpus=corpus))
+    cfg = harness.experiment_config_from_values({**values, "experiment.kind": "noise", "noise.eval": "false"})
+    assert cfg.noise_eval is False
+    conf = EXPERIMENT_CONF.format(corpus=corpus) + "noise.eval = maybe\n"
+    assert run_experiment(corpus, tmp_path / "exp", conf) == 3
+    assert "config key noise.eval: bad value 'maybe'" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("experiment.kind", "bogus", "unknown experiment kind 'bogus'"),
+    ("data.corpus", "{missing}", "corpus directory {missing} does not exist"),
+    ("split.fraction", "1.0", "split produced an empty side"),
+])
+def test_experiment_data_errors_exit_3(corpus, tmp_path, capsys, key, value, message):
+    missing = tmp_path / "no-corpus"
+    conf = re.sub(rf"^{re.escape(key)} = .*\n", "", EXPERIMENT_CONF.format(corpus=corpus), flags=re.M)
+    conf += f"{key} = {value.format(missing=missing)}\n"
+    assert run_experiment(corpus, tmp_path / "exp", conf) == 3
+    assert f"data error: {message.format(missing=missing)}" in capsys.readouterr().err
+    assert not (tmp_path / "exp" / "report.csv").exists()
+
+
+def test_missing_input_files_exit_3(archive, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert harness.main(["train", "--pairs", str(archive), "--out", str(tmp_path / "run"), "--config", str(missing)]) == 3
+    assert f"data error: config file {missing} does not exist" in capsys.readouterr().err
+    assert harness.main(["register", "--method", "icp", "--source", str(missing), "--target", str(missing)]) == 3
+    assert f"data error: cloud file {missing} does not exist" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_usage_errors_exit_2(archive, tmp_path, capsys, rng):
+    src = write_cloud(tmp_path, rng.normal(size=(16, 3)), "s.xyz")
+    assert harness.main(["register", "--method", "oracle", "--source", str(src), "--target", str(src)]) == 2
+    assert "usage error: the oracle method needs ground truth and is experiment-only" in capsys.readouterr().err
+    assert harness.main(["train", "--pairs", str(archive), "--out", str(tmp_path / "run")]) == 2
+    assert "usage error: set --seed or a seed in the config file" in capsys.readouterr().err
+    assert harness.main(["bench", "--out", str(tmp_path / "bench"), "--methods", "oracle", "--sizes", "32"]) == 2
+    assert "usage error: the oracle method needs ground truth and cannot be timed" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "bench").exists()
+
+
+def test_train_non_finite_loss_exits_4_and_keeps_the_last_checkpoint(archive, tmp_path, capsys, monkeypatch):
+    """The loss turns NaN once the first epoch's checkpoint is saved; that
+    checkpoint stays, equal to a one-epoch run's."""
+    conf = tmp_path / "model.conf"
+    conf.write_text(TINY_MODEL_CONF + "train.batch_size = 4\n", encoding="utf-8")
+    argv = ["train", "--pairs", str(archive), "--config", str(conf), "--seed", "3"]
+    assert harness.main(argv + ["--out", str(tmp_path / "one"), "--epochs", "1"]) == 0
+    saved = []
+    save, loss = train_mod.save_checkpoint, dcpnet.dcp_loss
+
+    def save_spy(model, path):
+        save(model, path)
+        saved.append(path)
+
+    def poisoned_loss(*args):
+        out = loss(*args)
+        if saved:
+            out.data = np.full_like(out.data, np.nan)
+        return out
+
+    monkeypatch.setattr(train_mod, "save_checkpoint", save_spy)
+    monkeypatch.setattr(dcpnet, "dcp_loss", poisoned_loss)
+    capsys.readouterr()
+    assert harness.main(argv + ["--out", str(tmp_path / "two"), "--epochs", "2"]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite training loss at epoch 1; last checkpoint retained" in err
+    final = tmp_path / "two" / "checkpoints" / "model_final.dcpk"
+    assert saved == [final]
+    train_mod.load_checkpoint(final)
+    assert final.read_bytes() == (tmp_path / "one" / "checkpoints" / "model_final.dcpk").read_bytes()
