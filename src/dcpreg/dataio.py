@@ -301,14 +301,19 @@ def noisy_pair(pair: LabeledPair, sigma: float, clip: float, rng) -> LabeledPair
     )
 
 
+SPLIT_MODES = ("random_instance", "by_category")
+
+
 def dataset_split(clouds, mode: str, fraction: float, seed) -> tuple[list, list]:
-    """Deterministic train/test split of clouds.
+    """Deterministic train/test split of clouds, ``fraction`` of them (or
+    of their labels) on the training side.
 
     ``random_instance`` shuffles individual clouds; ``by_category`` keeps
     whole label groups on one side (first-seen label order before shuffling).
+    The caller checks that ``fraction`` lies in [0, 1], as ``harness`` does
+    when it reads ``split.fraction``; a mode not in ``SPLIT_MODES`` raises
+    ``InvalidInputError``.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise InvalidInputError(f"fraction must be in [0, 1], got {fraction}")
     clouds = list(clouds)
     rng = as_rng(seed)
     if mode == "random_instance":

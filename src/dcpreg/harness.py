@@ -1,28 +1,34 @@
 """Command-line orchestration of the registration experiments.
 
 Subcommands: ``gen-data``, ``register``, ``train``, ``eval``,
-``experiment``, ``bench``. All randomness is seeded; reports embed the
-config hash and rerun byte-identically; ``eval`` and ``experiment`` print
-the ``report.txt`` table (:func:`report_table`). Exit codes: 0 success, 2
-usage error, 3 data error, 4 numerical failure. A bad flag value exits 2
-with a message that names the flag and states the rule; a bad config key
-value exits 3 with one that names the key and states the rule. Each bound
-lives in one place: ``TrainConfig`` and ``PairGenConfig`` check the
-settings they hold, whose flags and keys only parse the text
-(:func:`_field`), and every other setting has one converter here
-(:func:`_rule`). A checkpoint that contradicts its own configuration (a
-tensor missing, unexpected or at another shape) is a data error, 3; a
+``experiment``, ``bench``. All randomness is seeded; reports rerun
+byte-identically and carry their provenance (``experiment`` the config
+hash, ``eval`` the hashes of its pair archive and checkpoint and its ICP
+settings); ``eval`` and ``experiment`` print the ``report.txt`` table
+(:func:`report_table`). Exit codes: 0 success, 2 usage error, 3 data
+error, 4 numerical failure. A bad flag value exits 2 with a message that
+names the flag and states the rule; a bad config key value exits 3 with
+one that names the key and states the rule. Each bound lives in one
+place: ``TrainConfig`` and ``PairGenConfig`` check the settings they
+hold, whose flags and keys only parse the text (:func:`_field`), and
+every other setting has one converter here (:func:`_rule`), so
+``split.mode`` and ``split.fraction`` are checked as the config is read,
+before the corpus is. A checkpoint that contradicts its own configuration
+(a tensor missing, unexpected or at another shape) is a data error, 3; a
 sound checkpoint, or ``bench``'s model settings, that a method token
-cannot use is a usage error, 2.
+cannot use is a usage error, 2, as is ``--checkpoint`` given to a token
+that loads no model.
 
 Config files (``train``, ``experiment`` and ``bench --config``) hold
 ``key = value`` lines and ``#`` comments, read by :func:`dataio.text_lines`
 as OFF and XYZ files are. The key tables ``MODEL_KEYS``, ``TRAIN_KEYS``,
 ``PAIRGEN_KEYS`` and ``EXPERIMENT_KEYS``, with ``OTHER_KEYS``, are the one
 list of config keys. Each table entry names the dataclass field its key
-sets, and a key left unset keeps the default that dataclass declares. An
-unknown key exits 3, as do values a dataclass rejects together (``model.emb_dims``
-that ``model.heads`` does not divide); the message names those keys.
+sets, and a key left unset keeps the default that dataclass declares.
+:func:`load_config_file`, which reads every command's config file, alone
+rejects an unknown key (exit 3). Values a dataclass rejects together
+(``model.emb_dims`` that ``model.heads`` does not divide) also exit 3, in
+a message that names those keys.
 """
 
 from __future__ import annotations
@@ -80,9 +86,13 @@ def load_config_file(path) -> dict[str, str]:
     return values
 
 
+def _digest(data: bytes) -> str:
+    """The first 16 hex digits of the sha256 of ``data``: the hashes reports record."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def config_hash(values: dict[str, str]) -> str:
-    canon = "\n".join(f"{k}={values[k]}" for k in sorted(values))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    return _digest("\n".join(f"{k}={values[k]}" for k in sorted(values)).encode("utf-8"))
 
 
 def _bool(raw: str) -> bool:
@@ -147,14 +157,12 @@ KIND_DEFAULTS = {
 class ExperimentConfig:
     kind: str
     corpus: str
-    seed: int
     methods: tuple[Method, ...]
-    n_points: int = 128
     split_mode: str = "random_instance"
     split_fraction: float = 0.5
     pairs_per_cloud_train: int = 4
     pairs_per_cloud_test: int = 2
-    pairgen: dataio.PairGenConfig = dataio.PairGenConfig()
+    pairgen: dataio.PairGenConfig = dataio.PairGenConfig(n_points=128)
     noise_train: bool = False
     noise_eval: bool = False
     model: dcpnet.ModelConfig = dcpnet.ModelConfig()
@@ -185,15 +193,15 @@ TRAIN_KEYS = {
 PAIRGEN_KEYS = {
     key: (field, _field(dataio.PairGenConfig, field, parse))
     for key, field, parse in (
-        ("pairgen.max_rot_deg", "max_rot_deg", float), ("pairgen.trans_bound", "trans_bound", float),
+        ("data.n_points", "n_points", int), ("pairgen.max_rot_deg", "max_rot_deg", float),
+        ("pairgen.trans_bound", "trans_bound", float),
         ("pairgen.shuffle_target", "shuffle_target", _bool), ("noise.sigma", "noise_sigma", float),
         ("noise.clip", "noise_clip", float),
     )
 }
 EXPERIMENT_KEYS = {
-    "data.n_points": ("n_points", _n_points),
-    "split.mode": ("split_mode", str),
-    "split.fraction": ("split_fraction", float),
+    "split.mode": ("split_mode", _rule(str, lambda m: m in dataio.SPLIT_MODES, f"must be one of {dataio.SPLIT_MODES}")),
+    "split.fraction": ("split_fraction", _rule(float, lambda x: 0.0 <= x <= 1.0, "must be a number in [0, 1]")),
     "pairs.per_cloud_train": ("pairs_per_cloud_train", _positive_int),
     "pairs.per_cloud_test": ("pairs_per_cloud_test", _positive_int),
     "noise.train": ("noise_train", _bool),
@@ -240,12 +248,6 @@ def _from_values(cls, table, values: dict[str, str], **fields):
         raise DataError(f"config key(s) {', '.join(keys)}: {exc}") from None
 
 
-def model_config_from_values(values: dict[str, str]) -> dcpnet.ModelConfig:
-    """The ``ModelConfig`` set by the ``model.*`` keys of ``values``; a key no table lists is a ``DataError``."""
-    _check_keys(values)
-    return _from_values(dcpnet.ModelConfig, MODEL_KEYS, values)
-
-
 def experiment_config_from_values(values: dict[str, str]) -> ExperimentConfig:
     kind = values.get("experiment.kind", "full")
     if kind not in KIND_DEFAULTS:
@@ -255,20 +257,17 @@ def experiment_config_from_values(values: dict[str, str]) -> ExperimentConfig:
         raise DataError("config must set a seed")
     if "data.corpus" not in merged:
         raise DataError("config must set data.corpus")
-    corpus = merged["data.corpus"]
-    if not Path(corpus).is_dir():
-        raise DataError(f"corpus directory {corpus} does not exist")
     train = _from_values(train_mod.TrainConfig, TRAIN_KEYS, merged)
     methods = parse_methods(merged.get("methods", "icp,dcp-v1"))
-    model = model_config_from_values(merged)
+    model = _from_values(dcpnet.ModelConfig, MODEL_KEYS, merged)
     for method in methods:
         if method.base == "dcp":
             method_model_config(model, method)  # fail before any method runs
-    cfg = _from_values(
-        ExperimentConfig, EXPERIMENT_KEYS, merged, kind=kind, corpus=corpus, seed=train.seed, methods=methods,
-        model=model, train=train, raw=tuple(sorted(values.items())),
+    pairgen = _from_values(dataio.PairGenConfig, PAIRGEN_KEYS, merged, n_points=ExperimentConfig.pairgen.n_points)
+    return _from_values(
+        ExperimentConfig, EXPERIMENT_KEYS, merged, kind=kind, corpus=merged["data.corpus"], methods=methods,
+        pairgen=pairgen, model=model, train=train, raw=tuple(sorted(values.items())),
     )
-    return replace(cfg, pairgen=_from_values(dataio.PairGenConfig, PAIRGEN_KEYS, merged, n_points=cfg.n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +374,17 @@ def load_method_model(method: Method, checkpoint) -> dcpnet.ModelParams:
     return replace(loaded, config=cfg)
 
 
+def _cli_model(method: Method, checkpoint):
+    """The model ``method`` runs (:func:`load_method_model`), or ``None`` for
+    ``oracle`` and ``icp``, which load none and so take no ``checkpoint``
+    (``UsageError``)."""
+    if method.base == "dcp":
+        return load_method_model(method, checkpoint)
+    if checkpoint:
+        raise UsageError(f"--checkpoint is for dcp methods; {method.name} loads no model")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Dataset assembly
 # ---------------------------------------------------------------------------
@@ -420,14 +430,15 @@ def run_method(
     return init, []
 
 
-def method_errors(method: Method, model, pairs, max_iters, tol):
-    """Rotation and translation errors of ``method`` on each labeled pair."""
+def method_metrics(method: Method, model, pairs, max_iters, tol) -> train_mod.Metrics:
+    """The pooled errors of ``method`` on the labeled ``pairs``
+    (:func:`train.evaluate`): ``oracle`` predicts each pair's ground truth,
+    and every other token runs :func:`run_method`."""
     if method.base == "oracle":
-        return [geo.rotation_metrics(p.ground_truth, p.ground_truth) for p in pairs]
-    return [
-        geo.rotation_metrics(run_method(method, model, p.source, p.target, max_iters, tol)[0], p.ground_truth)
-        for p in pairs
-    ]
+        return train_mod.evaluate(pairs, lambda pair: pair.ground_truth)
+    return train_mod.evaluate(
+        pairs, lambda pair: run_method(method, model, pair.source, pair.target, max_iters, tol)[0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +497,9 @@ def _load_cli_cloud(path: str, n_points: int, seed: int) -> dataio.PointCloud:
 
 def cmd_register(args) -> int:
     method = args.method
+    model = _cli_model(method, args.checkpoint)
     if method.base == "oracle":
         raise UsageError("the oracle method needs ground truth and is experiment-only")
-    model = load_method_model(method, args.checkpoint) if method.base == "dcp" else None
     source = _load_cli_cloud(args.source, args.n_points, args.seed)
     target = _load_cli_cloud(args.target, args.n_points, args.seed + 1)
 
@@ -513,7 +524,7 @@ def cmd_train(args) -> int:
         values["train.epochs"] = str(args.epochs)
     if "seed" not in values:
         raise UsageError("set --seed or a seed in the config file")
-    model_cfg = model_config_from_values(values)
+    model_cfg = _from_values(dcpnet.ModelConfig, MODEL_KEYS, values)
     if args.v1:
         model_cfg = replace(model_cfg, attention=False)
     tcfg = _from_values(train_mod.TrainConfig, TRAIN_KEYS, values, out_dir=args.out)
@@ -528,10 +539,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     method = args.method
-    model = load_method_model(method, args.checkpoint) if method.base == "dcp" else None
-    errors = method_errors(method, model, dataio.read_pair_archive(args.pairs), args.max_iters, args.tol)
-    rows = [(method.name, train_mod.pool_metrics(errors))]
-    provenance = {"version": __version__}
+    model = _cli_model(method, args.checkpoint)
+    pairs = dataio.read_pair_archive(args.pairs)
+    rows = [(method.name, method_metrics(method, model, pairs, args.max_iters, args.tol))]
+    provenance = {"version": __version__, "pairs_sha256": _digest(Path(args.pairs).read_bytes())}
+    if args.checkpoint:
+        provenance["checkpoint_sha256"] = _digest(Path(args.checkpoint).read_bytes())
+    provenance.update(max_iters=str(args.max_iters), tol=str(args.tol))
     print(report_table(rows, provenance), end="")
     if args.out:
         write_report(rows, Path(args.out), provenance)
@@ -539,18 +553,13 @@ def cmd_eval(args) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> list[tuple[str, train_mod.Metrics]]:
-    clouds = load_clouds(cfg.corpus, cfg.n_points, cfg.seed)
-    train_clouds, test_clouds = dataio.dataset_split(
-        clouds, cfg.split_mode, cfg.split_fraction, seed=cfg.seed
-    )
+    seed = cfg.train.seed
+    clouds = load_clouds(cfg.corpus, cfg.pairgen.n_points, seed)
+    train_clouds, test_clouds = dataio.dataset_split(clouds, cfg.split_mode, cfg.split_fraction, seed=seed)
     if not train_clouds or not test_clouds:
         raise DataError("split produced an empty side; adjust split.fraction or corpus size")
-    train_pairs, _ = build_pairs(
-        train_clouds, cfg.pairs_per_cloud_train, cfg.pairgen, [cfg.seed, 0x7A], cfg.noise_train
-    )
-    test_pairs, _ = build_pairs(
-        test_clouds, cfg.pairs_per_cloud_test, cfg.pairgen, [cfg.seed, 0x7E], cfg.noise_eval
-    )
+    train_pairs, _ = build_pairs(train_clouds, cfg.pairs_per_cloud_train, cfg.pairgen, [seed, 0x7A], cfg.noise_train)
+    test_pairs, _ = build_pairs(test_clouds, cfg.pairs_per_cloud_test, cfg.pairgen, [seed, 0x7E], cfg.noise_eval)
 
     trained: dict[dcpnet.ModelConfig, dcpnet.ModelParams] = {}
     rows: list[tuple[str, train_mod.Metrics]] = []
@@ -566,8 +575,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> list[tuple[str, trai
                 (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
                 train_mod.save_checkpoint(model, out_dir / "checkpoints" / f"{safe}.dcpk")
                 train_mod.write_training_log(log, out_dir / f"training_log_{safe}.csv")
-        errors = method_errors(method, model, test_pairs, cfg.icp_max_iters, cfg.icp_tol)
-        rows.append((method.name, train_mod.pool_metrics(errors)))
+        rows.append((method.name, method_metrics(method, model, test_pairs, cfg.icp_max_iters, cfg.icp_tol)))
     return rows
 
 
@@ -576,7 +584,7 @@ def cmd_experiment(args) -> int:
     cfg = experiment_config_from_values(values)
     out_dir = Path(args.out)
     rows = run_experiment(cfg, out_dir)
-    provenance = {"config_hash": cfg.hash(), "version": __version__, "kind": cfg.kind, "seed": str(cfg.seed)}
+    provenance = {"config_hash": cfg.hash(), "version": __version__, "kind": cfg.kind, "seed": str(cfg.train.seed)}
     write_report(rows, out_dir, provenance)
     print(report_table(rows, provenance), end="")
     return EXIT_OK
@@ -592,7 +600,7 @@ def bench_pair(n_points: int, seed: int):
 def cmd_bench(args) -> int:
     values = load_config_file(args.config) if args.config else {}
     _note_ignored_keys("bench", values, set(MODEL_KEYS))
-    base_model_cfg = model_config_from_values(values)
+    base_model_cfg = _from_values(dcpnet.ModelConfig, MODEL_KEYS, values)
 
     def build(method):
         if method.base == "oracle":
@@ -732,7 +740,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, InvalidInputError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

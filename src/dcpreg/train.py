@@ -107,13 +107,12 @@ def pool_metrics(errors: list[geo.TransformErrors]) -> Metrics:
     return Metrics(*pooled, n_pairs=len(errors))
 
 
-def evaluate(model: dcpnet.ModelParams, pairs) -> Metrics:
-    """Run inference over pairs and pool the errors against ground truth."""
-    errors = []
-    for pair in pairs:
-        pred = dcpnet.dcp_predict(pair.source, pair.target, model)
-        errors.append(geo.rotation_metrics(pred, pair.ground_truth))
-    return pool_metrics(errors)
+def evaluate(pairs, predict) -> Metrics:
+    """Pool (:func:`pool_metrics`) the errors of ``predict(pair)``, a
+    ``RigidTransform``, against the ground truth of each labeled pair. This
+    is the one scoring loop: validation in :func:`train` predicts with
+    :func:`dcpnet.dcp_predict`, and ``harness`` with each method token."""
+    return pool_metrics([geo.rotation_metrics(predict(pair), pair.ground_truth) for pair in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +256,7 @@ def train(
             "grad_norm": sum(grad_norms) / len(grad_norms),
         }
         if val_pairs:
-            metrics = evaluate(model, val_pairs)
+            metrics = evaluate(val_pairs, lambda pair: dcpnet.dcp_predict(pair.source, pair.target, model))
             row.update({c: getattr(metrics, c) for c in Metrics.COLUMNS})
         else:
             row.update({c: float("nan") for c in Metrics.COLUMNS})

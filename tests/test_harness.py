@@ -3,6 +3,7 @@ import json
 import re
 import runpy
 import shlex
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -354,6 +355,30 @@ def test_register_malformed_xyz_exits_3(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_register_xyz_with_a_nan_coordinate_exits_3(tmp_path, capsys):
+    bad = tmp_path / "nan.xyz"
+    bad.write_text("0 0 0\nnan 1 2\n1 1 1\n", encoding="utf-8")
+    rc = harness.main(["register", "--method", "icp", "--source", str(bad), "--target", str(bad)])
+    assert rc == 3
+    assert "data error: point coordinates must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["register", "eval"])
+@pytest.mark.parametrize("method", ["icp", "oracle"])
+def test_checkpoint_for_a_token_that_loads_no_model_exits_2(archive, tmp_path, capsys, rng, command, method):
+    """``--checkpoint`` given to a token that loads no model was once
+    dropped without a word; it is a usage error naming the flag."""
+    src = write_cloud(tmp_path, rng.normal(size=(16, 3)), "s.xyz")
+    inputs = {"register": ["--source", str(src), "--target", str(src)], "eval": ["--pairs", str(archive)]}[command]
+    out = tmp_path / "out"
+    checkpoint = ["--checkpoint", str(tmp_path / "none.dcpk")]
+    rc = harness.main([command, "--method", method, *inputs, *checkpoint, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "usage error: --checkpoint" in captured.err and not captured.out
+    assert not out.exists()
+
+
 def test_register_polish_objective_not_worse(tmp_path, capsys, tiny_checkpoint, rng):
     cloud = dataio.normalize_unit_sphere(dataio.PointCloud(rng.normal(size=(48, 3))))
     pair = dataio.generate_pair(
@@ -384,9 +409,8 @@ def test_register_reports_icp_history_on_stderr(tmp_path, capsys, tiny_checkpoin
     pair = dataio.generate_pair(cloud, dataio.PairGenConfig(max_rot_deg=20.0, trans_bound=0.1), rng)
     src = write_cloud(tmp_path, pair.source.points, "src.xyz")
     dst = write_cloud(tmp_path, pair.target.points, "dst.xyz")
-    rc = harness.main(
-        ["register", "--method", method, "--source", str(src), "--target", str(dst), "--checkpoint", str(tiny_checkpoint)]
-    )
+    checkpoint = [] if method == "icp" else ["--checkpoint", str(tiny_checkpoint)]  # icp loads no model
+    rc = harness.main(["register", "--method", method, "--source", str(src), "--target", str(dst), *checkpoint])
     assert rc == 0
     captured = capsys.readouterr()
     assert len(captured.out.split()) == 12
@@ -733,13 +757,16 @@ def test_experiment_pair_count_below_one_exits_3(corpus, tmp_path, capsys, key):
     ("methods", ""), ("pairgen.max_rot_deg", "nan"), ("pairgen.trans_bound", "inf"), ("noise.sigma", "nan"),
     ("noise.clip", "inf"), ("train.base_lr", "-1e-3"), ("train.base_lr", "nan"), ("train.weight_decay", "-1"),
     ("train.lr_factor", "-1"), ("train.lr_factor", "0"), ("noise.clip", "0"), ("data.n_points", "2"),
-    ("train.milestones", "-3"), ("model.emb_dims", "0"), ("model.emb_dims", "6"),
+    ("train.milestones", "-3"), ("model.emb_dims", "0"), ("model.emb_dims", "6"), ("split.mode", "bogus"),
+    ("split.fraction", "2.0"), ("model.embedding", "foo"), ("model.head", "foo"), ("model.dtype", "float16"),
 ])
 def test_experiment_count_out_of_range_exits_3(corpus, tmp_path, capsys, key, value):
     """A config value out of its range is a data error naming the key, not
     the dataclass field it sets or the converter that checks it. The model
-    keeps the default 4 heads, which ``model.emb_dims = 6`` cannot split."""
-    conf = EXPERIMENT_CONF.format(corpus=corpus).replace("model.heads = 2\n", "")
+    keeps the default 4 heads, which ``model.emb_dims = 6`` cannot split.
+    The corpus directory does not exist, so each key is reported while the
+    config is read, before the corpus is."""
+    conf = EXPERIMENT_CONF.format(corpus=tmp_path / "no-corpus").replace("model.heads = 2\n", "")
     conf = re.sub(rf"^{re.escape(key)} = .*\n", "", conf, flags=re.M)  # a key may appear once
     conf += f"{key} = {value}\n"
     out = tmp_path / "exp"
@@ -854,6 +881,42 @@ def test_eval_and_experiment_print_the_report_table(corpus, archive, tmp_path, c
     assert capsys.readouterr().out == (tmp_path / "exp" / "report.txt").read_text(encoding="utf-8")
 
 
+def test_eval_report_records_its_provenance(archive, v2_checkpoint, tmp_path, capsys):
+    """``eval`` records the hashes of its pair archive and checkpoint and its
+    ICP settings: the same arguments give the same bytes, and another
+    ``--max-iters`` changes its own provenance line alone."""
+    def run(name, method, *extra):
+        out = tmp_path / name
+        assert harness.main(["eval", "--pairs", str(archive), "--method", method, "--out", str(out), *extra]) == 0
+        return [capsys.readouterr().out, *((out / f).read_text(encoding="utf-8") for f in ("report.txt", "report.csv"))]
+
+    def digest(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+    ckpt = ["--checkpoint", str(v2_checkpoint)]
+    first, again = run("a", "dcp-v2", *ckpt), run("b", "dcp-v2", *ckpt)
+    other = run("c", "dcp-v2", *ckpt, "--max-iters", "7")
+    assert first == again
+    assert first[0].splitlines()[:5] == [
+        f"# version={harness.__version__}", f"# pairs_sha256={digest(archive)}",
+        f"# checkpoint_sha256={digest(v2_checkpoint)}", f"# max_iters={icp.DEFAULT_MAX_ITERS}",
+        f"# tol={icp.DEFAULT_TOL}",
+    ]
+    for text, changed in zip(first, other):
+        differ = [(a, b) for a, b in zip(text.splitlines(), changed.splitlines(), strict=True) if a != b]
+        assert differ == [(f"# max_iters={icp.DEFAULT_MAX_ITERS}", "# max_iters=7")]
+    assert "checkpoint_sha256" not in run("d", "oracle")[0]
+
+
+def test_module_entry_point_prints_help(monkeypatch, capsys):
+    """``python -m dcpreg --help`` runs ``dcpreg/__main__.py``, which exits with main's code."""
+    monkeypatch.setattr(sys, "argv", ["dcpreg", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("dcpreg", run_name="__main__")
+    assert exc.value.code == 0
+    assert "usage: dcpreg" in capsys.readouterr().out
+
+
 def test_eval_cli_oracle_and_icp(corpus, tmp_path, capsys):
     arch = tmp_path / "arch"
     assert harness.main(
@@ -928,8 +991,6 @@ def test_bench_zero_trials_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["model.scale_pointer_logits", "model.emb_dim"])
 def test_unknown_model_key_exits_3(tmp_path, capsys, key):
-    with pytest.raises(DataError, match=key):
-        harness.model_config_from_values({"model.emb_dims": "8", key: "1"})
     conf = tmp_path / "model.conf"
     conf.write_text(TINY_MODEL_CONF + f"{key} = 1\n", encoding="utf-8")
     rc = harness.main(
@@ -1074,13 +1135,16 @@ def test_boolean_config_key_reads_false_and_rejects_other_words(corpus, tmp_path
     ("experiment.kind", "bogus", "unknown experiment kind 'bogus'"),
     ("data.corpus", "{missing}", "corpus directory {missing} does not exist"),
     ("split.fraction", "1.0", "split produced an empty side"),
+    ("data.corpus", "{empty}", "no .off or .xyz files under {empty}"),
 ])
 def test_experiment_data_errors_exit_3(corpus, tmp_path, capsys, key, value, message):
-    missing = tmp_path / "no-corpus"
+    dirs = {"missing": tmp_path / "no-corpus", "empty": tmp_path / "empty"}
+    dirs["empty"].mkdir()
+    (dirs["empty"] / "notes.txt").write_text("not a cloud\n", encoding="utf-8")
     conf = re.sub(rf"^{re.escape(key)} = .*\n", "", EXPERIMENT_CONF.format(corpus=corpus), flags=re.M)
-    conf += f"{key} = {value.format(missing=missing)}\n"
+    conf += f"{key} = {value.format(**dirs)}\n"
     assert run_experiment(corpus, tmp_path / "exp", conf) == 3
-    assert f"data error: {message.format(missing=missing)}" in capsys.readouterr().err
+    assert f"data error: {message.format(**dirs)}" in capsys.readouterr().err
     assert not (tmp_path / "exp" / "report.csv").exists()
 
 

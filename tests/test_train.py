@@ -134,7 +134,7 @@ def test_train_loss_decreases():
     cfg = train.TrainConfig(epochs=4, batch_size=8, seed=1, lr_milestones=(100,))
     model, log = train.train(TINY, pairs[:24], val_pairs=pairs[24:], cfg=cfg)
     assert log[-1]["train_loss"] < log[0]["train_loss"]
-    metrics = train.evaluate(model, pairs[24:])
+    metrics = train.evaluate(pairs[24:], lambda pair: dcpnet.dcp_predict(pair.source, pair.target, model))
     assert metrics.n_pairs == 6
     assert metrics.rmse_r == pytest.approx(math.sqrt(metrics.mse_r), abs=1e-9)
 
@@ -223,9 +223,9 @@ def test_train_two_pairs_hold_out_one(monkeypatch):
             trained.append(sources)
         return forward(sources, targets, model, training)
 
-    def spy_evaluate(model, val_pairs):
+    def spy_evaluate(val_pairs, predict):
         validated.extend(val_pairs)
-        return evaluate(model, val_pairs)
+        return evaluate(val_pairs, predict)
 
     monkeypatch.setattr(dcpnet, "dcp_forward", spy_forward)
     monkeypatch.setattr(train, "evaluate", spy_evaluate)
