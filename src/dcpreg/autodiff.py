@@ -32,7 +32,9 @@ from .errors import (
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 LN_EPS = 1e-6
-# Minimum separation of singular-value magnitudes for the SVD differential.
+# Least |s_i + s_j|, i != j, of H's signed singular values for svd_rotation's
+# backward. Absolute: H sums products of centred unit-sphere coordinates over
+# a pair's n points, so its singular values run up to about n; H = 0 raises.
 SVD_GAP_TOL = 1e-8
 # Bytes of scores that an untaped attention forward works on at a time: a
 # share of one core's L2 cache, so the passes over a tile after the first
@@ -758,15 +760,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _svd_gap_check(s: np.ndarray) -> None:
-    """Raise if any pair's singular-value magnitudes (rows of ``s``, one
-    per pair of the batch) lie closer than ``SVD_GAP_TOL``, naming each
-    such pair and its singular values."""
-    mags = np.sort(np.abs(s), axis=-1)
-    collapsed = np.flatnonzero(np.diff(mags, axis=-1).min(axis=-1) < SVD_GAP_TOL)
+    """Raise if in any pair (rows of ``s``, one per pair of the batch) two
+    signed singular values sum to less than ``SVD_GAP_TOL``, naming each such
+    pair, its singular values and that sum. As s1 >= s2 >= |s3|, the least
+    sum is s2 + s3: 0 when H has rank below 2, or is reflected with s3 = -s2."""
+    sums = s[:, 1] + s[:, 2]
+    collapsed = np.flatnonzero(sums < SVD_GAP_TOL)
     if collapsed.size:
-        pairs = "; ".join(f"pair {i} of {len(s)}: singular values {s[i]}" for i in collapsed)
+        pairs = "; ".join(f"pair {i} of {len(s)}: singular values {s[i]}, s2 + s3 = {sums[i]:.2g}" for i in collapsed)
         raise GradientSingularityError(
-            f"singular values too close for a stable SVD differential (gap < {SVD_GAP_TOL}): {pairs}"
+            f"two singular values sum to nearly 0 (< {SVD_GAP_TOL}), where the rotation has no derivative: {pairs}"
         )
 
 
@@ -775,9 +778,10 @@ def svd_rotation(h: Tensor) -> Tensor:
     stack, differentiable.
 
     Forward matches the closed-form alignment rotation ``V @ U.T`` with the
-    signed-singular-value convention. Backward uses the analytic SVD
-    differential per matrix and fails loudly, naming the pair, when one
-    matrix's singular values nearly coincide.
+    signed-singular-value convention, the orthogonal polar factor of ``H.T``.
+    Its differential divides only by s_i + s_j, i != j (Papadopoulo and
+    Lourakis, ECCV 2000), so equal or zero singular values are fine; backward
+    fails loudly, naming the pair, only where some s_i + s_j is nearly 0.
     """
     if h.ndim != 3 or h.shape[1:] != (3, 3):
         raise ShapeError(f"svd_rotation expects a (B, 3, 3) stack, got {h.shape}")
@@ -787,18 +791,11 @@ def svd_rotation(h: Tensor) -> Tensor:
 
     def bw(g):
         _svd_gap_check(s)
-        gr = np.asarray(g, dtype=np.float64)
-        u_bar = np.swapaxes(gr, -1, -2) @ v  # d(V U^T)/dU adjoint
-        v_bar = gr @ u
-        a_sym = 0.5 * (ut @ u_bar - np.swapaxes(u_bar, -1, -2) @ u)
-        b_sym = 0.5 * (vt @ v_bar - np.swapaxes(v_bar, -1, -2) @ v)
-        s2 = s * s
-        denom = s2[..., None, :] - s2[..., :, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e = np.where(np.eye(3, dtype=bool), 0.0, 1.0 / denom)
-        # (A * E) @ diag(s) scales columns by s; diag(s) @ (B * E) scales rows.
-        q = 2.0 * (a_sym * e) * s[..., None, :] + 2.0 * s[..., :, None] * (b_sym * e)
-        gh = u @ q @ vt
+        m = ut @ np.swapaxes(g, -1, -2) @ v
+        # K's diagonal is 0, not 1 / (2 s_i): s3 may be 0, and M - M^T has none.
+        with np.errstate(divide="ignore"):
+            k = np.where(np.eye(3, dtype=bool), 0.0, 1.0 / (s[..., :, None] + s[..., None, :]))
+        gh = u @ (k * (m - np.swapaxes(m, -1, -2))) @ vt
         return (gh.astype(h.dtype),)
 
     return _record("svd_rotation", (h,), out, bw)

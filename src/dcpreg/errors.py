@@ -59,7 +59,9 @@ class InvalidAxisError(DcpregError):
 
 
 class GradientSingularityError(NumericalError):
-    """Backward pass hit a point where the derivative is undefined."""
+    """Backward pass hit a point where the derivative is undefined: the SVD
+    head's rotation where two signed singular values of its cross-covariance
+    sum to 0, as when a collapsed soft match gives H = 0."""
 
 
 class DegenerateOutputError(NumericalError):

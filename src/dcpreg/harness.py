@@ -16,8 +16,9 @@ every other setting has one converter here (:func:`_rule`), so
 before the corpus is. A checkpoint that contradicts its own configuration
 (a tensor missing, unexpected or at another shape) is a data error, 3; a
 sound checkpoint, or ``bench``'s model settings, that a method token
-cannot use is a usage error, 2, as is ``--checkpoint`` given to a token
-that loads no model.
+cannot use is a usage error, 2, as is ``--checkpoint`` given where no
+method token loads a model, or ``gen-data``'s ``--sigma`` or ``--clip``
+without ``--noise``.
 
 Config files (``train``, ``experiment`` and ``bench --config``) hold
 ``key = value`` lines and ``#`` comments, read by :func:`dataio.text_lines`
@@ -374,15 +375,19 @@ def load_method_model(method: Method, checkpoint) -> dcpnet.ModelParams:
     return replace(loaded, config=cfg)
 
 
+def _reject_unused_checkpoint(methods, checkpoint) -> None:
+    """``UsageError`` when ``checkpoint`` is given and no token of
+    ``methods`` loads a model, as ``oracle`` and ``icp`` load none."""
+    if checkpoint and all(method.base != "dcp" for method in methods):
+        names = ",".join(method.name for method in methods)
+        raise UsageError(f"--checkpoint is for dcp methods; {names} loads no model")
+
+
 def _cli_model(method: Method, checkpoint):
-    """The model ``method`` runs (:func:`load_method_model`), or ``None`` for
-    ``oracle`` and ``icp``, which load none and so take no ``checkpoint``
-    (``UsageError``)."""
-    if method.base == "dcp":
-        return load_method_model(method, checkpoint)
-    if checkpoint:
-        raise UsageError(f"--checkpoint is for dcp methods; {method.name} loads no model")
-    return None
+    """The model ``method`` runs (:func:`load_method_model`), or ``None``
+    for a token that loads none and so takes no ``checkpoint``."""
+    _reject_unused_checkpoint((method,), checkpoint)
+    return load_method_model(method, checkpoint) if method.base == "dcp" else None
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +478,15 @@ def write_report(rows: list[tuple[str, train_mod.Metrics]], out_dir: Path, prove
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
+    noise = {name: value for name, value in (("sigma", args.sigma), ("clip", args.clip)) if value is not None}
+    if noise and not args.noise:
+        raise UsageError(f"{' and '.join('--' + name for name in noise)} only take effect with --noise")
     pairgen = dataio.PairGenConfig(
         max_rot_deg=args.max_rot_deg,
         trans_bound=args.trans_bound,
         n_points=args.n_points,
         shuffle_target=not args.no_shuffle,
-        noise_sigma=args.sigma,
-        noise_clip=args.clip,
+        **{f"noise_{name}": value for name, value in noise.items()},
     )
     clouds = load_clouds(args.corpus, args.n_points, args.seed)
     pairs, pair_seeds = build_pairs(clouds, args.pairs_per_cloud, pairgen, [args.seed, 0xDA], args.noise)
@@ -598,6 +605,7 @@ def bench_pair(n_points: int, seed: int):
 
 
 def cmd_bench(args) -> int:
+    _reject_unused_checkpoint(args.methods, args.checkpoint)
     values = load_config_file(args.config) if args.config else {}
     _note_ignored_keys("bench", values, set(MODEL_KEYS))
     base_model_cfg = _from_values(dcpnet.ModelConfig, MODEL_KEYS, values)
@@ -674,8 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rot-deg", type=key_type["pairgen.max_rot_deg"], default=dataio.PairGenConfig.max_rot_deg)
     p.add_argument("--trans-bound", type=key_type["pairgen.trans_bound"], default=dataio.PairGenConfig.trans_bound)
     p.add_argument("--noise", action="store_true", help="perturb source clouds with clipped Gaussian noise")
-    p.add_argument("--sigma", type=key_type["noise.sigma"], default=dataio.PairGenConfig.noise_sigma)
-    p.add_argument("--clip", type=key_type["noise.clip"], default=dataio.PairGenConfig.noise_clip)
+    p.add_argument("--sigma", type=key_type["noise.sigma"], help="noise scale; needs --noise")
+    p.add_argument("--clip", type=key_type["noise.clip"], help="noise bound; needs --noise")
     p.add_argument("--no-shuffle", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 

@@ -8,6 +8,10 @@ quads came from one rule. Tests require the library's outputs to
 equal these bit for bit: the leaner forms change the bookkeeping, not the
 arithmetic.
 
+:func:`svd_rotation_grad` is the SVD head's backward as it read before it
+took the polar-factor form, which rounds differently: tests require the
+two to agree to within 1e-12, relative, where this one is defined.
+
 :func:`exact_knn` breaks distance ties toward the lowest index, which the
 library's kNN does not promise: tests compare its squared distances with
 the library's, and its indices only where no tie can occur, as in the ICP
@@ -71,6 +75,25 @@ def svd3(m):
             w[..., :, 2] *= sign[..., None]
             sigma[..., 2] *= sign
     return u, sigma, v
+
+
+def svd_rotation_grad(h, g):
+    """The gradient ``g`` of R = V U^T sends to each H of a (B, 3, 3) stack,
+    through separate adjoints of U and V. Those divide by s_j^2 - s_i^2, so
+    it is undefined where two singular values' magnitudes are equal."""
+    u, s, v = geo.svd3(h)
+    ut, vt = np.swapaxes(u, -1, -2), np.swapaxes(v, -1, -2)
+    u_bar = np.swapaxes(g, -1, -2) @ v  # d(V U^T)/dU adjoint
+    v_bar = g @ u
+    a_sym = 0.5 * (ut @ u_bar - np.swapaxes(u_bar, -1, -2) @ u)
+    b_sym = 0.5 * (vt @ v_bar - np.swapaxes(v_bar, -1, -2) @ v)
+    s2 = s * s
+    denom = s2[..., None, :] - s2[..., :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.where(np.eye(3, dtype=bool), 0.0, 1.0 / denom)
+    # (A * E) @ diag(s) scales columns by s; diag(s) @ (B * E) scales rows.
+    q = 2.0 * (a_sym * e) * s[..., None, :] + 2.0 * s[..., :, None] * (b_sym * e)
+    return u @ q @ vt
 
 
 def procrustes_solve(src, dst):

@@ -601,18 +601,87 @@ def test_head_alignment_loss_jacobian(rng):
         gradcheck.assert_grads_close(p.grad, num, 1e-4, name)
 
 
-def test_head_equal_singular_values_raise():
+def test_head_equal_singular_values_gradcheck(rng):
+    """An octahedron matched to itself has cross-covariance 2I, three equal
+    singular values. The rotation is smooth there, and the backward's
+    gradient matches central differences; it once raised."""
     pts = np.array(
         [[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
     )
     src = ad.tensor(pts[None], requires_grad=True)
     dst = ad.tensor(pts[None].copy(), requires_grad=True)
-    with ad.Tape() as tape:
+    wr, wt = ad.constant(rng.normal(size=(1, 3, 3))), ad.constant(rng.normal(size=(1, 3)))
+
+    def forward():
         r, t = ad.svd_rigid_head(src, dst)
-        loss = ad.sum_reduce(ad.mul(r, r))
-    assert np.allclose(r.data[0], np.eye(3), atol=1e-12)  # forward is fine
-    with pytest.raises(GradientSingularityError):
+        return ad.add(ad.sum_reduce(ad.mul(wr, r)), ad.sum_reduce(ad.mul(wt, t)))
+
+    with ad.Tape() as tape:
+        loss = forward()
+    assert np.allclose(geo.svd3(2.0 * np.eye(3))[1], 2.0)
+    ad.backward(tape, loss)
+    for name, p in (("src", src), ("dst", dst)):
+        gradcheck.assert_grads_close(p.grad, numeric_grad(lambda: forward().item(), p), 1e-6, name)
+
+
+def cross_covariances(rng, singular_values):
+    """One H = U diag(s) V^T per row of signed singular values, with random
+    rotations U and V, so ``geo.svd3`` gives back that row."""
+    return np.stack([random_rotation(rng) @ np.diag(s) @ random_rotation(rng).T for s in singular_values])
+
+
+def tape_svd_rotation_grad(h_values, w):
+    """The tape's gradient of sum(w * svd_rotation(h)) at ``h_values``."""
+    h = ad.tensor(h_values, requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.sum_reduce(ad.mul(ad.constant(w), ad.svd_rotation(h)))
+    ad.backward(tape, loss)
+    return h.grad
+
+
+def test_svd_rotation_grad_equals_the_two_adjoint_form(rng):
+    """Over 200 cross-covariances whose singular values' magnitudes and
+    pairwise sums stay at least 0.1 apart, half of them reflected
+    (det H < 0), the polar-factor backward equals the separate-adjoint form
+    it replaced to within 1e-12, relative."""
+    mags = -np.sort(-rng.uniform(0.1, 3.0, size=(4000, 3)), axis=1)
+    mags = mags[(np.diff(-mags, axis=1).min(axis=1) > 0.1) & (mags[:, 2] > 0.1)][:200]
+    signs = np.where(np.arange(200) % 2, -1.0, 1.0)
+    h = cross_covariances(rng, mags * np.stack([np.ones(200), np.ones(200), signs], axis=1))
+    assert (np.sign(np.linalg.det(h)) == signs).all()
+    w = rng.normal(size=h.shape)
+    got, want = tape_svd_rotation_grad(h, w), ref.svd_rotation_grad(h, w)
+    scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+    assert (np.abs(got - want) / scale).max() < 1e-12
+
+
+def test_svd_rotation_gradcheck_at_the_edges_of_its_domain(rng):
+    """Equal, repeated, one-zero (rank 2) and reflected (s3 < 0) singular
+    values, in one batch: the gradient matches central differences."""
+    s = [(2.0, 2.0, 2.0), (3.0, 1.0, 1.0), (3.0, 2.0, 0.0), (3.0, 2.0, -1.0), (2.0, 1.5, -1.5 + 1e-3)]
+    h = ad.tensor(cross_covariances(rng, s), requires_grad=True)
+    assert np.allclose(geo.svd3(h.data)[1], s)
+    w = ad.constant(rng.normal(size=h.shape))
+
+    def forward():
+        return ad.sum_reduce(ad.mul(w, ad.svd_rotation(h)))
+
+    with ad.Tape() as tape:
+        loss = forward()
+    ad.backward(tape, loss)
+    gradcheck.assert_grads_close(h.grad, numeric_grad(lambda: forward().item(), h), 1e-5, "h")
+
+
+def test_svd_rotation_names_the_reflected_pair(rng):
+    """A reflected H with s2 = -s3 is a real singularity of the rotation:
+    in a batch of three, the backward names that pair and the sum s2 + s3,
+    and not the pair beside it whose singular values are all equal."""
+    h = ad.tensor(cross_covariances(rng, [(3.0, 2.0, 1.0), (3.0, 1.0, -1.0), (2.0, 2.0, 2.0)]), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.sum_reduce(ad.svd_rotation(h))
+    with pytest.raises(GradientSingularityError, match=r"pair 1 of 3: singular values \[.*\], s2 \+ s3 = ") as exc:
         ad.backward(tape, loss)
+    assert "pair 0" not in str(exc.value) and "pair 2" not in str(exc.value)
 
 
 def test_head_names_the_collapsed_pair(rng):

@@ -235,6 +235,30 @@ def test_gen_data_pair_count_below_one_exits_2(corpus, tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--sigma", "0.02"], ["--clip", "0.1"], ["--sigma", "0", "--clip", "0.05"]])
+def test_gen_data_noise_flags_without_noise_exit_2(corpus, tmp_path, capsys, flags):
+    """``--sigma`` and ``--clip`` set the noise that only ``--noise``
+    applies; without it they were once dropped, and noise-free pairs
+    written. The message names each flag given."""
+    out = tmp_path / "arch"
+    assert harness.main(["gen-data", "--corpus", str(corpus), "--out", str(out), "--seed", "3", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--noise" in err and all(flag in err for flag in flags[::2])
+    assert not out.exists()
+
+
+def test_gen_data_noise_flags_set_the_noise(corpus, tmp_path):
+    """With ``--noise``, ``--clip`` bounds each coordinate's offset."""
+    clean, noisy = tmp_path / "clean", tmp_path / "noisy"
+    for out, extra in ((clean, []), (noisy, ["--noise", "--sigma", "0.5", "--clip", "0.002"])):
+        assert harness.main(
+            ["gen-data", "--corpus", str(corpus), "--out", str(out), "--seed", "9", "--n-points", "32"] + extra
+        ) == 0
+    for a, b in zip(dataio.read_pair_archive(clean), dataio.read_pair_archive(noisy)):
+        offsets = np.abs(b.source.points - a.source.points)
+        assert b.noise_applied and 0.0019 < offsets.max() < 0.002 + 1e-12
+
+
 def test_gen_data_noise_bounded(corpus, tmp_path):
     clean, noisy = tmp_path / "clean", tmp_path / "noisy"
     for out, extra in ((clean, []), (noisy, ["--noise"])):
@@ -377,6 +401,19 @@ def test_checkpoint_for_a_token_that_loads_no_model_exits_2(archive, tmp_path, c
     assert rc == 2
     assert "usage error: --checkpoint" in captured.err and not captured.out
     assert not out.exists()
+
+
+def test_bench_checkpoint_that_no_token_loads_exits_2(tmp_path, capsys, tiny_checkpoint):
+    """``bench --methods icp --checkpoint X`` once exited 0 without reading
+    X; it exits 2 with register's message. A list with a dcp token keeps
+    the checkpoint for that token."""
+    argv = ["bench", "--sizes", "32", "--trials", "1", "--out", str(tmp_path / "bench")]
+    assert harness.main(argv + ["--methods", "icp", "--checkpoint", str(tmp_path / "none.dcpk")]) == 2
+    captured = capsys.readouterr()
+    assert "usage error: --checkpoint is for dcp methods; icp loads no model" in captured.err and not captured.out
+    assert not (tmp_path / "bench").exists()
+    assert harness.main(argv + ["--methods", "icp,dcp-v1", "--checkpoint", str(tiny_checkpoint)]) == 0
+    assert len((tmp_path / "bench" / "timing.csv").read_text().splitlines()) == 2 + 2
 
 
 def test_register_polish_objective_not_worse(tmp_path, capsys, tiny_checkpoint, rng):
