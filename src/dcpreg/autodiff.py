@@ -36,9 +36,10 @@ LN_EPS = 1e-6
 # backward. Absolute: H sums products of centred unit-sphere coordinates over
 # a pair's n points, so its singular values run up to about n; H = 0 raises.
 SVD_GAP_TOL = 1e-8
-# Bytes of scores that an untaped attention forward works on at a time: a
-# share of one core's L2 cache, so the passes over a tile after the first
-# find it there.
+# Bytes that an untaped attention forward's scores, and an edge
+# convolution's gathered rows (taped or not), take up at a time: a share of
+# one core's L2 cache, so the passes over a tile after the first find it
+# there.
 TILE_BYTES = 256 * 1024
 
 
@@ -604,13 +605,23 @@ def _first_argmax(idx: np.ndarray, signed: np.ndarray, spick: np.ndarray) -> np.
     the neighbors ``idx[i, t]`` with ``signed[idx[i, t]] == spick[i]``, the
     lowest ``t``, as in ``max_reduce``; ``idx[i, 0]`` where none does.
 
-    One pass per neighbor slot keeps ``max(k - t)`` over the matching slots
-    in a byte-wide (wider for k >= 256) code, so the lowest slot wins."""
-    k = idx.shape[1]
+    Rows go in tiles of ``TILE_BYTES``, as in :func:`edgeconv_bn_max`. In
+    each, one pass per neighbor slot keeps ``max(k - t)`` over the matching
+    slots in a byte-wide (wider for k >= 256) code, so the lowest slot
+    wins."""
+    (n, k), c = idx.shape, spick.shape[1]
+    cols = np.ascontiguousarray(idx.T)
     code = np.min_scalar_type(k).type
     best = np.zeros(spick.shape, dtype=code)
-    for t in range(k):
-        np.maximum(best, (signed[idx[:, t]] == spick) * code(k - t), out=best)
+    rows = _tile_rows(c, signed.dtype)
+    got = np.empty((min(rows, n), c), dtype=signed.dtype)
+    hit = np.empty(got.shape, dtype=bool)
+    for r0 in range(0, n, rows):
+        col, tile = cols[:, r0 : r0 + rows], best[r0 : r0 + rows]
+        g, h = got[: len(tile)], hit[: len(tile)]
+        for t in range(k):
+            np.equal(signed.take(col[t], axis=0, out=g, mode="clip"), spick[r0 : r0 + rows], out=h)
+            np.maximum(tile, h * code(k - t), out=tile)
     return np.take_along_axis(idx, (k - best) % k, axis=1)
 
 
@@ -645,10 +656,21 @@ def edgeconv_bn_max(
     < 0, and so is each IEEE-rounded step of them. So the max over edges is
     ``relu(bn(center_i + pick_i))`` with ``pick = s * max_t(s * per_point_j)``
     and ``s = sign(gamma)`` (negation is exact), equal bit for bit to the
-    per-edge form at the same mu and var. Where gamma is 0 (either sign)
-    every edge gives the same output, and ``pick`` is neighbor 0's row, the
-    edge a per-edge ``max_reduce`` would pick; that edge's normalised value
-    is what the gradient of gamma sees.
+    per-edge form at the same mu and var. Where every gamma is positive the
+    sign products are skipped, since ``1 * x == x`` exactly. Where gamma is
+    0 (either sign) every edge gives the same output, and ``pick`` is
+    neighbor 0's row, the edge a per-edge ``max_reduce`` would pick; that
+    edge's normalised value is what the gradient of gamma sees.
+
+    Tiles. After the statistics, both modes run one loop over tiles of as
+    many rows as fit ``TILE_BYTES``: each neighbor slot of a tile is
+    gathered with ``ndarray.take`` from a contiguous copy of the transposed
+    index columns, into one reused buffer, and ``pick``, ``xhat`` and ``y``
+    are computed tile by tile, so the gathered rows are reduced while they
+    are in cache. A call no tape records keeps ``pick`` and ``xhat`` in
+    tile buffers; a recorded call writes them into whole (N, c) arrays,
+    which the backward reads. Each element sees the same operations in the
+    same order as in the untiled form, so the output is equal bit for bit.
 
     Backward. The gradient reaches the argmax edge of each (i, channel),
     found here as the first neighbor whose ``s * per_point_j`` equals the
@@ -677,14 +699,6 @@ def edgeconv_bn_max(
     if training and edges < 2:
         raise InvalidInputError("edgeconv_bn_max training mode needs >= 2 edges per channel")
 
-    s = np.sign(gamma.data)
-    signed = per_point.data * s
-    first = per_point.data[idx[:, 0]]
-    spick = first * s
-    for t in range(1, k):
-        np.maximum(spick, signed[idx[:, t]], out=spick)
-    pick = np.where(s == 0, first, spick * s)
-
     if training:
         degree = np.bincount(idx.ravel(), minlength=m).astype(np.float64)
         adjacency = csr_matrix((np.ones(edges), idx.ravel(), np.arange(0, edges + 1, k)), shape=(n, m))
@@ -704,11 +718,37 @@ def edgeconv_bn_max(
     else:
         mu = state.running_mean.astype(center.dtype)
         var = state.running_var.astype(center.dtype)
-
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (center.data + pick - mu) * inv_std
-    y = gamma.data * xhat + beta.data
-    np.maximum(y, 0, out=y)
+
+    s = np.sign(gamma.data)
+    flip = not (s > 0).all()
+    zero = s == 0
+    signed = per_point.data * s if flip else per_point.data
+    cols = np.ascontiguousarray(idx.T)
+    rows = _tile_rows(c, center.dtype)
+    tile_rows = min(rows, n)
+    keep = _will_record(center, per_point, gamma, beta)  # the backward reads spick and xhat whole
+    spick, xhat = (np.empty((n if keep else tile_rows, c), dtype=center.dtype) for _ in range(2))
+    got, pick = (np.empty((tile_rows, c), dtype=center.dtype) for _ in range(2))
+    y = np.empty((n, c), dtype=center.dtype)
+    for r0 in range(0, n, rows):
+        col, yt = cols[:, r0 : r0 + rows], y[r0 : r0 + rows]
+        part = slice(r0, r0 + rows) if keep else slice(0, len(yt))
+        sp, xh, g = spick[part], xhat[part], got[: len(yt)]
+        signed.take(col[0], axis=0, out=sp, mode="clip")
+        for t in range(1, k):
+            np.maximum(sp, signed.take(col[t], axis=0, out=g, mode="clip"), out=sp)
+        p = sp
+        if flip:
+            p = np.multiply(sp, s, out=pick[: len(yt)])
+            if zero.any():
+                np.copyto(p, per_point.data.take(col[0], axis=0, out=g, mode="clip"), where=zero)
+        np.add(center.data[r0 : r0 + rows], p, out=xh)
+        xh -= mu
+        xh *= inv_std
+        np.multiply(gamma.data, xh, out=yt)
+        yt += beta.data
+        np.maximum(yt, 0, out=yt)
     out = Tensor(y)
 
     def bw(g):

@@ -9,7 +9,10 @@ attention stage; DCP-v2 includes it.
 Every stage takes a batch of B pairs of n source and m target points (see
 :func:`cloud_stack`): embeddings (B, n, d) and (B, m, d), match (B, n, m),
 soft targets (B, n, 3), rotations (B, 3, 3), translations (B, 3).
-:func:`dcp_predict` registers one pair as a batch of one.
+:func:`dcp_predict` registers one pair as a batch of one. An inference
+forward that no tape records, on sources and targets of one size, embeds
+its 2B clouds in one :func:`embed_cloud` call and computes the attention
+residual of both directions as one stack (:func:`_one_stack`).
 """
 
 from __future__ import annotations
@@ -386,12 +389,21 @@ def transformer_attention(
     """Co-contextual embeddings: each cloud's features plus a learned
     residual computed from both clouds. No positional encoding is used;
     point index carries no information. ``f_x`` (B, n, d) and ``f_y``
-    (B, m, d) give (B, n, d) and (B, m, d)."""
+    (B, m, d) give (B, n, d) and (B, m, d).
+
+    A call no tape records, on ``f_x`` and ``f_y`` of one shape, computes
+    the residual once, on the stack ``[f_x; f_y]`` attending to ``[f_y;
+    f_x]``, and returns its two halves. Every row of attention, layer norm
+    and the affine maps depends only on its own cloud, so the halves equal
+    the two per-direction calls that a recorded call or a pair of n != m
+    points makes, bit for bit."""
     if f_x.shape[-1] != f_y.shape[-1]:
         raise ShapeError(f"embedding dims differ: {f_x.shape} vs {f_y.shape}")
-    phi_x = ad.add(f_x, _cross_residual(f_x, f_y, model))
-    phi_y = ad.add(f_y, _cross_residual(f_y, f_x, model))
-    return phi_x, phi_y
+    if not _one_stack(f_x, f_y):
+        return ad.add(f_x, _cross_residual(f_x, f_y, model)), ad.add(f_y, _cross_residual(f_y, f_x, model))
+    own, other = ad.tensor(np.stack([f_x.data, f_y.data])), ad.tensor(np.stack([f_y.data, f_x.data]))
+    phi = ad.add(own, _cross_residual(own, other, model)).data
+    return ad.tensor(phi[0]), ad.tensor(phi[1])
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +521,10 @@ def dcp_forward(x_points, y_points, model: ModelParams, training: bool = False) 
     batch norm of the embedding normalises over the edges (DGCNN) or
     points (PointNet) of all B clouds, and the MLP head's over the B pairs;
     inference uses the running statistics, so each pair's output does not
-    depend on the rest of the batch.
+    depend on the rest of the batch. For the same reason an inference
+    forward that no tape records, with n == m, embeds the B sources and B
+    targets as one block of 2B clouds, and attends both ways as one stack,
+    with outputs equal bit for bit to the per-side calls.
     """
     xs, phi_x, phi_y, match, soft_target = _soft_match(x_points, y_points, model, training)
     if model.config.head == "svd":
@@ -527,8 +542,12 @@ def _soft_match(x_points, y_points, model: ModelParams, training: bool):
     ys = cloud_stack(y_points)
     if len(xs) != len(ys):
         raise ShapeError(f"a batch pairs {len(xs)} source clouds with {len(ys)} target clouds")
-    f_x = embed_cloud(xs, model, training)
-    f_y = embed_cloud(ys, model, training)
+    if not training and _one_stack(xs, ys):
+        f = embed_cloud(np.concatenate([xs, ys]), model).data
+        f_x, f_y = ad.tensor(f[: len(xs)]), ad.tensor(f[len(xs) :])
+    else:
+        f_x = embed_cloud(xs, model, training)
+        f_y = embed_cloud(ys, model, training)
     if model.config.attention:
         phi_x, phi_y = transformer_attention(f_x, f_y, model)
     else:
@@ -537,9 +556,22 @@ def _soft_match(x_points, y_points, model: ModelParams, training: bool):
     return xs, phi_x, phi_y, match, soft_correspondence(match, ys)
 
 
+def _one_stack(x, y) -> bool:
+    """Whether a step may run its source side ``x`` and target side ``y``
+    as one stack: with no tape recording, on sides of one shape. A tape
+    must keep its per-side gradient-summation order. Embedding also needs
+    inference mode: its running statistics make each cloud's rows
+    independent of the others, so the stack's halves equal the per-side
+    calls bit for bit, while training normalises each side with its own
+    statistics."""
+    return not ad._TAPES and x.shape == y.shape
+
+
 def dcp_predict(x_points, y_points, model: ModelParams) -> geo.RigidTransform:
     """Inference-mode registration of one pair, run as a batch of one,
-    returning a validated rigid transform.
+    returning a validated rigid transform. When the source and target have
+    the same number of points, both clouds are embedded in one call and
+    attended as one stack (see :func:`dcp_forward`).
 
     The final alignment is recomputed in float64 so the output satisfies
     the strict orthogonality invariants regardless of model precision; with

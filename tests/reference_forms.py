@@ -1,10 +1,12 @@
 """Plain forms of the k-d tree kNN, the signed 3x3 SVD, the closed-form
 alignment, the ICP loop (on the forms above, and again with its
 correspondence step in three places), the tape's backward, the model
-initializer and the ring meshes' face loops, as they read before their
+initializer, the ring meshes' face loops, the edge convolution's fused
+step and the forward up to the soft targets, as they read before their
 per-call overhead or their memory was cut, their tensors were declared in
-one table, their recorded states came from one step, or their bands of
-quads came from one rule. Tests require the library's outputs to
+one table, their recorded states came from one step, their bands of quads
+came from one rule, their rows were worked in cache-sized tiles, or an
+inference pair was embedded and attended as one stack. Tests require the library's outputs to
 equal these bit for bit: the leaner forms change the bookkeeping, not the
 arithmetic.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from dcpreg import autodiff as ad, dcpnet, geometry as geo, icp
 from dcpreg.errors import DegenerateCorrespondenceError, ShapeError
@@ -289,6 +292,92 @@ def initialize(cfg, seed):
         affine("head.rot", n_in, 4)
         affine("head.trans", n_in, 3)
     return dcpnet.ModelParams(cfg, params, bn_states)
+
+
+def first_argmax(idx, signed, spick):
+    """``autodiff._first_argmax`` over every row at once: one (N, c) gather
+    per neighbor slot, by fancy indexing, and a byte-wide code per (row,
+    channel) that keeps ``max(k - t)`` over the matching slots."""
+    k = idx.shape[1]
+    code = np.min_scalar_type(k).type
+    best = np.zeros(spick.shape, dtype=code)
+    for t in range(k):
+        np.maximum(best, (signed[idx[:, t]] == spick) * code(k - t), out=best)
+    return np.take_along_axis(idx, (k - best) % k, axis=1)
+
+
+def edgeconv_bn_max(center, per_point, indices, gamma, beta, state, training):
+    """``autodiff.edgeconv_bn_max`` untiled: every (N, c) temporary built
+    whole, by fancy indexing, and the sign products taken for every
+    gamma."""
+    idx = np.asarray(indices)
+    (n, c), m = center.shape, per_point.shape[0]
+    k = idx.shape[1]
+    edges = n * k
+    s = np.sign(gamma.data)
+    signed = per_point.data * s
+    first = per_point.data[idx[:, 0]]
+    spick = first * s
+    for t in range(1, k):
+        np.maximum(spick, signed[idx[:, t]], out=spick)
+    pick = np.where(s == 0, first, spick * s)
+
+    if training:
+        degree = np.bincount(idx.ravel(), minlength=m).astype(np.float64)
+        adjacency = csr_matrix((np.ones(edges), idx.ravel(), np.arange(0, edges + 1, k)), shape=(n, m))
+        c64 = center.data.astype(np.float64)
+        p64 = per_point.data.astype(np.float64)
+        mu_c = c64.mean(axis=0)
+        mu_p = degree @ p64 / edges
+        a = c64 - mu_c
+        b = p64 - mu_p
+        ab = adjacency @ b
+        var64 = np.maximum(k * (a * a).sum(axis=0) + 2.0 * (a * ab).sum(axis=0) + degree @ (b * b), 0.0)
+        var64 /= edges
+        mu64 = mu_c + mu_p
+        state.update(mu64, var64)
+        mu, var = mu64.astype(center.dtype), var64.astype(center.dtype)
+    else:
+        mu = state.running_mean.astype(center.dtype)
+        var = state.running_var.astype(center.dtype)
+
+    inv_std = 1.0 / np.sqrt(var + ad.BN_EPS)
+    xhat = (center.data + pick - mu) * inv_std
+    y = gamma.data * xhat + beta.data
+    np.maximum(y, 0, out=y)
+
+    def bw(g):
+        dxhat = g * (y > 0)
+        g_gamma, g_beta = (dxhat * xhat).sum(axis=0), dxhat.sum(axis=0)
+        dxhat *= gamma.data
+        direct = dxhat * inv_std
+        flat = (first_argmax(idx, signed, spick) * c + np.arange(c)).ravel()
+        g_p = np.bincount(flat, weights=direct.ravel(), minlength=m * c).reshape(m, c)
+        g_c = direct
+        if training:
+            m1 = dxhat.sum(axis=0, dtype=np.float64) / edges
+            m2 = (dxhat * xhat).sum(axis=0, dtype=np.float64) / edges
+            inv64 = inv_std.astype(np.float64)
+            g_c = direct - inv64 * (k * m1 + m2 * inv64 * (k * a + ab))
+            g_p -= inv64 * (degree[:, None] * m1 + m2 * inv64 * (adjacency.T @ a + degree[:, None] * b))
+        return g_c.astype(center.dtype), g_p.astype(per_point.dtype), g_gamma, g_beta
+
+    return ad._record("edgeconv_bn_max", (center, per_point, gamma, beta), ad.Tensor(y), bw)
+
+
+def soft_match(x_points, y_points, model, training):
+    """``dcpnet._soft_match`` one side at a time: an ``embed_cloud`` call
+    per side and a cross residual per direction, whatever the mode."""
+    xs, ys = dcpnet.cloud_stack(x_points), dcpnet.cloud_stack(y_points)
+    f_x = dcpnet.embed_cloud(xs, model, training)
+    f_y = dcpnet.embed_cloud(ys, model, training)
+    if model.config.attention:
+        phi_x = ad.add(f_x, dcpnet._cross_residual(f_x, f_y, model))
+        phi_y = ad.add(f_y, dcpnet._cross_residual(f_y, f_x, model))
+    else:
+        phi_x, phi_y = f_x, f_y
+    match = dcpnet.pointer_softmatch(phi_x, phi_y)
+    return xs, phi_x, phi_y, match, dcpnet.soft_correspondence(match, ys)
 
 
 def _quad(a, b, c, d):

@@ -23,6 +23,11 @@ from gradcheck import PRIMITIVE_CASES, case_svd_rigid_head, check_case, numeric_
 # Analytic spot checks
 # ---------------------------------------------------------------------------
 
+def test_tensor_repr_names_shape_dtype_and_grad_flag():
+    assert repr(ad.tensor(np.zeros((2, 3)), requires_grad=True)) == "Tensor(shape=(2, 3), dtype=float64, requires_grad=True)"
+    assert repr(ad.constant([1.0], dtype=np.float32)) == "Tensor(shape=(1,), dtype=float32, requires_grad=False)"
+
+
 def test_relu_backward_analytic():
     x = ad.tensor([-1.0, 2.0], requires_grad=True)
     with ad.Tape() as tape:
@@ -506,6 +511,48 @@ def test_first_argmax_matches_loop(rng, k):
     got = ad._first_argmax(idx, signed, spick)
     assert np.array_equal(got, looped_first_argmax(idx, signed, spick))
     assert np.array_equal(got[:, 2:4], np.repeat(idx[:, :1], 2, axis=1))  # gamma = +-0: neighbor 0
+
+
+EDGE_GAMMAS = {
+    "mixed": np.array([1.5, -0.5, 0.0, -0.0, 2.0, -3.0]),
+    "positive": np.array([1.5, 0.5, 0.25, 1.0, 2.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("gammas", sorted(EDGE_GAMMAS))
+@pytest.mark.parametrize("k", [1, 5], ids=lambda k: f"k{k}")
+@pytest.mark.parametrize("tile_rows", [None, 4], ids=["one-tile", "tiles-of-4"])
+def test_edgeconv_bn_max_tiles_equal_untiled_form(rng, monkeypatch, dtype, gammas, k, tile_rows):
+    """Forward, running statistics and backward, training and inference,
+    taped and not, equal the untiled form bit for bit: gamma of both signs
+    with +0 and -0, or all positive (no sign products); 37 rows, which is
+    not a multiple of 4; rounded values, so neighbors tie."""
+    n, m, c = 37, 40, 6
+    if tile_rows:
+        monkeypatch.setattr(ad, "TILE_BYTES", tile_rows * c * np.dtype(dtype).itemsize)
+        assert ad._tile_rows(c, dtype) == tile_rows
+    center = ad.tensor(np.round(rng.normal(size=(n, c)), 1).astype(dtype), requires_grad=True)
+    per_point = ad.tensor(np.round(rng.normal(size=(m, c)), 1).astype(dtype), requires_grad=True)
+    gamma = ad.tensor(EDGE_GAMMAS[gammas].astype(dtype), requires_grad=True)
+    beta = ad.tensor(rng.normal(size=c).astype(dtype), requires_grad=True)
+    idx = np.array([rng.choice(m, size=k, replace=False) for _ in range(n)])
+    g = rng.normal(size=(n, c)).astype(dtype)
+    for training in (True, False):
+        results = []
+        for edgeconv in (ad.edgeconv_bn_max, ref.edgeconv_bn_max):
+            states = [ad.BatchNormState(np.full(c, 0.25, dtype), np.full(c, 2.0, dtype)) for _ in range(2)]
+            untaped = edgeconv(center, per_point, idx, gamma, beta, states[0], training)
+            with ad.Tape() as tape:
+                taped = edgeconv(center, per_point, idx, gamma, beta, states[1], training)
+            grads = tape.entries[-1].backward_fn(g)
+            stats = [a for st in states for a in (st.running_mean, st.running_var)]
+            results.append([untaped.data, taped.data, *grads, *stats])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    signed = per_point.data * np.sign(gamma.data)
+    spick = signed[idx].max(axis=1)
+    assert np.array_equal(ad._first_argmax(idx, signed, spick), ref.first_argmax(idx, signed, spick))
 
 
 def test_edgeconv_bn_max_moments_do_not_cancel(rng, monkeypatch):

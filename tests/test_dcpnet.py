@@ -499,11 +499,11 @@ def test_untaped_forward_tiles_attention_and_taped_keeps_scores(rng, monkeypatch
     randomize_attention_output(model, rng)
     x, y = unit_points(rng, 24), unit_points(rng, 24)
     whole = dcpnet.dcp_predict(x, y, model)
-    assert score_tile_rows == [2 * 24] * 6  # both heads fit one default tile
+    assert score_tile_rows == [2 * 2 * 24] * 3  # both clouds' heads fit one default tile
     score_tile_rows.clear()
     monkeypatch.setattr(ad, "TILE_BYTES", 4 * 24 * 8)  # four float64 score rows
     tiled = dcpnet.dcp_predict(x, y, model)
-    assert score_tile_rows == [4] * (6 * 2 * 6)  # six calls, two heads, six blocks of 24 rows
+    assert score_tile_rows == [4] * (6 * 2 * 6)  # three calls on two clouds, two heads, six blocks of 24 rows
     assert np.array_equal(tiled.rotation, whole.rotation)
     assert np.array_equal(tiled.translation, whole.translation)
     for training in (True, False):
@@ -545,6 +545,89 @@ def test_attention_training_gradients_match_composition(rng, monkeypatch):
         assert np.abs(g - composed[name]).max() <= 1e-13 * scale, name
     for name in ("attn.enc.self.wk.b", "attn.dec.self.wk.b", "attn.dec.cross.wk.b"):
         assert np.abs(fused[name]).max() <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# one inference stack
+# ---------------------------------------------------------------------------
+
+# DGCNN-v2 in both precisions, PointNet-v1, and the MLP head.
+STACK_CONFIGS = [
+    replace(TINY_V2, dtype="float32"),
+    TINY_V2,
+    replace(TINY_V1, embedding="pointnet"),
+    replace(TINY_V2, head="mlp", mlp_head_widths=(6, 5)),
+]
+
+
+def stack_case_model(cfg, rng):
+    """A model of ``cfg`` with a non-zero ``attn.out`` and running
+    statistics away from 0 and 1."""
+    model = dcpnet.ModelParams.initialize(cfg, seed=11)
+    randomize_attention_output(model, rng)
+    for state in model.bn_states.values():
+        c, dtype = state.running_mean.shape, state.running_mean.dtype
+        state.running_mean = rng.normal(scale=0.5, size=c).astype(dtype)
+        state.running_var = rng.uniform(0.2, 3.0, size=c).astype(dtype)
+    return model
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("cfg", STACK_CONFIGS, ids=lambda c: f"{c.embedding}-{c.attention}-{c.head}-{c.dtype}")
+def test_inference_stack_equals_per_side_calls(rng, monkeypatch, cfg):
+    """``dcp_predict`` and an untaped ``dcp_forward(training=False)`` on
+    three pairs embed both sides in one ``embed_cloud`` call and attend
+    both directions in one residual, and give the per-side form's outputs
+    bit for bit."""
+    model = stack_case_model(cfg, rng)
+    x, y = unit_points(rng, 20), unit_points(rng, 20)
+    xs, ys = [unit_points(rng, 20) for _ in range(3)], [unit_points(rng, 20) for _ in range(3)]
+    embeds = count_calls(monkeypatch, dcpnet, "embed_cloud")
+    residuals = count_calls(monkeypatch, dcpnet, "_cross_residual")
+    stacked = dcpnet.dcp_predict(x, y, model), dcpnet.dcp_forward(xs, ys, model, training=False)
+    assert len(embeds) == 2 and len(residuals) == 2 * cfg.attention
+    monkeypatch.setattr(dcpnet, "_soft_match", ref.soft_match)
+    per_side = dcpnet.dcp_predict(x, y, model), dcpnet.dcp_forward(xs, ys, model, training=False)
+    assert len(embeds) == 6 and len(residuals) == 6 * cfg.attention
+    assert np.array_equal(stacked[0].rotation, per_side[0].rotation)
+    assert np.array_equal(stacked[0].translation, per_side[0].translation)
+    for a, b in zip(stacked[1], per_side[1]):
+        assert a.dtype == b.dtype and np.array_equal(a.data, b.data)
+
+
+def test_mixed_sizes_training_and_taped_forwards_run_per_side(rng, monkeypatch):
+    """A pair with n != m, and a training or eval forward on a tape, embed
+    each side on its own and take one residual per direction. A training
+    forward no tape records still embeds per side, for its per-side batch
+    statistics; its attention, which keeps no statistics, is one stack."""
+    model = stack_case_model(TINY_V2, rng)
+    x, y = unit_points(rng, 16), unit_points(rng, 12)
+    embeds = count_calls(monkeypatch, dcpnet, "embed_cloud")
+    residuals = count_calls(monkeypatch, dcpnet, "_cross_residual")
+
+    def calls(forward):
+        embeds.clear()
+        residuals.clear()
+        forward()
+        return len(embeds), len(residuals)
+
+    assert calls(lambda: dcpnet.dcp_predict(x, y, model)) == (2, 2)
+    assert calls(lambda: dcpnet.dcp_forward([x, x], [x, x], model, training=True)) == (2, 1)
+    for training in (True, False):
+        with ad.Tape() as tape:
+            assert calls(lambda: dcpnet.dcp_forward([x, x], [x, x], model, training=training)) == (2, 2)
+        assert tape.entries
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,19 @@ def test_adam_weight_decay_is_decoupled():
     assert np.isclose(float(p["w"].data), 2.0 * (1 - 0.1 * 0.01))
 
 
+def test_adam_parameter_without_gradient_moves_by_weight_decay_alone():
+    """A parameter missing from ``grads`` (no path from the loss reached
+    it) takes a zero gradient: its moments stay 0 and only the decay moves
+    it. Dyadic values make ``p * (1 - lr * wd)`` exact."""
+    p = {"w": ad.tensor(np.array([2.0, -4.0]), requires_grad=True),
+         "unused": ad.tensor(np.array([2.0, -4.0, 0.5]), requires_grad=True)}
+    state = train.OptimizerState(lr=0.5, weight_decay=0.25)
+    train.adam_step(p, {"w": np.array([1.0, 1.0])}, state)
+    assert np.array_equal(p["unused"].data, np.array([2.0, -4.0, 0.5]) * (1 - 0.5 * 0.25))
+    assert np.array_equal(state.m["unused"], np.zeros(3)) and np.array_equal(state.v["unused"], np.zeros(3))
+    assert not np.array_equal(p["w"].data, p["unused"].data[:2])
+
+
 def test_adam_descends_scalar_quadratic():
     p = {"w": ad.tensor(np.array(1.0), requires_grad=True)}
     state = train.OptimizerState(lr=0.01, weight_decay=0.0)
