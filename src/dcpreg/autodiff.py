@@ -667,8 +667,8 @@ def edgeconv_bn_max(
     gathered with ``ndarray.take`` from a contiguous copy of the transposed
     index columns, into one reused buffer, and ``pick``, ``xhat`` and ``y``
     are computed tile by tile, so the gathered rows are reduced while they
-    are in cache. A call no tape records keeps ``pick`` and ``xhat`` in
-    tile buffers; a recorded call writes them into whole (N, c) arrays,
+    are in cache. A call no tape records keeps ``s * pick`` and ``xhat``
+    in tile buffers; a recorded call writes them into whole (N, c) arrays,
     which the backward reads. Each element sees the same operations in the
     same order as in the untiled form, so the output is equal bit for bit.
 
@@ -724,6 +724,9 @@ def edgeconv_bn_max(
     flip = not (s > 0).all()
     zero = s == 0
     signed = per_point.data * s if flip else per_point.data
+    # Rows of the transposed table: one contiguous index run per slot and
+    # tile. take's mode="clip" writes straight into ``out`` ("raise" would
+    # buffer it); every index is in range, as checked above.
     cols = np.ascontiguousarray(idx.T)
     rows = _tile_rows(c, center.dtype)
     tile_rows = min(rows, n)
