@@ -605,23 +605,13 @@ def _first_argmax(idx: np.ndarray, signed: np.ndarray, spick: np.ndarray) -> np.
     the neighbors ``idx[i, t]`` with ``signed[idx[i, t]] == spick[i]``, the
     lowest ``t``, as in ``max_reduce``; ``idx[i, 0]`` where none does.
 
-    Rows go in tiles of ``TILE_BYTES``, as in :func:`edgeconv_bn_max`. In
-    each, one pass per neighbor slot keeps ``max(k - t)`` over the matching
-    slots in a byte-wide (wider for k >= 256) code, so the lowest slot
-    wins."""
-    (n, k), c = idx.shape, spick.shape[1]
-    cols = np.ascontiguousarray(idx.T)
+    One pass per neighbor slot keeps ``max(k - t)`` over the matching slots
+    in a byte-wide (wider for k >= 256) code, so the lowest slot wins."""
+    k = idx.shape[1]
     code = np.min_scalar_type(k).type
     best = np.zeros(spick.shape, dtype=code)
-    rows = _tile_rows(c, signed.dtype)
-    got = np.empty((min(rows, n), c), dtype=signed.dtype)
-    hit = np.empty(got.shape, dtype=bool)
-    for r0 in range(0, n, rows):
-        col, tile = cols[:, r0 : r0 + rows], best[r0 : r0 + rows]
-        g, h = got[: len(tile)], hit[: len(tile)]
-        for t in range(k):
-            np.equal(signed.take(col[t], axis=0, out=g, mode="clip"), spick[r0 : r0 + rows], out=h)
-            np.maximum(tile, h * code(k - t), out=tile)
+    for t in range(k):
+        np.maximum(best, (signed[idx[:, t]] == spick) * code(k - t), out=best)
     return np.take_along_axis(idx, (k - best) % k, axis=1)
 
 
@@ -656,10 +646,8 @@ def edgeconv_bn_max(
     < 0, and so is each IEEE-rounded step of them. So the max over edges is
     ``relu(bn(center_i + pick_i))`` with ``pick = s * max_t(s * per_point_j)``
     and ``s = sign(gamma)`` (negation is exact), equal bit for bit to the
-    per-edge form at the same mu and var. Where every gamma is positive the
-    sign products are skipped, since ``1 * x == x`` exactly. Where gamma is
-    0 (either sign) every edge gives the same output, and ``pick`` is
-    neighbor 0's row, the edge a per-edge ``max_reduce`` would pick; that
+    per-edge form at the same mu and var. Where gamma is 0 (either sign)
+    every edge gives the same output, and ``pick`` is neighbor 0's row, the edge a per-edge ``max_reduce`` would pick; that
     edge's normalised value is what the gradient of gamma sees.
 
     Tiles. After the statistics, both modes run one loop over tiles of as
@@ -721,9 +709,8 @@ def edgeconv_bn_max(
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
 
     s = np.sign(gamma.data)
-    flip = not (s > 0).all()
     zero = s == 0
-    signed = per_point.data * s if flip else per_point.data
+    signed = per_point.data * s
     # Rows of the transposed table: one contiguous index run per slot and
     # tile. take's mode="clip" writes straight into ``out`` ("raise" would
     # buffer it); every index is in range, as checked above.
@@ -732,20 +719,17 @@ def edgeconv_bn_max(
     tile_rows = min(rows, n)
     keep = _will_record(center, per_point, gamma, beta)  # the backward reads spick and xhat whole
     spick, xhat = (np.empty((n if keep else tile_rows, c), dtype=center.dtype) for _ in range(2))
-    got, pick = (np.empty((tile_rows, c), dtype=center.dtype) for _ in range(2))
+    first, got, pick = (np.empty((tile_rows, c), dtype=center.dtype) for _ in range(3))
     y = np.empty((n, c), dtype=center.dtype)
     for r0 in range(0, n, rows):
         col, yt = cols[:, r0 : r0 + rows], y[r0 : r0 + rows]
         part = slice(r0, r0 + rows) if keep else slice(0, len(yt))
-        sp, xh, g = spick[part], xhat[part], got[: len(yt)]
-        signed.take(col[0], axis=0, out=sp, mode="clip")
+        sp, xh, f, g, p = spick[part], xhat[part], first[: len(yt)], got[: len(yt)], pick[: len(yt)]
+        np.multiply(per_point.data.take(col[0], axis=0, out=f, mode="clip"), s, out=sp)
         for t in range(1, k):
             np.maximum(sp, signed.take(col[t], axis=0, out=g, mode="clip"), out=sp)
-        p = sp
-        if flip:
-            p = np.multiply(sp, s, out=pick[: len(yt)])
-            if zero.any():
-                np.copyto(p, per_point.data.take(col[0], axis=0, out=g, mode="clip"), where=zero)
+        np.multiply(sp, s, out=p)
+        np.copyto(p, f, where=zero)
         np.add(center.data[r0 : r0 + rows], p, out=xh)
         xh -= mu
         xh *= inv_std

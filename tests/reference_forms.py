@@ -294,22 +294,9 @@ def initialize(cfg, seed):
     return dcpnet.ModelParams(cfg, params, bn_states)
 
 
-def first_argmax(idx, signed, spick):
-    """``autodiff._first_argmax`` over every row at once: one (N, c) gather
-    per neighbor slot, by fancy indexing, and a byte-wide code per (row,
-    channel) that keeps ``max(k - t)`` over the matching slots."""
-    k = idx.shape[1]
-    code = np.min_scalar_type(k).type
-    best = np.zeros(spick.shape, dtype=code)
-    for t in range(k):
-        np.maximum(best, (signed[idx[:, t]] == spick) * code(k - t), out=best)
-    return np.take_along_axis(idx, (k - best) % k, axis=1)
-
-
 def edgeconv_bn_max(center, per_point, indices, gamma, beta, state, training):
     """``autodiff.edgeconv_bn_max`` untiled: every (N, c) temporary built
-    whole, by fancy indexing, and the sign products taken for every
-    gamma."""
+    whole, by fancy indexing."""
     idx = np.asarray(indices)
     (n, c), m = center.shape, per_point.shape[0]
     k = idx.shape[1]
@@ -351,7 +338,7 @@ def edgeconv_bn_max(center, per_point, indices, gamma, beta, state, training):
         g_gamma, g_beta = (dxhat * xhat).sum(axis=0), dxhat.sum(axis=0)
         dxhat *= gamma.data
         direct = dxhat * inv_std
-        flat = (first_argmax(idx, signed, spick) * c + np.arange(c)).ravel()
+        flat = (ad._first_argmax(idx, signed, spick) * c + np.arange(c)).ravel()
         g_p = np.bincount(flat, weights=direct.ravel(), minlength=m * c).reshape(m, c)
         g_c = direct
         if training:
