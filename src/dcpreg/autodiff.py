@@ -647,15 +647,17 @@ def edgeconv_bn_max(
     ``relu(bn(center_i + pick_i))`` with ``pick = s * max_t(s * per_point_j)``
     and ``s = sign(gamma)`` (negation is exact), equal bit for bit to the
     per-edge form at the same mu and var. Where gamma is 0 (either sign)
-    every edge gives the same output, and ``pick`` is neighbor 0's row, the edge a per-edge ``max_reduce`` would pick; that
-    edge's normalised value is what the gradient of gamma sees.
+    every edge gives the same output, and ``pick`` is neighbor 0's row, the
+    edge a per-edge ``max_reduce`` would pick; that edge's normalised value
+    is what the gradient of gamma sees.
 
     Tiles. After the statistics, both modes run one loop over tiles of as
     many rows as fit ``TILE_BYTES``: each neighbor slot of a tile is
     gathered with ``ndarray.take`` from a contiguous copy of the transposed
-    index columns, into one reused buffer, and ``pick``, ``xhat`` and ``y``
-    are computed tile by tile, so the gathered rows are reduced while they
-    are in cache. A call no tape records keeps ``s * pick`` and ``xhat``
+    index columns, into a reused buffer (slot 0 from ``per_point``, kept
+    for the gamma = 0 channels and multiplied by ``s``; later slots from
+    ``s * per_point``), and ``pick``, ``xhat`` and ``y`` are computed tile
+    by tile, so the gathered rows are reduced while they are in cache. A call no tape records keeps ``s * pick`` and ``xhat``
     in tile buffers; a recorded call writes them into whole (N, c) arrays,
     which the backward reads. Each element sees the same operations in the
     same order as in the untiled form, so the output is equal bit for bit.
