@@ -518,22 +518,26 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record("reshape", (x,), out, bw)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Fused ``x @ w + b`` over the last axis of ``x``, as one GEMM on the
-    rows of ``x`` flattened over its leading axes."""
-    _check_same_dtype(x, w, b)
-    if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise ShapeError(f"affine: incompatible shapes x={x.shape}, w={w.shape}, b={b.shape}")
+    rows of ``x`` flattened over its leading axes. ``b`` None adds no bias
+    and records ``x`` and ``w`` alone, with the gradients of a zero bias."""
+    inputs = (x, w) if b is None else (x, w, b)
+    _check_same_dtype(*inputs)
+    if w.ndim != 2 or x.shape[-1] != w.shape[0] or b is not None and b.shape != (w.shape[1],):
+        raise ShapeError(f"affine: incompatible shapes x={x.shape}, w={w.shape}, b={getattr(b, 'shape', None)}")
     x2 = x.data.reshape(-1, x.shape[-1])
     y = x2 @ w.data
-    y += b.data
+    if b is not None:
+        y += b.data
     out = Tensor(y.reshape(x.shape[:-1] + (w.shape[1],)))
 
     def bw(g):
         g2 = g.reshape(-1, w.shape[1])
-        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
+        grads = (g2 @ w.data.T).reshape(x.shape), x2.T @ g2
+        return grads if b is None else grads + (g2.sum(axis=0),)
 
-    return _record("affine", (x, w, b), out, bw)
+    return _record("affine", inputs, out, bw)
 
 
 # ---------------------------------------------------------------------------

@@ -182,22 +182,24 @@ def model_shapes(config: ModelConfig) -> dict[str, TensorSpec]:
         dims = config.emb_dims
         # The encoder's self-attention and FFN, then the decoder's
         # self-attention, cross-attention and FFN, each with its layer norm.
+        # Keys carry no bias: q.b_k is one constant per softmax row, which it ignores.
         for block in ("enc.self", "enc.ffn", "dec.self", "dec.cross", "dec.ffn"):
             if block.endswith("ffn"):
                 affine(f"attn.{block}.l0", dims, config.ffn_dims)
                 affine(f"attn.{block}.l1", config.ffn_dims, dims)
             else:
                 for proj in ("wq", "wk", "wv", "wo"):
-                    affine(f"attn.{block}.{proj}", dims, dims)
+                    affine(f"attn.{block}.{proj}", dims, dims, bias=proj != "wk")
             layer_norm(f"attn.{block}_ln", dims)
         # Residual output projection starts at zero so an untrained
         # attention stage is an exact no-op (v2 == v1 at init).
         affine("attn.out", dims, dims, zero=True)
 
     if config.head == "mlp":
+        # Hidden layers carry no bias, as batch norm over the batch follows each.
         n_in = 2 * config.emb_dims
         for i, width in enumerate(config.mlp_head_widths):
-            affine(f"head.fc{i}", n_in, width)
+            affine(f"head.fc{i}", n_in, width, bias=False)
             batch_norm(f"head.fc{i}.bn", width)
             n_in = width
         affine("head.rot", n_in, 4)
@@ -344,10 +346,10 @@ def embed_cloud(points, model: ModelParams, training: bool = False) -> ad.Tensor
 
 def _multi_head_attention(q_in: ad.Tensor, kv_in: ad.Tensor, model: ModelParams, name: str) -> ad.Tensor:
     """Project to queries, keys and values, attend per head (``ad.attention``)
-    and project the concatenated heads back."""
+    and project the concatenated heads back. Keys take no bias, which the softmax ignores."""
     p = model.params
     q = ad.affine(q_in, p[f"{name}.wq.w"], p[f"{name}.wq.b"])
-    k = ad.affine(kv_in, p[f"{name}.wk.w"], p[f"{name}.wk.b"])
+    k = ad.affine(kv_in, p[f"{name}.wk.w"])
     v = ad.affine(kv_in, p[f"{name}.wv.w"], p[f"{name}.wv.b"])
     ctx = ad.attention(q, k, v, model.config.heads)
     return ad.affine(ctx, p[f"{name}.wo.w"], p[f"{name}.wo.b"])
@@ -478,9 +480,9 @@ def mlp_head(
     """Regression head: pooled global features to quaternion + translation.
 
     ``phi_x`` (B, n, d) and ``phi_y`` (B, m, d) give a rotation (B, 3, 3)
-    and a translation (B, 3) per pair. Each hidden layer's batch norm sees
-    the B pooled rows: in training it normalises with their statistics, so
-    it needs B >= 2; in inference it uses the running statistics.
+    and a translation (B, 3) per pair. Hidden layers take no bias, since
+    their batch norm sees the B pooled rows: in training it subtracts their
+    mean, so it needs B >= 2; in inference it uses the running statistics.
     """
     p = model.params
     gx = ad.max_reduce(phi_x, axis=-2)
@@ -488,7 +490,7 @@ def mlp_head(
     h = ad.concat([gx, gy], axis=-1)
     for i in range(len(model.config.mlp_head_widths)):
         name = f"head.fc{i}"
-        h = ad.affine(h, p[f"{name}.w"], p[f"{name}.b"])
+        h = ad.affine(h, p[f"{name}.w"])
         h = ad.batch_norm(
             h, p[f"{name}.bn.gamma"], p[f"{name}.bn.beta"], model.bn_states[f"{name}.bn"], training
         )

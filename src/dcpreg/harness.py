@@ -375,19 +375,18 @@ def load_method_model(method: Method, checkpoint) -> dcpnet.ModelParams:
     return replace(loaded, config=cfg)
 
 
-def _reject_unused_checkpoint(methods, checkpoint) -> None:
-    """``UsageError`` when ``checkpoint`` is given and no token of
-    ``methods`` loads a model, as ``oracle`` and ``icp`` load none."""
+def method_models(methods, checkpoint, initial=None):
+    """The model of each token of ``methods``, built in order as the caller
+    iterates: ``None`` for ``oracle`` and ``icp``, which load none; for a
+    ``dcp`` token, :func:`load_method_model` of ``checkpoint``, or
+    ``initial(method)`` when no checkpoint is given. A ``checkpoint`` that
+    no token loads is a ``UsageError`` at once."""
     if checkpoint and all(method.base != "dcp" for method in methods):
         names = ",".join(method.name for method in methods)
         raise UsageError(f"--checkpoint is for dcp methods; {names} loads no model")
-
-
-def _cli_model(method: Method, checkpoint):
-    """The model ``method`` runs (:func:`load_method_model`), or ``None``
-    for a token that loads none and so takes no ``checkpoint``."""
-    _reject_unused_checkpoint((method,), checkpoint)
-    return load_method_model(method, checkpoint) if method.base == "dcp" else None
+    return (None if method.base != "dcp"
+            else initial(method) if initial and not checkpoint
+            else load_method_model(method, checkpoint) for method in methods)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +503,7 @@ def _load_cli_cloud(path: str, n_points: int, seed: int) -> dataio.PointCloud:
 
 def cmd_register(args) -> int:
     method = args.method
-    model = _cli_model(method, args.checkpoint)
+    model, = method_models((method,), args.checkpoint)
     if method.base == "oracle":
         raise UsageError("the oracle method needs ground truth and is experiment-only")
     source = _load_cli_cloud(args.source, args.n_points, args.seed)
@@ -546,7 +545,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     method = args.method
-    model = _cli_model(method, args.checkpoint)
+    model, = method_models((method,), args.checkpoint)
     pairs = dataio.read_pair_archive(args.pairs)
     rows = [(method.name, method_metrics(method, model, pairs, args.max_iters, args.tol))]
     provenance = {"version": __version__, "pairs_sha256": _digest(Path(args.pairs).read_bytes())}
@@ -605,22 +604,16 @@ def bench_pair(n_points: int, seed: int):
 
 
 def cmd_bench(args) -> int:
-    _reject_unused_checkpoint(args.methods, args.checkpoint)
+    tokens = method_models(args.methods, args.checkpoint, lambda method: dcpnet.ModelParams.initialize(
+        _runnable_config(base_model_cfg, method, "the model settings"), seed=args.seed))
     values = load_config_file(args.config) if args.config else {}
     _note_ignored_keys("bench", values, set(MODEL_KEYS))
     base_model_cfg = _from_values(dcpnet.ModelConfig, MODEL_KEYS, values)
-
-    def build(method):
+    models = []
+    for method, model in zip(args.methods, tokens):
         if method.base == "oracle":
             raise UsageError("the oracle method needs ground truth and cannot be timed")
-        if method.base != "dcp":
-            return None
-        if args.checkpoint:
-            return load_method_model(method, args.checkpoint)
-        cfg = _runnable_config(base_model_cfg, method, "the model settings")
-        return dcpnet.ModelParams.initialize(cfg, seed=args.seed)
-
-    models = [build(method) for method in args.methods]
+        models.append(model)
     lines = [f"# hardware={platform.processor() or platform.machine()} ({platform.system()})"]
     lines.append("method,n_points,trials,p50_seconds,p90_seconds,min_seconds")
     print("method        n_points   trials    p50_seconds    p90_seconds    min_seconds")

@@ -177,6 +177,12 @@ def case_affine(rng):
     return lambda: ad.sum_reduce(ad.mul(w, ad.affine(x, w_p, b))), [x, w_p, b]
 
 
+def case_affine_no_bias(rng):
+    x, w_p = _t(rng, (2, 5, 4)), _t(rng, (4, 3))
+    w = _weights(rng, (2, 5, 3))
+    return lambda: ad.sum_reduce(ad.mul(w, ad.affine(x, w_p))), [x, w_p]
+
+
 def case_attention(rng):
     # n != m, two heads of width 2.
     q, k, v = _t(rng, (3, 4), -2.0, 2.0), _t(rng, (5, 4), -2.0, 2.0), _t(rng, (5, 4))
@@ -338,6 +344,7 @@ PRIMITIVE_CASES = [
     case_transpose,
     case_reshape,
     case_affine,
+    case_affine_no_bias,
     case_attention,
     case_batch_norm_training,
     case_batch_norm_eval,

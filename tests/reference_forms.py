@@ -251,7 +251,7 @@ def initialize(cfg, seed):
 
     def attention_block(name, dims):
         for proj in ("wq", "wk", "wv", "wo"):
-            affine(f"{name}.{proj}", dims, dims)
+            affine(f"{name}.{proj}", dims, dims, bias=proj != "wk")
 
     widths = cfg.resolved_widths
     if cfg.embedding == "dgcnn":
@@ -286,7 +286,7 @@ def initialize(cfg, seed):
     if cfg.head == "mlp":
         n_in = 2 * cfg.emb_dims
         for i, width in enumerate(cfg.mlp_head_widths):
-            affine(f"head.fc{i}", n_in, width)
+            affine(f"head.fc{i}", n_in, width, bias=False)
             batch_norm(f"head.fc{i}.bn", width)
             n_in = width
         affine("head.rot", n_in, 4)

@@ -274,6 +274,25 @@ def test_affine_in_place_bias_is_exact(rng, dtype, x_shape):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape", [(6, 4), (2, 3, 4)])
+def test_affine_without_bias_is_a_zero_bias(rng, dtype, x_shape):
+    """``affine(x, w, None)`` records ``x`` and ``w`` alone and gives the
+    output and the ``x`` and ``w`` gradients of a zero bias, bit for bit."""
+    x, w = (ad.tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in (x_shape, (4, 5)))
+    zero = ad.tensor(np.zeros(5, dtype=dtype), requires_grad=True)
+    g = rng.normal(size=x_shape[:-1] + (5,)).astype(dtype)
+    with ad.Tape() as tape:
+        out = ad.affine(x, w, None)
+    assert tape.entries[-1].inputs == (x, w)
+    grads = tape.entries[-1].backward_fn(g)
+    want_out, want_grads = backward_of(ad.affine, (x, w, zero), g)
+    assert len(grads) == 2 and out.dtype == dtype
+    assert out.data.tobytes() == want_out.data.tobytes()
+    for got, want in zip(grads, want_grads[:2]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("c", [48, 64, 100, 512])
 def test_layer_norm_variance_from_centred_values_is_exact(rng, dtype, c):
     """``sum((x - mean)^2) / c`` is ``x.var`` bit for bit, so layer norm

@@ -566,6 +566,59 @@ def test_checkpoint_contradicting_its_config_exits_3(
     assert not (tmp_path / "bench").exists()
 
 
+def with_dropped_biases(path, cfg):
+    """Rewrite the checkpoint at ``path`` to the layout of checkpoints
+    written while the model still held the attention key biases and the
+    MLP head's hidden-layer biases: each of those that ``cfg`` would have
+    held, added back zero-filled. Return their member names."""
+    sizes = {f"param/attn.{block}.wk.b": cfg.emb_dims for block in ("enc.self", "dec.self", "dec.cross")
+             if cfg.attention}
+    if cfg.head == "mlp":
+        sizes.update({f"param/head.fc{i}.b": width for i, width in enumerate(cfg.mlp_head_widths)})
+    rewrite_checkpoint(path, {f"{name}.npy": np.zeros(n, cfg.np_dtype) for name, n in sizes.items()})
+    return sorted(sizes)
+
+
+def test_dcp_v1_checkpoint_of_the_old_layout_loads_and_predicts(tiny_checkpoint, tmp_path, capsys, rng):
+    """DCP-v1 with the SVD head held none of the dropped biases, so its
+    checkpoints of the old layout load as they are and predict what the
+    saved model predicts, bit for bit."""
+    checkpoint = tmp_path / "old.dcpk"
+    checkpoint.write_bytes(tiny_checkpoint.read_bytes())
+    model = train_mod.load_checkpoint(tiny_checkpoint)
+    assert with_dropped_biases(checkpoint, model.config) == []
+    x, y = rng.normal(size=(32, 3)), rng.normal(size=(32, 3))
+    want = dcpnet.dcp_predict(x, y, model)
+    got = dcpnet.dcp_predict(x, y, train_mod.load_checkpoint(checkpoint))
+    assert np.array_equal(got.rotation, want.rotation) and np.array_equal(got.translation, want.translation)
+    src, dst = write_cloud(tmp_path, x, "s.xyz"), write_cloud(tmp_path, y, "d.xyz")
+    argv = ["register", "--method", "dcp-v1", "--source", str(src), "--target", str(dst), "--n-points", "32"]
+    outputs = []
+    for path in (tiny_checkpoint, checkpoint):
+        assert harness.main(argv + ["--checkpoint", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("overrides, record", [
+    ({}, "param/attn.enc.self.wk.b"),
+    ({"head": "mlp", "mlp_head_widths": (6, 5, 4)}, "param/head.fc0.b"),
+], ids=["svd", "mlp"])
+def test_dcp_v2_checkpoint_of_the_old_layout_exits_3(tmp_path, capsys, rng, overrides, record):
+    """A checkpoint of the old layout holds tensors the model no longer
+    has, and ``load_checkpoint``'s table check names each one; no shim
+    reads them."""
+    checkpoint = save_v2_checkpoint(tmp_path / "old.dcpk", **overrides)
+    added = with_dropped_biases(checkpoint, train_mod.load_checkpoint(checkpoint).config)
+    assert record in added
+    src = write_cloud(tmp_path, rng.normal(size=(32, 3)), "s.xyz")
+    argv = ["register", "--method", "dcp-v2", "--source", str(src), "--target", str(src), "--checkpoint", str(checkpoint)]
+    assert harness.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    assert all(f"unexpected record {name!r}" in err for name in added)
+
+
 def test_register_writes_aligned_cloud(tmp_path, capsys, rng):
     pts = rng.normal(size=(24, 3))
     src = write_cloud(tmp_path, pts, "s.xyz")
