@@ -3,7 +3,10 @@
 A :class:`Tape` records primitive operations while active; ``backward``
 replays the record in exact reverse order, so gradient accumulation is
 deterministic (two identical passes produce bitwise-identical gradients),
-and frees each intermediate gradient once its producing entry has run.
+frees each intermediate gradient once its producing entry has run, and
+returns the gradients of the leaves; no tensor stores one. A recorded
+call is a training step: batch norm uses batch statistics and moves its
+running statistics only then, and a call no tape records runs inference.
 Tensors carry a fixed precision (float32 or float64) chosen at
 construction; mixing precisions in one operation is an error.
 
@@ -44,13 +47,10 @@ TILE_BYTES = 256 * 1024
 
 
 class Tensor:
-    """Dense array with an optional gradient slot.
+    """Dense array; ``requires_grad`` marks a leaf whose gradient
+    :func:`backward` returns. Tensors hash by identity."""
 
-    ``grad`` accumulates across backward passes; callers reset it with
-    :meth:`zero_grad` between optimization steps.
-    """
-
-    __slots__ = ("data", "requires_grad", "grad", "_in_graph")
+    __slots__ = ("data", "requires_grad", "_in_graph")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -60,7 +60,6 @@ class Tensor:
             raise InvalidInputError(f"unsupported dtype {dtype}; use float32 or float64")
         self.data = np.asarray(arr, dtype=dtype)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._in_graph = False
 
     @property
@@ -77,9 +76,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -158,12 +154,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def backward(tape: Tape, output: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from output.
+def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
+    """The gradient of the scalar ``output`` with respect to each
+    requires_grad tensor it reaches on ``tape``, keyed by that tensor.
 
     Each entry takes its output's gradient out of the buffers, so only the
-    gradients not yet spent stay alive. Repeated calls accumulate into
-    existing ``grad`` buffers.
+    gradients not yet spent stay alive.
     """
     if output.ndim != 0:
         raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
@@ -179,11 +175,7 @@ def backward(tape: Tape, output: Tensor) -> None:
                 leaves[key] = t
             if g is not None:
                 buffers[key] = buffers[key] + g if key in buffers else g
-
-    for key, t in leaves.items():
-        if key in buffers:
-            base = np.zeros_like(t.data) if t.grad is None else t.grad
-            t.grad = base + np.asarray(buffers[key], dtype=t.dtype).reshape(t.shape)
+    return {t: np.asarray(buffers[key], dtype=t.dtype).reshape(t.shape) for key, t in leaves.items() if key in buffers}
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +551,11 @@ class BatchNormState:
         self.running_var = ((1.0 - m) * self.running_var + m * var).astype(self.running_var.dtype)
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, training: bool) -> Tensor:
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Tensor:
     """Normalize per channel (last axis) over all leading axes.
 
-    Training mode uses batch statistics (biased variance) and moves the
-    running statistics in place by ``BN_MOMENTUM``; inference mode
+    A recorded call uses batch statistics (biased variance) and moves the
+    running statistics in place by ``BN_MOMENTUM``; a call no tape records
     normalizes with the stored running statistics.
     """
     _check_same_dtype(x, gamma, beta)
@@ -573,7 +565,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, tr
     axes = tuple(range(x.ndim - 1))
     n = int(np.prod([x.shape[i] for i in axes])) if axes else 1
 
-    if training:
+    if _will_record(x, gamma, beta):
         if n < 2:
             raise InvalidInputError("batch_norm training mode needs >= 2 samples per channel")
         mu = x.data.mean(axis=axes)
@@ -587,19 +579,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, tr
     xhat = (x.data - mu) * inv_std
     out = Tensor(gamma.data * xhat + beta.data)
 
-    if training:
-
-        def bw(g):
-            dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=axes)
-            m2 = (dxhat * xhat).mean(axis=axes)
-            gx = inv_std * (dxhat - m1 - xhat * m2)
-            return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
-
-    else:
-
-        def bw(g):
-            return g * gamma.data * inv_std, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+    def bw(g):
+        dxhat = g * gamma.data
+        m1 = dxhat.mean(axis=axes)
+        m2 = (dxhat * xhat).mean(axis=axes)
+        gx = inv_std * (dxhat - m1 - xhat * m2)
+        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _record("batch_norm", (x, gamma, beta), out, bw)
 
@@ -626,7 +611,6 @@ def edgeconv_bn_max(
     gamma: Tensor,
     beta: Tensor,
     state: BatchNormState,
-    training: bool,
 ) -> Tensor:
     """Edge-convolution batch norm, ReLU and neighbor max in one step.
 
@@ -636,14 +620,14 @@ def edgeconv_bn_max(
     ``max_t relu(bn(h))``, with batch norm over all N*k edges, and no
     (N, k, c) pre-activation is ever built.
 
-    Statistics. Training mode takes mu and var over the edges from O(N*c)
+    Statistics. A recorded call takes mu and var over the edges from O(N*c)
     moments, in float64 on centred values: with ``d`` the in-degrees of
     ``per_point`` rows, ``a = center - mean(center)`` and ``b = per_point -
     sum(d * per_point) / (N*k)``, every edge has ``h - mu = a_i + b_j``, so
     ``N*k * var = k*sum(a^2) + 2*sum(a * (A b)) + sum(d * b^2)``, where
     ``A b`` sums ``b`` over each row's neighbors. It then moves the running
-    statistics as :func:`batch_norm` does. Inference mode uses the running
-    statistics.
+    statistics as :func:`batch_norm` does. A call no tape records uses the
+    running statistics.
 
     Forward. With mu and var fixed, batch norm and ReLU are monotone per
     channel, non-decreasing where gamma > 0 and non-increasing where gamma
@@ -655,7 +639,7 @@ def edgeconv_bn_max(
     edge a per-edge ``max_reduce`` would pick; that edge's normalised value
     is what the gradient of gamma sees.
 
-    Tiles. After the statistics, both modes run one loop over tiles of as
+    Tiles. After the statistics, every call runs one loop over tiles of as
     many rows as fit ``TILE_BYTES``: each neighbor slot of a tile is
     gathered with ``ndarray.take`` from a contiguous copy of the transposed
     index columns, into a reused buffer (slot 0 from ``per_point``, kept
@@ -668,10 +652,9 @@ def edgeconv_bn_max(
 
     Backward. The gradient reaches the argmax edge of each (i, channel),
     found here as the first neighbor whose ``s * per_point_j`` equals the
-    max, and in training mode also the two batch-norm mean terms, which
-    summed per point are ``k*m1``, ``d*m1`` and ``m2`` times
-    ``k*a + A b``, ``A^T a + d*b``. One ``np.bincount`` scatters the argmax
-    terms onto ``per_point`` rows.
+    max, and the two batch-norm mean terms, which summed per point are
+    ``k*m1``, ``d*m1`` and ``m2`` times ``k*a + A b``, ``A^T a + d*b``. One
+    ``np.bincount`` scatters the argmax terms onto ``per_point`` rows.
     """
     _check_same_dtype(center, per_point, gamma, beta)
     idx = np.asarray(indices)
@@ -690,10 +673,10 @@ def edgeconv_bn_max(
         raise ShapeError(f"edgeconv_bn_max: indices out of range for {m} per_point rows")
     k = idx.shape[1]
     edges = n * k
-    if training and edges < 2:
-        raise InvalidInputError("edgeconv_bn_max training mode needs >= 2 edges per channel")
-
+    training = _will_record(center, per_point, gamma, beta)  # its backward reads spick and xhat whole
     if training:
+        if edges < 2:
+            raise InvalidInputError("edgeconv_bn_max training mode needs >= 2 edges per channel")
         degree = np.bincount(idx.ravel(), minlength=m).astype(np.float64)
         adjacency = csr_matrix((np.ones(edges), idx.ravel(), np.arange(0, edges + 1, k)), shape=(n, m))
         c64 = center.data.astype(np.float64)
@@ -723,13 +706,12 @@ def edgeconv_bn_max(
     cols = np.ascontiguousarray(idx.T)
     rows = _tile_rows(c, center.dtype)
     tile_rows = min(rows, n)
-    keep = _will_record(center, per_point, gamma, beta)  # the backward reads spick and xhat whole
-    spick, xhat = (np.empty((n if keep else tile_rows, c), dtype=center.dtype) for _ in range(2))
+    spick, xhat = (np.empty((n if training else tile_rows, c), dtype=center.dtype) for _ in range(2))
     first, got, pick = (np.empty((tile_rows, c), dtype=center.dtype) for _ in range(3))
     y = np.empty((n, c), dtype=center.dtype)
     for r0 in range(0, n, rows):
         col, yt = cols[:, r0 : r0 + rows], y[r0 : r0 + rows]
-        part = slice(r0, r0 + rows) if keep else slice(0, len(yt))
+        part = slice(r0, r0 + rows) if training else slice(0, len(yt))
         sp, xh, f, g, p = spick[part], xhat[part], first[: len(yt)], got[: len(yt)], pick[: len(yt)]
         np.multiply(per_point.data.take(col[0], axis=0, out=f, mode="clip"), s, out=sp)
         for t in range(1, k):
@@ -751,13 +733,11 @@ def edgeconv_bn_max(
         direct = dxhat * inv_std
         flat = (_first_argmax(idx, signed, spick) * c + np.arange(c)).ravel()
         g_p = np.bincount(flat, weights=direct.ravel(), minlength=m * c).reshape(m, c)
-        g_c = direct
-        if training:
-            m1 = dxhat.sum(axis=0, dtype=np.float64) / edges
-            m2 = (dxhat * xhat).sum(axis=0, dtype=np.float64) / edges
-            inv64 = inv_std.astype(np.float64)
-            g_c = direct - inv64 * (k * m1 + m2 * inv64 * (k * a + ab))
-            g_p -= inv64 * (degree[:, None] * m1 + m2 * inv64 * (adjacency.T @ a + degree[:, None] * b))
+        m1 = dxhat.sum(axis=0, dtype=np.float64) / edges
+        m2 = (dxhat * xhat).sum(axis=0, dtype=np.float64) / edges
+        inv64 = inv_std.astype(np.float64)
+        g_c = direct - inv64 * (k * m1 + m2 * inv64 * (k * a + ab))
+        g_p -= inv64 * (degree[:, None] * m1 + m2 * inv64 * (adjacency.T @ a + degree[:, None] * b))
         return g_c.astype(center.dtype), g_p.astype(per_point.dtype), g_gamma, g_beta
 
     return _record("edgeconv_bn_max", (center, per_point, gamma, beta), out, bw)

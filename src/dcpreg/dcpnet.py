@@ -9,10 +9,14 @@ attention stage; DCP-v2 includes it.
 Every stage takes a batch of B pairs of n source and m target points (see
 :func:`cloud_stack`): embeddings (B, n, d) and (B, m, d), match (B, n, m),
 soft targets (B, n, 3), rotations (B, 3, 3), translations (B, 3).
-:func:`dcp_predict` registers one pair as a batch of one. An inference
-forward that no tape records, on sources and targets of one size, embeds
-its 2B clouds in one :func:`embed_cloud` call and computes the attention
-residual of both directions as one stack (:func:`_one_stack`).
+:func:`dcp_predict` registers one pair as a batch of one.
+
+A forward that a tape records is a training step: each batch norm uses
+the statistics of its batch and moves its running statistics. A forward
+that no tape records runs inference on the running statistics; on sources
+and targets of one size it embeds its 2B clouds in one :func:`embed_cloud`
+call and computes the attention residual of both directions as one stack
+(:func:`_one_stack`).
 """
 
 from __future__ import annotations
@@ -241,16 +245,12 @@ class ModelParams:
                 bn_states[site] = ad.BatchNormState(arrays[f"bnstate/{site}/mean"], arr)
         return ModelParams(config, params, bn_states)
 
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.zero_grad()
-
 
 # ---------------------------------------------------------------------------
 # Embeddings
 # ---------------------------------------------------------------------------
 
-def pointnet_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor:
+def pointnet_embed(points, model: ModelParams) -> ad.Tensor:
     """Shared per-point MLP; no information flows between points.
 
     ``points`` is a batch of B clouds of n points (see :func:`cloud_stack`),
@@ -267,7 +267,6 @@ def pointnet_embed(points, model: ModelParams, training: bool = False) -> ad.Ten
             model.params[f"{name}.bn.gamma"],
             model.params[f"{name}.bn.beta"],
             model.bn_states[f"{name}.bn"],
-            training,
         )
         f = ad.relu(f)
     return f
@@ -278,10 +277,10 @@ def edgeconv_layer(
     graph: np.ndarray,
     model: ModelParams,
     name: str,
-    training: bool = False,
 ) -> ad.Tensor:
     """Edge convolution: per-edge MLP on (x_i, x_j - x_i), then batch norm,
-    ReLU and the max over neighbors, at per-point cost in both modes.
+    ReLU and the max over neighbors, at per-point cost in training and in
+    inference.
 
     ``f`` (N, c_in) holds one row per point of a batch and ``graph`` (N, k)
     its neighbor rows (:func:`batch_knn_graph`); the output is (N, c_out).
@@ -308,11 +307,10 @@ def edgeconv_layer(
         p[f"{name}.bn.gamma"],
         p[f"{name}.bn.beta"],
         model.bn_states[f"{name}.bn"],
-        training,
     )
 
 
-def dgcnn_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor:
+def dgcnn_embed(points, model: ModelParams) -> ad.Tensor:
     """Stacked edge convolutions; intermediate outputs concatenated into the
     final layer. The neighbor graph is built once from input coordinates.
 
@@ -325,18 +323,18 @@ def dgcnn_embed(points, model: ModelParams, training: bool = False) -> ad.Tensor
     f = ad.tensor(clouds.reshape(-1, 3).astype(cfg.np_dtype))
     layer_outputs = []
     for i in range(len(cfg.resolved_widths)):
-        f = edgeconv_layer(f, graph, model, f"embed.l{i}", training)
+        f = edgeconv_layer(f, graph, model, f"embed.l{i}")
         layer_outputs.append(f)
     cat = ad.concat(layer_outputs, axis=1)
-    return edgeconv_layer(cat, graph, model, f"embed.l{len(cfg.resolved_widths)}", training)
+    return edgeconv_layer(cat, graph, model, f"embed.l{len(cfg.resolved_widths)}")
 
 
-def embed_cloud(points, model: ModelParams, training: bool = False) -> ad.Tensor:
+def embed_cloud(points, model: ModelParams) -> ad.Tensor:
     """Per-point embeddings (B, n, c) of a batch of B clouds of n points
     (see :func:`cloud_stack`), computed as one row block."""
     clouds = cloud_stack(points)
     embed = dgcnn_embed if model.config.embedding == "dgcnn" else pointnet_embed
-    f = embed(clouds, model, training)
+    f = embed(clouds, model)
     return ad.reshape(f, clouds.shape[:2] + (f.shape[1],))
 
 
@@ -474,15 +472,13 @@ def quaternion_to_rotation(quat: ad.Tensor) -> ad.Tensor:
     return ad.div(rotation, ad.reshape(norm_sq, (b, 1, 1)))
 
 
-def mlp_head(
-    phi_x: ad.Tensor, phi_y: ad.Tensor, model: ModelParams, training: bool = False
-) -> tuple[ad.Tensor, ad.Tensor]:
+def mlp_head(phi_x: ad.Tensor, phi_y: ad.Tensor, model: ModelParams) -> tuple[ad.Tensor, ad.Tensor]:
     """Regression head: pooled global features to quaternion + translation.
 
     ``phi_x`` (B, n, d) and ``phi_y`` (B, m, d) give a rotation (B, 3, 3)
     and a translation (B, 3) per pair. Hidden layers take no bias, since
-    their batch norm sees the B pooled rows: in training it subtracts their
-    mean, so it needs B >= 2; in inference it uses the running statistics.
+    their batch norm sees the B pooled rows: on a tape it subtracts their
+    mean, so it needs B >= 2; without one it uses the running statistics.
     """
     p = model.params
     gx = ad.max_reduce(phi_x, axis=-2)
@@ -491,9 +487,7 @@ def mlp_head(
     for i in range(len(model.config.mlp_head_widths)):
         name = f"head.fc{i}"
         h = ad.affine(h, p[f"{name}.w"])
-        h = ad.batch_norm(
-            h, p[f"{name}.bn.gamma"], p[f"{name}.bn.beta"], model.bn_states[f"{name}.bn"], training
-        )
+        h = ad.batch_norm(h, p[f"{name}.bn.gamma"], p[f"{name}.bn.beta"], model.bn_states[f"{name}.bn"])
         h = ad.relu(h)
     rotation = quaternion_to_rotation(ad.affine(h, p["head.rot.w"], p["head.rot.b"]))
     translation = ad.affine(h, p["head.trans.w"], p["head.trans.b"])
@@ -513,30 +507,30 @@ class DcpForward(NamedTuple):
     soft_target: ad.Tensor  # (B, n, 3) blended target points
 
 
-def dcp_forward(x_points, y_points, model: ModelParams, training: bool = False) -> DcpForward:
+def dcp_forward(x_points, y_points, model: ModelParams) -> DcpForward:
     """Differentiable registration forward pass on a batch of B pairs.
 
     ``x_points`` and ``y_points`` are each a batch of B clouds, of n and m
     points (a list, or a (B, n, 3) array; see :func:`cloud_stack`); the
     outputs are those of :class:`DcpForward`. The B sources are embedded
-    as one row block and the B targets as another, so in training every
-    batch norm of the embedding normalises over the edges (DGCNN) or
-    points (PointNet) of all B clouds, and the MLP head's over the B pairs;
-    inference uses the running statistics, so each pair's output does not
-    depend on the rest of the batch. For the same reason an inference
-    forward that no tape records, with n == m, embeds the B sources and B
-    targets as one block of 2B clouds, and attends both ways as one stack,
-    with outputs equal bit for bit to the per-side calls.
+    as one row block and the B targets as another, so in a forward that a
+    tape records (training) every batch norm of the embedding normalises
+    over the edges (DGCNN) or points (PointNet) of all B clouds, and the
+    MLP head's over the B pairs. A forward that no tape records (inference)
+    uses the running statistics, so each pair's output does not depend on
+    the rest of the batch; for the same reason, with n == m, it embeds the
+    B sources and B targets as one block of 2B clouds, and attends both
+    ways as one stack, with outputs equal bit for bit to the per-side calls.
     """
-    xs, phi_x, phi_y, match, soft_target = _soft_match(x_points, y_points, model, training)
+    xs, phi_x, phi_y, match, soft_target = _soft_match(x_points, y_points, model)
     if model.config.head == "svd":
         rotation, translation = ad.svd_rigid_head(ad.constant(xs.astype(model.config.np_dtype)), soft_target)
     else:
-        rotation, translation = mlp_head(phi_x, phi_y, model, training)
+        rotation, translation = mlp_head(phi_x, phi_y, model)
     return DcpForward(rotation, translation, match, soft_target)
 
 
-def _soft_match(x_points, y_points, model: ModelParams, training: bool):
+def _soft_match(x_points, y_points, model: ModelParams):
     """The forward up to the soft targets, shared by :func:`dcp_forward`
     and :func:`dcp_predict`: the (B, n, 3) source stack, both embeddings,
     the match and the soft targets."""
@@ -544,12 +538,12 @@ def _soft_match(x_points, y_points, model: ModelParams, training: bool):
     ys = cloud_stack(y_points)
     if len(xs) != len(ys):
         raise ShapeError(f"a batch pairs {len(xs)} source clouds with {len(ys)} target clouds")
-    if not training and _one_stack(xs, ys):
+    if _one_stack(xs, ys):
         f = embed_cloud(np.concatenate([xs, ys]), model).data
         f_x, f_y = ad.tensor(f[: len(xs)]), ad.tensor(f[len(xs) :])
     else:
-        f_x = embed_cloud(xs, model, training)
-        f_y = embed_cloud(ys, model, training)
+        f_x = embed_cloud(xs, model)
+        f_y = embed_cloud(ys, model)
     if model.config.attention:
         phi_x, phi_y = transformer_attention(f_x, f_y, model)
     else:
@@ -561,11 +555,10 @@ def _soft_match(x_points, y_points, model: ModelParams, training: bool):
 def _one_stack(x, y) -> bool:
     """Whether a step may run its source side ``x`` and target side ``y``
     as one stack: with no tape recording, on sides of one shape. A tape
-    must keep its per-side gradient-summation order. Embedding also needs
-    inference mode: its running statistics make each cloud's rows
-    independent of the others, so the stack's halves equal the per-side
-    calls bit for bit, while training normalises each side with its own
-    statistics."""
+    must keep its per-side gradient-summation order, and its batch norms
+    normalise each side with that side's own statistics. Without a tape,
+    the running statistics make each cloud's rows independent of the
+    others, so the stack's halves equal the per-side calls bit for bit."""
     return not ad._TAPES and x.shape == y.shape
 
 
@@ -581,9 +574,9 @@ def dcp_predict(x_points, y_points, model: ModelParams) -> geo.RigidTransform:
     run.
     """
     if model.config.head == "svd":
-        soft_target = _soft_match([x_points], [y_points], model, training=False)[-1]
+        soft_target = _soft_match([x_points], [y_points], model)[-1]
         return geo.procrustes_solve(geo._as_points(x_points), np.asarray(soft_target.data[0], dtype=np.float64))
-    out = dcp_forward([x_points], [y_points], model, training=False)
+    out = dcp_forward([x_points], [y_points], model)
     rotation = _nearest_rotation(out.rotation.data[0])
     return geo.RigidTransform(rotation, np.asarray(out.translation.data[0], dtype=np.float64))
 

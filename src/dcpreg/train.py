@@ -183,10 +183,12 @@ def train(
     ``cfg.batch_size`` (a trailing lone pair joins the batch before it).
     A step is one forward of the whole batch on one tape, as
     :func:`dcpnet.dcp_forward` on B pairs, one backward of the batch-mean
-    loss, and one Adam update. Batch norm therefore trains on statistics
-    over the batch: in the embedding, over every edge (or point) of its B
-    source clouds and, separately, of its B target clouds; in the MLP head,
-    over its B pairs. With batches of more than one pair, the training pairs
+    loss, and one Adam update on the gradients that backward returns (a
+    parameter it does not reach gets a zero gradient). The tape makes the
+    forward a training one, so batch norm trains on statistics over the
+    batch: in the embedding, over every edge (or point) of its B source
+    clouds and, separately, of its B target clouds; in the MLP head, over
+    its B pairs. With batches of more than one pair, the training pairs
     must share one source size and one target size, and the MLP head needs
     batches of at least two pairs (``InvalidInputError`` before training).
 
@@ -236,16 +238,15 @@ def train(
         grad_norms = []
         for batch in _batches(order, cfg.batch_size):
             pairs = [train_pairs[idx] for idx in batch]
-            model.zero_grad()
             with ad.Tape() as tape:
-                out = dcpnet.dcp_forward([p.source for p in pairs], [p.target for p in pairs], model, training=True)
+                out = dcpnet.dcp_forward([p.source for p in pairs], [p.target for p in pairs], model)
                 loss = dcpnet.dcp_loss(out.rotation, out.translation, [p.ground_truth for p in pairs])
             if not np.isfinite(loss.data):
                 raise NumericalError(f"non-finite training loss at epoch {epoch}; last checkpoint retained")
-            ad.backward(tape, loss)
+            reached = ad.backward(tape, loss)
             epoch_loss += loss.item() * len(pairs)
-            grads = {name: p.grad for name, p in model.params.items()}
-            squares = (np.square(g, dtype=np.float64).sum() for g in grads.values() if g is not None)
+            grads = {name: reached[p] for name, p in model.params.items() if p in reached}
+            squares = (np.square(g, dtype=np.float64).sum() for g in grads.values())
             grad_norms.append(math.sqrt(sum(squares)))
             adam_step(model.params, grads, state)
 

@@ -207,14 +207,11 @@ def backward(tape, output):
             credit(t, g)
             seen[id(t)] = t
 
-    for t in seen.values():
-        if t.requires_grad:
-            g = buffers.get(id(t))
-            if g is None:
-                continue
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad = t.grad + np.asarray(g, dtype=t.dtype).reshape(t.shape)
+    return {
+        t: np.asarray(buffers[id(t)], dtype=t.dtype).reshape(t.shape)
+        for t in seen.values()
+        if t.requires_grad and id(t) in buffers
+    }
 
 
 def initialize(cfg, seed):
@@ -294,7 +291,7 @@ def initialize(cfg, seed):
     return dcpnet.ModelParams(cfg, params, bn_states)
 
 
-def edgeconv_bn_max(center, per_point, indices, gamma, beta, state, training):
+def edgeconv_bn_max(center, per_point, indices, gamma, beta, state):
     """``autodiff.edgeconv_bn_max`` untiled: every (N, c) temporary built
     whole, by fancy indexing."""
     idx = np.asarray(indices)
@@ -309,7 +306,7 @@ def edgeconv_bn_max(center, per_point, indices, gamma, beta, state, training):
         np.maximum(spick, signed[idx[:, t]], out=spick)
     pick = np.where(s == 0, first, spick * s)
 
-    if training:
+    if ad._will_record(center, per_point, gamma, beta):
         degree = np.bincount(idx.ravel(), minlength=m).astype(np.float64)
         adjacency = csr_matrix((np.ones(edges), idx.ravel(), np.arange(0, edges + 1, k)), shape=(n, m))
         c64 = center.data.astype(np.float64)
@@ -340,24 +337,22 @@ def edgeconv_bn_max(center, per_point, indices, gamma, beta, state, training):
         direct = dxhat * inv_std
         flat = (ad._first_argmax(idx, signed, spick) * c + np.arange(c)).ravel()
         g_p = np.bincount(flat, weights=direct.ravel(), minlength=m * c).reshape(m, c)
-        g_c = direct
-        if training:
-            m1 = dxhat.sum(axis=0, dtype=np.float64) / edges
-            m2 = (dxhat * xhat).sum(axis=0, dtype=np.float64) / edges
-            inv64 = inv_std.astype(np.float64)
-            g_c = direct - inv64 * (k * m1 + m2 * inv64 * (k * a + ab))
-            g_p -= inv64 * (degree[:, None] * m1 + m2 * inv64 * (adjacency.T @ a + degree[:, None] * b))
+        m1 = dxhat.sum(axis=0, dtype=np.float64) / edges
+        m2 = (dxhat * xhat).sum(axis=0, dtype=np.float64) / edges
+        inv64 = inv_std.astype(np.float64)
+        g_c = direct - inv64 * (k * m1 + m2 * inv64 * (k * a + ab))
+        g_p -= inv64 * (degree[:, None] * m1 + m2 * inv64 * (adjacency.T @ a + degree[:, None] * b))
         return g_c.astype(center.dtype), g_p.astype(per_point.dtype), g_gamma, g_beta
 
     return ad._record("edgeconv_bn_max", (center, per_point, gamma, beta), ad.Tensor(y), bw)
 
 
-def soft_match(x_points, y_points, model, training):
+def soft_match(x_points, y_points, model):
     """``dcpnet._soft_match`` one side at a time: an ``embed_cloud`` call
-    per side and a cross residual per direction, whatever the mode."""
+    per side and a cross residual per direction, on a tape or not."""
     xs, ys = dcpnet.cloud_stack(x_points), dcpnet.cloud_stack(y_points)
-    f_x = dcpnet.embed_cloud(xs, model, training)
-    f_y = dcpnet.embed_cloud(ys, model, training)
+    f_x = dcpnet.embed_cloud(xs, model)
+    f_y = dcpnet.embed_cloud(ys, model)
     if model.config.attention:
         phi_x = ad.add(f_x, dcpnet._cross_residual(f_x, f_y, model))
         phi_y = ad.add(f_y, dcpnet._cross_residual(f_y, f_x, model))

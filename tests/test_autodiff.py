@@ -32,8 +32,7 @@ def test_relu_backward_analytic():
     x = ad.tensor([-1.0, 2.0], requires_grad=True)
     with ad.Tape() as tape:
         out = ad.sum_reduce(ad.relu(x))
-    ad.backward(tape, out)
-    assert np.array_equal(x.grad, [0.0, 1.0])
+    assert np.array_equal(ad.backward(tape, out)[x], [0.0, 1.0])
 
 
 def test_softmax_analytic():
@@ -46,8 +45,7 @@ def test_scalar_chain_rule():
     x = ad.tensor(2.0, requires_grad=True)
     with ad.Tape() as tape:
         y = ad.mul(ad.constant(3.0), x)
-    ad.backward(tape, y)
-    assert np.allclose(x.grad, 3.0)
+    assert np.allclose(ad.backward(tape, y)[x], 3.0)
 
 
 def test_quadratic_gradient():
@@ -55,8 +53,7 @@ def test_quadratic_gradient():
     x = ad.tensor(rng.normal(size=5), requires_grad=True)
     with ad.Tape() as tape:
         y = ad.sum_reduce(ad.mul(x, x))
-    ad.backward(tape, y)
-    assert np.abs(x.grad - 2 * x.data).max() < 1e-12
+    assert np.abs(ad.backward(tape, y)[x] - 2 * x.data).max() < 1e-12
 
 
 def test_composite_graph_finite_difference():
@@ -74,10 +71,10 @@ def test_composite_graph_finite_difference():
 
     with ad.Tape() as tape:
         loss = forward()
-    ad.backward(tape, loss)
+    grads = ad.backward(tape, loss)
     for name, p in (("x", x), ("w", w), ("b", b)):
         num = numeric_grad(lambda: forward().item(), p)
-        gradcheck.assert_grads_close(p.grad, num, 1e-5, name)
+        gradcheck.assert_grads_close(grads[p], num, 1e-5, name)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +128,10 @@ def test_attention_matches_composition(dtype, heads):
     w = ad.constant(rng.normal(size=(7, 8)), dtype=dtype)
     grads = []
     for fn in (ad.attention, reference_attention):
-        for t in (q, k, v):
-            t.zero_grad()
         with ad.Tape() as tape:
             loss = ad.sum_reduce(ad.mul(w, fn(q, k, v, heads)))
-        ad.backward(tape, loss)
-        grads.append([t.grad for t in (q, k, v)])
+        reached = ad.backward(tape, loss)
+        grads.append([reached[t] for t in (q, k, v)])
     tol = 1e-5 if dtype == np.float32 else 1e-13
     for fused, composed in zip(*grads):
         assert fused.dtype == dtype
@@ -312,6 +307,8 @@ def test_layer_norm_variance_from_centred_values_is_exact(rng, dtype, c):
 # ---------------------------------------------------------------------------
 
 def test_backward_accumulates_and_is_deterministic():
+    """Gradient buffers accumulate within a pass in a fixed order, so two
+    identical passes give bitwise-identical gradients."""
     rng = np.random.default_rng(1)
     xv = rng.normal(size=(6, 4))
     wv = rng.normal(size=(4, 2))
@@ -321,20 +318,10 @@ def test_backward_accumulates_and_is_deterministic():
         w = ad.constant(wv)
         with ad.Tape() as tape:
             out = ad.sum_reduce(ad.relu(ad.matmul(x, w)))
-        ad.backward(tape, out)
-        return x.grad
+        return ad.backward(tape, out)[x]
 
     g1, g2 = run_once(), run_once()
     assert np.array_equal(g1, g2)  # bitwise-identical reruns
-
-    # A second backward on the same tape accumulates (documented behavior).
-    x = ad.tensor(xv, requires_grad=True)
-    with ad.Tape() as tape:
-        out = ad.sum_reduce(ad.mul(x, x))
-    ad.backward(tape, out)
-    once = x.grad.copy()
-    ad.backward(tape, out)
-    assert np.array_equal(x.grad, 2.0 * once)
 
 
 def v2_batch_step(dtype, n=24):
@@ -349,7 +336,7 @@ def v2_batch_step(dtype, n=24):
     gts = [geo.RigidTransform(random_rotation(rng), rng.normal(scale=0.2, size=3)) for _ in range(2)]
     ys = [x @ gt.rotation.T + gt.translation for x, gt in zip(xs, gts)]
     with ad.Tape() as tape:
-        out = dcpnet.dcp_forward(xs, ys, model, training=True)
+        out = dcpnet.dcp_forward(xs, ys, model)
         loss = dcpnet.dcp_loss(out.rotation, out.translation, gts)
     return model, tape, loss
 
@@ -362,11 +349,10 @@ def test_backward_equals_old_form_bit_for_bit(dtype):
     model, tape, loss = v2_batch_step(dtype)
     runs = []
     for backward in (ref.backward, ad.backward):
-        model.zero_grad()
         passes = []
         for _ in range(2):
-            backward(tape, loss)
-            passes.append({name: p.grad.copy() for name, p in model.params.items() if p.grad is not None})
+            grads = backward(tape, loss)
+            passes.append({name: grads[p] for name, p in model.params.items() if p in grads})
         runs.append(passes)
     assert len(runs[0][0]) == len(model.params)
     assert any(np.abs(g).max() > 0 for name, g in runs[0][0].items() if name.startswith("attn."))
@@ -385,7 +371,6 @@ def test_backward_peak_memory_below_old_form():
     try:
         for _ in range(2):  # the second round runs warm
             for name, backward in (("old", ref.backward), ("new", ad.backward)):
-                model.zero_grad()
                 base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 backward(tape, loss)
@@ -413,16 +398,14 @@ def test_max_reduce_tie_routes_to_lowest_index():
     x = ad.tensor([3.0, 3.0, 1.0], requires_grad=True)
     with ad.Tape() as tape:
         out = ad.sum_reduce(ad.max_reduce(ad.reshape(x, (1, 3)), axis=1))
-    ad.backward(tape, out)
-    assert np.array_equal(x.grad, [1.0, 0.0, 0.0])
+    assert np.array_equal(ad.backward(tape, out)[x], [1.0, 0.0, 0.0])
 
 
 def test_gather_scatter_add_on_duplicates():
     x = ad.tensor(np.arange(4.0).reshape(4, 1), requires_grad=True)
     with ad.Tape() as tape:
         out = ad.sum_reduce(ad.gather(x, np.array([1, 1, 1])))
-    ad.backward(tape, out)
-    assert np.array_equal(x.grad, [[0.0], [3.0], [0.0], [0.0]])
+    assert np.array_equal(ad.backward(tape, out)[x], [[0.0], [3.0], [0.0], [0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -464,21 +447,22 @@ def test_dtype_fixed_at_construction():
 
 def test_batch_norm_training_needs_batch():
     x = ad.tensor(np.zeros((1, 4)))
-    g = ad.tensor(np.ones(4))
+    g = ad.tensor(np.ones(4), requires_grad=True)
     b = ad.tensor(np.zeros(4))
-    with pytest.raises(InvalidInputError):
-        ad.batch_norm(x, g, b, ref.batch_norm_state(4), training=True)
+    with ad.Tape(), pytest.raises(InvalidInputError):
+        ad.batch_norm(x, g, b, ref.batch_norm_state(4))
 
 
 def test_batch_norm_running_stats_update():
     rng = np.random.default_rng(5)
     x = ad.tensor(rng.normal(loc=2.0, size=(64, 3)))
-    gamma, beta = ad.tensor(np.ones(3)), ad.tensor(np.zeros(3))
+    gamma, beta = ad.tensor(np.ones(3), requires_grad=True), ad.tensor(np.zeros(3))
     state = ref.batch_norm_state(3)
-    ad.batch_norm(x, gamma, beta, state, training=True)
+    with ad.Tape():
+        ad.batch_norm(x, gamma, beta, state)
     expected_mean = 0.9 * 0.0 + 0.1 * x.data.mean(axis=0)
     assert np.allclose(state.running_mean, expected_mean)
-    out_eval = ad.batch_norm(x, gamma, beta, state, training=False)
+    out_eval = ad.batch_norm(x, gamma, beta, state)
     manual = (x.data - state.running_mean) / np.sqrt(state.running_var + ad.BN_EPS)
     assert np.allclose(out_eval.data, manual)
 
@@ -494,18 +478,21 @@ def edgeconv_inputs(rng, dtype, n=9, m=7, k=3, c=5, offset=0.0):
     return center, per_point, idx, gamma, beta
 
 
-@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
-def test_edgeconv_bn_max_leaves_inputs_and_gradient_unchanged(rng, training):
+@pytest.mark.parametrize("taped", [False, True], ids=["eval", "training"])
+def test_edgeconv_bn_max_leaves_inputs_and_gradient_unchanged(rng, taped):
+    """Neither an inference call nor a recorded call and its backward
+    write to the inputs or to the output gradient."""
     center, per_point, idx, gamma, beta = edgeconv_inputs(rng, np.float64)
     state = ref.batch_norm_state(5)
     g = rng.normal(size=(9, 5))
     tensors = (center, per_point, gamma, beta)
     copies = [t.data.copy() for t in tensors] + [idx.copy(), g.copy()]
-    _, grads = backward_of(
-        lambda c, p, ga, be: ad.edgeconv_bn_max(c, p, idx, ga, be, state, training), tensors, g
-    )
+    if taped:
+        _, grads = backward_of(lambda c, p, ga, be: ad.edgeconv_bn_max(c, p, idx, ga, be, state), tensors, g)
+        assert [gr.shape for gr in grads] == [(9, 5), (7, 5), (5,), (5,)]
+    else:
+        assert ad.edgeconv_bn_max(center, per_point, idx, gamma, beta, state).shape == (9, 5)
     assert_untouched([t.data for t in tensors] + [idx, g], copies)
-    assert [gr.shape for gr in grads] == [(9, 5), (7, 5), (5,), (5,)]
 
 
 def looped_first_argmax(idx, signed, spick):
@@ -543,10 +530,10 @@ EDGE_GAMMAS = {
 @pytest.mark.parametrize("k", [1, 5], ids=lambda k: f"k{k}")
 @pytest.mark.parametrize("tile_rows", [None, 4], ids=["one-tile", "tiles-of-4"])
 def test_edgeconv_bn_max_tiles_equal_untiled_form(rng, monkeypatch, dtype, gammas, k, tile_rows):
-    """Forward, running statistics and backward, training and inference,
-    taped and not, equal the untiled form bit for bit: gamma of both signs
-    with +0 and -0, or all positive; 37 rows, which is not a multiple of 4;
-    rounded values, so neighbors tie."""
+    """The inference forward no tape records, and the training forward, its
+    running statistics and its backward, equal the untiled form bit for
+    bit: gamma of both signs with +0 and -0, or all positive; 37 rows,
+    which is not a multiple of 4; rounded values, so neighbors tie."""
     n, m, c = 37, 40, 6
     if tile_rows:
         monkeypatch.setattr(ad, "TILE_BYTES", tile_rows * c * np.dtype(dtype).itemsize)
@@ -557,18 +544,17 @@ def test_edgeconv_bn_max_tiles_equal_untiled_form(rng, monkeypatch, dtype, gamma
     beta = ad.tensor(rng.normal(size=c).astype(dtype), requires_grad=True)
     idx = np.array([rng.choice(m, size=k, replace=False) for _ in range(n)])
     g = rng.normal(size=(n, c)).astype(dtype)
-    for training in (True, False):
-        results = []
-        for edgeconv in (ad.edgeconv_bn_max, ref.edgeconv_bn_max):
-            states = [ad.BatchNormState(np.full(c, 0.25, dtype), np.full(c, 2.0, dtype)) for _ in range(2)]
-            untaped = edgeconv(center, per_point, idx, gamma, beta, states[0], training)
-            with ad.Tape() as tape:
-                taped = edgeconv(center, per_point, idx, gamma, beta, states[1], training)
-            grads = tape.entries[-1].backward_fn(g)
-            stats = [a for st in states for a in (st.running_mean, st.running_var)]
-            results.append([untaped.data, taped.data, *grads, *stats])
-        for got, want in zip(*results):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    results = []
+    for edgeconv in (ad.edgeconv_bn_max, ref.edgeconv_bn_max):
+        states = [ad.BatchNormState(np.full(c, 0.25, dtype), np.full(c, 2.0, dtype)) for _ in range(2)]
+        untaped = edgeconv(center, per_point, idx, gamma, beta, states[0])
+        with ad.Tape() as tape:
+            taped = edgeconv(center, per_point, idx, gamma, beta, states[1])
+        grads = tape.entries[-1].backward_fn(g)
+        stats = [a for st in states for a in (st.running_mean, st.running_var)]
+        results.append([untaped.data, taped.data, *grads, *stats])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_edgeconv_bn_max_moments_do_not_cancel(rng, monkeypatch):
@@ -577,7 +563,8 @@ def test_edgeconv_bn_max_moments_do_not_cancel(rng, monkeypatch):
     center, per_point, idx, gamma, beta = edgeconv_inputs(rng, np.float32, n=64, m=64, k=8, offset=1e3)
     monkeypatch.setattr(ad, "BN_MOMENTUM", 1.0)
     state = ref.batch_norm_state(5, dtype=np.float32)
-    ad.edgeconv_bn_max(center, per_point, idx, gamma, beta, state, training=True)
+    with ad.Tape():
+        ad.edgeconv_bn_max(center, per_point, idx, gamma, beta, state)
     edges = center.data.astype(np.float64)[:, None, :] + per_point.data.astype(np.float64)[idx]
     assert state.running_var.dtype == np.float32
     assert np.allclose(state.running_var, edges.var(axis=(0, 1)), rtol=1e-5, atol=0)
@@ -588,8 +575,8 @@ def test_edgeconv_bn_max_input_errors(rng):
     center, per_point, idx, gamma, beta = edgeconv_inputs(rng, np.float64)
     state = ref.batch_norm_state(5)
 
-    def call(c=center, p=per_point, i=idx, ga=gamma, training=False):
-        return ad.edgeconv_bn_max(c, p, i, ga, beta, state, training)
+    def call(c=center, p=per_point, i=idx, ga=gamma):
+        return ad.edgeconv_bn_max(c, p, i, ga, beta, state)
 
     with pytest.raises(ShapeError):
         call(i=idx[:-1])  # one row per center row
@@ -605,8 +592,8 @@ def test_edgeconv_bn_max_input_errors(rng):
         call(i=idx.astype(np.float64))
     with pytest.raises(InvalidInputError):
         call(p=ad.tensor(per_point.data, dtype=np.float32))
-    with pytest.raises(InvalidInputError):
-        call(c=ad.tensor(center.data[:1]), i=idx[:1, :1], training=True)  # a single edge
+    with ad.Tape(), pytest.raises(InvalidInputError):
+        call(c=ad.tensor(center.data[:1]), i=idx[:1, :1])  # a single edge to train on
 
 
 # ---------------------------------------------------------------------------
@@ -622,14 +609,14 @@ def test_head_identity_pair(rng):
         loss = ad.sum_reduce(ad.mul(t, t))
     assert np.allclose(r.data[0], np.eye(3), atol=1e-9)
     assert np.allclose(t.data[0], 0, atol=1e-9)
-    ad.backward(tape, loss)
+    grads = ad.backward(tape, loss)
 
     def forward():
         _, t2 = ad.svd_rigid_head(src, dst)
         return ad.sum_reduce(ad.mul(t2, t2)).item()
 
     num = numeric_grad(forward, dst)
-    gradcheck.assert_grads_close(dst.grad, num, 1e-5, "dst")
+    gradcheck.assert_grads_close(grads[dst], num, 1e-5, "dst")
 
 
 def test_head_forward_matches_procrustes(rng):
@@ -658,10 +645,10 @@ def test_head_alignment_loss_jacobian(rng):
 
     with ad.Tape() as tape:
         loss = forward()
-    ad.backward(tape, loss)
+    grads = ad.backward(tape, loss)
     for name, p in (("src", src), ("dst", dst)):
         num = numeric_grad(lambda: forward().item(), p)
-        gradcheck.assert_grads_close(p.grad, num, 1e-4, name)
+        gradcheck.assert_grads_close(grads[p], num, 1e-4, name)
 
 
 def test_head_equal_singular_values_gradcheck(rng):
@@ -682,9 +669,9 @@ def test_head_equal_singular_values_gradcheck(rng):
     with ad.Tape() as tape:
         loss = forward()
     assert np.allclose(geo.svd3(2.0 * np.eye(3))[1], 2.0)
-    ad.backward(tape, loss)
+    grads = ad.backward(tape, loss)
     for name, p in (("src", src), ("dst", dst)):
-        gradcheck.assert_grads_close(p.grad, numeric_grad(lambda: forward().item(), p), 1e-6, name)
+        gradcheck.assert_grads_close(grads[p], numeric_grad(lambda: forward().item(), p), 1e-6, name)
 
 
 def cross_covariances(rng, singular_values):
@@ -698,8 +685,7 @@ def tape_svd_rotation_grad(h_values, w):
     h = ad.tensor(h_values, requires_grad=True)
     with ad.Tape() as tape:
         loss = ad.sum_reduce(ad.mul(ad.constant(w), ad.svd_rotation(h)))
-    ad.backward(tape, loss)
-    return h.grad
+    return ad.backward(tape, loss)[h]
 
 
 def test_svd_rotation_grad_equals_the_two_adjoint_form(rng):
@@ -731,8 +717,8 @@ def test_svd_rotation_gradcheck_at_the_edges_of_its_domain(rng):
 
     with ad.Tape() as tape:
         loss = forward()
-    ad.backward(tape, loss)
-    gradcheck.assert_grads_close(h.grad, numeric_grad(lambda: forward().item(), h), 1e-5, "h")
+    grads = ad.backward(tape, loss)
+    gradcheck.assert_grads_close(grads[h], numeric_grad(lambda: forward().item(), h), 1e-5, "h")
 
 
 def test_svd_rotation_names_the_reflected_pair(rng):

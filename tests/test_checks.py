@@ -27,7 +27,7 @@ CHECKS = {
     "gather-index-range": (lambda: ad.gather(t(3, 2), np.array([3])), ShapeError, "out of range"),
     "gather-negative-index": (lambda: ad.gather(t(3, 2), np.array([-1])), ShapeError, "out of range"),
     "affine-bias": (lambda: ad.affine(t(2, 3), t(3, 4), t(3)), ShapeError, "affine: incompatible shapes"),
-    "batch-norm-gamma": (lambda: ad.batch_norm(t(4, 3), t(2), t(3), None, True), ShapeError, "gamma/beta"),
+    "batch-norm-gamma": (lambda: ad.batch_norm(t(4, 3), t(2), t(3), None), ShapeError, "gamma/beta"),
     "layer-norm-gain": (lambda: ad.layer_norm(t(2, 3), t(3), t(2)), ShapeError, "gain/bias"),
     "edgeconv-graph-rows": (
         lambda: dcpnet.edgeconv_layer(t(4, 3), np.zeros((3, 2), dtype=int), None, "embed.l1"),

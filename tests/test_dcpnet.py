@@ -165,10 +165,10 @@ def test_every_parameter_gets_a_gradient(cfg):
     gts = [geo.RigidTransform(random_rotation(rng), rng.uniform(-0.3, 0.3, 3)) for _ in xs]
     ys = [geo.apply_transform(gt, x) for gt, x in zip(gts, xs)]
     with ad.Tape() as tape:
-        out = dcpnet.dcp_forward(xs, ys, model, training=True)
+        out = dcpnet.dcp_forward(xs, ys, model)
         loss = dcpnet.dcp_loss(out.rotation, out.translation, gts)
-    ad.backward(tape, loss)
-    reach = {name: 0.0 if t.grad is None else np.abs(t.grad).max() for name, t in model.params.items()}
+    grads = ad.backward(tape, loss)
+    reach = {name: np.abs(grads[t]).max() if t in grads else 0.0 for name, t in model.params.items()}
     largest = max(reach.values())
     dead = {name for name, g in reach.items() if g <= 1e-10 * largest}
     want = MLP_HEAD_DEAD[cfg.attention] if cfg.head == "mlp" else set()
@@ -280,9 +280,10 @@ def test_edgeconv_neighbor_order_invariance(rng):
 
 EDGE_CFG = replace(TINY_V1, widths=(6, 8))
 EDGE_LAYER = "embed.l1"  # 6 input channels, 8 output channels
+EDGE_PARTS = ("wa", "wb", "bn.gamma", "bn.beta")
 
 
-def split_form_edgeconv(f, graph, model, name, training):
+def split_form_edgeconv(f, graph, model, name):
     """The form edgeconv_layer replaced: ``x_i @ Wa + (x_j - x_i) @ Wb`` per
     edge, then batch norm, ReLU and the neighbor max, all per edge."""
     n, c = f.shape
@@ -290,7 +291,7 @@ def split_form_edgeconv(f, graph, model, name, training):
     center = ad.matmul(f, model.params[f"{name}.wa"])
     h = ad.add(ad.reshape(center, (n, 1, center.shape[1])), ad.matmul(diff, model.params[f"{name}.wb"]))
     h = ad.batch_norm(
-        h, model.params[f"{name}.bn.gamma"], model.params[f"{name}.bn.beta"], model.bn_states[f"{name}.bn"], training
+        h, model.params[f"{name}.bn.gamma"], model.params[f"{name}.bn.beta"], model.bn_states[f"{name}.bn"]
     )
     return ad.max_reduce(ad.relu(h), axis=1)
 
@@ -340,83 +341,46 @@ def test_edgeconv_eval_fold_is_exact(rng, dtype):
         assert np.array_equal(out.data, per_edge_eval_reference(f, graph, model, EDGE_LAYER))
 
 
-@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
-@pytest.mark.parametrize("dtype, tol", [("float32", 1e-4), ("float64", 1e-10)])
-def test_edgeconv_matches_split_form(rng, dtype, tol, training):
-    model = edge_case_model(rng, dtype)
-    reference = copy.deepcopy(model)  # training mode moves the running statistics
-    f, graph = edge_case_input(rng, dtype)
-    weights = ad.constant(rng.normal(size=(f.shape[0], 8)), dtype=dtype)
-    results = []
-    for m, layer in ((model, dcpnet.edgeconv_layer), (reference, split_form_edgeconv)):
-        x = ad.tensor(f, requires_grad=True)
-        m.zero_grad()
-        with ad.Tape() as tape:
-            out = layer(x, graph, m, EDGE_LAYER, training)
-            loss = ad.sum_reduce(ad.mul(weights, out))
-        ad.backward(tape, loss)
-        results.append((out, x, m))
-    (out, x, m), (ref_out, ref_x, ref_m) = results
-    scale = 1.0 + np.abs(ref_out.data).max()
-    assert np.abs(out.data - ref_out.data).max() <= tol * scale
-    st, ref_st = m.bn_states[f"{EDGE_LAYER}.bn"], ref_m.bn_states[f"{EDGE_LAYER}.bn"]
-    assert np.allclose(st.running_mean, ref_st.running_mean, rtol=tol, atol=tol)
-    assert np.allclose(st.running_var, ref_st.running_var, rtol=tol, atol=tol)
-    if training:
-        grads = {"f": (x.grad, ref_x.grad)}
-        for part in ("wa", "wb", "bn.gamma", "bn.beta"):
-            name = f"{EDGE_LAYER}.{part}"
-            grads[name] = (m.params[name].grad, ref_m.params[name].grad)
-        for name, (got, want) in grads.items():
-            gradcheck.assert_grads_close(got, want, tol, name)
-
-
-def test_edgeconv_eval_gradients(rng):
-    """Eval-mode edge convolution differentiates through the folded max.
-
-    gamma has mixed signs and no zero entries: at gamma = 0 every edge of a
-    channel gives the same output, so which edge the max routes gradient to
-    is arbitrary there and the fold may pick another edge than the per-edge
-    form would.
-    """
-    model = edge_case_model(rng, "float64", gamma_zeros=False)
-    f, graph = edge_case_input(rng, "float64", n=16, k=4)
-    x = ad.tensor(f, requires_grad=True)
-    weights = ad.constant(rng.normal(size=(16, 8)))
-
-    def forward():
-        return ad.sum_reduce(ad.mul(weights, dcpnet.edgeconv_layer(x, graph, model, EDGE_LAYER)))
-
-    model.zero_grad()
-    with ad.Tape() as tape:
-        loss = forward()
-    ad.backward(tape, loss)
-    checked = [x] + [model.params[f"{EDGE_LAYER}.{part}"] for part in ("wa", "wb", "bn.gamma", "bn.beta")]
-    for k, param in enumerate(checked):
-        gradcheck.assert_grads_close(param.grad, numeric_grad(lambda: forward().item(), param), 1e-6, f"param{k}")
-
-
-EDGE_PARTS = ("wa", "wb", "bn.gamma", "bn.beta")
-
-
-def edge_layer_and_split_form(rng, model, f, graph, training):
-    """Run edgeconv_layer and split_form_edgeconv on copies of ``model``
-    under one random linear loss; returns ``(output, running mean, running
-    var, {name: gradient})`` for each, the gradients of f and all 4 layer
-    parameters."""
+def edge_layer_and_split_form(rng, model, f, graph, taped):
+    """Run edgeconv_layer and split_form_edgeconv on copies of ``model``,
+    on a tape under one random linear loss (training) or with no tape
+    (inference); returns ``(output, running mean, running var, {name:
+    gradient})`` for each, the gradients of f and all 4 layer parameters
+    when taped, and no gradients otherwise."""
     weights = ad.constant(rng.normal(size=(f.shape[0], 8)), dtype=f.dtype)
     results = []
     for layer in (dcpnet.edgeconv_layer, split_form_edgeconv):
         m = copy.deepcopy(model)
         x = ad.tensor(f, requires_grad=True)
-        with ad.Tape() as tape:
-            out = layer(x, graph, m, EDGE_LAYER, training)
-            loss = ad.sum_reduce(ad.mul(weights, out))
-        ad.backward(tape, loss)
-        grads = {"f": x.grad} | {part: m.params[f"{EDGE_LAYER}.{part}"].grad for part in EDGE_PARTS}
+        if taped:
+            with ad.Tape() as tape:
+                out = layer(x, graph, m, EDGE_LAYER)
+                loss = ad.sum_reduce(ad.mul(weights, out))
+            reached = ad.backward(tape, loss)
+            grads = {"f": reached[x]} | {part: reached[m.params[f"{EDGE_LAYER}.{part}"]] for part in EDGE_PARTS}
+        else:
+            out, grads = layer(x, graph, m, EDGE_LAYER), {}
         st = m.bn_states[f"{EDGE_LAYER}.bn"]
         results.append((out.data, st.running_mean, st.running_var, grads))
     return results
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["eval", "training"])
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-4), ("float64", 1e-10)])
+def test_edgeconv_matches_split_form(rng, dtype, tol, taped):
+    """Without a tape the outputs agree; on a tape the outputs, the
+    running statistics that training moves and the gradients do."""
+    model = edge_case_model(rng, dtype)
+    f, graph = edge_case_input(rng, dtype)
+    (out, mean, var, grads), (ref_out, ref_mean, ref_var, ref_grads) = edge_layer_and_split_form(
+        rng, model, f, graph, taped
+    )
+    assert np.abs(out - ref_out).max() <= tol * (1.0 + np.abs(ref_out).max())
+    assert np.allclose(mean, ref_mean, rtol=tol, atol=tol)
+    assert np.allclose(var, ref_var, rtol=tol, atol=tol)
+    assert grads.keys() == ref_grads.keys() and len(grads) == 5 * taped
+    for name, got in grads.items():
+        gradcheck.assert_grads_close(got, ref_grads[name], tol, name)
 
 
 def test_edgeconv_duplicate_points_match_split_form(rng):
@@ -431,7 +395,7 @@ def test_edgeconv_duplicate_points_match_split_form(rng):
     assert degree[39] == 0 and degree.max() > 5
     model = edge_case_model(rng, "float64", gamma_zeros=False)
     (out, mean, var, grads), (ref_out, ref_mean, ref_var, ref_grads) = edge_layer_and_split_form(
-        rng, model, f, graph, training=True
+        rng, model, f, graph, taped=True
     )
     assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
     assert np.allclose(mean, ref_mean, rtol=1e-12, atol=1e-14)
@@ -440,8 +404,8 @@ def test_edgeconv_duplicate_points_match_split_form(rng):
         gradcheck.assert_grads_close(got, ref_grads[name], 1e-10, name)
 
 
-@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
-def test_edgeconv_zero_gamma_matches_split_form(rng, training):
+@pytest.mark.parametrize("taped", [False, True], ids=["eval", "training"])
+def test_edgeconv_zero_gamma_matches_split_form(rng, taped):
     """At gamma = +0 or -0 every neighbor ties; the layer takes neighbor 0,
     as the per-edge max does, so the gradient of gamma sees its value."""
     model = edge_case_model(rng, "float64")
@@ -449,8 +413,10 @@ def test_edgeconv_zero_gamma_matches_split_form(rng, training):
     p[f"{EDGE_LAYER}.bn.gamma"].data = np.array([0.0, -0.0] * 4)
     p[f"{EDGE_LAYER}.bn.beta"].data = np.abs(p[f"{EDGE_LAYER}.bn.beta"].data) + 0.1  # every channel passes ReLU
     f, graph = edge_case_input(rng, "float64")
-    (out, _, _, grads), (ref_out, _, _, ref_grads) = edge_layer_and_split_form(rng, model, f, graph, training)
+    (out, _, _, grads), (ref_out, _, _, ref_grads) = edge_layer_and_split_form(rng, model, f, graph, taped)
     assert np.array_equal(out, ref_out)
+    if not taped:
+        return
     for name in ("f", "wa", "wb"):
         assert not grads[name].any() and not ref_grads[name].any()
     assert np.abs(ref_grads["bn.gamma"]).min() > 0
@@ -528,9 +494,8 @@ def test_attention_shape_preserved(n, rng):
 
 def test_untaped_forward_tiles_attention_and_taped_keeps_scores(rng, monkeypatch, score_tile_rows):
     """``dcp_predict`` runs attention's softmax in tiles, and predicts as it
-    does with all of a pair's scores in one tile; a training forward and an eval forward
-    on a tape, whose parameters are tracked, keep the whole (B, heads, n, n)
-    score array for the backward."""
+    does with all of a pair's scores in one tile; a training forward, on a
+    tape, keeps the whole (B, heads, n, n) score array for the backward."""
     model = dcpnet.ModelParams.initialize(TINY_V2, seed=4)
     randomize_attention_output(model, rng)
     x, y = unit_points(rng, 24), unit_points(rng, 24)
@@ -542,12 +507,11 @@ def test_untaped_forward_tiles_attention_and_taped_keeps_scores(rng, monkeypatch
     assert score_tile_rows == [4] * (6 * 2 * 6)  # three calls on two clouds, two heads, six blocks of 24 rows
     assert np.array_equal(tiled.rotation, whole.rotation)
     assert np.array_equal(tiled.translation, whole.translation)
-    for training in (True, False):
-        score_tile_rows.clear()
-        with ad.Tape() as tape:
-            dcpnet.dcp_forward([x, y], [y, x], model, training=training)
-        assert score_tile_rows == [2 * 2 * 24] * 6
-        assert sum(e.op == "attention" for e in tape.entries) == 6
+    score_tile_rows.clear()
+    with ad.Tape() as tape:
+        dcpnet.dcp_forward([x, y], [y, x], model)
+    assert score_tile_rows == [2 * 2 * 24] * 6
+    assert sum(e.op == "attention" for e in tape.entries) == 6
 
 
 def test_attention_training_gradients_match_composition(rng, monkeypatch):
@@ -561,12 +525,11 @@ def test_attention_training_gradients_match_composition(rng, monkeypatch):
     gt = geo.RigidTransform(random_rotation(np.random.default_rng(8)), np.zeros(3))
 
     def attention_grads():
-        model.zero_grad()
         with ad.Tape() as tape:
-            out = dcpnet.dcp_forward([x], [y], model, training=True)
+            out = dcpnet.dcp_forward([x], [y], model)
             loss = dcpnet.dcp_loss(out.rotation, out.translation, [gt])
-        ad.backward(tape, loss)
-        return {name: t.grad for name, t in model.params.items() if name.startswith("attn.")}
+        grads = ad.backward(tape, loss)
+        return {name: grads[t] for name, t in model.params.items() if name.startswith("attn.")}
 
     fused = attention_grads()
     monkeypatch.setattr(ad, "attention", gradcheck.reference_attention)
@@ -617,7 +580,7 @@ def count_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("cfg", STACK_CONFIGS, ids=lambda c: f"{c.embedding}-{c.attention}-{c.head}-{c.dtype}")
 def test_inference_stack_equals_per_side_calls(rng, monkeypatch, cfg):
-    """``dcp_predict`` and an untaped ``dcp_forward(training=False)`` on
+    """``dcp_predict`` and an untaped ``dcp_forward`` on
     three pairs embed both sides in one ``embed_cloud`` call and attend
     both directions in one residual, and give the per-side form's outputs
     bit for bit."""
@@ -626,10 +589,10 @@ def test_inference_stack_equals_per_side_calls(rng, monkeypatch, cfg):
     xs, ys = [unit_points(rng, 20) for _ in range(3)], [unit_points(rng, 20) for _ in range(3)]
     embeds = count_calls(monkeypatch, dcpnet, "embed_cloud")
     residuals = count_calls(monkeypatch, dcpnet, "_cross_residual")
-    stacked = dcpnet.dcp_predict(x, y, model), dcpnet.dcp_forward(xs, ys, model, training=False)
+    stacked = dcpnet.dcp_predict(x, y, model), dcpnet.dcp_forward(xs, ys, model)
     assert len(embeds) == 2 and len(residuals) == 2 * cfg.attention
     monkeypatch.setattr(dcpnet, "_soft_match", ref.soft_match)
-    per_side = dcpnet.dcp_predict(x, y, model), dcpnet.dcp_forward(xs, ys, model, training=False)
+    per_side = dcpnet.dcp_predict(x, y, model), dcpnet.dcp_forward(xs, ys, model)
     assert len(embeds) == 6 and len(residuals) == 6 * cfg.attention
     assert np.array_equal(stacked[0].rotation, per_side[0].rotation)
     assert np.array_equal(stacked[0].translation, per_side[0].translation)
@@ -638,10 +601,8 @@ def test_inference_stack_equals_per_side_calls(rng, monkeypatch, cfg):
 
 
 def test_mixed_sizes_training_and_taped_forwards_run_per_side(rng, monkeypatch):
-    """A pair with n != m, and a training or eval forward on a tape, embed
-    each side on its own and take one residual per direction. A training
-    forward no tape records still embeds per side, for its per-side batch
-    statistics; its attention, which keeps no statistics, is one stack."""
+    """A pair with n != m, and a training forward (on a tape), embed each
+    side on its own and take one residual per direction."""
     model = stack_case_model(TINY_V2, rng)
     x, y = unit_points(rng, 16), unit_points(rng, 12)
     embeds = count_calls(monkeypatch, dcpnet, "embed_cloud")
@@ -654,11 +615,9 @@ def test_mixed_sizes_training_and_taped_forwards_run_per_side(rng, monkeypatch):
         return len(embeds), len(residuals)
 
     assert calls(lambda: dcpnet.dcp_predict(x, y, model)) == (2, 2)
-    assert calls(lambda: dcpnet.dcp_forward([x, x], [x, x], model, training=True)) == (2, 1)
-    for training in (True, False):
-        with ad.Tape() as tape:
-            assert calls(lambda: dcpnet.dcp_forward([x, x], [x, x], model, training=training)) == (2, 2)
-        assert tape.entries
+    with ad.Tape() as tape:
+        assert calls(lambda: dcpnet.dcp_forward([x, x], [x, x], model)) == (2, 2)
+    assert tape.entries
 
 
 # ---------------------------------------------------------------------------
@@ -768,18 +727,17 @@ def test_forward_gradients_tiny_model(rng):
     gt = geo.RigidTransform.identity()
 
     def forward():
-        out = dcpnet.dcp_forward([x], [y], model, training=True)
+        out = dcpnet.dcp_forward([x], [y], model)
         return dcpnet.dcp_loss(out.rotation, out.translation, [gt])
 
-    model.zero_grad()
     with ad.Tape() as tape:
         loss = forward()
-    ad.backward(tape, loss)
+    grads = ad.backward(tape, loss)
     checked = 0
     for name in ("embed.l0.wa", "embed.l0.wb", "embed.l1.bn.gamma", "embed.l2.wb", "embed.l2.bn.beta"):
         p = model.params[name]
         num = numeric_grad(lambda: forward().item(), p)
-        gradcheck.assert_grads_close(p.grad, num, 1e-4, name)
+        gradcheck.assert_grads_close(grads[p], num, 1e-4, name)
         checked += 1
     assert checked == 5
 
@@ -838,13 +796,61 @@ def test_training_batch_norm_statistics_span_the_batch(rng, monkeypatch):
     state = model.bn_states["embed.l0.bn"]
     monkeypatch.setattr(ad, "BN_MOMENTUM", 1.0)  # the running statistics become the batch's
     clouds = np.stack([unit_points(rng, 16) * s for s in (0.5, 1.0, 2.0)])
-    f = dcpnet.embed_cloud(clouds, model, training=True)
+    with ad.Tape():
+        f = dcpnet.embed_cloud(clouds, model)
     assert f.shape == (3, 16, TINY_V1.emb_dims)
     edges = np.concatenate([per_edge_layer0(c, model, TINY_V1.knn_k) for c in clouds])
     assert np.allclose(state.running_mean, np.mean(edges, axis=0), rtol=1e-12, atol=1e-14)
     assert np.allclose(state.running_var, np.var(edges, axis=0), rtol=1e-12, atol=1e-14)
     one_cloud = np.var(per_edge_layer0(clouds[0], model, TINY_V1.knn_k), axis=0)
     assert np.abs(one_cloud - state.running_var).max() > 0.1 * state.running_var.max()
+
+
+def layer0_rows(clouds, model):
+    """Layer 0's pre-activations over a batch of clouds: one row per edge
+    (DGCNN) or per point (PointNet)."""
+    if model.config.embedding == "dgcnn":
+        return np.concatenate([per_edge_layer0(c, model, model.config.knn_k) for c in clouds])
+    return np.concatenate(clouds) @ model.params["embed.l0.w"].data
+
+
+@pytest.mark.parametrize("cfg", [TINY_V2, STACK_CONFIGS[2], STACK_CONFIGS[3]],
+                         ids=lambda c: f"{c.embedding}-{c.attention}-{c.head}")
+def test_a_tape_trains_and_no_tape_infers(rng, monkeypatch, cfg):
+    """The tape is the mode. Without one, ``dcp_forward`` on 3 pairs leaves
+    every running statistic byte-equal, and its outputs equal the per-side
+    inference form's bit for bit. On a tape, it moves every running
+    statistic, and layer 0's toward the mean and variance over every edge
+    (DGCNN) or point (PointNet) of the 3 source clouds, then of the 3
+    target clouds."""
+    model = stack_case_model(cfg, rng)
+    if cfg.head == "mlp":  # keep the quaternion away from 0 where ReLU zeroes the hidden rows
+        model.params["head.rot.b"].data[0] = 1.0
+    xs, ys = [unit_points(rng, 20) for _ in range(3)], [unit_points(rng, 20) for _ in range(3)]
+    before = {site: (st.running_mean.copy(), st.running_var.copy()) for site, st in model.bn_states.items()}
+    inferred = dcpnet.dcp_forward(xs, ys, model)
+    for site, st in model.bn_states.items():
+        assert st.running_mean.tobytes() == before[site][0].tobytes()
+        assert st.running_var.tobytes() == before[site][1].tobytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(dcpnet, "_soft_match", ref.soft_match)
+        per_side = dcpnet.dcp_forward(xs, ys, model)
+    for got, want in zip(inferred, per_side):
+        assert got.dtype == want.dtype and np.array_equal(got.data, want.data)
+
+    m = ad.BN_MOMENTUM
+    want_mean, want_var = before["embed.l0.bn"]
+    for clouds in (xs, ys):
+        rows = layer0_rows(clouds, model)
+        want_mean = (1.0 - m) * want_mean + m * rows.mean(axis=0)
+        want_var = (1.0 - m) * want_var + m * rows.var(axis=0)
+    with ad.Tape():
+        dcpnet.dcp_forward(xs, ys, model)
+    for site, st in model.bn_states.items():
+        assert (st.running_mean != before[site][0]).all() and (st.running_var != before[site][1]).all(), site
+    state = model.bn_states["embed.l0.bn"]
+    assert np.allclose(state.running_mean, want_mean, rtol=1e-12, atol=1e-14)
+    assert np.allclose(state.running_var, want_var, rtol=1e-12, atol=1e-14)
 
 
 def test_batch_graph_offsets_each_cloud(rng):
@@ -934,20 +940,19 @@ def test_mlp_head_gradients(rng):
     gts = [geo.RigidTransform(random_rotation(np.random.default_rng(s)), np.zeros(3)) for s in (5, 8)]
 
     def forward():
-        out = dcpnet.dcp_forward(xs, ys, model, training=True)
+        out = dcpnet.dcp_forward(xs, ys, model)
         return dcpnet.dcp_loss(out.rotation, out.translation, gts)
 
-    model.zero_grad()
     with ad.Tape() as tape:
         loss = forward()
     assert np.isfinite(loss.data)
-    ad.backward(tape, loss)
+    grads = ad.backward(tape, loss)
     for name in ("head.fc0.w", "head.fc1.bn.gamma", "head.rot.w", "head.trans.b"):
         p = model.params[name]
         num = numeric_grad(lambda: forward().item(), p)
-        gradcheck.assert_grads_close(p.grad, num, 1e-4, name)
-    with pytest.raises(InvalidInputError):
-        dcpnet.dcp_forward([xs[0]], [ys[0]], model, training=True)
+        gradcheck.assert_grads_close(grads[p], num, 1e-4, name)
+    with ad.Tape(), pytest.raises(InvalidInputError):
+        dcpnet.dcp_forward([xs[0]], [ys[0]], model)
 
 
 def test_mlp_head_zero_rot_weights_degenerate(rng):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dcpreg import autodiff, dcpnet, geometry, icp, train
+from dcpreg import autodiff, dataio, dcpnet, geometry, icp, train
 
 BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 TRACING_PY = BENCHMARK_DIR / "tracing.py"
@@ -95,6 +95,31 @@ def test_tracer_sees_the_stages_of_predict(rng):
     assert calls["dcpnet.transformer_attention"] == 1 and calls["geometry.procrustes_solve"] == 1
     assert calls["dcpnet.dcp_forward"] == 0 and tracer.counts["autodiff.svd_rotation.calls"] == 0
     assert np.isfinite(tracer.layer_metrics(1, 0.0)["dcpnet.dcp_predict.s"])
+
+
+def test_traced_training_equals_untraced_training():
+    """The tracer wraps ``autodiff.backward``, whose returned gradients are
+    the only ones a step gets: a traced ``train.train`` of a tiny DCP-v2
+    model gives the parameters, running statistics and log of an untraced
+    one, bit for bit, and its tape had entries."""
+    tracing = load_tracing()
+    rng = np.random.default_rng(3)
+    pair_cfg = dataio.PairGenConfig(max_rot_deg=30.0, trans_bound=0.3, shuffle_target=True)
+    clouds = [dataio.normalize_unit_sphere(dataio.PointCloud(rng.normal(size=(16, 3)))) for _ in range(6)]
+    pairs = [dataio.generate_pair(cloud, pair_cfg, rng) for cloud in clouds]
+    cfg = dcpnet.ModelConfig(widths=(4, 4), emb_dims=8, heads=2, ffn_dims=8, knn_k=4)
+    train_cfg = train.TrainConfig(epochs=2, batch_size=2, seed=5)
+    model, log = train.train(cfg, pairs[:4], pairs[4:], train_cfg)
+    with tracing.Tracer() as tracer:
+        traced, traced_log = train.train(cfg, pairs[:4], pairs[4:], train_cfg)
+    assert tracer.counts["autodiff.tape_entries"] > 0
+    assert traced_log == log and all(np.isfinite(row["train_loss"]) for row in log)
+    assert list(traced.params) == list(model.params)
+    for name, t in model.params.items():
+        assert traced.params[name].data.tobytes() == t.data.tobytes(), name
+    for site, state in model.bn_states.items():
+        assert traced.bn_states[site].running_mean.tobytes() == state.running_mean.tobytes(), site
+        assert traced.bn_states[site].running_var.tobytes() == state.running_var.tobytes(), site
 
 
 def _dotted(node: ast.Attribute) -> list[str] | None:
