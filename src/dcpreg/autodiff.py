@@ -273,8 +273,10 @@ def _check_axis(x: Tensor, axis: int, op: str) -> int:
 
 def _softmax(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax of ``x`` along ``axis`` in one buffer (``out``, which may be
-    ``x``): shift by the maximum, exponentiate and divide, each in place."""
-    y = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    ``x``): shift by the maximum, exponentiate and divide, each in place.
+    ``np.fmax.reduce``, a faster maximum than ``ndarray.max``, skips NaN,
+    but ``x - m`` and the sum still make a row with a NaN all NaN."""
+    y = np.subtract(x, np.fmax.reduce(x, axis=axis, keepdims=True), out=out)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
     return y
@@ -589,21 +591,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) ->
     return _record("batch_norm", (x, gamma, beta), out, bw)
 
 
-def _first_argmax(idx: np.ndarray, signed: np.ndarray, spick: np.ndarray) -> np.ndarray:
-    """The ``signed`` row that attains ``spick`` for each (row, channel): of
-    the neighbors ``idx[i, t]`` with ``signed[idx[i, t]] == spick[i]``, the
-    lowest ``t``, as in ``max_reduce``; ``idx[i, 0]`` where none does.
-
-    One pass per neighbor slot keeps ``max(k - t)`` over the matching slots
-    in a byte-wide (wider for k >= 256) code, so the lowest slot wins."""
-    k = idx.shape[1]
-    code = np.min_scalar_type(k).type
-    best = np.zeros(spick.shape, dtype=code)
-    for t in range(k):
-        np.maximum(best, (signed[idx[:, t]] == spick) * code(k - t), out=best)
-    return np.take_along_axis(idx, (k - best) % k, axis=1)
-
-
 def edgeconv_bn_max(
     center: Tensor,
     per_point: Tensor,
@@ -644,17 +631,18 @@ def edgeconv_bn_max(
     gathered with ``ndarray.take`` from a contiguous copy of the transposed
     index columns, into a reused buffer (slot 0 from ``per_point``, kept
     for the gamma = 0 channels and multiplied by ``s``; later slots from
-    ``s * per_point``), and ``pick``, ``xhat`` and ``y`` are computed tile
-    by tile, so the gathered rows are reduced while they are in cache. A call no tape records keeps ``s * pick`` and ``xhat``
-    in tile buffers; a recorded call writes them into whole (N, c) arrays,
-    which the backward reads. Each element sees the same operations in the
-    same order as in the untiled form, so the output is equal bit for bit.
+    ``s * per_point``), and the max, ``pick``, ``xhat`` and ``y`` are
+    computed tile by tile, while the gathered rows are in cache. Only a
+    recorded call keeps ``xhat`` and the argmax slots whole, for the
+    backward. Each element sees the same operations in the same order as
+    in the untiled form, so the output is equal bit for bit.
 
-    Backward. The gradient reaches the argmax edge of each (i, channel),
-    found here as the first neighbor whose ``s * per_point_j`` equals the
-    max, and the two batch-norm mean terms, which summed per point are
-    ``k*m1``, ``d*m1`` and ``m2`` times ``k*a + A b``, ``A^T a + d*b``. One
-    ``np.bincount`` scatters the argmax terms onto ``per_point`` rows.
+    Backward. The gradient reaches the argmax edge of each (i, channel):
+    the first slot whose ``s * per_point_j`` reaches the max, which a
+    recorded call's loop keeps (slot 0 where the max is NaN or gamma is 0).
+    It also reaches the two batch-norm mean terms, which summed per point
+    are ``k*m1``, ``d*m1`` and ``m2`` times ``k*a + A b``, ``A^T a + d*b``.
+    One ``np.bincount`` scatters the argmax terms onto ``per_point`` rows.
     """
     _check_same_dtype(center, per_point, gamma, beta)
     idx = np.asarray(indices)
@@ -673,7 +661,7 @@ def edgeconv_bn_max(
         raise ShapeError(f"edgeconv_bn_max: indices out of range for {m} per_point rows")
     k = idx.shape[1]
     edges = n * k
-    training = _will_record(center, per_point, gamma, beta)  # its backward reads spick and xhat whole
+    training = _will_record(center, per_point, gamma, beta)  # its backward reads slot and xhat whole
     if training:
         if edges < 2:
             raise InvalidInputError("edgeconv_bn_max training mode needs >= 2 edges per channel")
@@ -706,16 +694,22 @@ def edgeconv_bn_max(
     cols = np.ascontiguousarray(idx.T)
     rows = _tile_rows(c, center.dtype)
     tile_rows = min(rows, n)
-    spick, xhat = (np.empty((n if training else tile_rows, c), dtype=center.dtype) for _ in range(2))
-    first, got, pick = (np.empty((tile_rows, c), dtype=center.dtype) for _ in range(3))
+    xhat = np.empty((n if training else tile_rows, c), dtype=center.dtype)
+    slot = np.zeros((n, c), dtype=np.min_scalar_type(k - 1)) if training else None
+    spick, first, got, pick = (np.empty((tile_rows, c), dtype=center.dtype) for _ in range(4))
     y = np.empty((n, c), dtype=center.dtype)
     for r0 in range(0, n, rows):
         col, yt = cols[:, r0 : r0 + rows], y[r0 : r0 + rows]
-        part = slice(r0, r0 + rows) if training else slice(0, len(yt))
-        sp, xh, f, g, p = spick[part], xhat[part], first[: len(yt)], got[: len(yt)], pick[: len(yt)]
+        sp, f, g, p = (buf[: len(yt)] for buf in (spick, first, got, pick))
+        xh, sl = (xhat[r0 : r0 + rows], slot[r0 : r0 + rows]) if training else (xhat[: len(yt)], None)
         np.multiply(per_point.data.take(col[0], axis=0, out=f, mode="clip"), s, out=sp)
         for t in range(1, k):
-            np.maximum(sp, signed.take(col[t], axis=0, out=g, mode="clip"), out=sp)
+            signed.take(col[t], axis=0, out=g, mode="clip")
+            if training:
+                np.maximum(sl, (g > sp) * slot.dtype.type(t), out=sl)
+            np.maximum(sp, g, out=sp)
+        if training:
+            sl[np.isnan(sp)] = 0
         np.multiply(sp, s, out=p)
         np.copyto(p, f, where=zero)
         np.add(center.data[r0 : r0 + rows], p, out=xh)
@@ -731,7 +725,7 @@ def edgeconv_bn_max(
         g_gamma, g_beta = (dxhat * xhat).sum(axis=0), dxhat.sum(axis=0)
         dxhat *= gamma.data
         direct = dxhat * inv_std
-        flat = (_first_argmax(idx, signed, spick) * c + np.arange(c)).ravel()
+        flat = (np.take_along_axis(idx, slot, axis=1) * c + np.arange(c)).ravel()
         g_p = np.bincount(flat, weights=direct.ravel(), minlength=m * c).reshape(m, c)
         m1 = dxhat.sum(axis=0, dtype=np.float64) / edges
         m2 = (dxhat * xhat).sum(axis=0, dtype=np.float64) / edges

@@ -7,12 +7,14 @@ seeded from an externally estimated transform.
 
 Each recorded state comes from one correspondence step. The step after a
 stalled transform, or after the ``max_iters``-th solve, is the last: its
-state skips the degenerate-match check and the ``tol`` check.
+state skips the degenerate-match check and the ``tol`` check. A step that
+repeats the previous step's matches would solve for the current transform
+again, bit for bit, and stall: the last state copies its own, one step on.
 
 Each iteration makes one ``SpatialIndex.query_many`` (a ``cKDTree``
 query) and one ``geometry.procrustes_solve``, with its 3x3 LAPACK SVD
-(``geometry.svd3``). A distance tie goes to whichever target the tree
-returns first.
+(``geometry.svd3``); the copied last state makes neither. A distance tie
+goes to whichever target the tree returns first.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def icp_register(
     Returns the final transform and the history, one state per
     correspondence step: at most ``max_iters + 1``. Stops when the
     objective decrease falls below ``tol``, or one step after the transform
-    stalls or the ``max_iters``-th solve.
+    stalls, the matches repeat or the ``max_iters``-th solve.
     """
     xp, yp = geo._as_points(x), geo._as_points(y)
     if xp.shape[0] < 3 or yp.shape[0] < 3:
@@ -105,6 +107,9 @@ def icp_register(
         if (corr == corr[0]).all():
             raise DegenerateCorrespondenceError("all source points matched a single target point", history=history)
         if prev_objective - objective < tol:
+            break
+        if k and (corr == history[-2].correspondence).all():
+            history.append(IcpState(k + 1, transform, objective, corr))
             break
         new_transform = geo.procrustes_solve(xp, yp.take(corr, axis=0))
         # Frobenius norms, summed as np.linalg.norm sums them.

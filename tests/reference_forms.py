@@ -2,13 +2,14 @@
 alignment, the ICP loop (on the forms above, and again with its
 correspondence step in three places), the tape's backward, the model
 initializer, the ring meshes' face loops, the edge convolution's fused
-step and the forward up to the soft targets, as they read before their
-per-call overhead or their memory was cut, their tensors were declared in
-one table, their recorded states came from one step, their bands of quads
-came from one rule, their rows were worked in cache-sized tiles, or an
-inference pair was embedded and attended as one stack. Tests require the library's outputs to
-equal these bit for bit: the leaner forms change the bookkeeping, not the
-arithmetic.
+step with its backward's argmax scan, and the forward up to the soft
+targets, as they read before their per-call overhead or their memory was
+cut, their tensors were declared in one table, their recorded states came
+from one step, their bands of quads came from one rule, their rows were
+worked in cache-sized tiles, their argmax was recorded by the forward, or
+an inference pair was embedded and attended as one stack. Tests require
+the library's outputs to equal these bit for bit: the leaner forms change
+the bookkeeping, not the arithmetic.
 
 :func:`svd_rotation_grad` is the SVD head's backward as it read before it
 took the polar-factor form, which rounds differently: tests require the
@@ -291,9 +292,27 @@ def initialize(cfg, seed):
     return dcpnet.ModelParams(cfg, params, bn_states)
 
 
+def first_argmax(idx, signed, spick):
+    """The ``signed`` row that attains ``spick`` for each (row, channel): of
+    the neighbors ``idx[i, t]`` with ``signed[idx[i, t]] == spick[i]``, the
+    lowest ``t``, as in ``max_reduce``; ``idx[i, 0]`` where none does.
+
+    One pass per neighbor slot keeps ``max(k - t)`` over the matching slots
+    in a byte-wide (wider for k >= 256) code, so the lowest slot wins. This
+    is the backward's second scan of every neighbor row, before the forward
+    recorded the slot."""
+    k = idx.shape[1]
+    code = np.min_scalar_type(k).type
+    best = np.zeros(spick.shape, dtype=code)
+    for t in range(k):
+        np.maximum(best, (signed[idx[:, t]] == spick) * code(k - t), out=best)
+    return np.take_along_axis(idx, (k - best) % k, axis=1)
+
+
 def edgeconv_bn_max(center, per_point, indices, gamma, beta, state):
     """``autodiff.edgeconv_bn_max`` untiled: every (N, c) temporary built
-    whole, by fancy indexing."""
+    whole, by fancy indexing, and the argmax found again in the backward by
+    :func:`first_argmax`."""
     idx = np.asarray(indices)
     (n, c), m = center.shape, per_point.shape[0]
     k = idx.shape[1]
@@ -335,7 +354,7 @@ def edgeconv_bn_max(center, per_point, indices, gamma, beta, state):
         g_gamma, g_beta = (dxhat * xhat).sum(axis=0), dxhat.sum(axis=0)
         dxhat *= gamma.data
         direct = dxhat * inv_std
-        flat = (ad._first_argmax(idx, signed, spick) * c + np.arange(c)).ravel()
+        flat = (first_argmax(idx, signed, spick) * c + np.arange(c)).ravel()
         g_p = np.bincount(flat, weights=direct.ravel(), minlength=m * c).reshape(m, c)
         m1 = dxhat.sum(axis=0, dtype=np.float64) / edges
         m2 = (dxhat * xhat).sum(axis=0, dtype=np.float64) / edges

@@ -106,7 +106,7 @@ def backward_of(op, inputs, g):
 
 def assert_untouched(arrays, copies):
     for a, c in zip(arrays, copies):
-        assert np.array_equal(a, c)
+        assert np.array_equal(a, c, equal_nan=True)
 
 
 def attention_inputs(rng, dtype, n=7, m=5, d=8):
@@ -244,17 +244,40 @@ def three_temporary_softmax(x, axis):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def special_rows(rng, size):
+    """Six rows of ``size`` values: the maximum +0 (a -0 ties it), the
+    maximum -0, one +inf, one -inf, only -inf, and one NaN."""
+    rows = -np.abs(rng.normal(scale=3.0, size=(6, size)))
+    rows[0, :2] = -0.0, 0.0
+    rows[1, 1] = -0.0
+    rows[2, 0] = np.inf
+    rows[3, 0] = -np.inf
+    rows[4] = -np.inf
+    rows[5, 1] = np.nan
+    return rows
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape,axis", [((5, 9), 1), ((5, 9), 0), ((3, 4, 6), -1), ((3, 4, 6), 1)])
 def test_softmax_in_place_is_exact(rng, dtype, shape, axis):
-    x = ad.tensor(rng.normal(scale=3.0, size=shape).astype(dtype), requires_grad=True)
-    g = rng.normal(size=shape).astype(dtype)
+    """Random rows, and six more along another axis from :func:`special_rows`."""
+    axis %= len(shape)
+    other = 1 - min(axis, 1)
+    block = np.empty(shape[:other] + (6,) + shape[other + 1 :])
+    np.moveaxis(block, (other, axis), (0, -1))[...] = special_rows(rng, shape[axis]).reshape(
+        (6,) + (1,) * (len(shape) - 2) + (shape[axis],)
+    )
+    data = np.concatenate([rng.normal(scale=3.0, size=shape), block], axis=other)
+    x = ad.tensor(data.astype(dtype), requires_grad=True)
+    g = rng.normal(size=data.shape).astype(dtype)
     copies = [x.data.copy(), g.copy()]
-    out, (gx,) = backward_of(lambda t: ad.softmax(t, axis), (x,), g)
+    with np.errstate(invalid="ignore"):
+        out, (gx,) = backward_of(lambda t: ad.softmax(t, axis), (x,), g)
+        y = three_temporary_softmax(x.data, axis)
+        want_gx = (g - (g * y).sum(axis=axis, keepdims=True)) * y
     assert_untouched([x.data, g], copies)
-    y = three_temporary_softmax(x.data, axis)
-    assert out.dtype == dtype and np.array_equal(out.data, y)
-    assert np.array_equal(gx, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
+    assert out.dtype == dtype and np.array_equal(out.data, y, equal_nan=True)
+    assert np.array_equal(gx, want_gx, equal_nan=True)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -514,7 +537,7 @@ def test_first_argmax_matches_loop(rng, k):
     idx = np.array([rng.choice(m, size=k, replace=False) for _ in range(50)])
     signed = per_point * s
     spick = signed[idx].max(axis=1)
-    got = ad._first_argmax(idx, signed, spick)
+    got = ref.first_argmax(idx, signed, spick)
     assert np.array_equal(got, looped_first_argmax(idx, signed, spick))
     assert np.array_equal(got[:, 2:4], np.repeat(idx[:, :1], 2, axis=1))  # gamma = +-0: neighbor 0
 
@@ -525,25 +548,11 @@ EDGE_GAMMAS = {
 }
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-@pytest.mark.parametrize("gammas", sorted(EDGE_GAMMAS))
-@pytest.mark.parametrize("k", [1, 5], ids=lambda k: f"k{k}")
-@pytest.mark.parametrize("tile_rows", [None, 4], ids=["one-tile", "tiles-of-4"])
-def test_edgeconv_bn_max_tiles_equal_untiled_form(rng, monkeypatch, dtype, gammas, k, tile_rows):
+def assert_edgeconv_equals_untiled_form(center, per_point, idx, gamma, beta, g):
     """The inference forward no tape records, and the training forward, its
     running statistics and its backward, equal the untiled form bit for
-    bit: gamma of both signs with +0 and -0, or all positive; 37 rows,
-    which is not a multiple of 4; rounded values, so neighbors tie."""
-    n, m, c = 37, 40, 6
-    if tile_rows:
-        monkeypatch.setattr(ad, "TILE_BYTES", tile_rows * c * np.dtype(dtype).itemsize)
-        assert ad._tile_rows(c, dtype) == tile_rows
-    center = ad.tensor(np.round(rng.normal(size=(n, c)), 1).astype(dtype), requires_grad=True)
-    per_point = ad.tensor(np.round(rng.normal(size=(m, c)), 1).astype(dtype), requires_grad=True)
-    gamma = ad.tensor(EDGE_GAMMAS[gammas].astype(dtype), requires_grad=True)
-    beta = ad.tensor(rng.normal(size=c).astype(dtype), requires_grad=True)
-    idx = np.array([rng.choice(m, size=k, replace=False) for _ in range(n)])
-    g = rng.normal(size=(n, c)).astype(dtype)
+    bit, NaN for NaN."""
+    c, dtype = center.shape[1], center.dtype
     results = []
     for edgeconv in (ad.edgeconv_bn_max, ref.edgeconv_bn_max):
         states = [ad.BatchNormState(np.full(c, 0.25, dtype), np.full(c, 2.0, dtype)) for _ in range(2)]
@@ -554,7 +563,44 @@ def test_edgeconv_bn_max_tiles_equal_untiled_form(rng, monkeypatch, dtype, gamma
         stats = [a for st in states for a in (st.running_mean, st.running_var)]
         results.append([untaped.data, taped.data, *grads, *stats])
     for got, want in zip(*results):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+
+
+def rounded_edgeconv_inputs(rng, dtype, gamma, k, n=37):
+    """Values rounded to 0.1, so neighbors tie often."""
+    m, c = max(k + 1, 40), gamma.size
+    center, per_point = (ad.tensor(np.round(rng.normal(size=(rows, c)), 1).astype(dtype), requires_grad=True)
+                         for rows in (n, m))
+    beta = ad.tensor(rng.normal(size=c).astype(dtype), requires_grad=True)
+    idx = np.array([rng.choice(m, size=k, replace=False) for _ in range(n)])
+    g = rng.normal(size=(n, c)).astype(dtype)
+    return center, per_point, idx, ad.tensor(gamma.astype(dtype), requires_grad=True), beta, g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("gammas", sorted(EDGE_GAMMAS))
+@pytest.mark.parametrize("k", [1, 3, 5, 10, 260], ids=lambda k: f"k{k}")
+@pytest.mark.parametrize("tile_rows", [None, 4], ids=["one-tile", "tiles-of-4"])
+def test_edgeconv_bn_max_tiles_equal_untiled_form(rng, monkeypatch, dtype, gammas, k, tile_rows):
+    """Gamma of both signs with +0 and -0, or all positive; 37 rows, which
+    is not a multiple of 4; k = 260 needs a slot wider than a byte."""
+    if tile_rows:
+        monkeypatch.setattr(ad, "TILE_BYTES", tile_rows * 6 * np.dtype(dtype).itemsize)
+        assert ad._tile_rows(6, dtype) == tile_rows
+    assert_edgeconv_equals_untiled_form(*rounded_edgeconv_inputs(rng, dtype, EDGE_GAMMAS[gammas], k))
+
+
+@pytest.mark.parametrize("tile_rows", [None, 4], ids=["one-tile", "tiles-of-4"])
+def test_edgeconv_bn_max_nan_neighbors_equal_untiled_form(rng, monkeypatch, tile_rows):
+    """A NaN in ``per_point`` makes the maximum NaN in channel 0 (gamma > 0),
+    1 (gamma < 0) and 2 (gamma = +0) of every row that has it as a neighbor;
+    the other channels stay finite."""
+    if tile_rows:
+        monkeypatch.setattr(ad, "TILE_BYTES", tile_rows * 6 * 8)
+    center, per_point, idx, gamma, beta, g = rounded_edgeconv_inputs(rng, np.float64, EDGE_GAMMAS["mixed"], 5)
+    per_point.data[idx[::3, 2], :3] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert_edgeconv_equals_untiled_form(center, per_point, idx, gamma, beta, g)
 
 
 def test_edgeconv_bn_max_moments_do_not_cancel(rng, monkeypatch):

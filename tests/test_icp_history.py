@@ -101,3 +101,34 @@ def test_degenerate_matches_raise_the_same_error_and_history(rng, max_iters):
     assert str(got.value) == str(want.value)
     assert len(got.value.history) == 1
     assert_same_history(got.value.history, want.value.history)
+
+
+@pytest.mark.parametrize("kind", ["identity", "near-truth"])
+def test_repeated_matches_end_without_another_solve(monkeypatch, kind):
+    """A step whose matches repeat the previous step's ends the history at
+    once: its last state is that step's own, one step on, and neither the
+    solve nor the query after it runs. Without ``tol``, every run here ends
+    so."""
+    calls = {"procrustes_solve": 0, "query_many": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(geo, "procrustes_solve")
+    counted(icp.SpatialIndex, "query_many")
+    for seed in range(6):
+        pair = noisy_pair(seed)
+        for name in calls:
+            calls[name] = 0
+        _, history = icp.icp_register(pair.source.points, pair.target.points, init=start(pair, kind), tol=0.0)
+        assert calls == {"procrustes_solve": len(history) - 2, "query_many": len(history) - 1}
+        before, repeat, last = history[-3:]
+        assert np.array_equal(repeat.correspondence, before.correspondence)
+        assert last.correspondence is repeat.correspondence and last.transform is repeat.transform
+        assert last.objective == repeat.objective and last.iteration == repeat.iteration + 1

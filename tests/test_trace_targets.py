@@ -62,9 +62,10 @@ def test_every_traced_name_exists_and_is_callable():
 
 
 def test_tracer_sees_one_query_and_one_solve_per_icp_iteration(rng):
-    """Installed around an ICP run, the tracer sees one query_many per
-    history entry, one procrustes_solve and one svd3 per alignment step,
-    and puts every original back on exit."""
+    """Installed around an ICP run that ends on a repeated match, the
+    tracer sees one query_many per history entry but the last, which copies
+    the one before it, one procrustes_solve and one svd3 per alignment step
+    before that, and puts every original back on exit."""
     tracing = load_tracing()
     originals = {name: getattr(owner, attr) for name, (owner, attr) in tracing.SPAN_TARGETS.items()}
     y = rng.normal(size=(64, 3))
@@ -73,9 +74,10 @@ def test_tracer_sees_one_query_and_one_solve_per_icp_iteration(rng):
         _, history = icp.icp_register(x, y)
     _, calls = tracer.stage_totals()
     steps = len(history) - 1
-    assert steps >= 1 and tracer.counts["icp.iterations"] == steps
-    assert calls["icp.SpatialIndex.query_many"] == len(history)
-    assert calls["geometry.procrustes_solve"] == steps and calls["geometry.svd3"] == steps
+    assert steps >= 2 and tracer.counts["icp.iterations"] == steps
+    assert history[-1].transform is history[-2].transform
+    assert calls["icp.SpatialIndex.query_many"] == steps
+    assert calls["geometry.procrustes_solve"] == steps - 1 and calls["geometry.svd3"] == steps - 1
     assert {name: getattr(owner, attr) for name, (owner, attr) in tracing.SPAN_TARGETS.items()} == originals
 
 
