@@ -1,14 +1,15 @@
 """Minimal reverse-mode automatic differentiation over dense arrays.
 
-A :class:`Tape` records primitive operations while active; ``backward``
-replays the record in exact reverse order, so gradient accumulation is
-deterministic (two identical passes produce bitwise-identical gradients),
-frees each intermediate gradient once its producing entry has run, and
-returns the gradients of the leaves; no tensor stores one. A recorded
-call is a training step: batch norm uses batch statistics and moves its
-running statistics only then, and a call no tape records runs inference.
-Tensors carry a fixed precision (float32 or float64) chosen at
-construction; mixing precisions in one operation is an error.
+One rule sets the mode: while a :class:`Tape` is open (:func:`recording`),
+every primitive run is recorded on it and trains, so batch norm uses batch
+statistics and moves its running statistics; with no tape open, a call
+runs inference. ``backward`` replays the record in exact reverse order, so
+gradient accumulation is deterministic (two identical passes produce
+bitwise-identical gradients), frees each intermediate gradient once its
+producing entry has run, and returns the gradients of the
+``requires_grad`` leaves; no tensor stores one. Tensors carry a fixed
+precision (float32 or float64) chosen at construction; mixing precisions
+in one operation is an error.
 
 The primitive set is exactly what the registration network needs,
 including a 3x3-SVD rigid alignment head with an analytic backward rule.
@@ -50,7 +51,7 @@ class Tensor:
     """Dense array; ``requires_grad`` marks a leaf whose gradient
     :func:`backward` returns. Tensors hash by identity."""
 
-    __slots__ = ("data", "requires_grad", "_in_graph")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -60,7 +61,6 @@ class Tensor:
             raise InvalidInputError(f"unsupported dtype {dtype}; use float32 or float64")
         self.data = np.asarray(arr, dtype=dtype)
         self.requires_grad = bool(requires_grad)
-        self._in_graph = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -116,18 +116,13 @@ class Tape:
 _TAPES: list[Tape] = []
 
 
-def _tracked(t: Tensor) -> bool:
-    return t.requires_grad or t._in_graph
-
-
-def _will_record(*inputs: Tensor) -> bool:
-    """Whether :func:`_record` puts an operation on ``inputs`` on the tape."""
-    return bool(_TAPES) and any(_tracked(t) for t in inputs)
+def recording() -> bool:
+    """Whether a tape is open: then every primitive is recorded and trains."""
+    return bool(_TAPES)
 
 
 def _record(op: str, inputs: tuple[Tensor, ...], output: Tensor, backward_fn) -> Tensor:
-    if _will_record(*inputs):
-        output._in_graph = True
+    if _TAPES:
         _TAPES[-1].entries.append(TapeEntry(op, inputs, output, backward_fn))
     return output
 
@@ -361,7 +356,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     scale = np.asarray(1.0 / np.sqrt(dk), dtype=q.dtype)
     out = np.empty((b, n, d), dtype=q.dtype)
     ctx = split(out)
-    if _will_record(q, k, v):  # the backward reads every score: one tile, one block
+    if recording():  # the backward reads every score: one tile, one block
         per_tile, block = max(1, b * heads), max(1, b * heads * n)
     else:
         per_tile, block = _tile_rows(n * m, q.dtype), _tile_rows(m, q.dtype)
@@ -567,7 +562,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) ->
     axes = tuple(range(x.ndim - 1))
     n = int(np.prod([x.shape[i] for i in axes])) if axes else 1
 
-    if _will_record(x, gamma, beta):
+    if recording():
         if n < 2:
             raise InvalidInputError("batch_norm training mode needs >= 2 samples per channel")
         mu = x.data.mean(axis=axes)
@@ -639,7 +634,9 @@ def edgeconv_bn_max(
 
     Backward. The gradient reaches the argmax edge of each (i, channel):
     the first slot whose ``s * per_point_j`` reaches the max, which a
-    recorded call's loop keeps (slot 0 where the max is NaN or gamma is 0).
+    recorded call's loop keeps (slot 0 where gamma is 0). Where the max is
+    NaN the slot is arbitrary: the channel's batch mean or variance is then
+    NaN, so every gradient of that channel is NaN whichever edge it names.
     It also reaches the two batch-norm mean terms, which summed per point
     are ``k*m1``, ``d*m1`` and ``m2`` times ``k*a + A b``, ``A^T a + d*b``.
     One ``np.bincount`` scatters the argmax terms onto ``per_point`` rows.
@@ -661,7 +658,7 @@ def edgeconv_bn_max(
         raise ShapeError(f"edgeconv_bn_max: indices out of range for {m} per_point rows")
     k = idx.shape[1]
     edges = n * k
-    training = _will_record(center, per_point, gamma, beta)  # its backward reads slot and xhat whole
+    training = recording()  # its backward reads slot and xhat whole
     if training:
         if edges < 2:
             raise InvalidInputError("edgeconv_bn_max training mode needs >= 2 edges per channel")
@@ -708,8 +705,6 @@ def edgeconv_bn_max(
             if training:
                 np.maximum(sl, (g > sp) * slot.dtype.type(t), out=sl)
             np.maximum(sp, g, out=sp)
-        if training:
-            sl[np.isnan(sp)] = 0
         np.multiply(sp, s, out=p)
         np.copyto(p, f, where=zero)
         np.add(center.data[r0 : r0 + rows], p, out=xh)

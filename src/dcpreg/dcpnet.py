@@ -11,12 +11,12 @@ Every stage takes a batch of B pairs of n source and m target points (see
 soft targets (B, n, 3), rotations (B, 3, 3), translations (B, 3).
 :func:`dcp_predict` registers one pair as a batch of one.
 
-A forward that a tape records is a training step: each batch norm uses
-the statistics of its batch and moves its running statistics. A forward
-that no tape records runs inference on the running statistics; on sources
-and targets of one size it embeds its 2B clouds in one :func:`embed_cloud`
-call and computes the attention residual of both directions as one stack
-(:func:`_one_stack`).
+A forward run while a tape is open (``autodiff.recording()``) is a
+training step: each batch norm uses the statistics of its batch and moves
+its running statistics. Any other forward runs inference on the running
+statistics, which makes every cloud's rows independent of the others; so
+on sources and targets of one size, :func:`_soft_match` runs both sides
+as one stack.
 """
 
 from __future__ import annotations
@@ -133,11 +133,12 @@ def batch_knn_graph(clouds: np.ndarray, k: int) -> np.ndarray:
 class TensorSpec(NamedTuple):
     """One model tensor: its shape, and how :meth:`ModelParams.initialize`
     fills it, with a uniform draw on (-bound, bound) when ``bound`` is set
-    and with ``fill`` otherwise."""
+    and with ``fill`` (a value, or one per element of the last axis)
+    otherwise."""
 
     shape: tuple[int, ...]
     bound: float | None = None
-    fill: float = 0.0
+    fill: float | tuple[float, ...] = 0.0
 
 
 def model_shapes(config: ModelConfig) -> dict[str, TensorSpec]:
@@ -207,6 +208,9 @@ def model_shapes(config: ModelConfig) -> dict[str, TensorSpec]:
             batch_norm(f"head.fc{i}.bn", width)
             n_in = width
         affine("head.rot", n_in, 4)
+        # The identity quaternion: the head starts at the identity rotation,
+        # and a row whose last hidden layer is all zero has a unit quaternion.
+        table["param/head.rot.b"] = TensorSpec((4,), fill=(1.0, 0.0, 0.0, 0.0))
         affine("head.trans", n_in, 3)
     return table
 
@@ -244,6 +248,15 @@ class ModelParams:
                 site = rest.removesuffix("/var")
                 bn_states[site] = ad.BatchNormState(arrays[f"bnstate/{site}/mean"], arr)
         return ModelParams(config, params, bn_states)
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The arrays :meth:`from_arrays` reads back: ``param/<name>`` per
+        parameter, then ``bnstate/<site>/{mean,var}`` per batch-norm site."""
+        arrays = {f"param/{name}": t.data for name, t in self.params.items()}
+        for site, state in self.bn_states.items():
+            arrays[f"bnstate/{site}/mean"] = state.running_mean
+            arrays[f"bnstate/{site}/var"] = state.running_var
+        return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -383,27 +396,14 @@ def _cross_residual(own: ad.Tensor, other: ad.Tensor, model: ModelParams) -> ad.
     return ad.affine(decoded, p["attn.out.w"], p["attn.out.b"])
 
 
-def transformer_attention(
-    f_x: ad.Tensor, f_y: ad.Tensor, model: ModelParams
-) -> tuple[ad.Tensor, ad.Tensor]:
-    """Co-contextual embeddings: each cloud's features plus a learned
-    residual computed from both clouds. No positional encoding is used;
-    point index carries no information. ``f_x`` (B, n, d) and ``f_y``
-    (B, m, d) give (B, n, d) and (B, m, d).
-
-    A call no tape records, on ``f_x`` and ``f_y`` of one shape, computes
-    the residual once, on the stack ``[f_x; f_y]`` attending to ``[f_y;
-    f_x]``, and returns its two halves. Every row of attention, layer norm
-    and the affine maps depends only on its own cloud, so the halves equal
-    the two per-direction calls that a recorded call or a pair of n != m
-    points makes, bit for bit."""
-    if f_x.shape[-1] != f_y.shape[-1]:
-        raise ShapeError(f"embedding dims differ: {f_x.shape} vs {f_y.shape}")
-    if not _one_stack(f_x, f_y):
-        return ad.add(f_x, _cross_residual(f_x, f_y, model)), ad.add(f_y, _cross_residual(f_y, f_x, model))
-    own, other = ad.tensor(np.stack([f_x.data, f_y.data])), ad.tensor(np.stack([f_y.data, f_x.data]))
-    phi = ad.add(own, _cross_residual(own, other, model)).data
-    return ad.tensor(phi[0]), ad.tensor(phi[1])
+def transformer_attention(own: ad.Tensor, other: ad.Tensor, model: ModelParams) -> ad.Tensor:
+    """Co-contextual embedding of one side, ``own + phi(own, other)``: its
+    features plus a learned residual conditioned on the other cloud. No
+    positional encoding is used; point index carries no information.
+    ``own`` (B, n, d) and ``other`` (B, m, d) give (B, n, d)."""
+    if own.shape[-1] != other.shape[-1]:
+        raise ShapeError(f"embedding dims differ: {own.shape} vs {other.shape}")
+    return ad.add(own, _cross_residual(own, other, model))
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +512,12 @@ def dcp_forward(x_points, y_points, model: ModelParams) -> DcpForward:
 
     ``x_points`` and ``y_points`` are each a batch of B clouds, of n and m
     points (a list, or a (B, n, 3) array; see :func:`cloud_stack`); the
-    outputs are those of :class:`DcpForward`. The B sources are embedded
-    as one row block and the B targets as another, so in a forward that a
-    tape records (training) every batch norm of the embedding normalises
-    over the edges (DGCNN) or points (PointNet) of all B clouds, and the
-    MLP head's over the B pairs. A forward that no tape records (inference)
-    uses the running statistics, so each pair's output does not depend on
-    the rest of the batch; for the same reason, with n == m, it embeds the
-    B sources and B targets as one block of 2B clouds, and attends both
-    ways as one stack, with outputs equal bit for bit to the per-side calls.
+    outputs are those of :class:`DcpForward`. On an open tape (training)
+    the B sources are embedded as one row block and the B targets as
+    another, so every batch norm of the embedding normalises over the
+    edges (DGCNN) or points (PointNet) of all B clouds, and the MLP head's
+    over the B pairs. Without one (inference) the running statistics make
+    each pair's output independent of the rest of the batch.
     """
     xs, phi_x, phi_y, match, soft_target = _soft_match(x_points, y_points, model)
     if model.config.head == "svd":
@@ -533,40 +530,40 @@ def dcp_forward(x_points, y_points, model: ModelParams) -> DcpForward:
 def _soft_match(x_points, y_points, model: ModelParams):
     """The forward up to the soft targets, shared by :func:`dcp_forward`
     and :func:`dcp_predict`: the (B, n, 3) source stack, both embeddings,
-    the match and the soft targets."""
+    the match and the soft targets.
+
+    The one place that stacks the two sides. With no tape open and sources
+    and targets of one size, it embeds the 2B clouds in one
+    :func:`embed_cloud` call and attends once, ``[f_x; f_y]`` against
+    ``[f_y; f_x]``, then splits the halves. Under the running statistics
+    every row of the embedding, attention, layer norm and the affine maps
+    depends only on its own cloud, so the halves equal the per-side calls
+    bit for bit. Otherwise it embeds each side and attends once per
+    direction: a tape keeps its per-side gradient-summation order, and its
+    batch norms normalise each side with that side's own statistics."""
     xs = cloud_stack(x_points)
     ys = cloud_stack(y_points)
-    if len(xs) != len(ys):
-        raise ShapeError(f"a batch pairs {len(xs)} source clouds with {len(ys)} target clouds")
-    if _one_stack(xs, ys):
-        f = embed_cloud(np.concatenate([xs, ys]), model).data
-        f_x, f_y = ad.tensor(f[: len(xs)]), ad.tensor(f[len(xs) :])
+    b = len(xs)
+    if b != len(ys):
+        raise ShapeError(f"a batch pairs {b} source clouds with {len(ys)} target clouds")
+    if not ad.recording() and xs.shape == ys.shape:
+        f = embed_cloud(np.concatenate([xs, ys]), model)
+        if model.config.attention:
+            f = transformer_attention(f, ad.tensor(np.concatenate([f.data[b:], f.data[:b]])), model)
+        phi_x, phi_y = ad.tensor(f.data[:b]), ad.tensor(f.data[b:])
     else:
-        f_x = embed_cloud(xs, model)
-        f_y = embed_cloud(ys, model)
-    if model.config.attention:
-        phi_x, phi_y = transformer_attention(f_x, f_y, model)
-    else:
-        phi_x, phi_y = f_x, f_y
+        phi_x, phi_y = embed_cloud(xs, model), embed_cloud(ys, model)
+        if model.config.attention:
+            phi_x, phi_y = transformer_attention(phi_x, phi_y, model), transformer_attention(phi_y, phi_x, model)
     match = pointer_softmatch(phi_x, phi_y)
     return xs, phi_x, phi_y, match, soft_correspondence(match, ys)
-
-
-def _one_stack(x, y) -> bool:
-    """Whether a step may run its source side ``x`` and target side ``y``
-    as one stack: with no tape recording, on sides of one shape. A tape
-    must keep its per-side gradient-summation order, and its batch norms
-    normalise each side with that side's own statistics. Without a tape,
-    the running statistics make each cloud's rows independent of the
-    others, so the stack's halves equal the per-side calls bit for bit."""
-    return not ad._TAPES and x.shape == y.shape
 
 
 def dcp_predict(x_points, y_points, model: ModelParams) -> geo.RigidTransform:
     """Inference-mode registration of one pair, run as a batch of one,
     returning a validated rigid transform. When the source and target have
-    the same number of points, both clouds are embedded in one call and
-    attended as one stack (see :func:`dcp_forward`).
+    the same number of points, both run as one stack (see
+    :func:`_soft_match`).
 
     The final alignment is recomputed in float64 so the output satisfies
     the strict orthogonality invariants regardless of model precision; with

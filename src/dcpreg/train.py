@@ -278,14 +278,10 @@ def train(
 
 def save_checkpoint(model: dcpnet.ModelParams, path) -> None:
     """Write a :func:`dataio.write_arrays` file of ``__version__``, ``__config__``
-    (sorted JSON bytes), ``param/<name>`` and ``bnstate/<name>/{mean,var}``."""
+    (sorted JSON bytes) and the model's arrays (:meth:`dcpnet.ModelParams.to_arrays`)."""
     cfg_json = json.dumps(dataclasses.asdict(model.config), sort_keys=True).encode("utf-8")
     members = {"__version__": np.array(CHECKPOINT_VERSION), "__config__": np.frombuffer(cfg_json, dtype=np.uint8)}
-    members.update((f"param/{name}", t.data) for name, t in model.params.items())
-    for name, st in model.bn_states.items():
-        members[f"bnstate/{name}/mean"] = st.running_mean
-        members[f"bnstate/{name}/var"] = st.running_var
-    dataio.write_arrays(members, path)
+    dataio.write_arrays({**members, **model.to_arrays()}, path)
 
 
 def _config_from_json(blob: bytes, path) -> dcpnet.ModelConfig:

@@ -288,6 +288,7 @@ def initialize(cfg, seed):
             batch_norm(f"head.fc{i}.bn", width)
             n_in = width
         affine("head.rot", n_in, 4)
+        params["head.rot.b"] = ad.tensor(np.array([1.0, 0.0, 0.0, 0.0], dtype=dtype), requires_grad=True)
         affine("head.trans", n_in, 3)
     return dcpnet.ModelParams(cfg, params, bn_states)
 
@@ -325,7 +326,7 @@ def edgeconv_bn_max(center, per_point, indices, gamma, beta, state):
         np.maximum(spick, signed[idx[:, t]], out=spick)
     pick = np.where(s == 0, first, spick * s)
 
-    if ad._will_record(center, per_point, gamma, beta):
+    if ad.recording():
         degree = np.bincount(idx.ravel(), minlength=m).astype(np.float64)
         adjacency = csr_matrix((np.ones(edges), idx.ravel(), np.arange(0, edges + 1, k)), shape=(n, m))
         c64 = center.data.astype(np.float64)

@@ -412,9 +412,29 @@ def test_backward_rejects_non_scalar():
 
 
 def test_no_tape_means_no_graph():
+    """An operation run with no tape open is recorded nowhere, and a tape
+    opened afterwards starts empty."""
     x = ad.tensor([1.0, 2.0], requires_grad=True)
-    y = ad.mul(x, x)  # executed outside any tape
-    assert not y._in_graph
+    assert not ad.recording()
+    ad.mul(x, x)  # executed outside any tape
+    with ad.Tape() as tape:
+        assert ad.recording()
+    assert tape.entries == [] and not ad.recording()
+
+
+def test_an_open_tape_records_ops_on_constants():
+    """While a tape is open every operation is recorded, on constants too;
+    ``backward`` returns only the ``requires_grad`` leaves, with the
+    gradient as if the constants' operations were not on the tape."""
+    c = ad.constant([3.0, 4.0])
+    x = ad.tensor([1.0, 2.0], requires_grad=True)
+    with ad.Tape() as tape:
+        k = ad.mul(c, c)
+        out = ad.sum_reduce(ad.mul(k, x))
+    assert [e.op for e in tape.entries] == ["mul", "mul", "sum_reduce"]
+    grads = ad.backward(tape, out)
+    assert list(grads) == [x]
+    assert np.array_equal(grads[x], [9.0, 16.0])
 
 
 def test_max_reduce_tie_routes_to_lowest_index():

@@ -458,7 +458,8 @@ def test_attention_zero_projection_is_identity(rng):
     model = dcpnet.ModelParams.initialize(TINY_V2, seed=4)
     f_x = ad.tensor(rng.normal(size=(10, 8)))
     f_y = ad.tensor(rng.normal(size=(12, 8)))
-    phi_x, phi_y = dcpnet.transformer_attention(f_x, f_y, model)
+    phi_x = dcpnet.transformer_attention(f_x, f_y, model)
+    phi_y = dcpnet.transformer_attention(f_y, f_x, model)
     assert np.array_equal(phi_x.data, f_x.data)
     assert np.array_equal(phi_y.data, f_y.data)
 
@@ -475,7 +476,8 @@ def test_attention_residual_is_asymmetric(rng):
     randomize_attention_output(model, rng)
     a = ad.tensor(rng.normal(size=(9, 8)))
     b = ad.tensor(rng.normal(size=(9, 8)))
-    phi_ab, phi_ba = dcpnet.transformer_attention(a, b, model)
+    phi_ab = dcpnet.transformer_attention(a, b, model)
+    phi_ba = dcpnet.transformer_attention(b, a, model)
     res_ab = phi_ab.data - a.data
     res_ba = phi_ba.data - b.data
     assert np.abs(res_ab - res_ba).max() > 1e-8
@@ -487,7 +489,8 @@ def test_attention_shape_preserved(n, rng):
     randomize_attention_output(model, rng)
     f_x = ad.tensor(rng.normal(size=(n, 8)).astype(np.float32))
     f_y = ad.tensor(rng.normal(size=(n, 8)).astype(np.float32))
-    phi_x, phi_y = dcpnet.transformer_attention(f_x, f_y, model)
+    phi_x = dcpnet.transformer_attention(f_x, f_y, model)
+    phi_y = dcpnet.transformer_attention(f_y, f_x, model)
     assert phi_x.shape == (n, 8)
     assert phi_y.shape == (n, 8)
 
@@ -766,8 +769,6 @@ def test_eval_batched_forward_equals_single_forwards(rng, cfg, dtype, tol):
     not depend on the rest of its batch."""
     model = with_running_stats(dcpnet.ModelParams.initialize(replace(cfg, dtype=dtype), seed=31), rng)
     randomize_attention_output(model, rng)
-    if cfg.head == "mlp":  # keep the quaternion away from 0 where ReLU zeroes the hidden rows
-        model.params["head.rot.b"].data[0] = 1.0
     xs = [unit_points(rng, 16) for _ in range(3)]
     ys = [unit_points(rng, 12) for _ in range(3)]
     batch = dcpnet.dcp_forward(xs, ys, model)
@@ -824,8 +825,6 @@ def test_a_tape_trains_and_no_tape_infers(rng, monkeypatch, cfg):
     (DGCNN) or point (PointNet) of the 3 source clouds, then of the 3
     target clouds."""
     model = stack_case_model(cfg, rng)
-    if cfg.head == "mlp":  # keep the quaternion away from 0 where ReLU zeroes the hidden rows
-        model.params["head.rot.b"].data[0] = 1.0
     xs, ys = [unit_points(rng, 20) for _ in range(3)], [unit_points(rng, 20) for _ in range(3)]
     before = {site: (st.running_mean.copy(), st.running_var.copy()) for site, st in model.bn_states.items()}
     inferred = dcpnet.dcp_forward(xs, ys, model)
@@ -953,6 +952,20 @@ def test_mlp_head_gradients(rng):
         gradcheck.assert_grads_close(grads[p], num, 1e-4, name)
     with ad.Tape(), pytest.raises(InvalidInputError):
         dcpnet.dcp_forward([xs[0]], [ys[0]], model)
+
+
+def test_initialised_mlp_head_starts_at_the_identity(rng):
+    """``head.rot.b`` starts at the identity quaternion, so an initialised
+    MLP head whose last hidden layer is all zero predicts the identity
+    rotation; a zero bias would give a zero quaternion, which raises."""
+    cfg = replace(TINY_V1, head="mlp", mlp_head_widths=(8, 4))
+    model = dcpnet.ModelParams.initialize(cfg, seed=18)
+    assert np.array_equal(model.params["head.rot.b"].data, [1.0, 0.0, 0.0, 0.0])
+    for part in ("gamma", "beta"):  # the last hidden layer is relu(0) = 0
+        model.params[f"head.fc1.bn.{part}"].data[...] = 0.0
+    out = dcpnet.dcp_forward([unit_points(rng, 10)], [unit_points(rng, 10)], model)
+    assert np.array_equal(out.rotation.data[0], np.eye(3))
+    assert np.array_equal(out.translation.data[0], np.zeros(3))
 
 
 def test_mlp_head_zero_rot_weights_degenerate(rng):

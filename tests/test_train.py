@@ -232,7 +232,7 @@ def test_train_two_pairs_hold_out_one(monkeypatch):
     forward, evaluate = dcpnet.dcp_forward, train.evaluate
 
     def spy_forward(sources, targets, model):
-        if ad._TAPES:
+        if ad.recording():
             trained.append(sources)
         return forward(sources, targets, model)
 
@@ -255,7 +255,7 @@ def test_train_zero_val_fraction_holds_out_nothing(monkeypatch):
     forward = dcpnet.dcp_forward
 
     def spy_forward(sources, targets, model):
-        if ad._TAPES:
+        if ad.recording():
             trained.extend(sources)
         return forward(sources, targets, model)
 
