@@ -6,6 +6,8 @@
 # src/dcpreg/harness.py, the one list of config keys; an unknown key makes
 # `experiment` and `bench --config` exit 3.
 set -euo pipefail
+# Run the package from this checkout, installed or not.
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 
 OUT=${OUT:-runs/desk}
 SEED=${SEED:-0}

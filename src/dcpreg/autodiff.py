@@ -177,44 +177,38 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, np.ndarray]:
 # Elementwise and structural primitives
 # ---------------------------------------------------------------------------
 
-def _broadcast_shape(a: Tensor, b: Tensor, op: str) -> None:
+def _elementwise(op: str, a: Tensor, b: Tensor, f, grads) -> Tensor:
+    """Record ``f(a, b)`` under ``op``: the operands must share a dtype and
+    broadcast; ``grads(g)`` gives the two gradient maps at the output's
+    shape, each summed back to its operand's shape."""
+    _check_same_dtype(a, b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    out = Tensor(f(a.data, b.data))
+
+    def bw(g):
+        ga, gb = grads(g)
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+
+    return _record(op, (a, b), out, bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b)
-    _broadcast_shape(a, b, "add")
-    out = Tensor(a.data + b.data)
-
-    def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _record("add", (a, b), out, bw)
+    return _elementwise("add", a, b, np.add, lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b)
-    _broadcast_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-
-    def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _record("sub", (a, b), out, bw)
+    return _elementwise("sub", a, b, np.subtract, lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b)
-    _broadcast_shape(a, b, "mul")
-    out = Tensor(a.data * b.data)
+    return _elementwise("mul", a, b, np.multiply, lambda g: (g * b.data, g * a.data))
 
-    def bw(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _record("mul", (a, b), out, bw)
+def div(a: Tensor, b: Tensor) -> Tensor:
+    return _elementwise("div", a, b, np.divide, lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -241,20 +235,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * (out.data > 0),)
 
     return _record("relu", (x,), out, bw)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b)
-    _broadcast_shape(a, b, "div")
-    out = Tensor(a.data / b.data)
-
-    def bw(g):
-        return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        )
-
-    return _record("div", (a, b), out, bw)
 
 
 def _check_axis(x: Tensor, axis: int, op: str) -> int:
@@ -548,6 +528,34 @@ class BatchNormState:
         self.running_var = ((1.0 - m) * self.running_var + m * var).astype(self.running_var.dtype)
 
 
+def _channels(op: str, x: Tensor, gain: Tensor, bias: Tensor, names: str = "gamma/beta") -> int:
+    """``x``'s channel count ``c`` (its last axis); ``gain`` and ``bias``,
+    called ``names`` in the error, must both be (c,)."""
+    c = x.shape[-1]
+    if gain.shape != (c,) or bias.shape != (c,):
+        raise ShapeError(f"{op}: {names} must be ({c},), got {gain.shape}/{bias.shape}")
+    return c
+
+
+def _scale_shift(op: str, x: Tensor, gain: Tensor, bias: Tensor, xhat: np.ndarray, inv_std, axes) -> Tensor:
+    """Record ``gain * xhat + bias`` under ``op``, where ``xhat`` is ``x``
+    normalised by statistics over ``axes`` and scaled by ``inv_std``. The
+    backward is normalisation's: each statistic's gradient enters through
+    the means over ``axes`` of ``dxhat`` and ``dxhat * xhat``."""
+    y = gain.data * xhat
+    y += bias.data
+    lead = tuple(range(x.ndim - 1))
+
+    def bw(g):
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=axes, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
+        gx = inv_std * (dxhat - m1 - xhat * m2)
+        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+    return _record(op, (x, gain, bias), Tensor(y), bw)
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) -> Tensor:
     """Normalize per channel (last axis) over all leading axes.
 
@@ -556,9 +564,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) ->
     normalizes with the stored running statistics.
     """
     _check_same_dtype(x, gamma, beta)
-    c = x.shape[-1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"batch_norm: gamma/beta must be ({c},), got {gamma.shape}/{beta.shape}")
+    _channels("batch_norm", x, gamma, beta)
     axes = tuple(range(x.ndim - 1))
     n = int(np.prod([x.shape[i] for i in axes])) if axes else 1
 
@@ -573,17 +579,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState) ->
         var = state.running_var.astype(x.dtype)
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mu) * inv_std
-    out = Tensor(gamma.data * xhat + beta.data)
-
-    def bw(g):
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=axes)
-        m2 = (dxhat * xhat).mean(axis=axes)
-        gx = inv_std * (dxhat - m1 - xhat * m2)
-        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
-
-    return _record("batch_norm", (x, gamma, beta), out, bw)
+    return _scale_shift("batch_norm", x, gamma, beta, (x.data - mu) * inv_std, inv_std, axes)
 
 
 def edgeconv_bn_max(
@@ -647,9 +643,8 @@ def edgeconv_bn_max(
         raise ShapeError(
             f"edgeconv_bn_max: need center (N, c) and per_point (M, c), got {center.shape}, {per_point.shape}"
         )
-    (n, c), m = center.shape, per_point.shape[0]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"edgeconv_bn_max: gamma/beta must be ({c},), got {gamma.shape}/{beta.shape}")
+    n, m = center.shape[0], per_point.shape[0]
+    c = _channels("edgeconv_bn_max", center, gamma, beta)
     if not np.issubdtype(idx.dtype, np.integer):
         raise InvalidInputError("edgeconv_bn_max indices must be integral")
     if idx.ndim != 2 or idx.shape[0] != n or idx.shape[1] < 1:
@@ -735,26 +730,11 @@ def edgeconv_bn_max(
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row over the last axis with learned gain and bias."""
     _check_same_dtype(x, gain, bias)
-    c = x.shape[-1]
-    if gain.shape != (c,) or bias.shape != (c,):
-        raise ShapeError(f"layer_norm: gain/bias must be ({c},), got {gain.shape}/{bias.shape}")
+    c = _channels("layer_norm", x, gain, bias, "gain/bias")
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (xc * xc).sum(axis=-1, keepdims=True) / c  # x.var, bit for bit
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = np.multiply(xc, inv_std, out=xc)
-    y = gain.data * xhat
-    y += bias.data
-    out = Tensor(y)
-    lead_axes = tuple(range(x.ndim - 1))
-
-    def bw(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv_std * (dxhat - m1 - xhat * m2)
-        return gx, (g * xhat).sum(axis=lead_axes), g.sum(axis=lead_axes)
-
-    return _record("layer_norm", (x, gain, bias), out, bw)
+    return _scale_shift("layer_norm", x, gain, bias, np.multiply(xc, inv_std, out=xc), inv_std, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,10 @@ sets, and a key left unset keeps the default that dataclass declares.
 :func:`load_config_file`, which reads every command's config file, alone
 rejects an unknown key (exit 3). Values a dataclass rejects together
 (``model.emb_dims`` that ``model.heads`` does not divide) also exit 3, in
-a message that names those keys.
+a message that names those keys. The model settings are checked as each
+command runs them: per method token, so a DCP-v1 model, which has no
+heads, takes any ``model.emb_dims``. ``bench --checkpoint`` names the
+``model.*`` keys as ignored, since the checkpoint holds its own.
 """
 
 from __future__ import annotations
@@ -245,8 +248,14 @@ def _from_values(cls, table, values: dict[str, str], **fields):
     try:
         return cls(**fields)
     except InvalidInputError as exc:
-        keys = [key for key, (field, _) in table.items() if key in values and re.search(rf"\b{field}\b", str(exc))]
-        raise DataError(f"config key(s) {', '.join(keys)}: {exc}") from None
+        raise DataError(f"config key(s) {_keys_named(table, values, exc)}: {exc}") from None
+
+
+def _keys_named(table, values: dict[str, str], exc: Exception, skip=()) -> str:
+    """The keys of ``table`` set in ``values`` whose field ``exc`` names,
+    but for the fields in ``skip``."""
+    return ", ".join(key for key, (field, _) in table.items()
+                     if key in values and field not in skip and re.search(rf"\b{field}\b", str(exc)))
 
 
 def experiment_config_from_values(values: dict[str, str]) -> ExperimentConfig:
@@ -260,10 +269,16 @@ def experiment_config_from_values(values: dict[str, str]) -> ExperimentConfig:
         raise DataError("config must set data.corpus")
     train = _from_values(train_mod.TrainConfig, TRAIN_KEYS, merged)
     methods = parse_methods(merged.get("methods", "icp,dcp-v1"))
-    model = _from_values(dcpnet.ModelConfig, MODEL_KEYS, merged)
+    # Each dcp token sets attention itself; the base is checked as DCP-v1.
+    model = _from_values(dcpnet.ModelConfig, MODEL_KEYS, merged, attention=False)
     for method in methods:
-        if method.base == "dcp":
-            method_model_config(model, method)  # fail before any method runs
+        if method.base == "dcp":  # fail before any method runs
+            try:
+                method_model_config(model, method)
+            except InvalidInputError as exc:
+                keys = _keys_named(MODEL_KEYS, merged, exc, skip=dict(method.overrides))
+                source = f"config key(s) {keys}" if keys else "the model settings"
+                raise DataError(f"{source} cannot run {method.name}: {exc}") from None
     pairgen = _from_values(dataio.PairGenConfig, PAIRGEN_KEYS, merged, n_points=ExperimentConfig.pairgen.n_points)
     return _from_values(
         ExperimentConfig, EXPERIMENT_KEYS, merged, kind=kind, corpus=merged["data.corpus"], methods=methods,
@@ -530,9 +545,7 @@ def cmd_train(args) -> int:
         values["train.epochs"] = str(args.epochs)
     if "seed" not in values:
         raise UsageError("set --seed or a seed in the config file")
-    model_cfg = _from_values(dcpnet.ModelConfig, MODEL_KEYS, values)
-    if args.v1:
-        model_cfg = replace(model_cfg, attention=False)
+    model_cfg = _from_values(dcpnet.ModelConfig, MODEL_KEYS, values, attention=not args.v1)
     tcfg = _from_values(train_mod.TrainConfig, TRAIN_KEYS, values, out_dir=args.out)
     pairs = dataio.read_pair_archive(args.pairs)
     val_pairs = dataio.read_pair_archive(args.val_pairs) if args.val_pairs else None
@@ -607,8 +620,10 @@ def cmd_bench(args) -> int:
     tokens = method_models(args.methods, args.checkpoint, lambda method: dcpnet.ModelParams.initialize(
         _runnable_config(base_model_cfg, method, "the model settings"), seed=args.seed))
     values = load_config_file(args.config) if args.config else {}
-    _note_ignored_keys("bench", values, set(MODEL_KEYS))
-    base_model_cfg = _from_values(dcpnet.ModelConfig, MODEL_KEYS, values)
+    # A checkpoint holds its own model settings; each token sets attention.
+    model_keys = {} if args.checkpoint else MODEL_KEYS
+    _note_ignored_keys("bench", values, set(model_keys))
+    base_model_cfg = _from_values(dcpnet.ModelConfig, model_keys, values, attention=False)
     models = []
     for method, model in zip(args.methods, tokens):
         if method.base == "oracle":

@@ -5,11 +5,13 @@ solve; the recorded objective (mean squared matched residual) is
 non-increasing by construction. :func:`polish_with_icp` runs the same loop
 seeded from an externally estimated transform.
 
-Each recorded state comes from one correspondence step. The step after a
-stalled transform, or after the ``max_iters``-th solve, is the last: its
-state skips the degenerate-match check and the ``tol`` check. A step that
-repeats the previous step's matches would solve for the current transform
-again, bit for bit, and stall: the last state copies its own, one step on.
+Each recorded state comes from one correspondence step. A run ends in
+one of four ways: at the step after the ``max_iters``-th solve, whose
+state skips the degenerate-match check and the ``tol`` check; at a step
+whose matches all name one target, which raises; at a step whose
+objective fell by less than ``tol``; or at a step that repeats the
+previous step's matches. That step would solve for the current transform
+again, bit for bit, so the last state copies its own, one step on.
 
 Each iteration makes one ``SpatialIndex.query_many`` (a ``cKDTree``
 query) and one ``geometry.procrustes_solve``, with its 3x3 LAPACK SVD
@@ -19,7 +21,6 @@ goes to whichever target the tree returns first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,6 @@ from .errors import DegenerateCorrespondenceError, InsufficientDataError
 
 DEFAULT_MAX_ITERS = 100
 DEFAULT_TOL = 1e-8
-# Relative transform change below which the iteration counts as stalled.
-TRANSFORM_TOL = 1e-10
 
 
 class SpatialIndex:
@@ -86,9 +85,11 @@ def icp_register(
     """Register x onto y starting from ``init`` (identity by default).
 
     Returns the final transform and the history, one state per
-    correspondence step: at most ``max_iters + 1``. Stops when the
-    objective decrease falls below ``tol``, or one step after the transform
-    stalls, the matches repeat or the ``max_iters``-th solve.
+    correspondence step: at most ``max_iters + 1``. Ends at the step after
+    the ``max_iters``-th solve; at a step whose matches all name one target,
+    raising ``DegenerateCorrespondenceError``; at a step whose objective
+    decrease falls below ``tol``; or at a step whose matches repeat the
+    previous step's, with a copy of its state one step on.
     """
     xp, yp = geo._as_points(x), geo._as_points(y)
     if xp.shape[0] < 3 or yp.shape[0] < 3:
@@ -98,11 +99,10 @@ def icp_register(
 
     history: list[IcpState] = []
     prev_objective = np.inf
-    stalled = False
     for k in range(max_iters + 1):
         corr, objective = correspondence_step(xp, index, transform)
         history.append(IcpState(k, transform, objective, corr))
-        if stalled or k == max_iters:
+        if k == max_iters:
             break
         if (corr == corr[0]).all():
             raise DegenerateCorrespondenceError("all source points matched a single target point", history=history)
@@ -111,12 +111,7 @@ def icp_register(
         if k and (corr == history[-2].correspondence).all():
             history.append(IcpState(k + 1, transform, objective, corr))
             break
-        new_transform = geo.procrustes_solve(xp, yp.take(corr, axis=0))
-        # Frobenius norms, summed as np.linalg.norm sums them.
-        d_rot = (new_transform.rotation - transform.rotation).ravel()
-        d_tra = new_transform.translation - transform.translation
-        stalled = math.sqrt(d_rot.dot(d_rot)) + math.sqrt(d_tra.dot(d_tra)) < TRANSFORM_TOL
-        transform = new_transform
+        transform = geo.procrustes_solve(xp, yp.take(corr, axis=0))
         prev_objective = objective
 
     return history[-1].transform, history

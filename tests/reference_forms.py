@@ -35,6 +35,13 @@ from scipy.sparse import csr_matrix
 from dcpreg import autodiff as ad, dcpnet, geometry as geo, icp
 from dcpreg.errors import DegenerateCorrespondenceError, ShapeError
 
+# The ICP loops below stop one step after a solve that moves the transform
+# by less than this (summed Frobenius norms of the rotation and translation
+# changes): the library's old stall rule. Its repeated-match stop ends the
+# same runs at the same last state, but for a start that the first solve
+# returns bit for bit at tol 0, which it ends one copied state later.
+TRANSFORM_TOL = 1e-10
+
 
 def exact_knn(tree, queries, k, skip_self=False):
     """Every round sorts every candidate row by (squared distance, index)."""
@@ -110,7 +117,7 @@ def procrustes_solve(src, dst):
     return geo.RigidTransform(rotation, cy - rotation @ cx)
 
 
-def icp_register(x, y, init=None, max_iters=100, tol=1e-8, transform_tol=1e-10):
+def icp_register(x, y, init=None, max_iters=100, tol=1e-8, transform_tol=TRANSFORM_TOL):
     """The ICP loop on the forms above; returns ``(transform, history)``
     with history entries ``(iteration, transform, objective, correspondence)``."""
     from scipy.spatial import cKDTree
@@ -172,7 +179,7 @@ def icp_three_step_sites(x, y, init=None, max_iters=icp.DEFAULT_MAX_ITERS, tol=i
         delta = math.sqrt(d_rot.dot(d_rot)) + math.sqrt(d_tra.dot(d_tra))
         transform = new_transform
         prev_objective = objective
-        if delta < icp.TRANSFORM_TOL:
+        if delta < TRANSFORM_TOL:
             corr, objective = icp.correspondence_step(xp, index, transform)
             history.append(icp.IcpState(k + 1, transform, objective, corr))
             break

@@ -853,10 +853,12 @@ def test_experiment_pair_count_below_one_exits_3(corpus, tmp_path, capsys, key):
 def test_experiment_count_out_of_range_exits_3(corpus, tmp_path, capsys, key, value):
     """A config value out of its range is a data error naming the key, not
     the dataclass field it sets or the converter that checks it. The model
-    keeps the default 4 heads, which ``model.emb_dims = 6`` cannot split.
-    The corpus directory does not exist, so each key is reported while the
-    config is read, before the corpus is."""
+    keeps the default 4 heads, which ``model.emb_dims = 6`` cannot split
+    for the attention of the ``dcp-v2`` token. The corpus directory does
+    not exist, so each key is reported while the config is read, before the
+    corpus is."""
     conf = EXPERIMENT_CONF.format(corpus=tmp_path / "no-corpus").replace("model.heads = 2\n", "")
+    conf = conf.replace("dcp-v1", "dcp-v2")
     conf = re.sub(rf"^{re.escape(key)} = .*\n", "", conf, flags=re.M)  # a key may appear once
     conf += f"{key} = {value}\n"
     out = tmp_path / "exp"
@@ -864,6 +866,35 @@ def test_experiment_count_out_of_range_exits_3(corpus, tmp_path, capsys, key, va
     err = capsys.readouterr().err
     assert key in err and not any(name in err for name in CONVERTER_NAMES)
     assert not out.exists()
+
+
+def test_v1_commands_accept_dims_that_heads_do_not_split(corpus, archive, tmp_path, capsys):
+    """Without the attention stage no head splits ``model.emb_dims``: the
+    commands check the model that each runs, not a DCP-v2 one."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(EXPERIMENT_CONF.format(corpus=corpus).replace("model.emb_dims = 8", "model.emb_dims = 10")
+                    .replace("model.heads = 2\n", ""), encoding="utf-8")
+    bench = ["bench", "--sizes", "32", "--trials", "1", "--config", str(conf), "--methods"]
+    for argv in (
+        ["train", "--v1", "--pairs", str(archive), "--out", str(tmp_path / "train"), "--config", str(conf)],
+        ["experiment", "--config", str(conf), "--out", str(tmp_path / "exp")],
+        bench + ["icp,dcp-v1", "--out", str(tmp_path / "bench")],
+    ):
+        assert harness.main(argv) == 0, capsys.readouterr().err
+    assert harness.main(bench + ["icp,dcp-v2", "--out", str(tmp_path / "bench2")]) == 2
+    assert "cannot run dcp-v2" in capsys.readouterr().err
+
+
+def test_bench_names_model_keys_a_checkpoint_overrides(tmp_path, capsys, tiny_checkpoint):
+    """The checkpoint holds its own model settings, so bench times its
+    model and names the config's ``model.*`` keys as ignored."""
+    conf = tmp_path / "run.conf"
+    conf.write_text("model.knn_k = 7\nmodel.emb_dims = 16\n", encoding="utf-8")
+    argv = ["bench", "--methods", "dcp-v1", "--sizes", "32", "--trials", "1", "--config", str(conf),
+            "--checkpoint", str(tiny_checkpoint), "--out", str(tmp_path / "bench")]
+    assert harness.main(argv) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines() if "ignoring" in line]
+    assert notes == ["dcpreg bench: ignoring config key(s) model.emb_dims, model.knn_k"]
 
 
 @pytest.mark.parametrize("command,key", [

@@ -343,6 +343,29 @@ def test_train_mlp_head_needs_batches_of_two(n_pairs, batch_size):
         train.train(cfg, pairs, cfg=train.TrainConfig(epochs=1, batch_size=batch_size, seed=3))
 
 
+def shape_pairs(count, seed, n_points=24):
+    """``count`` pairs of fresh shapes, kinds cycled, from one generator."""
+    rng = np.random.default_rng(seed)
+    cfg = dataio.PairGenConfig(max_rot_deg=45.0, trans_bound=0.5, n_points=n_points)
+    pairs = []
+    for i in range(count):
+        mesh = dataio.make_shape_mesh(dataio.SHAPE_KINDS[i % len(dataio.SHAPE_KINDS)], rng)
+        cloud = dataio.normalize_unit_sphere(dataio.sample_surface(mesh, n_points, rng))
+        pairs.append(dataio.generate_pair(cloud, cfg, rng))
+    return pairs
+
+
+def test_narrow_mlp_heads_train_without_a_zero_quaternion():
+    """A row whose last hidden layer is all zero after ReLU gets the
+    quaternion ``head.rot.b``, which starts at the identity, not at 0: with
+    a zero start, 12 of these 50 tiny trainings raised DegenerateOutputError."""
+    cfg = replace(TINY, attention=True, heads=2, ffn_dims=16, head="mlp", mlp_head_widths=(8, 4))
+    for set_seed, count in enumerate((4, 8, 8, 8, 16)):
+        pairs = shape_pairs(count, [set_seed, count])
+        for seed in range(10):
+            train.train(cfg, pairs, val_pairs=[], cfg=train.TrainConfig(epochs=3, batch_size=4, seed=seed))
+
+
 def test_train_zero_lr_is_fixed_point():
     pairs = make_pairs(6, seed=11)
     cfg = train.TrainConfig(epochs=1, batch_size=3, base_lr=0.0, weight_decay=0.0, seed=2)
